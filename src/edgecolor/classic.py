@@ -2,8 +2,8 @@
 
 Degree-sequence realization, Dirac-style Hamiltonian cycles via closure
 reversal, perfect matchings in dense and bipartite graphs, exact
-bipartite edge coloring, and spanning path covers with prescribed
-endpoint pairs.
+bipartite edge coloring by König's alternating paths, and spanning path
+covers with prescribed endpoint pairs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, kempe_chain, kempe_swap
 from .errors import (
     CoverFailed,
     DegreeSequenceInfeasible,
@@ -337,105 +337,23 @@ def bipartition(g: Multigraph) -> tuple[set[int], set[int]]:
     return left, right
 
 
-def _euler_split(g: Multigraph) -> tuple[Multigraph, Multigraph]:
-    """Split an all-even-degrees bipartite multigraph into two halves.
-
-    Runs a Hierholzer tour over each component and alternates tour edges
-    between the halves.  Bipartite components with all degrees even have
-    an even edge count, so every degree splits exactly in half.
-    """
-    g1 = Multigraph(g.n, g.verts)
-    g2 = Multigraph(g.n, g.verts)
-    remaining: dict[int, dict[int, list[int]]] = {
-        v: {w: sorted(ids, reverse=True) for w, ids in g._adj[v].items()}
-        for v in g.verts
-    }
-
-    def take_edge(u: int):
-        nbrs = remaining[u]
-        for w in sorted(nbrs):
-            ids = nbrs[w]
-            if ids:
-                eid = ids.pop()
-                remaining[w][u].remove(eid)
-                return eid, w
-            del nbrs[w]
-        return None
-
-    for start in g.vertex_list():
-        if not any(remaining[start].values()):
-            continue
-        # Hierholzer with an explicit vertex stack; edges come out in
-        # reverse tour order, which is fine for alternation.
-        tour: list[int] = []
-        stack: list[tuple[int, int | None]] = [(start, None)]
-        while stack:
-            cur, via = stack[-1]
-            step = take_edge(cur)
-            if step is None:
-                stack.pop()
-                if via is not None:
-                    tour.append(via)
-            else:
-                eid, nxt = step
-                stack.append((nxt, eid))
-        for idx, eid in enumerate(tour):
-            u, v = g.endpoints(eid)
-            (g1 if idx % 2 == 0 else g2).add_edge(u, v, eid)
-    if g1.edge_count != g2.edge_count:
-        raise AssertionError("euler split produced uneven halves")
-    return g1, g2
-
-
 def konig_color(g: Multigraph) -> EdgeColoring:
     """Proper edge coloring of a bipartite multigraph with exactly Delta colors.
 
-    Pads the graph to a Delta-regular bipartite multigraph, then recursively
-    Euler-splits it, peeling one perfect matching whenever the current
-    degree is odd.
+    The alternating-path proof of König's theorem.  Edges are colored in id
+    order: edge uv takes a color a missing at u.  If v has an a-edge, then
+    for a color b missing at v the (a, b)-chain through v is a path leaving
+    v by its a-edge; every vertex it enters by an a-edge lies on u's side,
+    and u misses a, so the path avoids u.  Swapping it frees a at v.
     """
-    left, right = bipartition(g)
-    delta = g.max_degree()
-    coloring = EdgeColoring(g, delta)
-    if delta == 0:
-        return coloring
-
-    size = max(len(left), len(right), 1)
-    pad = g.grown(2 * size - len(left) - len(right))
-    fresh = list(range(g.n, pad.n))
-    lpad = sorted(left) + fresh[: size - len(left)]
-    rpad = sorted(right) + fresh[size - len(left) :]
-    l_open = [u for u in lpad for _ in range(delta - pad.degree(u))]
-    r_open = [w for w in rpad for _ in range(delta - pad.degree(w))]
-    if len(l_open) != len(r_open):
-        raise AssertionError("padding imbalance")
-    for u, w in zip(l_open, r_open):
-        pad.add_edge(u, w)
-
-    def color_regular(h: Multigraph, colors: list[int]) -> None:
-        d = h.max_degree()
-        if d == 0:
-            return
-        if d != len(colors):
-            raise AssertionError("palette size mismatch")
-        if d % 2 == 1:
-            adj = {u: list(h.neighbors(u)) for u in lpad}
-            m = hopcroft_karp(adj, lpad)
-            if len(m) != len(lpad):
-                raise AssertionError("regular bipartite graph must have a 1-factor")
-            picked = [h.edges_between(u, w)[0] for u, w in sorted(m.items())]
-            for eid in picked:
-                if g.has_edge_id(eid):
-                    coloring.assign(eid, colors[0])
-            color_regular(h.without_edges(picked), colors[1:])
-        else:
-            h1, h2 = _euler_split(h)
-            color_regular(h1, colors[: d // 2])
-            color_regular(h2, colors[d // 2 :])
-
-    color_regular(pad, list(range(1, delta + 1)))
-    if not coloring.is_total():
-        raise AssertionError("konig coloring left edges uncolored")
+    bipartition(g)  # raises NotBipartite; the argument above needs two sides
+    coloring = EdgeColoring(g, g.max_degree())
+    for eid, u, v in g.edges():
+        a = min(coloring.missing(u))
+        if not coloring.misses(v, a):
+            b = min(coloring.missing(v))
+            kempe_swap(coloring, kempe_chain(g, coloring, v, a, b))
+        coloring.assign(eid, a)
     return coloring
 
 

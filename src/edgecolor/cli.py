@@ -98,7 +98,13 @@ def _suggested_params(path: str) -> tuple[float | None, float | None]:
 
 def run_color(path: str, epsilon: float, eta: float | None, seed: int, mode: str) -> dict:
     """Color one graph file; returns the result document (pure, picklable)."""
-    g = formats.read_graph(path)
+    return _color_graph(formats.read_graph(path), path, epsilon, eta, seed, mode)
+
+
+def _color_graph(
+    g: Multigraph, path: str, epsilon: float, eta: float | None, seed: int, mode: str
+) -> dict:
+    """The result document of coloring ``g``, which was read from ``path``."""
     even = g.vertex_count % 2 == 0
     if mode == "odd" and even:
         raise EvenOrderInput(f"|V|={g.vertex_count}")
@@ -197,7 +203,7 @@ def _bench_one(job: tuple[str, float, float | None, int]) -> dict:
         row["n"] = g.vertex_count
         row["delta"] = g.max_degree()
         row["delta_min"] = g.min_degree()
-        doc = run_color(path, epsilon, eta, seed, "auto")
+        doc = _color_graph(g, path, epsilon, eta, seed, "auto")
         row["verdict"] = doc["verdict"]
         row["case_or_condition"] = str(doc.get("case", "")) + doc.get("condition", "")
         row["colors"] = doc["colors_used"]

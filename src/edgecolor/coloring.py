@@ -88,14 +88,6 @@ class EdgeColoring:
     def used_colors(self) -> set[int]:
         return {c for c, eids in self._classes.items() if eids}
 
-    def missing_count(self, color: int) -> int:
-        """Number of vertices missing ``color`` (the whole vertex set)."""
-        n_present = 0
-        for v in self.graph.verts:
-            if color in self._present[v]:
-                n_present += 1
-        return self.graph.vertex_count - n_present
-
     # -- updates -----------------------------------------------------------
 
     def assign(self, edge_id: int, color: int) -> None:

@@ -48,7 +48,6 @@ class EngineParams:
     epsilon: float
     eta: float
     seed: int = 0
-    strict_guards: bool = False
     partition_retries: int = 50
 
     def __post_init__(self):
@@ -90,7 +89,6 @@ class EngineState:
     r_b: set[int] = field(default_factory=set)
     r_deg: dict[int, int] = field(default_factory=dict)
     mcc_pairs: dict[int, list[list[int]]] = field(default_factory=dict)
-    originated: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def side_a(self) -> set[int]:
@@ -114,7 +112,10 @@ class DcolorResult:
     verdict: str  # "Colored" or "Fallback"
     coloring: EdgeColoring
     trace: PipelineTrace
-    condition: str = ""
+
+    @property
+    def condition(self) -> str:
+        return self.trace.condition
 
     @property
     def colors_used(self) -> int:
@@ -447,9 +448,7 @@ def step1_color_gab(state: EngineState) -> EngineState:
             len(_missing_in(state, state.side_a, i)),
             len(_missing_in(state, state.side_b, i)),
         )
-    passed = trace.check("step1", "S1.2", worst, cap, worst < cap)
-    if not passed and params.strict_guards:
-        raise GuardFailed("step1.S1.2", f"missing-count {worst} >= {cap:.2f}")
+    trace.check("step1", "S1.2", worst, cap, worst < cap)
 
     state.S_A = {
         u for u in state.S & state.side_a if gab.degree(u) <= k - 2 * n ** (2 / 3)
@@ -547,10 +546,8 @@ def step2_fix_center(state: EngineState) -> EngineState:
         sac = c.edge_at(w, i)
         if sac is None or sac not in state.side_b_edges:
             raise NoEligibleNeighbor(i)
-        w_star = g_star.other_end(sac, w)
         _uncolor_to_residual(state, sac)
         _color_h_edge(state, eid, i)
-        state.originated.append((i, w_star))
     state.trace.check("step2", "center-covered", len(c.missing(x)), 0, not c.missing(x))
     return state
 
@@ -749,9 +746,7 @@ def step2_extend_to_factors(state: EngineState) -> EngineState:
     if state.condition in ("a", "b", "c", "d"):
         trace.check("step2", "S2.1:e(R_A)=e(R_B)", len(state.r_a), len(state.r_b), len(state.r_a) == len(state.r_b))
     max_rdeg = max(state.r_deg.values(), default=0)
-    passed = trace.check("step2", "S2.2:Delta(R)<r", max_rdeg, state.r_bound, max_rdeg < state.r_bound)
-    if not passed and state.params.strict_guards:
-        raise GuardFailed("step2.S2.2", f"Delta(R)={max_rdeg} >= r={state.r_bound:.2f}")
+    trace.check("step2", "S2.2:Delta(R)<r", max_rdeg, state.r_bound, max_rdeg < state.r_bound)
     budget_ok = True
     protected = state.s_a_star | state.s_b_star
     for v in state.g_star.verts:
@@ -905,68 +900,71 @@ def step4_finish(state: EngineState) -> EdgeColoring:
 # Orchestration
 
 
-def dcolor(g: Multigraph, params: EngineParams) -> DcolorResult:
-    """Run the full pipeline; any guard failure falls back to a verified
-    near-star coloring and a trace naming the failed guard."""
-    trace = PipelineTrace(seed=params.seed)
-    nv = g.vertex_count
-    condition = ""
-    try:
-        if nv % 2 != 0:
-            raise GuardFailed("input.even-order", f"|V|={nv}")
-        cond, x, ctx = classify_condition(g, params, trace)
-        if cond is None:
-            raise GuardFailed("classify", "no condition (a)-(e) matched")
-        condition = cond
-        trace.note("classify", f"condition ({cond}), center {x}")
-        pairs, nb_x = select_pairs(g, cond, x, ctx, params)
-        part = balanced_partition(
-            g.underlying_simple(), pairs, params.seed, params.partition_retries
-        )
-        trace.retries = part.retries
-        part = adjust_for_center(part, g, x, nb_x, pairs)
-        state = EngineState(
-            g=g,
-            params=params,
-            trace=trace,
-            x=x,
-            n_half=nv // 2,
-            condition=cond,
-            cond_ctx=ctx,
-            pairs=pairs,
-            nb_x=nb_x,
-            part=part,
-        )
-        step1_color_gab(state)
-        step2_fix_center(state)
-        step2_relocate_S(state)
-        step2_extend_to_factors(state)
-        step3_color_residuals(state)
-        final = step4_finish(state)
+def color_exact(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> DcolorResult:
+    """Run the four steps and return a verified Delta coloring of ``g``.
 
-        if not final.is_total():
-            raise GuardFailed("final.total", "uncolored edges remain")
-        report = verify_proper(state.g_star, final)
-        if not report.ok:
-            raise GuardFailed("final.proper", f"{len(report.violations)} violations")
-        audit = final.copy()
-        audit.extend_palette(max(audit.k, state.g_star.max_degree()))
-        parity = parity_audit(state.g_star, audit)
-        trace.check("final", "parity", len(parity.violations), 0, parity.ok)
-        used = len(final.used_colors())
-        delta = g.max_degree()
-        trace.check("final", "colors<=Delta", used, delta, used <= delta)
-        if used > delta:
-            raise GuardFailed("final.count", f"{used} colors > Delta={delta}")
-        restricted = final.rebind(g)
-        return DcolorResult(
-            verdict="Colored", coloring=restricted, trace=trace, condition=condition
-        )
+    Guards and notes go into the caller's ``trace``.  Any guard failure or
+    missing object raises its :class:`EdgeColorError`; there is no fallback.
+    """
+    nv = g.vertex_count
+    if nv % 2 != 0:
+        raise GuardFailed("input.even-order", f"|V|={nv}")
+    cond, x, ctx = classify_condition(g, params, trace)
+    if cond is None:
+        raise GuardFailed("classify", "no condition (a)-(e) matched")
+    trace.condition = cond
+    trace.note("classify", f"condition ({cond}), center {x}")
+    pairs, nb_x = select_pairs(g, cond, x, ctx, params)
+    part = balanced_partition(
+        g.underlying_simple(), pairs, params.seed, params.partition_retries
+    )
+    trace.retries = part.retries
+    part = adjust_for_center(part, g, x, nb_x, pairs)
+    state = EngineState(
+        g=g,
+        params=params,
+        trace=trace,
+        x=x,
+        n_half=nv // 2,
+        condition=cond,
+        cond_ctx=ctx,
+        pairs=pairs,
+        nb_x=nb_x,
+        part=part,
+    )
+    step1_color_gab(state)
+    step2_fix_center(state)
+    step2_relocate_S(state)
+    step2_extend_to_factors(state)
+    step3_color_residuals(state)
+    final = step4_finish(state)
+
+    if not final.is_total():
+        raise GuardFailed("final.total", "uncolored edges remain")
+    report = verify_proper(state.g_star, final)
+    if not report.ok:
+        raise GuardFailed("final.proper", f"{len(report.violations)} violations")
+    audit = final.copy()
+    audit.extend_palette(max(audit.k, state.g_star.max_degree()))
+    parity = parity_audit(state.g_star, audit)
+    trace.check("final", "parity", len(parity.violations), 0, parity.ok)
+    used = len(final.used_colors())
+    delta = g.max_degree()
+    trace.check("final", "colors<=Delta", used, delta, used <= delta)
+    if used > delta:
+        raise GuardFailed("final.count", f"{used} colors > Delta={delta}")
+    return DcolorResult(verdict="Colored", coloring=final.rebind(g), trace=trace)
+
+
+def dcolor(g: Multigraph, params: EngineParams) -> DcolorResult:
+    """:func:`color_exact`, or on any guard failure a verified near-star
+    coloring and a trace naming the failed guard."""
+    trace = PipelineTrace(seed=params.seed)
+    try:
+        return color_exact(g, params, trace)
     except EdgeColorError as exc:
         trace.note("fallback", f"{type(exc).__name__}: {exc}")
         fb = near_star_color(g)
         if not verify_proper(g, fb).ok:
             raise AssertionError("fallback coloring failed verification")
-        return DcolorResult(
-            verdict="Fallback", coloring=fb, trace=trace, condition=condition
-        )
+        return DcolorResult(verdict="Fallback", coloring=fb, trace=trace)

@@ -47,13 +47,19 @@ def parse_graph(text: str) -> Multigraph:
                 raise ParseError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "multigraph":
                 raise ParseError(f"line {lineno}: expected 'p multigraph <n> <m>'")
-            n, mlines_declared = int(parts[2]), int(parts[3])
+            try:
+                n, mlines_declared = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(f"line {lineno}: <n> and <m> must be integers") from None
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before problem line")
             if len(parts) != 4:
                 raise ParseError(f"line {lineno}: expected 'e <u> <v> <mult>'")
-            u, v, mult = int(parts[1]), int(parts[2]), int(parts[3])
+            try:
+                u, v, mult = int(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(f"line {lineno}: <u>, <v> and <mult> must be integers") from None
             if u == v:
                 raise ParseError(f"line {lineno}: loop at vertex {u}")
             key = (min(u, v), max(u, v))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .errors import LoopRejected, PreconditionViolated, VertexOutOfRange
+from .errors import LoopRejected, VertexOutOfRange
 
 KIND_SIMPLE = "Simple"
 KIND_STAR = "Star"
@@ -385,12 +385,3 @@ def overfull_subgraph_check_dense(g: Multigraph, epsilon: float) -> OverfullScan
                     witness=f"minus-vertex:{v}", sound=sound, notes=notes
                 )
     return OverfullScanResult(witness=None, sound=sound, notes=notes)
-
-
-def degree_identity_holds(g: Multigraph) -> bool:
-    return sum(g.degrees().values()) == 2 * g.edge_count
-
-
-def require(cond: bool, clause: str, detail: str = "") -> None:
-    if not cond:
-        raise PreconditionViolated(clause, detail)

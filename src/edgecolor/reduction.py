@@ -16,12 +16,12 @@ the original input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .classic import hakimi_realize, path_cover_star, perfect_matching_dense
 from .coloring import EdgeColoring, verify_proper
-from .engine import DcolorResult, EngineParams, dcolor
+from .engine import EngineParams, color_exact
 from .errors import (
     ConstructionFailed,
     DegreeSequenceInfeasible,
@@ -38,17 +38,6 @@ from .vizing import greedy_color, misra_gries
 VERDICT_CLASS_ONE = "ClassOne"
 VERDICT_CLASS_TWO = "ClassTwo"
 VERDICT_FALLBACK = "FallbackClassUnknown"
-
-
-@dataclass
-class ReductionTrace:
-    case: int
-    W: set[int] = field(default_factory=set)
-    added_center_edges: list[int] = field(default_factory=list)
-    removed_matchings: list[tuple[list[int], int]] = field(default_factory=list)
-    removed_forests: list[tuple[list[list[int]], tuple[int, int]]] = field(default_factory=list)
-    hakimi_degrees: Optional[list[int]] = None
-    engine_condition: str = ""
 
 
 @dataclass
@@ -107,27 +96,16 @@ def _peel_perfect_matching(
         raise MatchingFailed(f"{step}: {exc}") from exc
 
 
-def _engine_instance(
-    g_prime: Multigraph, params: EngineParams, trace: PipelineTrace, step: str
-) -> DcolorResult:
-    res = dcolor(g_prime, params)
-    trace.entries.extend(res.trace.entries)
-    if res.verdict != "Colored":
-        raise GuardFailed(f"{step}.engine", "engine fell back")
-    return res
-
-
 # ---------------------------------------------------------------------------
 # Case 1: |W| >= 2*eta*n
 
 
 def case1_reduce(
     g: Multigraph, params: EngineParams, trace: PipelineTrace
-) -> tuple[EdgeColoring, ReductionTrace]:
+) -> tuple[EdgeColoring, str]:
     n = (g.vertex_count + 1) // 2
     eta = params.eta
     w_set = compute_W(g, eta)
-    rt = ReductionTrace(case=1, W=w_set)
     w_prime = sorted(w_set)[: math.floor(eta * n)]
     if not w_prime:
         raise ConstructionFailed("case1: floor(eta*n) = 0 leaves W' empty")
@@ -135,7 +113,6 @@ def case1_reduce(
     target = g.min_degree()
     gp = g.grown(1)
     x = g.n
-    added = []
     taken = {w: 0 for w in w_prime}
     while gp.degree(x) < target:
         progressed = False
@@ -143,18 +120,16 @@ def case1_reduce(
             if gp.degree(x) == target:
                 break
             if taken[w] < cap and gp.degree(w) < g.max_degree():
-                added.append(gp.add_edge(x, w))
+                gp.add_edge(x, w)
                 taken[w] += 1
                 progressed = True
         if not progressed:
             raise ConstructionFailed("case1: cannot reach delta(g) at the center")
-    rt.added_center_edges = added
     trace.check("case1", "Delta(G')=Delta(G)", gp.max_degree(), g.max_degree(), gp.max_degree() == g.max_degree())
     trace.check("case1", "d(x)=delta(G)", gp.degree(x), target, gp.degree(x) == target)
     trace.check("case1", "mu(x)<=2/eta", gp.mu_of(x), cap, gp.mu_of(x) <= cap)
-    res = _engine_instance(gp, params, trace, "case1")
-    rt.engine_condition = res.condition
-    return res.coloring.rebind(g), rt
+    res = color_exact(gp, params, trace)
+    return res.coloring.rebind(g), res.condition
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +138,9 @@ def case1_reduce(
 
 def case2_reduce(
     g: Multigraph, params: EngineParams, trace: PipelineTrace
-) -> tuple[EdgeColoring, ReductionTrace]:
+) -> tuple[EdgeColoring, str]:
     n = (g.vertex_count + 1) // 2
     eps, eta = params.epsilon, params.eta
-    rt = ReductionTrace(case=2, W=set())
     delta = g.max_degree()
     small = g.min_degree()
     rep = deficiency_report(g)
@@ -184,16 +158,14 @@ def case2_reduce(
 
     gp = g.grown(1)
     x = g.n
-    added = []
     budget = small
     for idx in range(s_idx + 1):
         v = order[idx]
         df_v = rep.df_per_vertex[v]
         amount = df_v if idx < s_idx else budget
         for _ in range(amount):
-            added.append(gp.add_edge(x, v))
+            gp.add_edge(x, v)
         budget -= amount
-    rt.added_center_edges = added
     trace.check("case2", "d(x)=delta(G')=delta(G)", gp.degree(x), small, gp.degree(x) == small == gp.min_degree())
     trace.check("case2", "Delta(G')=Delta(G)", gp.max_degree(), delta, gp.max_degree() == delta)
     non_max_nbrs = [w for w in gp.neighbors(x) if gp.degree(w) != delta]
@@ -202,7 +174,6 @@ def case2_reduce(
     # Hakimi multigraph on the residual deficiencies guides the peeling.
     df_prime = {v: delta - gp.degree(v) for v in gp.verts}
     seq = sorted(df_prime.values(), reverse=True)
-    rt.hakimi_degrees = seq
     by_df = sorted(gp.verts, key=lambda v: (-df_prime[v], v))
     total = sum(seq)
     if total == 0:
@@ -234,7 +205,7 @@ def case2_reduce(
         )
 
     work = gp
-    forests: list[tuple[list[list[int]], list[list[int]]]] = []
+    forests: list[list[list[int]]] = []  # per forest, the edge ids of each path
     for m_i in matchings:
         cover = path_cover_star(work, m_i, x)
         path_eids: list[list[int]] = []
@@ -242,7 +213,7 @@ def case2_reduce(
             path_eids.append(
                 [work.edges_between(u, v)[0] for u, v in zip(path, path[1:])]
             )
-        forests.append((cover.paths, path_eids))
+        forests.append(path_eids)
         work = work.without_edges(eid for eids in path_eids for eid in eids)
     k_count = len(matchings)
     degs = set(work.degrees().values())
@@ -250,20 +221,18 @@ def case2_reduce(
     if degs != {delta - 2 * k_count}:
         raise GuardFailed("case2.regular", f"degrees {sorted(degs)[:4]}")
 
-    res = _engine_instance(work, params, trace, "case2")
-    rt.engine_condition = res.condition
+    res = color_exact(work, params, trace)
 
     final = EdgeColoring(gp, delta)
     for eid, col in res.coloring.assignment.items():
         final.assign(eid, col)
     base = delta - 2 * k_count
-    for i, (paths, path_eids) in enumerate(forests):
+    for i, path_eids in enumerate(forests):
         c1, c2 = base + 2 * i + 1, base + 2 * i + 2
-        rt.removed_forests.append((paths, (c1, c2)))
         for eids in path_eids:
             for j, eid in enumerate(eids):
                 final.assign(eid, c1 if j % 2 == 0 else c2)
-    return final.rebind(g), rt
+    return final.rebind(g), res.condition
 
 
 # ---------------------------------------------------------------------------
@@ -272,30 +241,28 @@ def case2_reduce(
 
 def _saturate_center(
     g: Multigraph, pool: list[int], per_vertex_cap: dict[int, int], target: int
-) -> tuple[Multigraph, int, list[int]]:
+) -> tuple[Multigraph, int]:
     """New center joined along the pool (respecting caps) until it reaches
     the degree target."""
     gp = g.grown(1)
     x = g.n
-    added = []
     delta = g.max_degree()
     for v in pool:
         cap = per_vertex_cap[v]
         while cap > 0 and gp.degree(x) < target and gp.degree(v) < delta:
-            added.append(gp.add_edge(x, v))
+            gp.add_edge(x, v)
             cap -= 1
     if gp.degree(x) != target:
         raise ConstructionFailed(f"center saturation stuck at {gp.degree(x)}/{target}")
-    return gp, x, added
+    return gp, x
 
 
 def case3_reduce(
     g: Multigraph, params: EngineParams, trace: PipelineTrace
-) -> tuple[EdgeColoring, ReductionTrace]:
+) -> tuple[EdgeColoring, str]:
     n = (g.vertex_count + 1) // 2
     eta = params.eta
     w_set = compute_W(g, eta)
-    rt = ReductionTrace(case=3, W=w_set)
     delta = g.max_degree()
     small = g.min_degree()
     rep = deficiency_report(g)
@@ -306,14 +273,13 @@ def case3_reduce(
     pool += w_list
     for v in w_list:
         caps[v] = min(rep.df_per_vertex[v], 2 * math.isqrt(n) + 2)
-    gp, x, added = _saturate_center(g, pool, caps, small)
-    rt.added_center_edges = added
+    gp, x = _saturate_center(g, pool, caps, small)
     trace.check("case3", "mu(x)<eta*n", gp.mu_of(x), eta * n, gp.mu_of(x) < eta * n)
     if gp.max_degree() == gp.min_degree():
         raise ConstructionFailed("case3: G' came out regular")
 
     work = gp
-    removed: list[tuple[list[int], int]] = []
+    removed: list[list[int]] = []
     # Branch A: peel single matchings while the deficiency landscape allows.
     while True:
         wrep = deficiency_report(work)
@@ -329,7 +295,7 @@ def case3_reduce(
             break
         m = _peel_perfect_matching(host, trace, "case3.branchA")
         work = work.without_edges(m)
-        removed.append((m, 0))
+        removed.append(m)
         _check_not_overfull(work, trace, "case3.branchA")
 
     wrep = deficiency_report(work)
@@ -349,24 +315,22 @@ def case3_reduce(
             host_y = work.without_vertices(fixed_small - {y})
             m1 = _peel_perfect_matching(host_y, trace, "case3.branchB")
             work = work.without_edges(m1)
-            removed.append((m1, 0))
+            removed.append(m1)
             host_z = work.without_vertices(fixed_small - {z})
             m2 = _peel_perfect_matching(host_z, trace, "case3.branchB")
             work = work.without_edges(m2)
-            removed.append((m2, 0))
+            removed.append(m2)
 
-    res = _engine_instance(work, params, trace, "case3")
-    rt.engine_condition = res.condition
+    res = color_exact(work, params, trace)
     base = work.max_degree()
     final = EdgeColoring(gp, delta)
     for eid, col in res.coloring.assignment.items():
         final.assign(eid, col)
-    for i, (m, _) in enumerate(removed):
+    for i, m in enumerate(removed):
         color = base + 1 + i
-        rt.removed_matchings.append((m, color))
         for eid in m:
             final.assign(eid, color)
-    return final.rebind(g), rt
+    return final.rebind(g), res.condition
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +339,9 @@ def case3_reduce(
 
 def case4_reduce(
     g: Multigraph, params: EngineParams, trace: PipelineTrace
-) -> tuple[EdgeColoring, ReductionTrace]:
-    n = (g.vertex_count + 1) // 2
+) -> tuple[EdgeColoring, str]:
     eta = params.eta
-    rt = ReductionTrace(case=4, W=compute_W(g, eta))
-    removed: list[tuple[list[int], int]] = []
+    removed: list[list[int]] = []
     work = g.copy()
 
     while True:
@@ -391,11 +353,11 @@ def case4_reduce(
             host = work.without_vertices(v_small)
             m = _peel_perfect_matching(host, trace, "case4.vdelta1")
             work = work.without_edges(m)
-            removed.append((m, 0))
+            removed.append(m)
             _check_not_overfull(work, trace, "case4.vdelta1")
             continue
         if rep.df_total < delta + len(w_now) + 1:
-            coloring, cond = _case4_branch_parallel(work, params, trace, rt)
+            coloring, cond = _case4_branch_parallel(work, params, trace)
             break
         if len(v_small) % 2 == 1 or rep.middle_degree_vertices:
             if len(v_small) % 2 == 1:
@@ -405,29 +367,27 @@ def case4_reduce(
                 host = work.without_vertices(v_small + [v_mid])
             m = _peel_perfect_matching(host, trace, "case4.parity")
             work = work.without_edges(m)
-            removed.append((m, 0))
+            removed.append(m)
             _check_not_overfull(work, trace, "case4.parity")
             continue
-        coloring, cond = _case4_branch_saturate(work, params, trace, rt)
+        coloring, cond = _case4_branch_saturate(work, params, trace)
         break
 
-    rt.engine_condition = cond
     delta_g = g.max_degree()
     final = EdgeColoring(g, delta_g)
     for eid, col in coloring.assignment.items():
         if g.has_edge_id(eid):
             final.assign(eid, col)
     base = max(final.assignment.values()) if final.assignment else 0
-    for i, (m, _) in enumerate(reversed(removed)):
+    for i, m in enumerate(reversed(removed)):
         color = base + 1 + i
-        rt.removed_matchings.append((m, color))
         for eid in m:
             final.assign(eid, color)
-    return final, rt
+    return final, cond
 
 
 def _case4_branch_parallel(
-    work: Multigraph, params: EngineParams, trace: PipelineTrace, rt: ReductionTrace
+    work: Multigraph, params: EngineParams, trace: PipelineTrace
 ) -> tuple[EdgeColoring, str]:
     """df(G) < Delta + |W| + 1: pad with (y,z)-parallels, add a full-degree
     center, and run the engine under condition (b)."""
@@ -447,16 +407,14 @@ def _case4_branch_parallel(
     hat_rep = deficiency_report(g_hat)
     gp = g_hat.grown(1)
     x = g_hat.n
-    added = []
     for v in sorted(g_hat.verts):
         for _ in range(hat_rep.df_per_vertex[v]):
-            added.append(gp.add_edge(x, v))
-    rt.added_center_edges = added
+            gp.add_edge(x, v)
     trace.check("case4", "d(x)=Delta", gp.degree(x), delta, gp.degree(x) == delta)
     degs = set(gp.degrees().values())
     if degs != {delta}:
         raise ConstructionFailed(f"case4: padded graph not regular: {sorted(degs)[:4]}")
-    res = _engine_instance(gp, params, trace, "case4.parallel")
+    res = color_exact(gp, params, trace)
     keep = EdgeColoring(work, res.coloring.k)
     for eid, col in res.coloring.assignment.items():
         if work.has_edge_id(eid):
@@ -465,7 +423,7 @@ def _case4_branch_parallel(
 
 
 def _case4_branch_saturate(
-    work: Multigraph, params: EngineParams, trace: PipelineTrace, rt: ReductionTrace
+    work: Multigraph, params: EngineParams, trace: PipelineTrace
 ) -> tuple[EdgeColoring, str]:
     """df(G) >= Delta + |W| + 1 with |V_delta| even and no middle vertex:
     saturate one minimum vertex, level the rest, then peel to condition (c)."""
@@ -476,7 +434,8 @@ def _case4_branch_saturate(
     y = v_small[0]
     gp = work.grown(1)
     x = work.n
-    added = [gp.add_edge(x, y) for _ in range(rep.df_per_vertex[y])]
+    for _ in range(rep.df_per_vertex[y]):
+        gp.add_edge(x, y)
 
     for _ in range(4 * gp.vertex_count):
         gprep = deficiency_report(gp)
@@ -488,13 +447,12 @@ def _case4_branch_saturate(
         tier = sorted(v for v in gp.verts if v != x and gp.degree(v) == second)
         if len(tier) + gp.degree(x) <= second + 1:
             for v in tier:
-                added.append(gp.add_edge(x, v))
+                gp.add_edge(x, v)
         else:
             for v in tier[: second - gp.degree(x)]:
-                added.append(gp.add_edge(x, v))
+                gp.add_edge(x, v)
     else:
         raise ConstructionFailed("case4: saturation loop did not settle")
-    rt.added_center_edges = added
 
     trace.check("case4", "d(x)=delta(G')", gp.degree(x), gp.min_degree(), gp.degree(x) == gp.min_degree())
     trace.check("case4", "simple-degree(x)>=2", gp.simple_degree(x), 2, gp.simple_degree(x) >= 2)
@@ -524,7 +482,7 @@ def _case4_branch_saturate(
     else:
         raise ConstructionFailed("case4: leveling loop did not settle")
 
-    res = _engine_instance(workp, params, trace, "case4.saturate")
+    res = color_exact(workp, params, trace)
     keep = EdgeColoring(gp, res.coloring.k)
     for eid, col in res.coloring.assignment.items():
         keep.assign(eid, col)
@@ -591,13 +549,13 @@ def color_odd_dense(
 
     try:
         if case == 1:
-            coloring, rt = case1_reduce(g, params, trace)
+            coloring, condition = case1_reduce(g, params, trace)
         elif case == 2:
-            coloring, rt = case2_reduce(g, params, trace)
+            coloring, condition = case2_reduce(g, params, trace)
         elif case == 3:
-            coloring, rt = case3_reduce(g, params, trace)
+            coloring, condition = case3_reduce(g, params, trace)
         else:
-            coloring, rt = case4_reduce(g, params, trace)
+            coloring, condition = case4_reduce(g, params, trace)
         report = verify_proper(g, coloring)
         used = len(coloring.used_colors())
         if not report.ok or not coloring.is_total() or used != delta:
@@ -605,7 +563,7 @@ def color_odd_dense(
                 "recombine",
                 f"proper={report.ok} total={coloring.is_total()} colors={used}/{delta}",
             )
-        return OddResult(VERDICT_CLASS_ONE, coloring, trace, case, rt.engine_condition)
+        return OddResult(VERDICT_CLASS_ONE, coloring, trace, case, condition)
     except EdgeColorError as exc:
         trace.note("fallback", f"{type(exc).__name__}: {exc}")
         coloring = misra_gries(g)

@@ -31,6 +31,7 @@ class PipelineTrace:
     entries: list[GuardRecord] = field(default_factory=list)
     seed: Optional[int] = None
     retries: Optional[int] = None
+    condition: str = ""  # the engine condition (a)-(e) that matched, if any
 
     def check(
         self,

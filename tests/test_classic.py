@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgecolor.classic import (
     check_hamiltonian_cycle,
@@ -25,6 +27,7 @@ from edgecolor.errors import (
     TooFewCenterNeighbors,
 )
 from edgecolor.multigraph import Multigraph, build_multigraph
+from edgecolor.oracle import brute_chromatic_index
 
 from conftest import complete, cycle, random_simple
 
@@ -214,6 +217,27 @@ def test_konig_exactly_delta_random(seed):
     c = konig_color(g)
     assert c.k == g.max_degree()
     assert c.is_total() and verify_proper(g, c).ok
+
+
+@st.composite
+def bipartite_multigraphs(draw) -> Multigraph:
+    """At most 7 vertices on two sides, multiplicities up to 3 (<= 36 edges)."""
+    side = draw(st.lists(st.booleans(), min_size=2, max_size=7))
+    g = Multigraph(len(side))
+    for u in range(len(side)):
+        for w in range(u + 1, len(side)):
+            if side[u] != side[w]:
+                for _ in range(draw(st.integers(min_value=0, max_value=3))):
+                    g.add_edge(u, w)
+    return g
+
+
+@given(bipartite_multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_konig_matches_oracle(g):
+    c = konig_color(g)
+    assert c.is_total() and verify_proper(g, c).ok
+    assert len(c.used_colors()) == brute_chromatic_index(g).chi_prime
 
 
 # -- path covers -------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from edgecolor import formats
 from edgecolor.cli import main
 from edgecolor.formats import read_graph
 
@@ -104,18 +105,21 @@ def test_byte_determinism(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_bench_corpus(tmp_path, capsys):
+def test_bench_corpus(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     for i, n in enumerate((5, 7, 9)):
         run(["gen", "--kind", "complete", "--n", str(n),
              "--out", str(corpus / f"k{n}.mg")])
+    reads = []
+    monkeypatch.setattr(formats, "read_graph", lambda path: reads.append(path) or read_graph(path))
     out = tmp_path / "bench.csv"
     assert run(["bench", str(corpus), "--epsilon", "0.3", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("file,n,delta")
     assert len(lines) == 4
     assert all("ClassTwo" in line for line in lines[1:])
+    assert len(reads) == 3  # each file is parsed once
 
 
 def test_bench_empty_dir(tmp_path):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgecolor.coloring import (
@@ -81,26 +81,32 @@ def test_stale_chain_detected():
         kempe_swap(c, ch)
 
 
+def _first_fit_palette(g) -> int:
+    """Delta+2, or the 2*Delta-1 colors first-fit may need if that is more."""
+    return max(g.max_degree() + 2, 2 * g.max_degree() - 1)
+
+
 @given(st.integers(min_value=0, max_value=10_000))
+@example(90)  # first fit needs more than Delta+2 colors here
 @settings(max_examples=60, deadline=None)
 def test_kempe_swap_preserves_properness(seed):
     g = random_simple(10, 0.5, seed)
     if g.edge_count == 0:
         return
-    k = g.max_degree() + 2
-    c = greedy_coloring(g, k)
+    c = greedy_coloring(g, _first_fit_palette(g))
     ch = kempe_chain(g, c, seed % 10, 1, 2)
     kempe_swap(c, ch)
     assert verify_proper(g, c).ok
 
 
 @given(st.integers(min_value=0, max_value=10_000))
+@example(144)  # first fit needs more than Delta+2 colors here
 @settings(max_examples=40, deadline=None)
 def test_chains_partition_two_color_subgraph(seed):
     g = random_simple(11, 0.5, seed)
     if g.edge_count == 0:
         return
-    c = greedy_coloring(g, g.max_degree() + 2)
+    c = greedy_coloring(g, _first_fit_palette(g))
     seen: set[int] = set()
     edges: list[int] = []
     for v in g.vertex_list():

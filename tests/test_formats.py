@@ -42,6 +42,10 @@ def test_parse_rejects_bad_counts():
         parse_graph("p multigraph 3 2\ne 0 1 1\n")
     with pytest.raises(ParseError):
         parse_graph("e 0 1 1\n")
+    with pytest.raises(ParseError, match="line 1"):
+        parse_graph("p multigraph x 0\n")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_graph("p multigraph 3 1\ne 0 y 1\n")
 
 
 def test_coloring_json_round_trip():
