@@ -83,19 +83,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _suggested_params(path: str) -> tuple[float | None, float | None]:
-    eps = eta = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("c suggested-epsilon"):
-                    parts = line.split()
-                    eps, eta = float(parts[2]), float(parts[4])
-    except OSError:
-        pass
-    return eps, eta
-
-
 def run_color(path: str, epsilon: float, eta: float | None, seed: int, mode: str) -> dict:
     """Color one graph file; returns the result document (pure, picklable)."""
     return _color_graph(formats.read_graph(path), path, epsilon, eta, seed, mode)
@@ -155,7 +142,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         g = formats.read_graph(args.graph)
         with open(args.coloring, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if "coloring" in data:
+        if isinstance(data, dict) and "coloring" in data:
             data = data["coloring"]
         c = formats.coloring_from_dict(data, g)
     except (ParseError, EdgeColorError, OSError, json.JSONDecodeError, ValueError) as exc:
@@ -165,8 +152,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     doc = {
         "schema": 1,
         "ok": report.ok,
-        "total": c.is_total(),
-        "colors_used": len(c.used_colors()),
+        "total": all(eid in c.assignment for eid in g.edge_ids()),
+        "colors_used": len(set(c.assignment.values())),
         "violations": [list(v) for v in report.violations[:50]],
     }
     _write_out(formats.dump_json(doc), args.out)

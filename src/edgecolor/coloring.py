@@ -111,10 +111,6 @@ class EdgeColoring:
         self._classes[color].discard(edge_id)
         return color
 
-    def recolor(self, edge_id: int, color: int) -> None:
-        self.unassign(edge_id)
-        self.assign(edge_id, color)
-
 
 @dataclass
 class ProperReport:
@@ -153,9 +149,6 @@ class KempeChain:
     edge_colors: list[int]
     shape: str
     endpoints: tuple[int, int]
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
 
 
 def _walk(g: Multigraph, c: EdgeColoring, start: int, first: int, second: int):

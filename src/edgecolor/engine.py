@@ -48,7 +48,6 @@ class EngineParams:
     epsilon: float
     eta: float
     seed: int = 0
-    partition_retries: int = 50
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
@@ -65,12 +64,9 @@ class EngineState:
     x: int
     n_half: int
     condition: str = ""
-    cond_ctx: dict = field(default_factory=dict)
-    pairs: list[tuple[int, int]] = field(default_factory=list)
     nb_x: set[int] = field(default_factory=set)
     part: Optional[Partition] = None
     g_star: Optional[Multigraph] = None
-    gab_star: Optional[Multigraph] = None
     h_edges: set[int] = field(default_factory=set)
     side_a_edges: set[int] = field(default_factory=set)
     side_b_edges: set[int] = field(default_factory=set)
@@ -378,12 +374,11 @@ def step1_color_gab(state: EngineState) -> EngineState:
         raise GuardFailed("step1.palette", f"G_AB needs {base.k} colors > k={k}")
 
     g_star = g.copy()
-    gab = split.G_AB.copy()
+    gab = split.G_AB
     c = EdgeColoring(g_star, k)
     for eid, col in base.assignment.items():
         c.assign(eid, col)
     state.g_star = g_star
-    state.gab_star = gab
     state.coloring = c
     state.h_edges = set(split.H.edge_ids()) - set(split.moved_center_edges)
     state.side_a_edges = set(split.G_A.edge_ids())
@@ -915,9 +910,7 @@ def color_exact(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> Dc
     trace.condition = cond
     trace.note("classify", f"condition ({cond}), center {x}")
     pairs, nb_x = select_pairs(g, cond, x, ctx, params)
-    part = balanced_partition(
-        g.underlying_simple(), pairs, params.seed, params.partition_retries
-    )
+    part = balanced_partition(g.underlying_simple(), pairs, params.seed)
     trace.retries = part.retries
     part = adjust_for_center(part, g, x, nb_x, pairs)
     state = EngineState(
@@ -927,8 +920,6 @@ def color_exact(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> Dc
         x=x,
         n_half=nv // 2,
         condition=cond,
-        cond_ctx=ctx,
-        pairs=pairs,
         nb_x=nb_x,
         part=part,
     )

@@ -103,11 +103,28 @@ def coloring_to_dict(c: EdgeColoring, g: Multigraph) -> dict:
 
 
 def coloring_from_dict(data: dict, g: Multigraph) -> EdgeColoring:
-    k = int(data["k"])
+    """Load a coloring as written, without judging it.
+
+    Only ``k`` and the raw ``assignment`` map are filled, not the indexes
+    behind ``assign``: clashes, edge ids that ``g`` lacks and colors outside
+    ``[1, k]`` load unchanged, so that :func:`verify_proper` reports them.
+    A malformed document, or an edge listed in two classes, raises
+    :class:`ParseError`.
+    """
+    try:
+        k, classes = int(data["k"]), list(data["classes"])
+    except (KeyError, TypeError, ValueError):
+        raise ParseError('a coloring needs an integer "k" and a list "classes"') from None
     c = EdgeColoring(g, k)
-    for idx, cls in enumerate(data["classes"], start=1):
+    for color, cls in enumerate(classes, start=1):
+        if not isinstance(cls, list):
+            raise ParseError(f"class {color} is not a list of edge ids")
         for eid in cls:
-            c.assign(eid, idx)
+            if type(eid) is not int:
+                raise ParseError(f"class {color}: edge id {eid!r} is not an integer")
+            if eid in c.assignment:
+                raise ParseError(f"edge {eid} is listed in classes {c.assignment[eid]} and {color}")
+            c.assignment[eid] = color
     return c
 
 

@@ -102,41 +102,6 @@ def gen_regular(n: int, degree: int, seed: int = 0) -> Multigraph:
     return g
 
 
-def _add_parallel_at(g: Multigraph, x: int, count: int) -> None:
-    """Create ``count`` parallel edges at x by degree-preserving swaps.
-
-    Each swap removes edges (x,a) and (c,b) with (x,b) present and (a,c)
-    absent, then adds a second (x,b) edge and a new (a,c) edge.
-    """
-    made = 0
-    for b in g.neighbors(x):
-        if made == count:
-            return
-        if g.multiplicity(x, b) >= 2:
-            continue
-        done = False
-        for a in g.neighbors(x):
-            if a == b or g.multiplicity(x, a) != 1:
-                continue
-            for c in g.neighbors(b):
-                if c in (x, a, b):
-                    continue
-                if g.multiplicity(a, c) == 0 and g.multiplicity(x, c) > 0:
-                    g.delete_edge(g.edges_between(x, a)[0])
-                    g.delete_edge(g.edges_between(c, b)[0])
-                    g.add_edge(x, b)
-                    g.add_edge(a, c)
-                    made += 1
-                    done = True
-                    break
-            if done:
-                break
-        if not done:
-            continue
-    if made < count:
-        raise InfeasibleParams(f"only {made}/{count} parallel edges could be made")
-
-
 def _pairing_repair(g: Multigraph, deficient: list[int], banned: set[int] | None = None) -> None:
     """Restore degrees by joining deficient vertices along non-edges.
 
@@ -177,22 +142,6 @@ def _pairing_repair(g: Multigraph, deficient: list[int], banned: set[int] | None
                 break
         if not fixed:
             raise InfeasibleParams("pairing repair stuck: no reroute found")
-
-
-def _delete_far_edges(g: Multigraph, v: int, count: int, banned: set[int]) -> list[int]:
-    """Delete ``count`` edges at v (avoiding banned endpoints); returns the
-    orphaned endpoints, highest-index neighbors first."""
-    removed = []
-    for w in sorted(g.neighbors(v), reverse=True):
-        if len(removed) == count:
-            break
-        if w in banned:
-            continue
-        g.delete_edge(g.edges_between(v, w)[0])
-        removed.append(w)
-    if len(removed) < count:
-        raise InfeasibleParams(f"vertex {v} lacks {count} removable edges")
-    return removed
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,6 @@ class Multigraph:
 
     # -- construction ------------------------------------------------------
 
-    def add_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise VertexOutOfRange(v, self.n)
-        self.verts.add(v)
-
     def add_edge(self, u: int, v: int, edge_id: Optional[int] = None) -> int:
         if u not in self.verts:
             raise VertexOutOfRange(u, self.n)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from .errors import PartitionFailed, PreconditionViolated
 from .multigraph import Multigraph
 
+MAX_RETRIES = 50  # seeds balanced_partition tries before it raises PartitionFailed
+
 
 @dataclass
 class Partition:
@@ -42,7 +44,7 @@ def balanced_partition(
     g: Multigraph,
     pairs: list[tuple[int, int]],
     seed: int,
-    max_retries: int = 50,
+    max_retries: int = MAX_RETRIES,
 ) -> Partition:
     """Halve V(g) separating each pair, with per-vertex degree balance.
 

@@ -1,10 +1,21 @@
 """Delta edge coloring of dense simple graphs of odd order.
 
-An odd-order graph that is not overfull is reduced to an even-order near
+An odd-order graph g that is not overfull is reduced to an even-order near
 star-multigraph instance for the coloring engine: a new center vertex
-absorbs the deficiencies, and matchings or spanning linear forests are
-peeled off until one of the engine's entry conditions holds.  The removed
-structures are colored with their own reserved colors afterwards.
+absorbs the deficiencies, and perfect matchings or spanning linear forests
+are peeled off until one of the engine's entry conditions holds.
+
+Peel and recombine contract.  A case peels its working graph in place: g
+grown by the center, or in case 4 a copy of g (and, in its saturating
+branch, that copy grown by a center).  ``_peel_perfect_matching`` deletes
+the matching it finds from the working graph and returns its edge ids; a
+forest is peeled as two classes, the edges at even and at odd positions
+along its paths.  Each peeled class lowers the maximum degree by one, so
+the engine colors what is left with Delta(g) - L colors, where L is the
+number of peeled classes.
+``_recombine`` then builds the coloring of g itself: the engine's colors,
+each peeled class in its own reserved color above them, and no edge that
+is not in g (center edges, padding parallels).
 
 Four cases, keyed by the size of the high-deficiency set W:
 |W| >= 2*eta*n (case 1), |W| = 0 (case 2), sqrt(n) <= |W| < 2*eta*n
@@ -17,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .classic import hakimi_realize, path_cover_star, perfect_matching_dense
 from .coloring import EdgeColoring, verify_proper
-from .engine import EngineParams, color_exact
+from .engine import DcolorResult, EngineParams, color_exact
 from .errors import (
     ConstructionFailed,
     DegreeSequenceInfeasible,
@@ -84,16 +95,42 @@ def _check_not_overfull(g: Multigraph, trace: PipelineTrace, step: str) -> None:
 
 
 def _peel_perfect_matching(
-    host: Multigraph, trace: PipelineTrace, step: str
+    work: Multigraph, leave_out: Iterable[int], trace: PipelineTrace, step: str
 ) -> list[int]:
-    """Audited matching peel: host preconditions re-checked, result verified."""
+    """Peel a perfect matching of ``work`` minus ``leave_out`` off ``work``.
+
+    The host's degree precondition is recorded as a guard.  The matching's
+    edges are deleted from ``work`` in place and returned.
+    """
+    host = work.without_vertices(leave_out)
     nv = host.vertex_count
     low = [v for v in host.verts if host.degree(v) < nv // 2 + 1]
     trace.check(step, "matching-host-degrees", len(low), 1, len(low) <= 1)
     try:
-        return perfect_matching_dense(host)
+        m = perfect_matching_dense(host)
     except (PreconditionViolated, EdgeColorError) as exc:
         raise MatchingFailed(f"{step}: {exc}") from exc
+    for eid in m:
+        work.delete_edge(eid)
+    return m
+
+
+def _recombine(g: Multigraph, engine: EdgeColoring, peeled: list[list[int]]) -> EdgeColoring:
+    """The coloring of ``g`` over Delta(g) colors that a reduction built.
+
+    Edges keep the engine's colors, and ``peeled[i]`` takes the reserved
+    color Delta(g) - len(peeled) + 1 + i.  Edges that are not in ``g``
+    (center edges, padding parallels) are dropped.
+    """
+    delta = g.max_degree()
+    colors = list(engine.assignment.items())
+    for color, cls in enumerate(peeled, start=delta - len(peeled) + 1):
+        colors.extend((eid, color) for eid in cls)
+    final = EdgeColoring(g, delta)
+    for eid, col in colors:
+        if g.has_edge_id(eid):
+            final.assign(eid, col)
+    return final
 
 
 # ---------------------------------------------------------------------------
@@ -204,35 +241,26 @@ def case2_reduce(
             len(matchings) <= 52 * eta * n / eps,
         )
 
-    work = gp
-    forests: list[list[list[int]]] = []  # per forest, the edge ids of each path
+    # Each spanning linear forest is peeled as two classes: the edges at
+    # even and at odd positions along its paths.
+    peeled: list[list[int]] = []
     for m_i in matchings:
-        cover = path_cover_star(work, m_i, x)
-        path_eids: list[list[int]] = []
+        cover = path_cover_star(gp, m_i, x)
+        halves: tuple[list[int], list[int]] = ([], [])
         for path in cover.paths:
-            path_eids.append(
-                [work.edges_between(u, v)[0] for u, v in zip(path, path[1:])]
-            )
-        forests.append(path_eids)
-        work = work.without_edges(eid for eids in path_eids for eid in eids)
+            for j, (u, v) in enumerate(zip(path, path[1:])):
+                halves[j % 2].append(gp.edges_between(u, v)[0])
+        for eid in halves[0] + halves[1]:
+            gp.delete_edge(eid)
+        peeled.extend(halves)
     k_count = len(matchings)
-    degs = set(work.degrees().values())
+    degs = set(gp.degrees().values())
     trace.check("case2", "G_k-regular", sorted(degs), [delta - 2 * k_count], degs == {delta - 2 * k_count})
     if degs != {delta - 2 * k_count}:
         raise GuardFailed("case2.regular", f"degrees {sorted(degs)[:4]}")
 
-    res = color_exact(work, params, trace)
-
-    final = EdgeColoring(gp, delta)
-    for eid, col in res.coloring.assignment.items():
-        final.assign(eid, col)
-    base = delta - 2 * k_count
-    for i, path_eids in enumerate(forests):
-        c1, c2 = base + 2 * i + 1, base + 2 * i + 2
-        for eids in path_eids:
-            for j, eid in enumerate(eids):
-                final.assign(eid, c1 if j % 2 == 0 else c2)
-    return final.rebind(g), res.condition
+    res = color_exact(gp, params, trace)
+    return _recombine(g, res.coloring, peeled), res.condition
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +291,6 @@ def case3_reduce(
     n = (g.vertex_count + 1) // 2
     eta = params.eta
     w_set = compute_W(g, eta)
-    delta = g.max_degree()
     small = g.min_degree()
     rep = deficiency_report(g)
 
@@ -278,27 +305,23 @@ def case3_reduce(
     if gp.max_degree() == gp.min_degree():
         raise ConstructionFailed("case3: G' came out regular")
 
-    work = gp
-    removed: list[list[int]] = []
+    peeled: list[list[int]] = []
     # Branch A: peel single matchings while the deficiency landscape allows.
     while True:
-        wrep = deficiency_report(work)
+        wrep = deficiency_report(gp)
         v_small = sorted(wrep.vertices_of_degree(wrep.delta_min))
         if wrep.delta_max == wrep.delta_min:
             break
         if len(v_small) % 2 == 0:
-            host = work.without_vertices(v_small)
+            leave_out = v_small
         elif wrep.middle_degree_vertices:
-            v_mid = min(wrep.middle_degree_vertices)
-            host = work.without_vertices(v_small + [v_mid])
+            leave_out = v_small + [min(wrep.middle_degree_vertices)]
         else:
             break
-        m = _peel_perfect_matching(host, trace, "case3.branchA")
-        work = work.without_edges(m)
-        removed.append(m)
-        _check_not_overfull(work, trace, "case3.branchA")
+        peeled.append(_peel_perfect_matching(gp, leave_out, trace, "case3.branchA"))
+        _check_not_overfull(gp, trace, "case3.branchA")
 
-    wrep = deficiency_report(work)
+    wrep = deficiency_report(gp)
     if wrep.delta_max != wrep.delta_min:
         # Branch B: paired peels through the two fixed minimum vertices.
         v_small = sorted(wrep.vertices_of_degree(wrep.delta_min))
@@ -311,26 +334,14 @@ def case3_reduce(
         if (wrep.delta_max - wrep.delta_min) % 2 != 0:
             raise GuardFailed("case3.branchB", "Delta - delta is odd")
         fixed_small = set(v_small)
-        for i in range(rounds):
-            host_y = work.without_vertices(fixed_small - {y})
-            m1 = _peel_perfect_matching(host_y, trace, "case3.branchB")
-            work = work.without_edges(m1)
-            removed.append(m1)
-            host_z = work.without_vertices(fixed_small - {z})
-            m2 = _peel_perfect_matching(host_z, trace, "case3.branchB")
-            work = work.without_edges(m2)
-            removed.append(m2)
+        for _ in range(rounds):
+            for keep in (y, z):
+                peeled.append(
+                    _peel_perfect_matching(gp, fixed_small - {keep}, trace, "case3.branchB")
+                )
 
-    res = color_exact(work, params, trace)
-    base = work.max_degree()
-    final = EdgeColoring(gp, delta)
-    for eid, col in res.coloring.assignment.items():
-        final.assign(eid, col)
-    for i, m in enumerate(removed):
-        color = base + 1 + i
-        for eid in m:
-            final.assign(eid, color)
-    return final.rebind(g), res.condition
+    res = color_exact(gp, params, trace)
+    return _recombine(g, res.coloring, peeled), res.condition
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +352,7 @@ def case4_reduce(
     g: Multigraph, params: EngineParams, trace: PipelineTrace
 ) -> tuple[EdgeColoring, str]:
     eta = params.eta
-    removed: list[list[int]] = []
+    peeled: list[list[int]] = []
     work = g.copy()
 
     while True:
@@ -350,47 +361,33 @@ def case4_reduce(
         v_small = sorted(rep.vertices_of_degree(rep.delta_min))
         w_now = compute_W(work, eta)
         if len(v_small) == 1:
-            host = work.without_vertices(v_small)
-            m = _peel_perfect_matching(host, trace, "case4.vdelta1")
-            work = work.without_edges(m)
-            removed.append(m)
+            peeled.append(_peel_perfect_matching(work, v_small, trace, "case4.vdelta1"))
             _check_not_overfull(work, trace, "case4.vdelta1")
             continue
         if rep.df_total < delta + len(w_now) + 1:
-            coloring, cond = _case4_branch_parallel(work, params, trace)
+            res, inner = _case4_branch_parallel(work, params, trace), []
             break
         if len(v_small) % 2 == 1 or rep.middle_degree_vertices:
             if len(v_small) % 2 == 1:
-                host = work.without_vertices(v_small)
+                leave_out = v_small
             else:
-                v_mid = min(rep.middle_degree_vertices)
-                host = work.without_vertices(v_small + [v_mid])
-            m = _peel_perfect_matching(host, trace, "case4.parity")
-            work = work.without_edges(m)
-            removed.append(m)
+                leave_out = v_small + [min(rep.middle_degree_vertices)]
+            peeled.append(_peel_perfect_matching(work, leave_out, trace, "case4.parity"))
             _check_not_overfull(work, trace, "case4.parity")
             continue
-        coloring, cond = _case4_branch_saturate(work, params, trace)
+        res, inner = _case4_branch_saturate(work, params, trace)
         break
 
-    delta_g = g.max_degree()
-    final = EdgeColoring(g, delta_g)
-    for eid, col in coloring.assignment.items():
-        if g.has_edge_id(eid):
-            final.assign(eid, col)
-    base = max(final.assignment.values()) if final.assignment else 0
-    for i, m in enumerate(reversed(removed)):
-        color = base + 1 + i
-        for eid in m:
-            final.assign(eid, color)
-    return final, cond
+    # Outer matchings in reverse peel order: the first one peeled off g
+    # takes the top color Delta(g).
+    return _recombine(g, res.coloring, inner + peeled[::-1]), res.condition
 
 
 def _case4_branch_parallel(
     work: Multigraph, params: EngineParams, trace: PipelineTrace
-) -> tuple[EdgeColoring, str]:
-    """df(G) < Delta + |W| + 1: pad with (y,z)-parallels, add a full-degree
-    center, and run the engine under condition (b)."""
+) -> DcolorResult:
+    """df(G) < Delta + |W| + 1: pad ``work`` in place with (y,z)-parallels,
+    add a full-degree center, and run the engine under condition (b)."""
     rep = deficiency_report(work)
     delta = rep.delta_max
     v_small = sorted(rep.vertices_of_degree(rep.delta_min))
@@ -401,32 +398,27 @@ def _case4_branch_parallel(
     trace.check("case4", "df-Delta-even", surplus % 2, 0, surplus % 2 == 0)
     if surplus % 2 != 0:
         raise GuardFailed("case4.parallel", "df(G) - Delta(G) is odd")
-    g_hat = work.copy()
     for _ in range(surplus // 2):
-        g_hat.add_edge(y, z)
-    hat_rep = deficiency_report(g_hat)
-    gp = g_hat.grown(1)
-    x = g_hat.n
-    for v in sorted(g_hat.verts):
+        work.add_edge(y, z)
+    hat_rep = deficiency_report(work)
+    gp = work.grown(1)
+    x = work.n
+    for v in sorted(work.verts):
         for _ in range(hat_rep.df_per_vertex[v]):
             gp.add_edge(x, v)
     trace.check("case4", "d(x)=Delta", gp.degree(x), delta, gp.degree(x) == delta)
     degs = set(gp.degrees().values())
     if degs != {delta}:
         raise ConstructionFailed(f"case4: padded graph not regular: {sorted(degs)[:4]}")
-    res = color_exact(gp, params, trace)
-    keep = EdgeColoring(work, res.coloring.k)
-    for eid, col in res.coloring.assignment.items():
-        if work.has_edge_id(eid):
-            keep.assign(eid, col)
-    return keep, res.condition
+    return color_exact(gp, params, trace)
 
 
 def _case4_branch_saturate(
     work: Multigraph, params: EngineParams, trace: PipelineTrace
-) -> tuple[EdgeColoring, str]:
+) -> tuple[DcolorResult, list[list[int]]]:
     """df(G) >= Delta + |W| + 1 with |V_delta| even and no middle vertex:
-    saturate one minimum vertex, level the rest, then peel to condition (c)."""
+    saturate one minimum vertex, level the rest, then peel to condition (c).
+    Returns the engine's result and the matchings peeled in G'."""
     rep = deficiency_report(work)
     delta = rep.delta_max
     small = rep.delta_min
@@ -458,45 +450,24 @@ def _case4_branch_saturate(
     trace.check("case4", "simple-degree(x)>=2", gp.simple_degree(x), 2, gp.simple_degree(x) >= 2)
     trace.check("case4", "Delta(G')=Delta", gp.max_degree(), delta, gp.max_degree() == delta)
 
-    removed: list[list[int]] = []
-    workp = gp
+    peeled: list[list[int]] = []
     for _ in range(4 * gp.vertex_count):
-        prep = deficiency_report(workp)
+        prep = deficiency_report(gp)
         if prep.delta_max == prep.delta_min:
             break
         v_min_set = set(prep.vertices_of_degree(prep.delta_min))
-        if prep.middle_degree_vertices:
+        if not prep.middle_degree_vertices:
+            step, leave_out = "case4.level", v_min_set
+        elif len(v_min_set) % 2 == 1:
             # Same parity-restoring peel as the outer loop, inside G'.
-            if len(v_min_set) % 2 == 1:
-                host = workp.without_vertices(v_min_set)
-            else:
-                host = workp.without_vertices(v_min_set | {min(prep.middle_degree_vertices)})
-            m = _peel_perfect_matching(host, trace, "case4.mid")
-            workp = workp.without_edges(m)
-            removed.append(m)
-            continue
-        host = workp.without_vertices(v_min_set)
-        m = _peel_perfect_matching(host, trace, "case4.level")
-        workp = workp.without_edges(m)
-        removed.append(m)
+            step, leave_out = "case4.mid", v_min_set
+        else:
+            step, leave_out = "case4.mid", v_min_set | {min(prep.middle_degree_vertices)}
+        peeled.append(_peel_perfect_matching(gp, leave_out, trace, step))
     else:
         raise ConstructionFailed("case4: leveling loop did not settle")
 
-    res = color_exact(workp, params, trace)
-    keep = EdgeColoring(gp, res.coloring.k)
-    for eid, col in res.coloring.assignment.items():
-        keep.assign(eid, col)
-    base = workp.max_degree()
-    for i, m in enumerate(removed):
-        keep.extend_palette(max(keep.k, base + 1 + i))
-        for eid in m:
-            keep.assign(eid, base + 1 + i)
-    strip = EdgeColoring(work, keep.k)
-    for eid, col in keep.assignment.items():
-        if work.has_edge_id(eid):
-            strip.assign(eid, col)
-    return strip, res.condition
-
+    return color_exact(gp, params, trace), peeled
 
 
 # ---------------------------------------------------------------------------

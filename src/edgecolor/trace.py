@@ -48,8 +48,5 @@ class PipelineTrace:
     def note(self, step: str, message: str) -> None:
         self.entries.append(GuardRecord(step, "note", None, None, True, message))
 
-    def failed_guards(self) -> list[GuardRecord]:
-        return [e for e in self.entries if not e.passed]
-
     def to_list(self) -> list[dict]:
         return [e.to_dict() for e in self.entries]

@@ -263,7 +263,7 @@ def _steps_1_2(fix, seed):
     part = adjust_for_center(part, g, x, nb, pairs)
     state = EngineState(
         g=g, params=params, trace=trace, x=x, n_half=g.vertex_count // 2,
-        condition=cond, cond_ctx=ctx, pairs=pairs, nb_x=nb, part=part,
+        condition=cond, nb_x=nb, part=part,
     )
     step1_color_gab(state)
     step2_fix_center(state)

@@ -128,3 +128,23 @@ def test_bench_empty_dir(tmp_path):
     out = tmp_path / "bench.csv"
     assert run(["bench", str(corpus), "--out", str(out)]) == 0
     assert out.read_text().strip().splitlines()[0].startswith("file,")
+
+
+@pytest.mark.parametrize(
+    "coloring,violation",
+    [
+        ({"k": 3, "classes": [[7], [], []], "uncolored": []}, [-1, 1, 7, 7]),  # unknown edge id
+        ({"k": 3, "classes": [[0, 1], [2], []], "uncolored": []}, [0, 1, 0, 1]),  # clash at vertex 0
+    ],
+)
+def test_verify_reports_violations(tmp_path, capsys, coloring, violation):
+    mg = tmp_path / "k3.mg"
+    col = tmp_path / "k3.json"
+    run(["gen", "--kind", "complete", "--n", "3", "--out", str(mg)])
+    col.write_text(json.dumps(coloring))
+    capsys.readouterr()
+    assert run(["verify", str(mg), str(col)]) == 1
+    out = capsys.readouterr()
+    doc = json.loads(out.out)
+    assert doc["ok"] is False and doc["violations"] == [violation]
+    assert out.err == ""

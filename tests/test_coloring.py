@@ -76,7 +76,8 @@ def test_stale_chain_detected():
     for i, (eid, u, v) in enumerate(g.edges()):
         c.assign(eid, i % 2 + 1)
     ch = kempe_chain(g, c, 0, 1, 2)
-    c.recolor(ch.edges[0], 3)
+    c.unassign(ch.edges[0])
+    c.assign(ch.edges[0], 3)
     with pytest.raises(StaleChain):
         kempe_swap(c, ch)
 

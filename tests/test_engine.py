@@ -83,7 +83,7 @@ def _run_through_step2(fix, seed=1):
     part = adjust_for_center(part, g, x, nb, pairs)
     state = EngineState(
         g=g, params=params, trace=trace, x=x, n_half=g.vertex_count // 2,
-        condition=cond, cond_ctx=ctx, pairs=pairs, nb_x=nb, part=part,
+        condition=cond, nb_x=nb, part=part,
     )
     step1_color_gab(state)
     step2_fix_center(state)
@@ -115,7 +115,7 @@ def test_step1_equalization_audit():
     part = adjust_for_center(part, g, x, nb, pairs)
     state = EngineState(
         g=g, params=params, trace=trace, x=x, n_half=g.vertex_count // 2,
-        condition=cond, cond_ctx=ctx, pairs=pairs, nb_x=nb, part=part,
+        condition=cond, nb_x=nb, part=part,
     )
     step1_color_gab(state)
     c = state.coloring

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from edgecolor.coloring import verify_proper
+from edgecolor.coloring import EdgeColoring, verify_proper
 from edgecolor.errors import EvenOrderInput, PreconditionViolated
 from edgecolor.generators import (
     gen_case_fixture,
@@ -11,7 +11,14 @@ from edgecolor.generators import (
 )
 from edgecolor.multigraph import build_multigraph
 from edgecolor.oracle import brute_chromatic_index
-from edgecolor.reduction import color_odd_dense, compute_W, derive_eta
+from edgecolor.reduction import (
+    _peel_perfect_matching,
+    _recombine,
+    color_odd_dense,
+    compute_W,
+    derive_eta,
+)
+from edgecolor.trace import PipelineTrace
 
 from conftest import complete, petersen_minus_vertex, random_simple
 
@@ -113,3 +120,52 @@ def test_fallback_never_exceeds_delta_plus_one():
         res = color_odd_dense(g, 0.3, seed=seed)
         assert verify_proper(g, res.coloring).ok
         assert res.colors_used <= g.max_degree() + 1
+
+
+def _round_robin(r):
+    """Factor r of the round-robin 1-factorization of K_10 (vertex 9 fixed)."""
+    return [(r, 9)] + [tuple(sorted(((r + i) % 9, (r - i) % 9))) for i in range(1, 5)]
+
+
+def _k9_with_center():
+    """g = K_9 minus the four inner edges of factor 8, and G' = g plus a
+    center 9 joined once to each vertex of degree 7, which is K_10 minus
+    factor 8.  Returns g, G' and the edge ids of factors 0-7 in G'."""
+    g = complete(9)
+    for u, v in _round_robin(8)[1:]:
+        g.delete_edge(g.edges_between(u, v)[0])
+    gp = g.grown(1)
+    for v in range(8):
+        gp.add_edge(v, 9)
+    factors = [[gp.edges_between(u, v)[0] for u, v in _round_robin(r)] for r in range(8)]
+    return g, gp, factors
+
+
+@pytest.mark.parametrize("leave_out", [[], [8, 9]])
+def test_peel_deletes_exactly_a_perfect_matching_of_the_host(leave_out):
+    _, gp, _ = _k9_with_center()
+    before = gp.copy()
+    trace = PipelineTrace()
+    m = _peel_perfect_matching(gp, leave_out, trace, "test")
+    assert set(m) <= set(before.edge_ids())
+    assert set(gp.edge_ids()) == set(before.edge_ids()) - set(m)
+    ends = sorted(v for eid in m for v in before.endpoints(eid))
+    assert ends == sorted(set(range(10)) - set(leave_out))
+    assert [(e.step, e.guard, e.passed) for e in trace.entries] == [
+        ("test", "matching-host-degrees", True)
+    ]
+
+
+def test_recombine_gives_peeled_classes_the_top_colors():
+    g, gp, factors = _k9_with_center()
+    engine = EdgeColoring(gp, 5)
+    for color, factor in enumerate(factors[:5], start=1):
+        for eid in factor:
+            engine.assign(eid, color)
+    final = _recombine(g, engine, factors[5:])
+    assert final.k == g.max_degree() == 8
+    assert set(final.assignment) == set(g.edge_ids())  # center edges dropped
+    assert verify_proper(g, final).ok
+    assert final.used_colors() == set(range(1, 9))
+    for i, factor in enumerate(factors):
+        assert {final.color_of(eid) for eid in factor if g.has_edge_id(eid)} == {i + 1}
