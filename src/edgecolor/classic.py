@@ -292,7 +292,8 @@ def perfect_matching_bipartite_star(
             )
 
     def solve(l_side: list[int], r_side: list[int]) -> dict[int, int] | None:
-        adj = {u: [w for w in g.neighbors(u) if w in set(r_side)] for u in l_side}
+        r_set = set(r_side)
+        adj = {u: [w for w in g.neighbors(u) if w in r_set] for u in l_side}
         m = hopcroft_karp(adj, sorted(l_side))
         return m if len(m) == len(l_side) else None
 
