@@ -267,7 +267,9 @@ def perfect_matching_bipartite_star(
 
     With a center x: x is matched to a neighbor y, then a maximum matching
     of the remainder must saturate it (candidate y's are tried in index
-    order).  ``t`` enables the documented degree preconditions.
+    order).  ``t`` enables the documented degree preconditions.  When no
+    perfect matching exists, ``NoPerfectMatching`` names the size of a
+    maximum matching against the size needed.
     """
     ls, rs = set(left), set(right)
     if ls & rs or (ls | rs) != g.verts:
@@ -291,26 +293,30 @@ def perfect_matching_bipartite_star(
                 "simple-degree-floor", f"{len(weak)} vertices below n/2+1"
             )
 
-    def solve(l_side: list[int], r_side: list[int]) -> dict[int, int] | None:
+    def solve(l_side: list[int], r_side: list[int]) -> dict[int, int]:
         r_set = set(r_side)
         adj = {u: [w for w in g.neighbors(u) if w in r_set] for u in l_side}
-        m = hopcroft_karp(adj, sorted(l_side))
-        return m if len(m) == len(l_side) else None
+        return hopcroft_karp(adj, sorted(l_side))
 
     if center is None or center not in g.verts:
         m = solve(sorted(ls), sorted(rs))
-        if m is None:
-            raise NoPerfectMatching("bipartite host has no perfect matching")
+        if len(m) < len(ls):
+            raise NoPerfectMatching(
+                f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"
+            )
         return [g.edges_between(u, w)[0] for u, w in sorted(m.items())]
 
     if center in rs:
         ls, rs = rs, ls
     for y in g.neighbors(center):
         m = solve(sorted(ls - {center}), sorted(rs - {y}))
-        if m is not None:
+        if len(m) == len(ls) - 1:
             m[center] = y
             return [g.edges_between(u, w)[0] for u, w in sorted(m.items())]
-    raise NoPerfectMatching("no center choice extends to a perfect matching")
+    best = len(solve(sorted(ls), sorted(rs)))
+    raise NoPerfectMatching(
+        f"no center choice extends to a perfect matching (maximum matching {best} of {len(ls)})"
+    )
 
 
 # ---------------------------------------------------------------------------

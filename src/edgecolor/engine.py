@@ -878,9 +878,11 @@ def step3_color_residuals(state: EngineState) -> EngineState:
         if failed is None:
             break
         if attempts == state.ell or order[0] == failed:
+            trace.check("step3", "matching-attempts", attempts, state.ell, False)
             raise MatchingFailed(f"H_{state.k + 1 + failed}: {failure}") from failure
         order.remove(failed)
         order.insert(0, failed)
+    trace.check("step3", "matching-attempts", attempts, state.ell, True)
 
     for j in range(state.ell):
         color = state.k + 1 + j

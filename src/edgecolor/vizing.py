@@ -1,6 +1,13 @@
 """Edge colorings with Delta+1 colors for simple graphs and star-multigraphs.
 
-Simple graphs get the Misra-Gries fan algorithm.  A star-multigraph is
+Simple graphs get the Misra-Gries fan algorithm ("A constructive proof of
+Vizing's theorem", IPL 41, 1992) with a fan that stops as soon as it can be
+rotated.  To color uv, the fan at u grows from v one vertex at a time.  If
+its last vertex misses a color free at u, the fan is rotated and its last
+edge takes that color.  Otherwise u's edge in the smallest color d missing
+at the last vertex extends the fan, unless it leads back into the fan; then
+the (d, c)-chain at u is swapped, c the smallest color free at u, and the
+first fan prefix whose last vertex misses d is rotated.  A star-multigraph is
 colored by first coloring the simple part away from the multi-center and
 then inserting the center's edges one by one with a center-anchored fan;
 fan vertices may repeat (parallel center edges), which the shift step
@@ -83,51 +90,46 @@ def misra_gries(g: Multigraph, palette: int | None = None) -> EdgeColoring:
         return _complete_round_robin(g, k)
     c = EdgeColoring(g, k)
     present = c._present
-    eid_of: dict[tuple[int, int], int] = {}
-    for eid, u, v in g.edges():
-        eid_of[(u, v)] = eid
-        eid_of[(v, u)] = eid
+
+    def rotate(fan_edges: list[int], j: int, col: int) -> None:
+        """Shift each fan edge up to j to the next one's color; give edge j ``col``."""
+        shift = [c.unassign(e) for e in fan_edges[1 : j + 1]]
+        for e, sc in zip(fan_edges, shift):
+            c.assign(e, sc)
+        c.assign(fan_edges[j], col)
 
     for eid in g.edge_ids():
         u, v = g.endpoints(eid)
-        # Maximal fan at u starting from v.
-        fan = [v]
-        used = {v}
+        at_u = present[u]
+        free_u = [col for col in range(1, k + 1) if col not in at_u]
+        # Grow the fan at u from v until its last vertex misses a color free
+        # at u, or until u's edge in the last vertex's smallest free color
+        # leads back into the fan.
+        fan, fan_edges, in_fan = [v], [eid], {v}
         while True:
-            last_present = present[fan[-1]]
-            ext = None
-            for col, e2 in present[u].items():
-                if col not in last_present:
-                    w = g.other_end(e2, u)
-                    if w not in used:
-                        ext = w
-                        break
-            if ext is None:
+            last = present[fan[-1]]
+            common = next((col for col in free_u if col not in last), None)
+            if common is not None:
+                rotate(fan_edges, len(fan) - 1, common)
                 break
-            fan.append(ext)
-            used.add(ext)
-        cc = _min_free(c, u)
-        dd = _min_free(c, fan[-1])
-        if cc != dd:
-            chain = kempe_chain(g, c, u, dd, cc)
-            kempe_swap(c, chain)
-        # u now misses dd; rotate the longest valid fan prefix whose last
-        # vertex also misses dd.
-        placed = False
-        for j, w in enumerate(fan):
-            if j > 0:
-                col = c.color_of(eid_of[(u, w)])
+            dd = _min_free(c, fan[-1])
+            w = g.other_end(at_u[dd], u)
+            if w not in in_fan:
+                fan.append(w)
+                fan_edges.append(at_u[dd])
+                in_fan.add(w)
+                continue
+            kempe_swap(c, kempe_chain(g, c, u, dd, free_u[0]))
+            # u now misses dd; rotate the first valid fan prefix whose last
+            # vertex also misses dd.
+            j = 0
+            while dd in present[fan[j]]:
+                j += 1
+                col = c.color_of(fan_edges[j]) if j < len(fan) else None
                 if col is None or col in present[fan[j - 1]]:
-                    break  # prefix stops being a fan here
-            if dd not in present[w]:
-                shift = [c.unassign(eid_of[(u, ww)]) for ww in fan[1 : j + 1]]
-                for ww, col in zip(fan[:j], shift):
-                    c.assign(eid_of[(u, ww)], col)
-                c.assign(eid_of[(u, w)], dd)
-                placed = True
-                break
-        if not placed:
-            raise AssertionError("misra-gries found no rotatable fan prefix")
+                    raise AssertionError("misra-gries found no rotatable fan prefix")
+            rotate(fan_edges, j, dd)
+            break
     return c
 
 

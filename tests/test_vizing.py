@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgecolor.coloring import verify_proper
 from edgecolor.errors import NotNearStar, NotStarMultigraph
+from edgecolor.generators import gen_complete_minus_matching
 from edgecolor.multigraph import Multigraph, build_multigraph, detect_star_structure
+from edgecolor.oracle import brute_chromatic_index
 from edgecolor.vizing import greedy_color, misra_gries, near_star_color, star_multigraph_color
 
 from conftest import complete, petersen, random_simple
@@ -19,6 +23,39 @@ def test_misra_gries_random(seed):
     g = random_simple(random.Random(seed).randint(2, 30), 0.5, seed)
     c = misra_gries(g)
     assert _proper_within(g, c, g.max_degree() + 1)
+
+
+@pytest.mark.parametrize("n", [5, 12, 25, 41, 60])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_misra_gries_density_sweep(n, p):
+    g = random_simple(n, p, 1000 * n + int(100 * p))
+    assert _proper_within(g, misra_gries(g), g.max_degree() + 1)
+
+
+@pytest.mark.parametrize("n,size", [(6, 1), (9, 4), (16, 8), (21, 10), (31, 7), (60, 30)])
+def test_misra_gries_complete_minus_matching(n, size):
+    g = gen_complete_minus_matching(n, size)
+    assert _proper_within(g, misra_gries(g), g.max_degree() + 1)
+
+
+@st.composite
+def simple_graphs(draw) -> Multigraph:
+    """Simple graphs with at most 7 vertices (at most 21 edges)."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    g = Multigraph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                g.add_edge(u, v)
+    return g
+
+
+@given(simple_graphs())
+@settings(max_examples=200, deadline=None)
+def test_misra_gries_against_oracle(g):
+    c = misra_gries(g)
+    assert c.is_total() and verify_proper(g, c).ok
+    assert brute_chromatic_index(g).chi_prime <= len(c.used_colors()) <= g.max_degree() + 1
 
 
 def test_misra_gries_petersen():
