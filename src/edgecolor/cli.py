@@ -46,7 +46,7 @@ def _write_out(text: str, path: str | None) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind = args.kind
-    comments = [f"kind {kind}", f"seed {args.seed}"]
+    comments = [f"kind {kind}"]
     try:
         if kind == "complete":
             g = gen_complete(args.n)
@@ -59,17 +59,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 (1 + args.epsilon) * ((args.n + 1) // 2)
             )
             g = gen_random_dense(args.n, args.p, floor, args.seed)
+            comments.append(f"seed {args.seed}")
             comments.append(f"p {args.p} delta-floor {floor}")
         elif kind == "regular":
             g = gen_regular(args.n, args.degree, args.seed)
+            comments.append(f"seed {args.seed}")
             comments.append(f"degree {args.degree}")
         elif kind == "dcolor-fixture":
-            fix = gen_dcolor_fixture(args.condition, args.n, args.seed)
+            fix = gen_dcolor_fixture(args.condition, args.n)
             g = fix.graph
             comments.append(f"condition {args.condition}")
             comments.append(f"suggested-epsilon {fix.epsilon} suggested-eta {fix.eta}")
         elif kind == "case-fixture":
-            fix = gen_case_fixture(args.case, args.n, args.seed)
+            fix = gen_case_fixture(args.case, args.n)
             g = fix.graph
             comments.append(f"case {args.case}")
             comments.append(f"suggested-epsilon {fix.epsilon} suggested-eta {fix.eta}")
@@ -276,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", default="a", choices=list("abcde"))
     p.add_argument("--case", type=int, default=1, choices=[1, 2, 3, 4])
     p.add_argument("--epsilon", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=(
+        "seed of random-dense and regular; the other kinds, fixtures included, "
+        "are deterministic and write no seed comment"))
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_gen)
 

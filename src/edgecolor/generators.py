@@ -208,7 +208,7 @@ def _shed_degree(g: Multigraph, v: int, amount: int, n_half: int, banned: set[in
             raise InfeasibleParams(f"cannot shed degree at {v}")
 
 
-def gen_dcolor_fixture(condition: str, n_half: int, seed: int = 0) -> Fixture:
+def gen_dcolor_fixture(condition: str, n_half: int) -> Fixture:
     """Even-order near star-multigraph engineered for one entry condition.
 
     ``n_half`` is half the vertex count.  Returns the (epsilon, eta) pair
@@ -348,7 +348,7 @@ def _audit_fixture(f: Fixture, cond: str) -> None:
 # Reduction fixtures (odd order, cases 1-4)
 
 
-def gen_case_fixture(case: int, n_half: int, seed: int = 0) -> Fixture:
+def gen_case_fixture(case: int, n_half: int) -> Fixture:
     """Odd-order simple graph steering the reduction into case 1..4.
 
     ``n_half`` is the paper's n (the graph has 2n-1 vertices).  Returns the

@@ -120,16 +120,20 @@ def _recombine(g: Multigraph, engine: EdgeColoring, peeled: list[list[int]]) -> 
 
     Edges keep the engine's colors, and ``peeled[i]`` takes the reserved
     color Delta(g) - len(peeled) + 1 + i.  Edges that are not in ``g``
-    (center edges, padding parallels) are dropped.
+    (center edges, padding parallels) are dropped.  An engine color that
+    clashes with a peeled class or exceeds Delta(g) raises ``GuardFailed``.
     """
     delta = g.max_degree()
     colors = list(engine.assignment.items())
     for color, cls in enumerate(peeled, start=delta - len(peeled) + 1):
         colors.extend((eid, color) for eid in cls)
     final = EdgeColoring(g, delta)
-    for eid, col in colors:
-        if g.has_edge_id(eid):
-            final.assign(eid, col)
+    try:
+        for eid, col in colors:
+            if g.has_edge_id(eid):
+                final.assign(eid, col)
+    except ValueError as exc:
+        raise GuardFailed("recombine", str(exc)) from exc
     return final
 
 

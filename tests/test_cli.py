@@ -23,6 +23,17 @@ def test_gen_and_color_k7(tmp_path):
     assert doc["schema"] == 1
 
 
+def test_gen_fixture_ignores_seed(tmp_path):
+    texts = []
+    for seed in ("0", "5"):
+        mg = tmp_path / f"fix{seed}.mg"
+        assert run(["gen", "--kind", "case-fixture", "--case", "2", "--n", "20",
+                    "--seed", seed, "--out", str(mg)]) == 0
+        texts.append(mg.read_text())
+    assert texts[0] == texts[1]
+    assert not any(line.startswith("c seed") for line in texts[0].splitlines())
+
+
 def test_color_then_verify(tmp_path):
     mg = tmp_path / "g.mg"
     out = tmp_path / "g.json"

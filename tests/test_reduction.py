@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from edgecolor import reduction
 from edgecolor.coloring import EdgeColoring, verify_proper
+from edgecolor.engine import DcolorResult
 from edgecolor.errors import EvenOrderInput, PreconditionViolated
 from edgecolor.generators import (
     gen_case_fixture,
@@ -112,6 +114,44 @@ def test_case4_full_pipeline_class_one():
     assert verify_proper(g, res.coloring).ok and res.coloring.is_total()
     if res.verdict == "ClassOne":
         assert res.colors_used == g.max_degree()
+
+
+def test_case2_step3_retry_class_one():
+    # At pipeline seed 3 the first order of step 3's matchings leaves one
+    # class without a perfect matching; the retry with it in front succeeds.
+    fix = gen_case_fixture(2, 76)
+    g = fix.graph
+    res = color_odd_dense(g, fix.epsilon, eta=fix.eta, seed=3)
+    assert res.verdict == "ClassOne"
+    assert res.colors_used == g.max_degree()
+    assert verify_proper(g, res.coloring).ok and res.coloring.is_total()
+    attempts = [e for e in res.trace.entries if e.guard == "matching-attempts"]
+    assert attempts and all(e.passed for e in attempts)
+
+
+@pytest.mark.parametrize("case", [2, 4])
+@pytest.mark.parametrize("extra,error", [(0, "already present"), (50, "outside palette")])
+def test_bad_engine_coloring_falls_back(monkeypatch, case, extra, error):
+    """A first-fit engine coloring counted down from Delta+1+extra clashes
+    with a peeled class (extra 0) or leaves g's palette (extra 50); the run
+    falls back instead of raising."""
+
+    def stub_engine(gp, params, trace):
+        top = gp.max_degree() + 1 + extra
+        c = EdgeColoring(gp, top)
+        for eid, u, v in gp.edges():
+            col = next((col for col in range(top, 0, -1) if c.misses(u, col) and c.misses(v, col)), None)
+            if col is not None:
+                c.assign(eid, col)
+        return DcolorResult("Colored", c, trace)
+
+    monkeypatch.setattr(reduction, "color_exact", stub_engine)
+    fix = gen_case_fixture(case, 20)
+    res = color_odd_dense(fix.graph, fix.epsilon, eta=fix.eta, seed=1)
+    assert res.verdict == "FallbackClassUnknown"
+    assert verify_proper(fix.graph, res.coloring).ok and res.coloring.is_total()
+    notes = [e.note for e in res.trace.entries if e.step == "fallback"]
+    assert len(notes) == 1 and notes[0].startswith("GuardFailed: recombine: ") and error in notes[0]
 
 
 def test_fallback_never_exceeds_delta_plus_one():
