@@ -792,47 +792,6 @@ def _residual_classes(state: EngineState, ids: set[int]) -> list[set[int]]:
     return classes
 
 
-def _step3_host(
-    state: EngineState, ca: set[int], cb: set[int], color: int
-) -> tuple[list[int], list[int]]:
-    """The sides of H_color: the vertices outside the residual class's
-    endpoints and the U-pads that even out its two sides."""
-    a_i = sorted({v for eid in ca for v in state.g_star.endpoints(eid)})
-    b_i = sorted({v for eid in cb for v in state.g_star.endpoints(eid)})
-    pad_a: list[int] = []
-    pad_b: list[int] = []
-    if len(b_i) > len(a_i):
-        pool = sorted((state.U & state.side_a) - set(a_i))
-        pad_a = pool[: len(b_i) - len(a_i)]
-        if len(pad_a) < len(b_i) - len(a_i):
-            raise GuardFailed("step3.pad", f"U cap A too small for color {color}")
-    elif len(a_i) > len(b_i):
-        pool = sorted((state.U & state.side_b) - set(b_i))
-        pad_b = pool[: len(a_i) - len(b_i)]
-        if len(pad_b) < len(a_i) - len(b_i):
-            raise GuardFailed("step3.pad", f"U cap B too small for color {color}")
-    drop = set(a_i) | set(b_i) | set(pad_a) | set(pad_b)
-    return sorted(state.side_a - drop), sorted(state.side_b - drop)
-
-
-def _match_host(
-    state: EngineState, sides: tuple[list[int], list[int]], free_h: list[int], used: set[int]
-) -> list[int]:
-    """A perfect matching of the host with the given sides, made of the
-    uncolored crossing edges ``free_h`` outside ``used``."""
-    side_a, side_b = sides
-    h_i = Multigraph(state.g_star.n, set(side_a) | set(side_b))
-    for eid in free_h:
-        if eid in used:
-            continue
-        u, v = state.g_star.endpoints(eid)
-        if u in h_i.verts and v in h_i.verts:
-            h_i.add_edge(u, v, eid)
-    return perfect_matching_bipartite_star(
-        h_i, side_a, side_b, center=state.x if state.x in h_i.verts else None
-    )
-
-
 def step3_color_residuals(state: EngineState) -> EngineState:
     """Color R_A and R_B with ell fresh colors and extend each new class
     across the middle so it covers everything outside U."""
@@ -855,34 +814,57 @@ def step3_color_residuals(state: EngineState) -> EngineState:
         if not sizes_ok:
             raise GuardFailed("step3.alignment", "per-color residual sizes differ")
 
-    hosts = [_step3_host(state, classes_a[j], classes_b[j], state.k + 1 + j) for j in range(state.ell)]
+    # The host H_j of class j: the side vertices outside the class's
+    # endpoints and outside the U-pads that even out its two sides.
+    hosts = []
+    for j in range(state.ell):
+        a_i = {v for eid in classes_a[j] for v in state.g_star.endpoints(eid)}
+        b_i = {v for eid in classes_b[j] for v in state.g_star.endpoints(eid)}
+        pad_a: list[int] = []
+        pad_b: list[int] = []
+        if len(b_i) > len(a_i):
+            pad_a = sorted((state.U & state.side_a) - a_i)[: len(b_i) - len(a_i)]
+            if len(pad_a) < len(b_i) - len(a_i):
+                raise GuardFailed("step3.pad", f"U cap A too small for color {state.k + 1 + j}")
+        elif len(a_i) > len(b_i):
+            pad_b = sorted((state.U & state.side_b) - b_i)[: len(a_i) - len(b_i)]
+            if len(pad_b) < len(a_i) - len(b_i):
+                raise GuardFailed("step3.pad", f"U cap B too small for color {state.k + 1 + j}")
+        drop = a_i | b_i | set(pad_a) | set(pad_b)
+        hosts.append((sorted(state.side_a - drop), sorted(state.side_b - drop)))
     free_h = [eid for eid in sorted(state.h_edges) if c.color_of(eid) is None]
+
     # Each class takes a perfect matching of its host among the crossing
     # edges the classes before it left over.  A class that finds none moves
     # to the front and the matchings are found again, ell attempts at most;
     # a class that fails at the front fails in every order.
     order = list(range(state.ell))
-    attempts = 0
-    while True:
-        attempts += 1
+    for attempts in range(1, state.ell + 1):
         used: set[int] = set()
         matchings: dict[int, list[int]] = {}
         failed = None
         for j in order:
+            side_a, side_b = hosts[j]
+            h_j = Multigraph(state.g_star.n, set(side_a) | set(side_b))
+            for eid in free_h:
+                u, v = state.g_star.endpoints(eid)
+                if eid not in used and u in h_j.verts and v in h_j.verts:
+                    h_j.add_edge(u, v, eid)
             try:
-                matchings[j] = _match_host(state, hosts[j], free_h, used)
+                matchings[j] = perfect_matching_bipartite_star(
+                    h_j, side_a, side_b, center=state.x if state.x in h_j.verts else None
+                )
             except (NoPerfectMatching, PreconditionViolated) as exc:
                 failed, failure = j, exc
                 break
             used.update(matchings[j])
-        if failed is None:
+        if failed is None or order[0] == failed:
             break
-        if attempts == state.ell or order[0] == failed:
-            trace.check("step3", "matching-attempts", attempts, state.ell, False)
-            raise MatchingFailed(f"H_{state.k + 1 + failed}: {failure}") from failure
         order.remove(failed)
         order.insert(0, failed)
-    trace.check("step3", "matching-attempts", attempts, state.ell, True)
+    trace.check("step3", "matching-attempts", attempts, state.ell, failed is None)
+    if failed is not None:
+        raise MatchingFailed(f"H_{state.k + 1 + failed}: {failure}") from failure
 
     for j in range(state.ell):
         color = state.k + 1 + j

@@ -105,7 +105,7 @@ def misra_gries(g: Multigraph, palette: int | None = None) -> EdgeColoring:
         # Grow the fan at u from v until its last vertex misses a color free
         # at u, or until u's edge in the last vertex's smallest free color
         # leads back into the fan.
-        fan, fan_edges, in_fan = [v], [eid], {v}
+        fan, fan_edges = [v], [eid]
         while True:
             last = present[fan[-1]]
             common = next((col for col in free_u if col not in last), None)
@@ -114,10 +114,9 @@ def misra_gries(g: Multigraph, palette: int | None = None) -> EdgeColoring:
                 break
             dd = _min_free(c, fan[-1])
             w = g.other_end(at_u[dd], u)
-            if w not in in_fan:
+            if w not in fan:
                 fan.append(w)
                 fan_edges.append(at_u[dd])
-                in_fan.add(w)
                 continue
             kempe_swap(c, kempe_chain(g, c, u, dd, free_u[0]))
             # u now misses dd; rotate the first valid fan prefix whose last
