@@ -356,9 +356,9 @@ def konig_color(g: Multigraph) -> EdgeColoring:
     bipartition(g)  # raises NotBipartite; the argument above needs two sides
     coloring = EdgeColoring(g, g.max_degree())
     for eid, u, v in g.edges():
-        a = min(coloring.missing(u))
+        a = coloring.first_missing(u)
         if not coloring.misses(v, a):
-            b = min(coloring.missing(v))
+            b = coloring.first_missing(v)
             kempe_swap(coloring, kempe_chain(g, coloring, v, a, b))
         coloring.assign(eid, a)
     return coloring

@@ -2,15 +2,19 @@
 
 An :class:`EdgeColoring` is a partial map from edge ids to colors in
 ``[1, k]`` that maintains per-vertex present-color indexes incrementally
-and refuses improper assignments.  :func:`verify_proper` recomputes
-properness from scratch and shares no state with the incremental indexes,
-so it can serve as an oracle for everything built on top.
+and refuses improper assignments.  Callers ask which colors are missing
+through two queries: :meth:`EdgeColoring.first_missing`, the smallest color
+missing at a vertex or at both ends of a pair, and
+:meth:`EdgeColoring.missing_at`, the vertices of a list that miss a color.
+:func:`verify_proper` recomputes properness from scratch and shares no
+state with the incremental indexes, so it can serve as an oracle for
+everything built on top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import NotTotal, PreconditionViolated, StaleChain
 from .multigraph import Multigraph
@@ -75,6 +79,20 @@ class EdgeColoring:
 
     def misses(self, v: int, color: int) -> bool:
         return color not in self._present[v]
+
+    def first_missing(self, u: int, v: Optional[int] = None) -> Optional[int]:
+        """The smallest color missing at ``u`` (and at ``v``), or None."""
+        at_u = self._present[u]
+        at_v = at_u if v is None else self._present[v]
+        for color in range(1, self.k + 1):
+            if color not in at_u and color not in at_v:
+                return color
+        return None
+
+    def missing_at(self, vertices: Iterable[int], color: int) -> list[int]:
+        """The given vertices that miss ``color``, in the order given."""
+        present = self._present
+        return [v for v in vertices if color not in present[v]]
 
     def class_edges(self, color: int) -> set[int]:
         return set(self._classes.get(color, ()))

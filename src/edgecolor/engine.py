@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 from .coloring import EdgeColoring, parity_audit, verify_proper
@@ -33,12 +34,13 @@ from .errors import (
     NoGoodEdge,
     NoPerfectMatching,
     PreconditionViolated,
+    StarColoringFailed,
 )
 from .classic import konig_color, perfect_matching_bipartite_star
 from .multigraph import KIND_NOT_NEAR_STAR, Multigraph, detect_star_structure
 from .partition import Partition, adjust_for_center, balanced_partition, build_split
 from .trace import PipelineTrace
-from .vizing import near_star_color
+from .vizing import greedy_color, near_star_color
 
 CONDITIONS = ("a", "b", "c", "d", "e")
 
@@ -348,11 +350,6 @@ def select_pairs(
 # Step 1
 
 
-def _missing_in(state: EngineState, side: set[int], color: int) -> list[int]:
-    c = state.coloring
-    return sorted(v for v in side if c.misses(v, color))
-
-
 def step1_color_gab(state: EngineState) -> EngineState:
     """Color G_AB with k colors, augment same-side deficient pairs, and
     equalize so both sides miss every color in step (nearly) equally."""
@@ -393,23 +390,17 @@ def step1_color_gab(state: EngineState) -> EngineState:
         changed = False
         for side, store in ((state.side_a, state.side_a_edges), (state.side_b, state.side_b_edges)):
             cand = sorted(state.S & side)
-            done = False
-            for i in range(len(cand)):
-                for j in range(i + 1, len(cand)):
-                    u, v = cand[i], cand[j]
-                    shared = sorted(c.missing(u) & c.missing(v))
-                    if not shared:
-                        continue
-                    eid = g_star.add_edge(u, v)
-                    gab.add_edge(min(u, v), max(u, v), eid)
-                    store.add(eid)
-                    c.assign(eid, shared[0])
-                    added += 1
-                    changed = True
-                    done = True
-                    break
-                if done:
-                    break
+            for u, v in combinations(cand, 2):
+                col = c.first_missing(u, v)
+                if col is None:
+                    continue
+                eid = g_star.add_edge(u, v)
+                gab.add_edge(u, v, eid)
+                store.add(eid)
+                c.assign(eid, col)
+                added += 1
+                changed = True
+                break  # one edge per side per pass
     if added:
         trace.note("step1", f"augmented {added} same-side S-pair edges")
     trace.check("step1", "Delta(G*)=Delta(G)", g_star.max_degree(), delta, g_star.max_degree() == delta)
@@ -423,26 +414,17 @@ def step1_color_gab(state: EngineState) -> EngineState:
     else:
         equalize_per_side(gab, c, state.part)
 
-    # S1.1 audit.
-    ok_s11 = True
-    for i in range(1, k + 1):
-        ma = len(_missing_in(state, state.side_a, i))
-        mb = len(_missing_in(state, state.side_b, i))
-        if state.condition in ("a", "b", "c", "d") and ma != mb:
-            ok_s11 = False
+    # S1.1 audit and S1.2 guard (diagnostic: its role is the MCC-pair budget).
+    counts = [
+        (len(c.missing_at(state.side_a, i)), len(c.missing_at(state.side_b, i)))
+        for i in range(1, k + 1)
+    ]
+    ok_s11 = state.condition not in ("a", "b", "c", "d") or all(a == b for a, b in counts)
     trace.check("step1", "S1.1", None, None, ok_s11)
     if not ok_s11:
         raise GuardFailed("step1.S1.1", "per-color side missing counts differ")
-
-    # S1.2 guard (diagnostic: its role is the MCC-pair budget).
     cap = 3 * eta * n if state.condition in ("a", "b", "c", "d") else 7 * n ** (2 / 3)
-    worst = 0
-    for i in range(1, k + 1):
-        worst = max(
-            worst,
-            len(_missing_in(state, state.side_a, i)),
-            len(_missing_in(state, state.side_b, i)),
-        )
+    worst = max((max(pair) for pair in counts), default=0)
     trace.check("step1", "S1.2", worst, cap, worst < cap)
 
     state.S_A = {
@@ -556,8 +538,8 @@ def _pair_up_missing(state: EngineState) -> None:
     c = state.coloring
     state.mcc_pairs = {}
     for i in range(1, state.k + 1):
-        am = _missing_in(state, state.side_a, i)
-        bm = _missing_in(state, state.side_b, i)
+        am = c.missing_at(sorted(state.side_a), i)
+        bm = c.missing_at(sorted(state.side_b), i)
         if (len(am) + len(bm)) % 2 != 0:
             raise GuardFailed("step2.parity", f"odd missing count for color {i}")
         pairs: list[list[int]] = []
@@ -729,9 +711,7 @@ def step2_extend_to_factors(state: EngineState) -> EngineState:
                 _resolve_cross_pair(state, i, v, u)
             else:
                 _resolve_same_side_pair(state, i, u, v, in_a=u_in_a)
-        uncovered = [
-            v for v in state.g_star.verts if c.misses(v, i)
-        ]
+        uncovered = c.missing_at(state.g_star.verts, i)
         if uncovered:
             raise GuardFailed("step2.one-factor", f"color {i} misses {uncovered[:4]}")
 
@@ -760,32 +740,17 @@ def step2_extend_to_factors(state: EngineState) -> EngineState:
 # Step 3
 
 
-def _edges_subgraph(state: EngineState, ids: set[int]) -> Multigraph:
-    g = Multigraph(state.g_star.n, state.g_star.verts)
-    for eid in sorted(ids):
-        u, v = state.g_star.endpoints(eid)
-        g.add_edge(u, v, eid)
-    return g
-
-
 def _residual_classes(state: EngineState, ids: set[int]) -> list[set[int]]:
     """Color one residual multigraph with the ell fresh colors, equalized.
 
     Returns the classes ordered largest first (ties by smallest edge id).
     """
     ell = state.ell
-    sub = _edges_subgraph(state, ids)
-    local = EdgeColoring(sub, ell)
-    for eid in sub.edge_ids():
-        u, v = sub.endpoints(eid)
-        placed = False
-        for col in range(1, ell + 1):
-            if local.misses(u, col) and local.misses(v, col):
-                local.assign(eid, col)
-                placed = True
-                break
-        if not placed:
-            raise GuardFailed("step3.palette", f"residual edge {eid} found no color in ell={ell}")
+    sub = state.g_star.induced(state.g_star.verts, ids)
+    try:
+        local = greedy_color(sub, ell)
+    except StarColoringFailed as exc:
+        raise GuardFailed("step3.palette", str(exc)) from exc
     equalize_classes(sub, local)
     classes = [local.class_edges(col) for col in range(1, ell + 1)]
     classes.sort(key=lambda s: (-len(s), min(s) if s else 1 << 60))
@@ -845,11 +810,7 @@ def step3_color_residuals(state: EngineState) -> EngineState:
         failed = None
         for j in order:
             side_a, side_b = hosts[j]
-            h_j = Multigraph(state.g_star.n, set(side_a) | set(side_b))
-            for eid in free_h:
-                u, v = state.g_star.endpoints(eid)
-                if eid not in used and u in h_j.verts and v in h_j.verts:
-                    h_j.add_edge(u, v, eid)
+            h_j = state.g_star.induced(side_a + side_b, (e for e in free_h if e not in used))
             try:
                 matchings[j] = perfect_matching_bipartite_star(
                     h_j, side_a, side_b, center=state.x if state.x in h_j.verts else None
@@ -874,7 +835,7 @@ def step3_color_residuals(state: EngineState) -> EngineState:
             _color_h_edge(state, eid, color)
 
     for v in state.g_star.verts - state.U:
-        missing_low = [i for i in range(1, state.k + state.ell + 1) if c.misses(v, i)]
+        missing_low = sorted(c.missing(v))
         if missing_low:
             raise GuardFailed(
                 "step3.coverage", f"vertex {v} misses {missing_low[:4]} after step 3"
@@ -900,7 +861,7 @@ def step4_finish(state: EngineState) -> EdgeColoring:
     if not rest:
         trace.check("step4", "Delta(R)<=budget", 0, budget, True)
         return c
-    r_graph = _edges_subgraph(state, set(rest))
+    r_graph = g_star.induced(g_star.verts, rest)
     dr = r_graph.max_degree()
     passed = trace.check("step4", "Delta(R)<=budget", dr, budget, dr <= budget)
     if not passed:

@@ -107,16 +107,6 @@ def _side_edge_counts(g: Multigraph, c: EdgeColoring, side_a: set[int]):
     return a, b
 
 
-def _missing_counts(c: EdgeColoring, side: set[int]) -> list[int]:
-    miss = [0] * (c.k + 1)
-    for v in side:
-        present = c.present(v)
-        for col in range(1, c.k + 1):
-            if col not in present:
-                miss[col] += 1
-    return miss
-
-
 def _swap_endpoint_missing_path(
     g: Multigraph,
     c: EdgeColoring,
@@ -193,7 +183,7 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
 
     # Phase 2: flatten within-side gaps with matched swaps on both sides.
     for _ in range(_MAX_SWEEPS):
-        miss = _missing_counts(c, side_a)
+        miss = [0] + [len(c.missing_at(side_a, i)) for i in range(1, c.k + 1)]
         hi = max(range(1, c.k + 1), key=lambda i: miss[i])
         lo = min(range(1, c.k + 1), key=lambda i: miss[i])
         if miss[hi] - miss[lo] <= 2:
@@ -223,7 +213,7 @@ def equalize_per_side(g: Multigraph, c: EdgeColoring, part) -> EdgeColoring:
     for _ in range(_MAX_SWEEPS):
         best = None
         for side in (side_a, side_b):
-            miss = _missing_counts(c, side)
+            miss = [0] + [len(c.missing_at(side, i)) for i in range(1, c.k + 1)]
             hi = max(range(1, c.k + 1), key=lambda i: miss[i])
             lo = min(range(1, c.k + 1), key=lambda i: miss[i])
             gap = miss[hi] - miss[lo]

@@ -9,6 +9,9 @@ Graph text format (one graph per file)::
 Vertices are 0-based, ``u < v`` is not required on input but loops and
 duplicate ``(u, v)`` lines are rejected (multiplicity must be aggregated).
 The writer emits a canonical form so parse(emit(g)) round-trips bit-exact.
+The reader refuses a vertex count above :data:`MAX_VERTICES` or a total
+multiplicity above :data:`MAX_EDGES` with :class:`TooLarge` before it
+allocates the graph.
 """
 
 from __future__ import annotations
@@ -17,8 +20,11 @@ import json
 from typing import Optional
 
 from .coloring import EdgeColoring
-from .errors import ParseError
+from .errors import ParseError, TooLarge
 from .multigraph import Multigraph, build_multigraph
+
+MAX_VERTICES = 100_000  # far beyond what the pipeline colors in reasonable time
+MAX_EDGES = 1_000_000  # total multiplicity, so one 'e' line cannot expand unbounded
 
 
 def emit_graph(g: Multigraph, comments: Optional[list[str]] = None) -> str:
@@ -37,6 +43,7 @@ def parse_graph(text: str) -> Multigraph:
     mlines_declared = None
     triples: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int]] = set()
+    total = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -51,6 +58,8 @@ def parse_graph(text: str) -> Multigraph:
                 n, mlines_declared = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"line {lineno}: <n> and <m> must be integers") from None
+            if n > MAX_VERTICES:
+                raise TooLarge(f"line {lineno}: {n} vertices > cap {MAX_VERTICES}")
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before problem line")
@@ -69,6 +78,9 @@ def parse_graph(text: str) -> Multigraph:
                 )
             if mult < 1:
                 raise ParseError(f"line {lineno}: multiplicity must be >= 1")
+            total += mult
+            if total > MAX_EDGES:
+                raise TooLarge(f"line {lineno}: more than {MAX_EDGES} edges in total")
             seen.add(key)
             triples.append((key[0], key[1], mult))
         else:

@@ -27,8 +27,10 @@ class Multigraph:
     ``vertices`` is the active vertex set (defaults to the whole index
     space).  Edges are stored as ``edge_id -> (u, v)`` with ``u < v``; the
     adjacency index maps ``u -> {v -> set of edge ids}`` so multiplicity
-    lookups are O(1) amortized.  Instances are cheap to copy; pipeline
-    stages mutate private copies only.
+    lookups are O(1) amortized.  :meth:`induced` is the one subgraph
+    builder: G[A], G[A,B], G_AB, residual graphs and matching hosts are all
+    induced subgraphs, some restricted to listed edge ids.  The reductions
+    peel their working graph in place; other stages work on copies.
     """
 
     __slots__ = ("n", "verts", "_edges", "_adj", "_next_id")
@@ -178,10 +180,17 @@ class Multigraph:
 
     # -- derived graphs (edge ids and labels preserved) ---------------------
 
-    def induced(self, vertices: Iterable[int]) -> "Multigraph":
+    def induced(
+        self, vertices: Iterable[int], edge_ids: Optional[Iterable[int]] = None
+    ) -> "Multigraph":
+        """The subgraph on ``vertices`` (within the active set) with every
+        edge, or every listed edge when ``edge_ids`` is given, whose two
+        ends both lie among them, added in increasing id order.  Edge ids
+        are kept, and so is the id counter, so a later ``add_edge`` cannot
+        reuse an id of this graph."""
         keep = set(vertices) & self.verts
         g = Multigraph(self.n, keep)
-        for eid in sorted(self._edges):
+        for eid in sorted(self._edges if edge_ids is None else edge_ids):
             u, v = self._edges[eid]
             if u in keep and v in keep:
                 g.add_edge(u, v, eid)
@@ -189,25 +198,12 @@ class Multigraph:
         return g
 
     def without_vertices(self, vertices: Iterable[int]) -> "Multigraph":
-        drop = set(vertices)
-        return self.induced(v for v in self.verts if v not in drop)
+        return self.induced(self.verts.difference(vertices))
 
     def without_edges(self, edge_ids: Iterable[int]) -> "Multigraph":
         g = self.copy()
         for eid in edge_ids:
             g.delete_edge(eid)
-        return g
-
-    def bipartite_between(self, side_a: Iterable[int], side_b: Iterable[int]) -> "Multigraph":
-        sa, sb = set(side_a), set(side_b)
-        if sa & sb:
-            raise ValueError("sides must be disjoint")
-        g = Multigraph(self.n, (sa | sb) & self.verts)
-        for eid in sorted(self._edges):
-            u, v = self._edges[eid]
-            if (u in sa and v in sb) or (u in sb and v in sa):
-                g.add_edge(u, v, eid)
-        g._next_id = self._next_id
         return g
 
     def underlying_simple(self) -> "Multigraph":
@@ -216,21 +212,6 @@ class Multigraph:
             for v in self._adj[u]:
                 if u < v:
                     g.add_edge(u, v)
-        return g
-
-    def union_edges(self, other: "Multigraph") -> "Multigraph":
-        """Union over the same index space; shared ids must agree."""
-        if other.n != self.n:
-            raise ValueError("index spaces differ")
-        g = self.copy()
-        g.verts |= other.verts
-        for eid in sorted(other._edges):
-            u, v = other._edges[eid]
-            if eid in g._edges:
-                if g._edges[eid] != (u, v):
-                    raise ValueError(f"edge id {eid} conflicts")
-                continue
-            g.add_edge(u, v, eid)
         return g
 
     def __repr__(self) -> str:

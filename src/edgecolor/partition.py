@@ -192,7 +192,7 @@ def build_split(
     """
     g_a = g.induced(part.A)
     g_b = g.induced(part.B)
-    h = g.bipartite_between(part.A, part.B)
+    h = g.induced(g.verts, (eid for eid, u, v in g.edges() if (u in part.A) != (v in part.A)))
 
     d_a = _multi_side_degree(g, x, part.A)
     d_b = _multi_side_degree(g, x, part.B)
@@ -235,13 +235,7 @@ def build_split(
     for w in nbrs:
         moved.extend(g.edges_between(x, w)[: take[w]])
 
-    g_ab = g_a.union_edges(g_b)
-    for eid in moved:
-        u, v = g.endpoints(eid)
-        g_ab.add_edge(u, v, eid)
-    g_ab.verts = set(g.verts)
-    g_a.verts = set(part.A)
-    g_b.verts = set(part.B)
+    g_ab = g.induced(g.verts, g_a.edge_ids() + g_b.edge_ids() + moved)
 
     if g_ab.degree(x) != g.degree(x) // 2:
         raise AssertionError("d_GAB(x) != floor(d_G(x)/2)")

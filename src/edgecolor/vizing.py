@@ -34,25 +34,15 @@ def greedy_color(g: Multigraph, k: int) -> EdgeColoring:
     """First-free greedy coloring; succeeds whenever ``k >= 2*Delta - 1``."""
     c = EdgeColoring(g, k)
     for eid, u, v in g.edges():
-        for col in range(1, k + 1):
-            if c.misses(u, col) and c.misses(v, col):
-                c.assign(eid, col)
-                break
-        else:
+        col = c.first_missing(u, v)
+        if col is None:
             raise StarColoringFailed(f"greedy ran out of {k} colors at edge {eid}")
+        c.assign(eid, col)
     return c
 
 
 # ---------------------------------------------------------------------------
 # Misra-Gries on simple graphs
-
-
-def _min_free(c: EdgeColoring, v: int) -> int:
-    present = c._present[v]
-    for col in range(1, c.k + 1):
-        if col not in present:
-            return col
-    raise AssertionError("no free color despite k >= Delta + 1")
 
 
 def _complete_round_robin(g: Multigraph, k: int) -> EdgeColoring:
@@ -112,7 +102,7 @@ def misra_gries(g: Multigraph, palette: int | None = None) -> EdgeColoring:
             if common is not None:
                 rotate(fan_edges, len(fan) - 1, common)
                 break
-            dd = _min_free(c, fan[-1])
+            dd = c.first_missing(fan[-1])
             w = g.other_end(at_u[dd], u)
             if w not in fan:
                 fan.append(w)
@@ -163,9 +153,9 @@ def _insert_center_edge(g: Multigraph, c: EdgeColoring, eid: int, x: int) -> boo
     coloring is left proper either way.
     """
     v = g.other_end(eid, x)
-    common = sorted(c.missing(x) & c.missing(v))
-    if common:
-        c.assign(eid, common[0])
+    common = c.first_missing(x, v)
+    if common is not None:
+        c.assign(eid, common)
         return True
 
     fan_edges = [eid]
@@ -260,10 +250,10 @@ def star_multigraph_color(g: Multigraph, palette: int | None = None) -> EdgeColo
             # near the stuck edge before the next round.
             vj = g.other_end(stuck[0], x)
             pres = sorted(c.present(vj) - set(c.color_of(e) for e in g.incident_edges(x)))
-            miss = sorted(c.missing(vj))
-            if pres and miss:
+            free = c.first_missing(vj)
+            if pres and free is not None:
                 pick = pres[round_no % len(pres)]
-                chain = kempe_chain(g, c, vj, miss[0], pick)
+                chain = kempe_chain(g, c, vj, free, pick)
                 if x not in chain.vertices:
                     kempe_swap(c, chain)
             stuck = stuck[1:] + stuck[:1]
@@ -289,9 +279,9 @@ def near_star_color(g: Multigraph, palette: int | None = None) -> EdgeColoring:
     for eid, col in c.assignment.items():
         full.assign(eid, col)
     for eid in spares:
-        shared = sorted(full.missing(y) & full.missing(z))
-        if shared:
-            full.assign(eid, shared[0])
+        shared = full.first_missing(y, z)
+        if shared is not None:
+            full.assign(eid, shared)
         else:
             full.extend_palette(full.k + 1)
             full.assign(eid, full.k)

@@ -159,3 +159,12 @@ def test_verify_reports_violations(tmp_path, capsys, coloring, violation):
     doc = json.loads(out.out)
     assert doc["ok"] is False and doc["violations"] == [violation]
     assert out.err == ""
+
+
+def test_color_too_large_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(formats, "MAX_EDGES", 3)
+    mg = tmp_path / "big.mg"
+    mg.write_text("p multigraph 3 2\ne 0 1 2\ne 1 2 2\n")
+    assert run(["color", str(mg)]) == 1
+    err = capsys.readouterr().err
+    assert "edges in total" in err and "Traceback" not in err

@@ -10,6 +10,7 @@ from edgecolor.coloring import (
     verify_proper,
 )
 from edgecolor.errors import StaleChain
+from edgecolor.multigraph import Multigraph, build_multigraph
 
 from conftest import complete, cycle, greedy_coloring, random_simple
 
@@ -133,3 +134,54 @@ def test_parity_audit_c5():
     assert report.ok
     for col in range(1, 4):
         assert (5 - 2 * c.class_size(col)) % 2 == 1  # odd misses per class
+
+
+@st.composite
+def partial_colorings(draw) -> EdgeColoring:
+    """A random partial proper coloring of a multigraph on at most 6 vertices."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    g = Multigraph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            for _ in range(draw(st.integers(min_value=0, max_value=2))):
+                g.add_edge(u, v)
+    c = EdgeColoring(g, draw(st.integers(min_value=0, max_value=5)))
+    for eid, u, v in g.edges():
+        col = draw(st.integers(min_value=0, max_value=c.k))  # 0 leaves it uncolored
+        if col and c.misses(u, col) and c.misses(v, col):
+            c.assign(eid, col)
+    return c
+
+
+def _present_from_assignment(c: EdgeColoring) -> dict[int, set[int]]:
+    present: dict[int, set[int]] = {v: set() for v in range(c.graph.n)}
+    for eid, col in c.assignment.items():
+        for w in c.graph.endpoints(eid):
+            present[w].add(col)
+    return present
+
+
+@given(partial_colorings(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_missing_queries_match_assignment(c, data):
+    present = _present_from_assignment(c)
+    verts = list(range(c.graph.n))
+    for u in verts:
+        for v in [None] + verts:  # u == v included
+            busy = present[u] | (present[v] if v is not None else set())
+            free = [col for col in range(1, c.k + 1) if col not in busy]
+            assert c.first_missing(u, v) == (free[0] if free else None)
+    order = data.draw(st.permutations(verts))
+    for col in range(1, c.k + 1):
+        assert c.missing_at(order, col) == [w for w in order if col not in present[w]]
+
+
+def test_first_missing_full_palette():
+    g = build_multigraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+    c = EdgeColoring(g, 3)
+    for col, eid in enumerate(g.edge_ids(), start=1):
+        c.assign(eid, col)
+    assert c.first_missing(0) is None
+    assert c.first_missing(1, 0) is None
+    assert c.first_missing(1) == 2 and c.first_missing(1, 2) == 3
+    assert c.missing_at([3, 0, 1], 1) == [3]

@@ -1,7 +1,8 @@
 import pytest
 
 from edgecolor.coloring import EdgeColoring
-from edgecolor.errors import ParseError
+from edgecolor import formats
+from edgecolor.errors import ParseError, TooLarge
 from edgecolor.formats import (
     coloring_from_dict,
     coloring_to_dict,
@@ -46,6 +47,27 @@ def test_parse_rejects_bad_counts():
         parse_graph("p multigraph x 0\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_graph("p multigraph 3 1\ne 0 y 1\n")
+
+
+def test_parse_caps_size(monkeypatch):
+    monkeypatch.setattr(formats, "MAX_VERTICES", 5)
+    monkeypatch.setattr(formats, "MAX_EDGES", 10)
+    assert parse_graph("p multigraph 5 2\ne 0 1 6\ne 1 2 4\n").edge_count == 10
+    with pytest.raises(TooLarge, match="line 1"):
+        parse_graph("p multigraph 6 0\n")
+    with pytest.raises(TooLarge, match="line 3"):
+        parse_graph("p multigraph 5 2\ne 0 1 6\ne 1 2 5\n")
+
+
+def test_parse_rejects_huge_multiplicity_before_building(monkeypatch):
+    def never(*args):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(formats, "build_multigraph", never)
+    with pytest.raises(TooLarge):
+        parse_graph("p multigraph 2 1\ne 0 1 100000000000\n")
+    with pytest.raises(TooLarge):
+        parse_graph("p multigraph 100000000000 0\n")
 
 
 def test_coloring_json_round_trip():

@@ -133,3 +133,19 @@ def test_dense_scan_examples():
     assert not res.has_witness  # yet chi'(P*) = 4: class 2 without a witness
     assert overfull_subgraph_check_dense(complete(7), 0.2).witness == "whole-graph"
     assert not overfull_subgraph_check_dense(complete(6), 0.2).has_witness
+
+
+def test_induced_with_edge_ids():
+    g = build_multigraph(5, [(0, 1, 2), (1, 2, 1), (2, 3, 1), (0, 4, 1), (3, 4, 2)])
+    keep = {0, 1, 2, 3}
+    listed = [6, 4, 0, 2, 3]  # 4 (0-4) and 6 (3-4) leave the kept vertices
+    sub = g.induced(keep, listed)
+    assert sub.verts == keep
+    assert sub.edge_ids() == [0, 2, 3]
+    assert [e for e, _, _ in sub.edges()] == [0, 2, 3]
+    for eid in sub.edge_ids():
+        assert sub.endpoints(eid) == g.endpoints(eid)
+    assert g.induced(keep).edge_ids() == [0, 1, 2, 3]
+    g.delete_edge(6)  # the host's largest id: still never handed out again
+    fresh = g.induced(keep, []).add_edge(0, 1)
+    assert fresh == 7 and not g.has_edge_id(fresh)

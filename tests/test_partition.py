@@ -91,6 +91,16 @@ def test_build_split_partitions_edges():
     split = build_split(g, part, 0, "a")
     assert split.G_A.edge_count + split.G_B.edge_count + split.H.edge_count == g.edge_count
     assert split.G_AB.degree(0) == g.degree(0) // 2
+    _assert_split_edges(g, part, split)
+
+
+def _assert_split_edges(g, part, split):
+    """H holds exactly the crossing edges; G_AB holds G_A, G_B and the moved ones."""
+    crossing = {eid for eid, u, v in g.edges() if (u in part.A) != (v in part.A)}
+    assert set(split.H.edge_ids()) == crossing
+    gab = set(split.G_A.edge_ids()) | set(split.G_B.edge_ids()) | set(split.moved_center_edges)
+    assert set(split.G_AB.edge_ids()) == gab
+    assert split.G_AB.verts == g.verts
 
 
 def test_build_split_bundle_caps_condition_c():
@@ -109,3 +119,5 @@ def test_build_split_bundle_caps_condition_c():
         mult = g.multiplicity(0, w)
         took = sum(1 for e in split.moved_center_edges if w in g.endpoints(e))
         assert mult // 2 <= took <= (mult + 1) // 2
+    assert split.moved_center_edges
+    _assert_split_edges(g, part, split)

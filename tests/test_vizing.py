@@ -144,3 +144,30 @@ def test_greedy_color_budget():
     g = random_simple(12, 0.7, 3)
     c = greedy_color(g, 2 * g.max_degree() - 1)
     assert c.is_total() and verify_proper(g, c).ok
+
+
+@st.composite
+def near_star_graphs(draw) -> Multigraph:
+    """Multigraphs with at most 7 vertices whose multiple edges all meet a
+    center x but one bundle y-z: Star or NearStar, at most 30 edges."""
+    g = draw(simple_graphs().filter(lambda g: g.n >= 3))
+    x, y, z = draw(st.permutations(range(g.n)))[:3]
+    others = [w for w in range(g.n) if w != x]
+    for w in draw(st.lists(st.sampled_from(others), min_size=1, max_size=3, unique=True)):
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            g.add_edge(x, w)
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        g.add_edge(y, z)
+    return g
+
+
+@given(near_star_graphs())
+@settings(max_examples=200, deadline=None)
+def test_near_star_color_against_oracle(g):
+    profile = detect_star_structure(g)
+    assert profile.kind in ("Star", "NearStar")
+    c = near_star_color(g)
+    assert c.is_total() and verify_proper(g, c).ok
+    e_yz = g.multiplicity(*profile.residual_pair) if profile.kind == "NearStar" else 0
+    bound = max(g.max_degree() + e_yz, g.max_degree() + 1)
+    assert brute_chromatic_index(g).chi_prime <= len(c.used_colors()) <= bound
