@@ -261,15 +261,13 @@ def perfect_matching_bipartite_star(
     left: list[int],
     right: list[int],
     center: int | None = None,
-    t: int | None = None,
 ) -> list[int]:
     """Perfect matching of a bipartite multigraph, center matched first.
 
     With a center x: x is matched to a neighbor y, then a maximum matching
     of the remainder must saturate it (candidate y's are tried in index
-    order).  ``t`` enables the documented degree preconditions.  When no
-    perfect matching exists, ``NoPerfectMatching`` names the size of a
-    maximum matching against the size needed.
+    order).  When no perfect matching exists, ``NoPerfectMatching`` names
+    the size of a maximum matching against the size needed.
     """
     ls, rs = set(left), set(right)
     if ls & rs or (ls | rs) != g.verts:
@@ -279,19 +277,6 @@ def perfect_matching_bipartite_star(
     for _, u, v in g.edges():
         if (u in ls) == (v in ls):
             raise PreconditionViolated("bipartite", f"edge inside one side: ({u},{v})")
-    if t is not None:
-        if g.min_degree() < 1:
-            raise PreconditionViolated("min-degree", "isolated vertex")
-        if center is not None:
-            gx = g.without_vertices([center])
-            if gx.vertex_count and gx.min_degree() < t:
-                raise PreconditionViolated("delta(G-x)>=t", f"{gx.min_degree()} < {t}")
-        half = len(ls) / 2 + 1
-        weak = [v for v in g.vertex_list() if g.simple_degree(v) < half]
-        if len(weak) > t:
-            raise PreconditionViolated(
-                "simple-degree-floor", f"{len(weak)} vertices below n/2+1"
-            )
 
     def solve(l_side: list[int], r_side: list[int]) -> dict[int, int]:
         r_set = set(r_side)
@@ -441,7 +426,6 @@ def _anchored_ham_path(
 def path_cover_matching(
     g: Multigraph,
     pairs: list[tuple[int, int]],
-    epsilon: float | None = None,
 ) -> PathCover:
     """Vertex-disjoint paths joining each (a_i, b_i), jointly spanning V(g).
 
@@ -460,14 +444,6 @@ def path_cover_matching(
     for v in flat:
         if v not in g.verts:
             raise PreconditionViolated("pairs", f"vertex {v} not in graph")
-    if epsilon is not None:
-        nv = g.vertex_count
-        if g.min_degree() < (1 + epsilon) * nv / 2:
-            raise PreconditionViolated(
-                "delta>=(1+eps)n/2", f"{g.min_degree()} < {(1 + epsilon) * nv / 2:.1f}"
-            )
-        if len(pairs) > epsilon * nv / 8:
-            raise PreconditionViolated("|M|<=eps*n/8", f"{len(pairs)} pairs")
 
     adj = _simple_adj(g)
     free = set(g.verts) - set(flat)
@@ -518,8 +494,6 @@ def path_cover_star(
     g: Multigraph,
     pairs: list[tuple[int, int]],
     x: int,
-    epsilon: float | None = None,
-    eta: float | None = None,
 ) -> PathCover:
     """Path cover of a star-multigraph: remove the center, cover, splice back.
 
@@ -527,14 +501,6 @@ def path_cover_star(
     center neighbor; otherwise the last pair is split around x using two
     fresh center neighbors.
     """
-    if eta is not None and g.mu_of(x) >= eta * g.vertex_count:
-        raise PreconditionViolated("mu(x)<eta*n", f"mu(x)={g.mu_of(x)}")
-    if epsilon is not None:
-        nv = g.vertex_count
-        if g.min_degree() < (1 + epsilon) * nv / 2:
-            raise PreconditionViolated("delta>=(1+eps)n/2", f"{g.min_degree()}")
-        if len(pairs) > epsilon * nv / 13:
-            raise PreconditionViolated("|M|<=eps*n/13", f"{len(pairs)} pairs")
     ends = {v for p in pairs for v in p}
     spare = [w for w in g.neighbors(x) if w not in ends]
     if len(spare) < 2:
@@ -549,7 +515,7 @@ def path_cover_star(
             a, b = b, a
         stand_in = spare[0]
         sub_pairs = order[:-1] + [(stand_in, b)]
-        sub = path_cover_matching(g.without_vertices([x]), sub_pairs, epsilon=None)
+        sub = path_cover_matching(g.without_vertices([x]), sub_pairs)
         paths = sub.paths[:-1] + [[x] + sub.paths[-1]]
         cover = PathCover(paths=paths, endpoints=order[:-1] + [(x, b)])
         if not check_path_cover(g, cover, order[:-1] + [(x, b)]):
@@ -559,7 +525,7 @@ def path_cover_star(
     a, b = order[-1]
     x1, x2 = spare[0], spare[1]
     sub_pairs = order[:-1] + [(a, x1), (x2, b)]
-    sub = path_cover_matching(g.without_vertices([x]), sub_pairs, epsilon=None)
+    sub = path_cover_matching(g.without_vertices([x]), sub_pairs)
     merged = sub.paths[-2] + [x] + sub.paths[-1]
     paths = sub.paths[:-2] + [merged]
     cover = PathCover(paths=paths, endpoints=order)

@@ -46,6 +46,9 @@ def _write_out(text: str, path: str | None) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind = args.kind
+    if args.n < 0:
+        print(f"error: --n must be nonnegative, got {args.n}", file=sys.stderr)
+        return EXIT_ERROR
     comments = [f"kind {kind}"]
     try:
         if kind == "complete":
@@ -291,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", default="auto", choices=["auto", "odd", "engine"])
     p.add_argument("--out", default="-")
-    p.add_argument("--format", default="json", choices=["json"])
     p.set_defaults(func=_cmd_color)
 
     p = sub.add_parser("verify", help="verify a coloring file against a graph")

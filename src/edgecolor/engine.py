@@ -4,8 +4,9 @@ Given a near star-multigraph satisfying one of five density/structure
 conditions (a)-(e), the engine colors it with exactly Delta colors in four
 steps: (1) color the within-side union G_AB of a balanced partition and
 equalize the per-side missing counts, (2) grow every color class into a
-perfect matching by exchanging short alternating paths through the
-crossing edges, (3) color the uncolored side edges with a few fresh colors
+perfect matching by flipping short alternating paths of uncolored crossing
+edges and side edges of that color, all found by one depth-first search
+(``_walks``) over single exchanges (``_sacrifices``), (3) color the uncolored side edges with a few fresh colors
 and extend those classes across the bipartite middle, (4) finish the
 remaining crossing edges, which form a bipartite graph of bounded degree.
 
@@ -28,6 +29,7 @@ from .equalize import equalize_balanced_sides, equalize_classes, equalize_per_si
 from .errors import (
     EdgeColorError,
     GuardFailed,
+    InfeasibleParams,
     MatchingFailed,
     NoAlternatingPath,
     NoEligibleNeighbor,
@@ -53,9 +55,9 @@ class EngineParams:
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
-            raise ValueError("epsilon must lie in (0,1)")
+            raise InfeasibleParams(f"epsilon must lie in (0,1), got {self.epsilon}")
         if not (0 < self.eta):
-            raise ValueError("eta must be positive")
+            raise InfeasibleParams(f"eta must be positive, got {self.eta}")
 
 
 @dataclass
@@ -499,32 +501,22 @@ def step2_fix_center(state: EngineState) -> EngineState:
     """
     c, x, g_star = state.coloring, state.x, state.g_star
     for i in sorted(c.missing(x)):
-        direct = None
-        for w in g_star.neighbors(x):
-            if w not in state.side_b:
-                continue
-            eid = _uncolored_h_edge(state, x, w)
-            if eid is not None and c.misses(w, i):
-                direct = eid
-                break
-        if direct is not None:
-            _color_h_edge(state, direct, i)
-            continue
         cands = []
         for w in g_star.neighbors(x):
-            if w not in state.side_b:
-                continue
-            eid = _uncolored_h_edge(state, x, w)
-            if eid is not None:
-                cands.append((_r_degree(state, w), w, eid))
-        if not cands:
-            raise NoEligibleNeighbor(i)
-        _, w, eid = min(cands)
-        sac = c.edge_at(w, i)
-        if sac is None or sac not in state.side_b_edges:
-            raise NoEligibleNeighbor(i)
-        _uncolor_to_residual(state, sac)
-        _color_h_edge(state, eid, i)
+            if w in state.side_b:
+                eid = _uncolored_h_edge(state, x, w)
+                if eid is not None:
+                    cands.append((_r_degree(state, w), w, eid))
+        direct = next((eid for _, w, eid in cands if c.misses(w, i)), None)
+        if direct is None:
+            if not cands:
+                raise NoEligibleNeighbor(i)
+            _, w, direct = min(cands)
+            sac = c.edge_at(w, i)
+            if sac is None or sac not in state.side_b_edges:
+                raise NoEligibleNeighbor(i)
+            _uncolor_to_residual(state, sac)
+        _color_h_edge(state, direct, i)
     state.trace.check("step2", "center-covered", len(c.missing(x)), 0, not c.missing(x))
     return state
 
@@ -552,29 +544,31 @@ def _pair_up_missing(state: EngineState) -> None:
         state.mcc_pairs[i] = pairs
 
 
-def _relocation_edge(
-    state: EngineState, v: int, color: int
-) -> Optional[tuple[int, int, int]]:
-    """A (crossing edge, sacrificed edge) pair shifting v's missing color
-    across the bipartition: returns (h_edge, colored_edge, new_endpoint)."""
+def _sacrifices(state: EngineState, anchor: int, color: int):
+    """One exchange from ``anchor`` across the bipartition, in neighbor order.
+
+    Yields ``(w, sac, h_eid, w2)``: ``h_eid`` is an uncolored crossing edge
+    anchor-w, and ``sac`` is w's good side edge of ``color``, ending at w2.
+    Giving ``h_eid`` the color and uncoloring ``sac`` moves the missing color
+    from ``anchor`` to w2.  Neither w nor w2 is protected.
+    """
     c, g_star = state.coloring, state.g_star
-    other_side = state.side_b if v in state.side_a else state.side_a
-    avoid = state.s_b_star if other_side is state.side_b else state.s_a_star
-    store = state.side_b_edges if other_side is state.side_b else state.side_a_edges
-    for w in g_star.neighbors(v):
-        if w not in other_side or w in avoid:
+    if anchor in state.side_a:
+        side, avoid, store = state.side_b, state.s_b_star, state.side_b_edges
+    else:
+        side, avoid, store = state.side_a, state.s_a_star, state.side_a_edges
+    for w in g_star.neighbors(anchor):
+        if w not in side or w in avoid:
             continue
-        h_eid = _uncolored_h_edge(state, v, w)
+        h_eid = _uncolored_h_edge(state, anchor, w)
         if h_eid is None:
             continue
         sac = c.edge_at(w, color)
         if sac is None or sac not in store or not _is_good(state, sac):
             continue
         w2 = g_star.other_end(sac, w)
-        if w2 in avoid:
-            continue
-        return h_eid, sac, w2
-    return None
+        if w2 not in avoid:
+            yield w, sac, h_eid, w2
 
 
 def step2_relocate_S(state: EngineState) -> EngineState:
@@ -593,10 +587,10 @@ def step2_relocate_S(state: EngineState) -> EngineState:
         for i in sorted(c.missing(v)):
             if i > state.k:
                 continue
-            found = _relocation_edge(state, v, i)
+            found = next(_sacrifices(state, v, i), None)
             if found is None:
                 raise NoGoodEdge(i, v)
-            h_eid, sac, w2 = found
+            _, sac, h_eid, w2 = found
             _uncolor_to_residual(state, sac)
             _color_h_edge(state, h_eid, i)
             for pair in state.mcc_pairs.get(i, ()):
@@ -616,83 +610,61 @@ def step2_relocate_S(state: EngineState) -> EngineState:
     return state
 
 
-def _nb_candidates(state: EngineState, anchor: int, color: int, side_b: bool) -> list[tuple[int, int, int]]:
-    """Vertices on the requested side joined to ``anchor`` by an uncolored
-    crossing edge and holding a good same-side edge of ``color`` away from
-    the protected set.  Returns (vertex, its colored edge, h edge).
+def _ranked(state: EngineState, anchor: int, color: int) -> list[tuple[int, int, int, int]]:
+    """The exchanges from ``anchor``, those whose ends carry the least
+    residual degree first: like the center step's min-d_R rule, this spreads
+    the uncolored edges and keeps goodness alive much longer at desk scale.
+    Ties go by (w, sac, h_eid)."""
+    r_deg = state.r_deg
+    return sorted(
+        _sacrifices(state, anchor, color),
+        key=lambda s: (r_deg.get(s[0], 0) + r_deg.get(s[3], 0), s),
+    )
 
-    Candidates whose sacrificed edge carries the least residual degree come
-    first: like the center step's min-d_R rule, this spreads the uncolored
-    edges and keeps goodness alive much longer at desk scale.
+
+def _walks(state: EngineState, anchor: int, color: int, steps: int):
+    """Chains of ``steps`` >= 1 ranked exchanges from ``anchor``, depth
+    first; each exchange starts where the one before it ends."""
+    for step in _ranked(state, anchor, color):
+        if steps == 1:
+            yield (step,)
+        else:
+            for rest in _walks(state, step[3], color, steps - 1):
+                yield (step, *rest)
+
+
+def _resolve_pair(state: EngineState, i: int, a: int, b: int) -> None:
+    """Make color i present at a and b, which both miss it, by flipping one
+    alternating path of uncolored crossing edges and side edges of color i.
+
+    The path runs from a through one exchange (the head), then a closing
+    uncolored crossing edge, then a tail of exchanges back to b: one for a
+    cross pair, whose A-side end is a, and two for a same-side pair.  These
+    are the 5-edge path a-b1-b2-a2-a1-b and the 7-edge path
+    a-b1-b2-a2-a2'-b2'-b1'-a'.  Nothing changes until the flip, so the
+    heads are ranked once.
     """
-    c, g_star = state.coloring, state.g_star
-    side = state.side_b if side_b else state.side_a
-    avoid = state.s_b_star if side_b else state.s_a_star
-    store = state.side_b_edges if side_b else state.side_a_edges
-    out = []
-    for w in g_star.neighbors(anchor):
-        if w not in side or w in avoid:
+    steps = 1 if (a in state.side_a) != (b in state.side_a) else 2
+    heads = _ranked(state, a, i)
+    for tail in _walks(state, b, i, steps):
+        seen = {a, b}
+        for w, _, _, w2 in tail:
+            seen.update((w, w2))
+        if len(seen) != 2 + 2 * steps:
             continue
-        h_eid = _uncolored_h_edge(state, anchor, w)
-        if h_eid is None:
-            continue
-        sac = c.edge_at(w, color)
-        if sac is None or sac not in store or not _is_good(state, sac):
-            continue
-        w2 = g_star.other_end(sac, w)
-        if w2 in avoid:
-            continue
-        load = _r_degree(state, w) + _r_degree(state, w2)
-        out.append((load, w, sac, h_eid))
-    out.sort()
-    return [(w, sac, h_eid) for _, w, sac, h_eid in out]
-
-
-def _resolve_cross_pair(state: EngineState, i: int, a: int, b: int) -> None:
-    """Five-edge alternating path a-b1-b2-a2-a1-b for a cross-side pair."""
-    g_star = state.g_star
-    for a1, sac_a, h_a1b in _nb_candidates(state, b, i, side_b=False):
-        a2 = g_star.other_end(sac_a, a1)
-        for b1, sac_b, h_ab1 in _nb_candidates(state, a, i, side_b=True):
-            b2 = g_star.other_end(sac_b, b1)
-            if len({a, b, a1, a2, b1, b2}) != 6:
+        end = tail[-1][3]
+        for head in heads:
+            if head[0] in seen or head[3] in seen:
                 continue
-            h_b2a2 = _uncolored_h_edge(state, a2, b2)
-            if h_b2a2 is None:
+            closing = _uncolored_h_edge(state, end, head[3])
+            if closing is None:
                 continue
-            _uncolor_to_residual(state, sac_a)
-            _uncolor_to_residual(state, sac_b)
-            _color_h_edge(state, h_ab1, i)
-            _color_h_edge(state, h_b2a2, i)
-            _color_h_edge(state, h_a1b, i)
+            for _, sac, h_eid, _ in (*tail, head):
+                _uncolor_to_residual(state, sac)
+                _color_h_edge(state, h_eid, i)
+            _color_h_edge(state, closing, i)
             return
     raise NoAlternatingPath(i, (a, b))
-
-
-def _resolve_same_side_pair(state: EngineState, i: int, a: int, a2nd: int, in_a: bool) -> None:
-    """Seven-edge alternating path for a same-side pair (Fig-style route
-    a-b1-b2-a2-a2'-b2'-b1'-a')."""
-    g_star = state.g_star
-    for b1s, sac_bs, h_star in _nb_candidates(state, a2nd, i, side_b=in_a):
-        b2s = g_star.other_end(sac_bs, b1s)
-        for a2s, sac_mid, h_mid2 in _nb_candidates(state, b2s, i, side_b=not in_a):
-            a2 = g_star.other_end(sac_mid, a2s)
-            for b1, sac_b, h_ab1 in _nb_candidates(state, a, i, side_b=in_a):
-                b2 = g_star.other_end(sac_b, b1)
-                if len({a, a2nd, b1, b2, a2, a2s, b2s, b1s}) != 8:
-                    continue
-                h_b2a2 = _uncolored_h_edge(state, a2, b2)
-                if h_b2a2 is None:
-                    continue
-                _uncolor_to_residual(state, sac_bs)
-                _uncolor_to_residual(state, sac_mid)
-                _uncolor_to_residual(state, sac_b)
-                _color_h_edge(state, h_ab1, i)
-                _color_h_edge(state, h_b2a2, i)
-                _color_h_edge(state, h_mid2, i)
-                _color_h_edge(state, h_star, i)
-                return
-    raise NoAlternatingPath(i, (a, a2nd))
 
 
 def step2_extend_to_factors(state: EngineState) -> EngineState:
@@ -703,14 +675,9 @@ def step2_extend_to_factors(state: EngineState) -> EngineState:
             u, v = pair
             if not c.misses(u, i) or not c.misses(v, i):
                 raise AssertionError("pair endpoint no longer missing its color")
-            u_in_a = u in state.side_a
-            v_in_a = v in state.side_a
-            if u_in_a and not v_in_a:
-                _resolve_cross_pair(state, i, u, v)
-            elif v_in_a and not u_in_a:
-                _resolve_cross_pair(state, i, v, u)
-            else:
-                _resolve_same_side_pair(state, i, u, v, in_a=u_in_a)
+            if v in state.side_a and u not in state.side_a:
+                u, v = v, u
+            _resolve_pair(state, i, u, v)
         uncovered = c.missing_at(state.g_star.verts, i)
         if uncovered:
             raise GuardFailed("step2.one-factor", f"color {i} misses {uncovered[:4]}")

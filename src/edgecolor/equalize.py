@@ -12,9 +12,14 @@ Three procedures, all operating in place on an :class:`EdgeColoring`:
   balance required: within each side the missing counts differ by at
   most 2.
 
-The side-aware procedures exploit that at most one alternating chain can
-cross between the sides (all crossing edges share the center), which makes
-a reducing swap available whenever the target is violated.
+All three make one kind of move, :func:`_swap_surplus_path`: swap a
+two-colored path whose end edges both carry the heavier color, optionally
+only a path that stays inside one side.  A path whose end vertices both miss
+color i is such a path for the other color, so the within-side flattening
+uses the same swap.  The side-aware procedures exploit that at most one
+alternating chain can cross between the sides (all crossing edges share the
+center), which makes a reducing swap available whenever the target is
+violated.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ def _swap_surplus_path(
     return False
 
 
-def _check_crossing_at_center(g: Multigraph, side_a: set[int], side_b: set[int]) -> None:
+def _check_crossing_at_center(g: Multigraph, side_a: set[int]) -> None:
     centers = None
     for eid, u, v in g.edges():
         cross = (u in side_a) != (v in side_a)
@@ -107,35 +112,6 @@ def _side_edge_counts(g: Multigraph, c: EdgeColoring, side_a: set[int]):
     return a, b
 
 
-def _swap_endpoint_missing_path(
-    g: Multigraph,
-    c: EdgeColoring,
-    side: set[int],
-    miss_color: int,
-    other: int,
-) -> bool:
-    """Swap a path inside ``side`` whose both endpoint vertices miss
-    ``miss_color`` (i.e. both end edges carry ``other``)."""
-    seen: set[int] = set()
-    for v in sorted(side):
-        if v in seen:
-            continue
-        if c.edge_at(v, miss_color) is not None or c.edge_at(v, other) is None:
-            continue
-        chain = kempe_chain(g, c, v, miss_color, other)
-        seen.update(chain.vertices)
-        if chain.shape != SHAPE_PATH or not chain.edges:
-            continue
-        if not all(u in side for u in chain.vertices):
-            continue
-        tail = chain.endpoints[1] if chain.endpoints[0] == v else chain.endpoints[0]
-        if chain.edge_colors[0] == other and chain.edge_colors[-1] == other:
-            if tail in side:
-                kempe_swap(c, chain)
-                return True
-    return False
-
-
 def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColoring:
     """Make both sides miss every color equally often, then flatten gaps.
 
@@ -156,7 +132,7 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
         raise PreconditionViolated("partition", "A, B must split the vertex set")
     if len(side_a) != len(side_b):
         raise PreconditionViolated("|A|=|B|", f"{len(side_a)} != {len(side_b)}")
-    _check_crossing_at_center(g, side_a, side_b)
+    _check_crossing_at_center(g, side_a)
     a_cnt, b_cnt = _side_edge_counts(g, c, side_a)
     if sum(a_cnt) != sum(b_cnt):
         raise PreconditionViolated(
@@ -188,8 +164,8 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
         lo = min(range(1, c.k + 1), key=lambda i: miss[i])
         if miss[hi] - miss[lo] <= 2:
             return c
-        ok_a = _swap_endpoint_missing_path(g, c, side_a, hi, lo)
-        ok_b = _swap_endpoint_missing_path(g, c, side_b, hi, lo)
+        ok_a = _swap_surplus_path(g, c, lo, hi, restrict=side_a)
+        ok_b = _swap_surplus_path(g, c, lo, hi, restrict=side_b)
         if not (ok_a and ok_b):
             raise EqualizationFailed(
                 f"matched within-side swap unavailable for colors ({hi},{lo})"
@@ -208,7 +184,7 @@ def equalize_per_side(g: Multigraph, c: EdgeColoring, part) -> EdgeColoring:
     side_a, side_b = set(part.A), set(part.B)
     if side_a | side_b != g.verts or side_a & side_b:
         raise PreconditionViolated("partition", "A, B must split the vertex set")
-    _check_crossing_at_center(g, side_a, side_b)
+    _check_crossing_at_center(g, side_a)
 
     for _ in range(_MAX_SWEEPS):
         best = None
@@ -222,7 +198,7 @@ def equalize_per_side(g: Multigraph, c: EdgeColoring, part) -> EdgeColoring:
         gap, side, hi, lo = best
         if gap <= 2:
             return c
-        if not _swap_endpoint_missing_path(g, c, side, hi, lo):
+        if not _swap_surplus_path(g, c, lo, hi, restrict=side):
             raise EqualizationFailed(
                 f"no within-side swap despite gap {gap} for colors ({hi},{lo})"
             )

@@ -219,18 +219,15 @@ def _insert_center_edge(g: Multigraph, c: EdgeColoring, eid: int, x: int) -> boo
     return False
 
 
-def star_multigraph_color(g: Multigraph, palette: int | None = None) -> EdgeColoring:
+def star_multigraph_color(g: Multigraph) -> EdgeColoring:
     """Proper edge coloring of a star-multigraph with at most Delta+1 colors."""
     profile = detect_star_structure(g)
     if profile.kind == KIND_SIMPLE:
-        return misra_gries(g, palette)
+        return misra_gries(g)
     if profile.kind != KIND_STAR:
         raise NotStarMultigraph(f"structure is {profile.kind}")
     x = profile.center
-    k = palette if palette is not None else g.max_degree() + 1
-    if k < g.max_degree() + 1:
-        raise ValueError("palette below Delta + 1")
-
+    k = g.max_degree() + 1
     base = misra_gries(g.without_vertices([x]), k)
     c = EdgeColoring(g, k)
     for eid, col in base.assignment.items():
@@ -261,20 +258,20 @@ def star_multigraph_color(g: Multigraph, palette: int | None = None) -> EdgeColo
     raise StarColoringFailed(f"{len(pending)} center edges left after retries")
 
 
-def near_star_color(g: Multigraph, palette: int | None = None) -> EdgeColoring:
+def near_star_color(g: Multigraph) -> EdgeColoring:
     """Color a near star-multigraph with at most max(Delta+e(y,z), Delta+1)
     colors: set aside all but one (y,z)-parallel, color the star remainder,
     then place the spares in shared free colors or fresh ones."""
     profile = detect_star_structure(g)
     if profile.kind in (KIND_SIMPLE, KIND_STAR):
-        return star_multigraph_color(g, palette)
+        return star_multigraph_color(g)
     if profile.kind != KIND_NEAR_STAR:
         raise NotNearStar(f"structure is {profile.kind}")
     y, z = profile.residual_pair
     bundle = g.edges_between(y, z)
     spares = bundle[1:]
     reduced = g.without_edges(spares)
-    c = star_multigraph_color(reduced, palette)
+    c = star_multigraph_color(reduced)
     full = EdgeColoring(g, c.k)
     for eid, col in c.assignment.items():
         full.assign(eid, col)

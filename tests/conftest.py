@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from edgecolor.coloring import EdgeColoring
 from edgecolor.multigraph import Multigraph, build_multigraph
@@ -35,6 +36,18 @@ def petersen() -> Multigraph:
 
 def petersen_minus_vertex() -> Multigraph:
     return petersen().without_vertices([9])
+
+
+@st.composite
+def simple_graphs(draw) -> Multigraph:
+    """Simple graphs with at most 7 vertices (at most 21 edges)."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    g = Multigraph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                g.add_edge(u, v)
+    return g
 
 
 def greedy_coloring(g: Multigraph, k: int) -> EdgeColoring:

@@ -161,6 +161,17 @@ def test_verify_reports_violations(tmp_path, capsys, coloring, violation):
     assert out.err == ""
 
 
+def test_verify_partial_coloring(tmp_path, capsys):
+    mg = tmp_path / "k3.mg"
+    col = tmp_path / "k3.json"
+    run(["gen", "--kind", "complete", "--n", "3", "--out", str(mg)])
+    col.write_text(json.dumps({"k": 3, "classes": [[0], [2], []], "uncolored": [1]}))
+    capsys.readouterr()
+    assert run(["verify", str(mg), str(col)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True and doc["total"] is False and doc["violations"] == []
+
+
 def test_color_too_large_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(formats, "MAX_EDGES", 3)
     mg = tmp_path / "big.mg"
@@ -168,3 +179,28 @@ def test_color_too_large_exits_1(tmp_path, capsys, monkeypatch):
     assert run(["color", str(mg)]) == 1
     err = capsys.readouterr().err
     assert "edges in total" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind,n,flags,message",
+    [
+        ("complete", "6", ["--epsilon", "1.5"], "epsilon must lie in (0,1)"),
+        ("complete", "6", ["--epsilon", "0"], "epsilon must lie in (0,1)"),
+        ("complete", "6", ["--epsilon", "-0.2"], "epsilon must lie in (0,1)"),
+        ("complete-minus-matching", "9", ["--epsilon", "1.5"], "epsilon must lie in (0,1)"),
+        ("complete-minus-matching", "9", ["--eta", "-1"], "eta must be positive"),
+    ],
+)
+def test_color_bad_params_exit_1(tmp_path, capsys, kind, n, flags, message):
+    mg = tmp_path / "g.mg"
+    run(["gen", "--kind", kind, "--n", n, "--out", str(mg)])
+    capsys.readouterr()
+    assert run(["color", str(mg), "--out", os.devnull, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_gen_negative_n_exits_1(capsys):
+    assert run(["gen", "--kind", "complete", "--n", "-3", "--out", os.devnull]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--n" in err

@@ -6,6 +6,7 @@ from edgecolor.coloring import parity_audit, verify_proper
 from edgecolor.engine import (
     EngineParams,
     EngineState,
+    _resolve_pair,
     classify_condition,
     dcolor,
     select_pairs,
@@ -73,7 +74,8 @@ def test_select_pairs_condition_e_prefers_u():
     assert all(a in u_set and b in u_set for a, b in head)
 
 
-def _run_through_step2(fix, seed=1):
+def _relocated(fix, seed=1):
+    """The engine state just before step 2 extends the classes."""
     g = fix.graph
     params = _params(fix, seed)
     trace = PipelineTrace(seed=seed)
@@ -88,6 +90,11 @@ def _run_through_step2(fix, seed=1):
     step1_color_gab(state)
     step2_fix_center(state)
     step2_relocate_S(state)
+    return state
+
+
+def _run_through_step2(fix, seed=1):
+    state = _relocated(fix, seed)
     step2_extend_to_factors(state)
     return state
 
@@ -102,6 +109,30 @@ def test_steps_1_2_make_one_factors():
         cls = c.class_edges(i)
         covered = {v for e in cls for v in state.g_star.endpoints(e)}
         assert len(cls) == nv // 2 and len(covered) == nv
+
+
+def test_resolve_pair_path_shapes():
+    """A cross pair flips the 5-edge path, a same-side pair the 7-edge one."""
+    state = _relocated(gen_dcolor_fixture("e", 30))
+    c = state.coloring
+    shapes = []
+    for i in range(1, state.k + 1):
+        for a, b in state.mcc_pairs[i]:
+            cross = (a in state.side_a) != (b in state.side_a)
+            if b in state.side_a and a not in state.side_a:
+                a, b = b, a
+            h_before = {e for e in state.h_edges if c.color_of(e) == i}
+            r_a, r_b = set(state.r_a), set(state.r_b)
+            _resolve_pair(state, i, a, b)
+            h_new = {e for e in state.h_edges if c.color_of(e) == i} - h_before
+            new_a, new_b = state.r_a - r_a, state.r_b - r_b
+            if cross:
+                assert len(h_new) == 3 and len(new_a) == len(new_b) == 1
+            else:
+                assert len(h_new) == 4 and len(new_a) + len(new_b) == 3
+            assert not c.misses(a, i) and not c.misses(b, i)
+            shapes.append(cross)
+    assert True in shapes and False in shapes
 
 
 def test_step1_equalization_audit():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgecolor.coloring import EdgeColoring
 from edgecolor import formats
@@ -26,6 +28,25 @@ def test_round_trip_multigraph():
     g2 = parse_graph(emit_graph(g))
     assert g2.vertex_count == 5
     assert g2.multiplicity(0, 1) == 3 and g2.multiplicity(1, 4) == 2
+
+
+@st.composite
+def numbered_multigraphs(draw):
+    """Multigraphs with at most 8 vertices whose edge ids follow the file
+    format's numbering: pairs in order, each multiplicity consecutive."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    return build_multigraph(n, [(u, v, draw(st.integers(1, 3))) for u, v in chosen])
+
+
+@given(numbered_multigraphs())
+@settings(max_examples=200, deadline=None)
+def test_round_trip_keeps_ids_and_multiplicities(g):
+    g2 = parse_graph(emit_graph(g))
+    assert g2.n == g.n
+    # The same ids on the same pairs, hence the same multiplicities.
+    assert list(g2.edges()) == list(g.edges())
 
 
 def test_parse_rejects_loops():

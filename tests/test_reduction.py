@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from edgecolor import reduction
 from edgecolor.coloring import EdgeColoring, verify_proper
@@ -22,7 +23,7 @@ from edgecolor.reduction import (
 )
 from edgecolor.trace import PipelineTrace
 
-from conftest import complete, petersen_minus_vertex, random_simple
+from conftest import complete, petersen_minus_vertex, random_simple, simple_graphs
 
 
 def test_compute_w_regular_empty():
@@ -209,3 +210,18 @@ def test_recombine_gives_peeled_classes_the_top_colors():
     assert final.used_colors() == set(range(1, 9))
     for i, factor in enumerate(factors):
         assert {final.color_of(eid) for eid in factor if g.has_edge_id(eid)} == {i + 1}
+
+
+@given(simple_graphs().filter(lambda g: g.n % 2 == 1))
+@settings(max_examples=200, deadline=None)
+def test_color_odd_dense_against_oracle(g):
+    res = color_odd_dense(g, 0.3, seed=0)
+    assert res.coloring.is_total() and verify_proper(g, res.coloring).ok
+    delta, chi = g.max_degree(), brute_chromatic_index(g).chi_prime
+    if res.verdict == "ClassOne":
+        assert chi == delta == res.colors_used
+    elif res.verdict == "ClassTwo":
+        assert chi == delta + 1 == res.colors_used
+    else:
+        assert res.verdict == "FallbackClassUnknown"
+        assert chi <= res.colors_used <= delta + 1

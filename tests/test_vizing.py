@@ -11,7 +11,7 @@ from edgecolor.multigraph import Multigraph, build_multigraph, detect_star_struc
 from edgecolor.oracle import brute_chromatic_index
 from edgecolor.vizing import greedy_color, misra_gries, near_star_color, star_multigraph_color
 
-from conftest import complete, petersen, random_simple
+from conftest import complete, petersen, random_simple, simple_graphs
 
 
 def _proper_within(g, c, bound):
@@ -36,18 +36,6 @@ def test_misra_gries_density_sweep(n, p):
 def test_misra_gries_complete_minus_matching(n, size):
     g = gen_complete_minus_matching(n, size)
     assert _proper_within(g, misra_gries(g), g.max_degree() + 1)
-
-
-@st.composite
-def simple_graphs(draw) -> Multigraph:
-    """Simple graphs with at most 7 vertices (at most 21 edges)."""
-    n = draw(st.integers(min_value=2, max_value=7))
-    g = Multigraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draw(st.booleans()):
-                g.add_edge(u, v)
-    return g
 
 
 @given(simple_graphs())
