@@ -38,7 +38,7 @@ for case, n in ((2, 76), (2, 101), (4, 90)):
     ok = verify_proper(g, res.coloring).ok and res.coloring.is_total()
     print(
         f"  case {case}, |V|={g.vertex_count}: {res.verdict} with {res.colors_used} colors "
-        f"(Delta={g.max_degree()}), proper={ok}, engine condition ({res.engine_condition}), {dt:.1f}s"
+        f"(Delta={g.max_degree()}), proper={ok}, engine condition ({res.condition}), {dt:.1f}s"
     )
 
 print()

@@ -112,21 +112,15 @@ def _color_graph(
         "mode": mode,
     }
     if use_engine:
-        params = EngineParams(epsilon=epsilon, eta=eta if eta is not None else 0.1, seed=seed)
-        res = dcolor(g, params)
-        doc["verdict"] = res.verdict
-        doc["condition"] = res.condition
-        doc["colors_used"] = res.colors_used
-        doc["coloring"] = formats.coloring_to_dict(res.coloring, g)
-        doc["trace"] = res.trace.to_list()
+        res = dcolor(g, EngineParams(epsilon=epsilon, eta=eta if eta is not None else 0.1, seed=seed))
     else:
         res = color_odd_dense(g, epsilon, eta=eta, seed=seed)
-        doc["verdict"] = res.verdict
         doc["case"] = res.case
-        doc["condition"] = res.engine_condition
-        doc["colors_used"] = res.colors_used
-        doc["coloring"] = formats.coloring_to_dict(res.coloring, g)
-        doc["trace"] = res.trace.to_list()
+    doc["verdict"] = res.verdict
+    doc["condition"] = res.condition
+    doc["colors_used"] = res.colors_used
+    doc["coloring"] = formats.coloring_to_dict(res.coloring, g)
+    doc["trace"] = res.trace.to_list()
     return doc
 
 

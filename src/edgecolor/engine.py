@@ -126,15 +126,6 @@ class DcolorResult:
 # Condition classification
 
 
-def _center_of(g: Multigraph) -> Optional[int]:
-    profile = detect_star_structure(g)
-    if profile.kind == KIND_NOT_NEAR_STAR:
-        return None
-    if profile.center is not None:
-        return profile.center
-    return min(g.verts)
-
-
 def classify_condition(
     g: Multigraph, params: EngineParams, trace: Optional[PipelineTrace] = None
 ) -> tuple[Optional[str], int, dict]:
@@ -147,7 +138,7 @@ def classify_condition(
     profile = detect_star_structure(g)
     if profile.kind == KIND_NOT_NEAR_STAR:
         raise PreconditionViolated("near-star", "two multi-pairs avoid every vertex")
-    x = _center_of(g)
+    x = profile.center if profile.center is not None else min(g.verts)
     n = g.vertex_count // 2
     eps, eta = params.epsilon, params.eta
     delta = g.max_degree()
@@ -408,8 +399,8 @@ def step1_color_gab(state: EngineState) -> EngineState:
     trace.check("step1", "Delta(G*)=Delta(G)", g_star.max_degree(), delta, g_star.max_degree() == delta)
 
     if state.condition in ("a", "b", "c", "d"):
-        ea = sum(1 for e in state.side_a_edges)
-        eb = sum(1 for e in state.side_b_edges)
+        ea = len(state.side_a_edges)
+        eb = len(state.side_b_edges)
         if not trace.check("step1", "e(G*_A)=e(G*_B)", ea, eb, ea == eb):
             raise GuardFailed("step1.side-balance", f"e(G*_A)={ea} != e(G*_B)={eb}")
         equalize_balanced_sides(gab, c, state.part)

@@ -70,6 +70,8 @@ def gen_circulant(n: int, degree: int) -> Multigraph:
     """Circulant graph; degree must be even, or n even (antipodal offset)."""
     if degree >= n:
         raise InfeasibleParams(f"degree {degree} >= n {n}")
+    if degree < 0:
+        raise InfeasibleParams(f"degree {degree} is negative")
     if degree % 2 == 1 and n % 2 == 1:
         raise InfeasibleParams("odd degree requires even n")
     g = Multigraph(n)

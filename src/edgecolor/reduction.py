@@ -5,17 +5,20 @@ star-multigraph instance for the coloring engine: a new center vertex
 absorbs the deficiencies, and perfect matchings or spanning linear forests
 are peeled off until one of the engine's entry conditions holds.
 
-Peel and recombine contract.  A case peels its working graph in place: g
-grown by the center, or in case 4 a copy of g (and, in its saturating
-branch, that copy grown by a center).  ``_peel_perfect_matching`` deletes
-the matching it finds from the working graph and returns its edge ids; a
-forest is peeled as two classes, the edges at even and at odd positions
-along its paths.  Each peeled class lowers the maximum degree by one, so
-the engine colors what is left with Delta(g) - L colors, where L is the
-number of peeled classes.
-``_recombine`` then builds the coloring of g itself: the engine's colors,
-each peeled class in its own reserved color above them, and no edge that
-is not in g (center edges, padding parallels).
+Case contract.  A case returns ``(instance, peeled)``: the even-order
+engine instance G' and the edge-id classes it peeled off on the way.  It
+peels its working graph in place: g grown by the center, or in case 4 a
+copy of g (and, in its saturating branch, that copy grown by a center).
+``_peel_perfect_matching`` deletes the matching it finds from the working
+graph and returns its edge ids; ``_leave_out`` names the vertices such a
+peel skips so that the matched host has even order.  A forest is peeled
+as two classes, the edges at even and at odd positions along its paths.
+Each peeled class lowers the maximum degree by one, so the engine colors
+G' with Delta(g) - L colors, where L is the number of peeled classes.
+``color_odd_dense`` makes the one engine call on G' and the one
+``_recombine`` call, which builds the coloring of g itself: the engine's
+colors, each peeled class in its own reserved color above them, and no
+edge that is not in g (center edges, padding parallels).
 
 Four cases, keyed by the size of the high-deficiency set W:
 |W| >= 2*eta*n (case 1), |W| = 0 (case 2), sqrt(n) <= |W| < 2*eta*n
@@ -32,7 +35,7 @@ from typing import Iterable, Optional
 
 from .classic import hakimi_realize, path_cover_star, perfect_matching_dense
 from .coloring import EdgeColoring, verify_proper
-from .engine import DcolorResult, EngineParams, color_exact
+from .engine import EngineParams, color_exact
 from .errors import (
     ConstructionFailed,
     DegreeSequenceInfeasible,
@@ -42,7 +45,7 @@ from .errors import (
     MatchingFailed,
     PreconditionViolated,
 )
-from .multigraph import Multigraph, deficiency_report, is_overfull
+from .multigraph import DeficiencyReport, Multigraph, deficiency_report, is_overfull
 from .trace import PipelineTrace
 from .vizing import greedy_color, misra_gries
 
@@ -57,7 +60,7 @@ class OddResult:
     coloring: EdgeColoring
     trace: PipelineTrace
     case: int = 0
-    engine_condition: str = ""
+    condition: str = ""
 
     @property
     def colors_used(self) -> int:
@@ -115,6 +118,20 @@ def _peel_perfect_matching(
     return m
 
 
+def _leave_out(rep: DeficiencyReport, order: int) -> Optional[list[int]]:
+    """The vertices a matching peel skips in a graph of this report and order.
+
+    V_delta when the rest has even order, else V_delta and the smallest
+    middle-degree vertex, else None (no peel restores the parity).
+    """
+    v_small = sorted(rep.vertices_of_degree(rep.delta_min))
+    if (order - len(v_small)) % 2 == 0:
+        return v_small
+    if rep.middle_degree_vertices:
+        return v_small + [min(rep.middle_degree_vertices)]
+    return None
+
+
 def _recombine(g: Multigraph, engine: EdgeColoring, peeled: list[list[int]]) -> EdgeColoring:
     """The coloring of ``g`` over Delta(g) colors that a reduction built.
 
@@ -143,7 +160,7 @@ def _recombine(g: Multigraph, engine: EdgeColoring, peeled: list[list[int]]) -> 
 
 def case1_reduce(
     g: Multigraph, params: EngineParams, trace: PipelineTrace
-) -> tuple[EdgeColoring, str]:
+) -> tuple[Multigraph, list[list[int]]]:
     n = (g.vertex_count + 1) // 2
     eta = params.eta
     w_set = compute_W(g, eta)
@@ -169,8 +186,7 @@ def case1_reduce(
     trace.check("case1", "Delta(G')=Delta(G)", gp.max_degree(), g.max_degree(), gp.max_degree() == g.max_degree())
     trace.check("case1", "d(x)=delta(G)", gp.degree(x), target, gp.degree(x) == target)
     trace.check("case1", "mu(x)<=2/eta", gp.mu_of(x), cap, gp.mu_of(x) <= cap)
-    res = color_exact(gp, params, trace)
-    return res.coloring.rebind(g), res.condition
+    return gp, []
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +195,7 @@ def case1_reduce(
 
 def case2_reduce(
     g: Multigraph, params: EngineParams, trace: PipelineTrace
-) -> tuple[EdgeColoring, str]:
+) -> tuple[Multigraph, list[list[int]]]:
     n = (g.vertex_count + 1) // 2
     eps, eta = params.epsilon, params.eta
     delta = g.max_degree()
@@ -263,8 +279,7 @@ def case2_reduce(
     if degs != {delta - 2 * k_count}:
         raise GuardFailed("case2.regular", f"degrees {sorted(degs)[:4]}")
 
-    res = color_exact(gp, params, trace)
-    return _recombine(g, res.coloring, peeled), res.condition
+    return gp, peeled
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +306,7 @@ def _saturate_center(
 
 def case3_reduce(
     g: Multigraph, params: EngineParams, trace: PipelineTrace
-) -> tuple[EdgeColoring, str]:
+) -> tuple[Multigraph, list[list[int]]]:
     n = (g.vertex_count + 1) // 2
     eta = params.eta
     w_set = compute_W(g, eta)
@@ -313,14 +328,10 @@ def case3_reduce(
     # Branch A: peel single matchings while the deficiency landscape allows.
     while True:
         wrep = deficiency_report(gp)
-        v_small = sorted(wrep.vertices_of_degree(wrep.delta_min))
         if wrep.delta_max == wrep.delta_min:
             break
-        if len(v_small) % 2 == 0:
-            leave_out = v_small
-        elif wrep.middle_degree_vertices:
-            leave_out = v_small + [min(wrep.middle_degree_vertices)]
-        else:
+        leave_out = _leave_out(wrep, gp.vertex_count)
+        if leave_out is None:
             break
         peeled.append(_peel_perfect_matching(gp, leave_out, trace, "case3.branchA"))
         _check_not_overfull(gp, trace, "case3.branchA")
@@ -344,8 +355,7 @@ def case3_reduce(
                     _peel_perfect_matching(gp, fixed_small - {keep}, trace, "case3.branchB")
                 )
 
-    res = color_exact(gp, params, trace)
-    return _recombine(g, res.coloring, peeled), res.condition
+    return gp, peeled
 
 
 # ---------------------------------------------------------------------------
@@ -354,44 +364,38 @@ def case3_reduce(
 
 def case4_reduce(
     g: Multigraph, params: EngineParams, trace: PipelineTrace
-) -> tuple[EdgeColoring, str]:
-    eta = params.eta
+) -> tuple[Multigraph, list[list[int]]]:
     peeled: list[list[int]] = []
     work = g.copy()
 
     while True:
         rep = deficiency_report(work)
-        delta = rep.delta_max
         v_small = sorted(rep.vertices_of_degree(rep.delta_min))
-        w_now = compute_W(work, eta)
         if len(v_small) == 1:
             peeled.append(_peel_perfect_matching(work, v_small, trace, "case4.vdelta1"))
             _check_not_overfull(work, trace, "case4.vdelta1")
             continue
-        if rep.df_total < delta + len(w_now) + 1:
-            res, inner = _case4_branch_parallel(work, params, trace), []
+        if rep.df_total < rep.delta_max + len(compute_W(work, params.eta)) + 1:
+            gp, inner = _case4_branch_parallel(work, trace)
             break
-        if len(v_small) % 2 == 1 or rep.middle_degree_vertices:
-            if len(v_small) % 2 == 1:
-                leave_out = v_small
-            else:
-                leave_out = v_small + [min(rep.middle_degree_vertices)]
-            peeled.append(_peel_perfect_matching(work, leave_out, trace, "case4.parity"))
-            _check_not_overfull(work, trace, "case4.parity")
-            continue
-        res, inner = _case4_branch_saturate(work, params, trace)
-        break
+        leave_out = _leave_out(rep, work.vertex_count)
+        if leave_out is None:
+            gp, inner = _case4_branch_saturate(work, trace)
+            break
+        peeled.append(_peel_perfect_matching(work, leave_out, trace, "case4.parity"))
+        _check_not_overfull(work, trace, "case4.parity")
 
     # Outer matchings in reverse peel order: the first one peeled off g
     # takes the top color Delta(g).
-    return _recombine(g, res.coloring, inner + peeled[::-1]), res.condition
+    return gp, inner + peeled[::-1]
 
 
 def _case4_branch_parallel(
-    work: Multigraph, params: EngineParams, trace: PipelineTrace
-) -> DcolorResult:
-    """df(G) < Delta + |W| + 1: pad ``work`` in place with (y,z)-parallels,
-    add a full-degree center, and run the engine under condition (b)."""
+    work: Multigraph, trace: PipelineTrace
+) -> tuple[Multigraph, list[list[int]]]:
+    """df(G) < Delta + |W| + 1: pad ``work`` in place with (y,z)-parallels
+    and add a full-degree center, for the engine's condition (b).  Peels
+    nothing."""
     rep = deficiency_report(work)
     delta = rep.delta_max
     v_small = sorted(rep.vertices_of_degree(rep.delta_min))
@@ -414,15 +418,15 @@ def _case4_branch_parallel(
     degs = set(gp.degrees().values())
     if degs != {delta}:
         raise ConstructionFailed(f"case4: padded graph not regular: {sorted(degs)[:4]}")
-    return color_exact(gp, params, trace)
+    return gp, []
 
 
 def _case4_branch_saturate(
-    work: Multigraph, params: EngineParams, trace: PipelineTrace
-) -> tuple[DcolorResult, list[list[int]]]:
+    work: Multigraph, trace: PipelineTrace
+) -> tuple[Multigraph, list[list[int]]]:
     """df(G) >= Delta + |W| + 1 with |V_delta| even and no middle vertex:
-    saturate one minimum vertex, level the rest, then peel to condition (c).
-    Returns the engine's result and the matchings peeled in G'."""
+    saturate one minimum vertex, level the rest, then peel G' to regular
+    for the engine's condition (c)."""
     rep = deficiency_report(work)
     delta = rep.delta_max
     small = rep.delta_min
@@ -459,19 +463,15 @@ def _case4_branch_saturate(
         prep = deficiency_report(gp)
         if prep.delta_max == prep.delta_min:
             break
-        v_min_set = set(prep.vertices_of_degree(prep.delta_min))
-        if not prep.middle_degree_vertices:
-            step, leave_out = "case4.level", v_min_set
-        elif len(v_min_set) % 2 == 1:
-            # Same parity-restoring peel as the outer loop, inside G'.
-            step, leave_out = "case4.mid", v_min_set
-        else:
-            step, leave_out = "case4.mid", v_min_set | {min(prep.middle_degree_vertices)}
+        leave_out = _leave_out(prep, gp.vertex_count)
+        if leave_out is None:
+            raise ConstructionFailed("case4: no leveling peel leaves an even-order host")
+        step = "case4.mid" if prep.middle_degree_vertices else "case4.level"
         peeled.append(_peel_perfect_matching(gp, leave_out, trace, step))
     else:
         raise ConstructionFailed("case4: leveling loop did not settle")
 
-    return color_exact(gp, params, trace), peeled
+    return gp, peeled
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +501,7 @@ def color_odd_dense(
     if g.min_degree() < (1 + epsilon) * n:
         trace.note("setup", f"OutOfRegime: delta={g.min_degree()} < (1+eps)n={(1 + epsilon) * n:.1f}")
 
+    params = EngineParams(epsilon=epsilon, eta=eta_val, seed=seed)
     delta = g.max_degree()
     if is_overfull(g):
         coloring = misra_gries(g)
@@ -509,7 +510,6 @@ def color_odd_dense(
         trace.note("verdict", "overfull input: class 2")
         return OddResult(VERDICT_CLASS_TWO, coloring, trace)
 
-    params = EngineParams(epsilon=epsilon, eta=eta_val, seed=seed)
     w_set = compute_W(g, eta_val)
     wn = len(w_set)
     if wn >= 2 * eta_val * n:
@@ -522,15 +522,13 @@ def color_odd_dense(
         case = 4
     trace.note("dispatch", f"|W|={wn} -> case {case}")
 
+    # Looked up at call time, so a rebinding of the module's case names
+    # (as a tracer does) takes effect.
+    reduce = {1: case1_reduce, 2: case2_reduce, 3: case3_reduce, 4: case4_reduce}[case]
     try:
-        if case == 1:
-            coloring, condition = case1_reduce(g, params, trace)
-        elif case == 2:
-            coloring, condition = case2_reduce(g, params, trace)
-        elif case == 3:
-            coloring, condition = case3_reduce(g, params, trace)
-        else:
-            coloring, condition = case4_reduce(g, params, trace)
+        gp, peeled = reduce(g, params, trace)
+        res = color_exact(gp, params, trace)
+        coloring = _recombine(g, res.coloring, peeled)
         report = verify_proper(g, coloring)
         used = len(coloring.used_colors())
         if not report.ok or not coloring.is_total() or used != delta:
@@ -538,7 +536,7 @@ def color_odd_dense(
                 "recombine",
                 f"proper={report.ok} total={coloring.is_total()} colors={used}/{delta}",
             )
-        return OddResult(VERDICT_CLASS_ONE, coloring, trace, case, condition)
+        return OddResult(VERDICT_CLASS_ONE, coloring, trace, case, res.condition)
     except EdgeColorError as exc:
         trace.note("fallback", f"{type(exc).__name__}: {exc}")
         coloring = misra_gries(g)

@@ -1,11 +1,15 @@
-"""Every function the benchmark's tracer wraps exists in the package, so a
-rename or deletion fails here rather than in a traced benchmark run."""
+"""Every function the benchmark's tracer wraps exists in the package, and
+the pipeline calls it through the name the tracer rebinds, so a rename, a
+deletion or a bypass fails here rather than in a traced benchmark run."""
 
 import importlib
 import os
 import sys
 
 import pytest
+
+from edgecolor.generators import gen_complete_minus_matching
+from edgecolor.reduction import color_odd_dense
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -19,3 +23,13 @@ def test_wrapped_name_resolves(module_name, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_traced_run_records_one_reduction_case():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        color_odd_dense(gen_complete_minus_matching(7, 3), 0.2)
+    finally:
+        tracer.uninstall()
+    assert tracer.group_count.get("reduction.case") == 1

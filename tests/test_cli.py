@@ -189,6 +189,8 @@ def test_color_too_large_exits_1(tmp_path, capsys, monkeypatch):
         ("complete", "6", ["--epsilon", "-0.2"], "epsilon must lie in (0,1)"),
         ("complete-minus-matching", "9", ["--epsilon", "1.5"], "epsilon must lie in (0,1)"),
         ("complete-minus-matching", "9", ["--eta", "-1"], "eta must be positive"),
+        ("complete", "7", ["--epsilon", "1.5"], "epsilon must lie in (0,1)"),
+        ("complete", "7", ["--eta", "-1"], "eta must be positive"),
     ],
 )
 def test_color_bad_params_exit_1(tmp_path, capsys, kind, n, flags, message):
@@ -204,3 +206,9 @@ def test_gen_negative_n_exits_1(capsys):
     assert run(["gen", "--kind", "complete", "--n", "-3", "--out", os.devnull]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--n" in err
+
+
+def test_gen_empty_dcolor_fixture_exits_1(capsys):
+    assert run(["gen", "--kind", "dcolor-fixture", "--condition", "a", "--n", "0", "--out", os.devnull]) == 1
+    err = capsys.readouterr().err
+    assert "infeasible parameters: degree -2 is negative" in err and "Traceback" not in err

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from edgecolor import reduction
 from edgecolor.coloring import EdgeColoring, verify_proper
 from edgecolor.engine import DcolorResult
-from edgecolor.errors import EvenOrderInput, PreconditionViolated
+from edgecolor.errors import EdgeColorError, EvenOrderInput, PreconditionViolated
 from edgecolor.generators import (
     gen_case_fixture,
     gen_complete,
@@ -195,6 +195,24 @@ def test_peel_deletes_exactly_a_perfect_matching_of_the_host(leave_out):
     assert [(e.step, e.guard, e.passed) for e in trace.entries] == [
         ("test", "matching-host-degrees", True)
     ]
+
+
+def test_case4_mid_peel_leaves_an_even_order_host():
+    """K_11 minus the circulant C_6(1,2) on vertices 0-5: saturating vertex 0
+    leaves G' (order 12) with middle-degree vertices, and the mid peel must
+    leave out a set that keeps the matched host at even order, so the
+    leveling loop gets past it."""
+    g = complete(11)
+    for u in range(6):
+        for off in (1, 2):
+            g.delete_edge(g.edges_between(u, (u + off) % 6)[0])
+    trace = PipelineTrace()
+    try:
+        reduction._case4_branch_saturate(g, trace)
+    except EdgeColorError as exc:
+        assert "even-order" not in str(exc)
+    peels = [e.step for e in trace.entries if e.guard == "matching-host-degrees"]
+    assert peels[0] == "case4.mid" and len(peels) >= 2
 
 
 def test_recombine_gives_peeled_classes_the_top_colors():
