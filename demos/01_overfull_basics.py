@@ -13,7 +13,7 @@ from edgecolor import (
     deficiency_report,
     detect_star_structure,
     is_overfull,
-    overfull_subgraph_check_dense,
+    overfull_deficiency,
 )
 
 
@@ -58,10 +58,13 @@ print(f"  exact chromatic index:    {brute_chromatic_index(pstar).chi_prime} (De
 print("  P* shows the overfull condition is not the whole story at ratio 1/3.")
 
 print()
-print("The dense-regime scanner only needs to look at whole graphs and")
-print("single-vertex deletions; it flags itself unsound outside the regime.")
-res = overfull_subgraph_check_dense(pstar, 0.2)
-print(f"  P* scan: witness={res.witness} sound={res.sound}")
+print("In the dense regime only the whole graph (odd order) or the graph")
+print("minus one vertex (even order) can be overfull, so one number decides:")
+print("the least deficiency of those subgraphs, overfull iff below Delta.")
+k7_plus = build_multigraph(8, [(u, v, 1) for u in range(7) for v in range(u + 1, 7)])
+for name, h in (("P*", pstar), ("K7", complete(7)), ("K6", complete(6)), ("K7 + isolated vertex", k7_plus)):
+    print(f"  {name}: least deficiency {overfull_deficiency(h)}, Delta {h.max_degree()}")
+print(f"  K7 + isolated vertex, exhaustive scan: {brute_overfull_scan(k7_plus)}")
 
 print()
 print("Star structure detection on a multigraph:")

@@ -10,11 +10,9 @@ exact brute-force oracles for small instances.
 from .coloring import (
     EdgeColoring,
     KempeChain,
-    ParityReport,
     ProperReport,
     kempe_chain,
     kempe_swap,
-    parity_audit,
     verify_proper,
 )
 from .classic import (
@@ -33,13 +31,12 @@ from .formats import emit_graph, parse_graph, read_graph, write_graph
 from .multigraph import (
     DeficiencyReport,
     Multigraph,
-    OverfullScanResult,
     StarProfile,
     build_multigraph,
     deficiency_report,
     detect_star_structure,
     is_overfull,
-    overfull_subgraph_check_dense,
+    overfull_deficiency,
 )
 from .oracle import OracleResult, brute_chromatic_index, brute_overfull_scan
 from .partition import Partition, SplitGraphs, adjust_for_center, balanced_partition, build_split
@@ -56,8 +53,6 @@ __all__ = [
     "Multigraph",
     "OddResult",
     "OracleResult",
-    "OverfullScanResult",
-    "ParityReport",
     "Partition",
     "PathCover",
     "PipelineTrace",
@@ -89,8 +84,7 @@ __all__ = [
     "konig_color",
     "misra_gries",
     "near_star_color",
-    "overfull_subgraph_check_dense",
-    "parity_audit",
+    "overfull_deficiency",
     "parse_graph",
     "path_cover_matching",
     "path_cover_star",

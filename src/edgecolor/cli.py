@@ -173,9 +173,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "delta": g.max_degree(),
         "class": 1 if result.chi_prime == g.max_degree() else 2,
         "overfull": is_overfull(g),
-        "overfull_witness": scan,
         "coloring": formats.coloring_to_dict(result.witness, g),
     }
+    # A null witness means the scan ran and found none; above its cap only
+    # g itself is checked, and the key is left out when g is not overfull.
+    if g.vertex_count <= 20:
+        doc["overfull_witness"] = scan
+    elif doc["overfull"]:
+        doc["overfull_witness"] = g.vertex_list()
     _write_out(formats.dump_json(doc), args.out)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import NotTotal, PreconditionViolated, StaleChain
+from .errors import StaleChain
 from .multigraph import Multigraph
 
 SHAPE_PATH = "Path"
@@ -41,13 +41,6 @@ class EdgeColoring:
         self.assignment: dict[int, int] = {}
         self._present: list[dict[int, int]] = [dict() for _ in range(graph.n)]
         self._classes: dict[int, set[int]] = {}
-
-    def copy(self) -> "EdgeColoring":
-        c = EdgeColoring(self.graph, self.k)
-        c.assignment = dict(self.assignment)
-        c._present = [dict(p) for p in self._present]
-        c._classes = {col: set(eids) for col, eids in self._classes.items()}
-        return c
 
     def rebind(self, graph: Multigraph) -> "EdgeColoring":
         """Copy restricted to the edges of ``graph`` (shared edge ids)."""
@@ -252,29 +245,3 @@ def kempe_swap(c: EdgeColoring, chain: KempeChain) -> EdgeColoring:
     for eid, col in zip(chain.edges, current):
         c.assign(eid, beta if col == alpha else alpha)
     return c
-
-
-@dataclass
-class ParityReport:
-    ok: bool
-    violations: list[tuple[int, int]] = field(default_factory=list)
-
-
-def parity_audit(g: Multigraph, c: EdgeColoring) -> ParityReport:
-    """Check ``|missing(i)| == |V| (mod 2)`` for every palette color.
-
-    Holds for every total proper coloring with ``k >= Delta`` (each color
-    class is a matching, so it misses ``|V| - 2|class|`` vertices); any
-    violation therefore indicates an implementation bug upstream.
-    """
-    if not c.is_total():
-        raise NotTotal("parity audit needs a total coloring")
-    if c.k < g.max_degree():
-        raise PreconditionViolated("parity_audit.k", f"k={c.k} < Delta={g.max_degree()}")
-    violations = []
-    nv = g.vertex_count
-    for color in range(1, c.k + 1):
-        miss = nv - 2 * c.class_size(color)
-        if miss % 2 != nv % 2:
-            violations.append((color, miss))
-    return ParityReport(ok=not violations, violations=violations)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .coloring import EdgeColoring, parity_audit, verify_proper
+from .coloring import EdgeColoring, verify_proper
 from .equalize import equalize_balanced_sides, equalize_classes, equalize_per_side
 from .errors import (
     EdgeColorError,
@@ -135,6 +135,8 @@ def classify_condition(
     returned context carries the special vertices (y, z) where relevant.
     """
     trace = trace if trace is not None else PipelineTrace()
+    if not g.verts:
+        raise PreconditionViolated("nonempty", "the graph has no vertices")
     profile = detect_star_structure(g)
     if profile.kind == KIND_NOT_NEAR_STAR:
         raise PreconditionViolated("near-star", "two multi-pairs avoid every vertex")
@@ -875,10 +877,6 @@ def color_exact(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> Dc
     report = verify_proper(state.g_star, final)
     if not report.ok:
         raise GuardFailed("final.proper", f"{len(report.violations)} violations")
-    audit = final.copy()
-    audit.extend_palette(max(audit.k, state.g_star.max_degree()))
-    parity = parity_audit(state.g_star, audit)
-    trace.check("final", "parity", len(parity.violations), 0, parity.ok)
     used = len(final.used_colors())
     delta = g.max_degree()
     trace.check("final", "colors<=Delta", used, delta, used <= delta)

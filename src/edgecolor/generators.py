@@ -392,7 +392,7 @@ def gen_case_fixture(case: int, n_half: int) -> Fixture:
     else:
         raise InfeasibleParams(f"unknown case {case}")
     rep = deficiency_report(fix.graph)
-    if rep.overfull:
+    if is_overfull(fix.graph):
         raise InfeasibleParams("fixture is overfull")
     if fix.graph.min_degree() < (1 + fix.epsilon) * n:
         raise InfeasibleParams("fixture misses the density floor")

@@ -1,6 +1,13 @@
 """Loopless multigraph with stable edge identities, plus degree and
 overfull analytics.
 
+Overfull logic has one dense-regime primitive, :func:`overfull_deficiency`:
+the least deficiency of the subgraphs that can be overfull when the
+minimum degree is large (g at odd order, g minus a vertex at even order).
+Two other checks sit beside it: :func:`is_overfull`, the definition on g itself,
+and ``oracle.brute_overfull_scan``, the exhaustive reference over every odd
+vertex subset.
+
 Parallel edges are first-class citizens: every edge carries an integer id
 that survives edge and vertex deletions, so a coloring built on a subgraph
 can be merged back into a coloring of the host graph.  Vertex deletion
@@ -10,7 +17,7 @@ labels and edge ids stable across the whole pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import LoopRejected, VertexOutOfRange
@@ -246,7 +253,6 @@ class DeficiencyReport:
     df_per_vertex: dict[int, int]
     df_total: int
     middle_degree_vertices: set[int]
-    overfull: bool
 
     def vertices_of_degree(self, i: int) -> set[int]:
         return {v for v, df in self.df_per_vertex.items() if self.delta_max - df == i}
@@ -264,8 +270,20 @@ def deficiency_report(g: Multigraph) -> DeficiencyReport:
         df_per_vertex=df,
         df_total=sum(df.values()),
         middle_degree_vertices=middle,
-        overfull=is_overfull(g),
     )
+
+
+def overfull_deficiency(g: Multigraph) -> int:
+    """The least deficiency ``df(H) = sum(Delta(g) - d_H(v))`` over the
+    subgraphs H that can be overfull in the dense regime: g itself at odd
+    order, ``g - u`` at even order.  Removing u leaves
+    ``df(g) - Delta + 2 d(u)``, least at a minimum-degree u.  Such an H
+    has odd order, so it is Delta(g)-overfull iff the value is below
+    Delta(g)."""
+    rep = deficiency_report(g)
+    if g.vertex_count % 2 == 1:
+        return rep.df_total
+    return rep.df_total - rep.delta_max + 2 * rep.delta_min
 
 
 @dataclass
@@ -299,65 +317,3 @@ def detect_star_structure(g: Multigraph) -> StarProfile:
                 residual_pair=outside[0],
             )
     return StarProfile(kind=KIND_NOT_NEAR_STAR)
-
-
-@dataclass
-class OverfullScanResult:
-    witness: Optional[str]  # None, "whole-graph", or "minus-vertex:<v>"
-    sound: bool
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def has_witness(self) -> bool:
-        return self.witness is not None
-
-
-def _delta_overfull(sub: Multigraph, delta_host: int) -> bool:
-    nv = sub.vertex_count
-    if nv % 2 == 0:
-        return False
-    if 2 * sub.edge_count <= delta_host * (nv - 1):
-        return False
-    return sub.max_degree() == delta_host
-
-
-def overfull_subgraph_check_dense(g: Multigraph, epsilon: float) -> OverfullScanResult:
-    """Scan for a Delta-overfull subgraph in the dense regime.
-
-    Density makes induced subgraphs on ``3 <= |X| <= |V|-3`` vertices safe,
-    so only the whole graph (odd order) or single-vertex deletions (even
-    order) can be witnesses.  The verdict is computed regardless, but it is
-    flagged unsound when the density precondition fails.
-    """
-    notes: list[str] = []
-    nv = g.vertex_count
-    profile = detect_star_structure(g)
-    if profile.kind in (KIND_STAR, KIND_NEAR_STAR) and profile.center is not None:
-        gx = g.without_vertices([profile.center])
-        floor_needed = (1.0 + epsilon) * nv / 2.0
-        dmin = gx.min_degree()
-        sound = dmin >= floor_needed
-        if not sound:
-            notes.append(
-                f"DensityPreconditionUnmet: delta(G-x)={dmin} < (1+eps)|V|/2={floor_needed:.2f}"
-            )
-    else:
-        floor_needed = (1.0 + epsilon) * ((nv + 1) // 2)
-        dmin = g.min_degree()
-        sound = dmin >= floor_needed
-        if not sound:
-            notes.append(
-                f"DensityPreconditionUnmet: delta(G)={dmin} < (1+eps)ceil(|V|/2)={floor_needed:.2f}"
-            )
-
-    delta = g.max_degree()
-    if nv % 2 == 1:
-        if _delta_overfull(g, delta):
-            return OverfullScanResult(witness="whole-graph", sound=sound, notes=notes)
-    else:
-        for v in g.vertex_list():
-            if _delta_overfull(g.without_vertices([v]), delta):
-                return OverfullScanResult(
-                    witness=f"minus-vertex:{v}", sound=sound, notes=notes
-                )
-    return OverfullScanResult(witness=None, sound=sound, notes=notes)

@@ -45,7 +45,13 @@ from .errors import (
     MatchingFailed,
     PreconditionViolated,
 )
-from .multigraph import DeficiencyReport, Multigraph, deficiency_report, is_overfull
+from .multigraph import (
+    DeficiencyReport,
+    Multigraph,
+    deficiency_report,
+    is_overfull,
+    overfull_deficiency,
+)
 from .trace import PipelineTrace
 from .vizing import greedy_color, misra_gries
 
@@ -79,21 +85,11 @@ def compute_W(g: Multigraph, eta: float) -> set[int]:
 
 
 def _check_not_overfull(g: Multigraph, trace: PipelineTrace, step: str) -> None:
-    """Deficiency certificate against Delta-overfull subgraphs.
-
-    Odd order: the whole graph is the only candidate, needing df >= Delta.
-    Even order: single-vertex deletions are the candidates; removing u
-    leaves deficiency d(u) + df(G) - df(u), worst at a minimum vertex.
-    """
-    rep = deficiency_report(g)
-    if g.vertex_count % 2 == 1:
-        ok = rep.df_total >= rep.delta_max
-        trace.check(step, "df(G)>=Delta(G)", rep.df_total, rep.delta_max, ok)
-    else:
-        worst = 2 * rep.delta_min - rep.delta_max + rep.df_total
-        ok = worst >= rep.delta_max
-        trace.check(step, "df(G-u)>=Delta(G)", worst, rep.delta_max, ok)
-    if not ok:
+    """Deficiency certificate against Delta-overfull subgraphs: the whole
+    graph at odd order, single-vertex deletions at even order."""
+    least, delta = overfull_deficiency(g), g.max_degree()
+    guard = "df(G)>=Delta(G)" if g.vertex_count % 2 == 1 else "df(G-u)>=Delta(G)"
+    if not trace.check(step, guard, least, delta, least >= delta):
         raise GuardFailed(f"{step}.not-overfull", "deficiency certificate failed")
 
 

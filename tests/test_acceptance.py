@@ -18,7 +18,7 @@ from edgecolor.classic import (
     konig_color,
 )
 from edgecolor.cli import main as cli_main
-from edgecolor.coloring import parity_audit, verify_proper
+from edgecolor.coloring import verify_proper
 from edgecolor.engine import (
     EngineParams,
     EngineState,
@@ -302,13 +302,21 @@ def test_criterion_08_step2_one_factors():
 
 
 def test_criterion_09_parity_everywhere(corpus_results):
-    """Parity audit on every total proper coloring the suite produced."""
+    """Every color misses a number of vertices with the parity of |V|.
+
+    The misses are counted from the raw assignment and the graph's
+    endpoints, not from the coloring's own indexes, so a color class that
+    is not a matching shows up here.
+    """
     results, _ = corpus_results
     for kind, g, verdict, coloring in results:
-        audit = coloring.copy()
-        audit.extend_palette(max(audit.k, g.max_degree()))
-        report = parity_audit(g, audit)
-        assert report.ok, (kind, verdict, report.violations[:3])
+        covered: dict[int, set[int]] = {}
+        for eid, color in coloring.assignment.items():
+            covered.setdefault(color, set()).update(g.endpoints(eid))
+        nv = g.vertex_count
+        for color in range(1, max(coloring.k, g.max_degree()) + 1):
+            missing = nv - len(covered.get(color, ()))
+            assert missing % 2 == nv % 2, (kind, verdict, color, missing)
     print("[acceptance] criterion 9: PASS - parity lemma holds on all 1000 colorings")
 
 

@@ -212,3 +212,34 @@ def test_gen_empty_dcolor_fixture_exits_1(capsys):
     assert run(["gen", "--kind", "dcolor-fixture", "--condition", "a", "--n", "0", "--out", os.devnull]) == 1
     err = capsys.readouterr().err
     assert "infeasible parameters: degree -2 is negative" in err and "Traceback" not in err
+
+
+def _cycle_file(tmp_path, n):
+    mg = tmp_path / f"c{n}.mg"
+    mg.write_text(f"p multigraph {n} {n}\n" + "".join(f"e {i} {(i + 1) % n} 1\n" for i in range(n)))
+    return mg
+
+
+def test_oracle_witness_above_scan_cap(tmp_path, capsys):
+    """Above 20 vertices the subset scan does not run: an overfull g is its
+    own witness, and otherwise the key is absent rather than null."""
+    assert run(["oracle", str(_cycle_file(tmp_path, 21))]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["overfull"] is True and doc["overfull_witness"] == list(range(21))
+    assert run(["oracle", str(_cycle_file(tmp_path, 22))]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["overfull"] is False and "overfull_witness" not in doc
+    assert run(["oracle", str(_cycle_file(tmp_path, 5))]) == 0
+    assert json.loads(capsys.readouterr().out)["overfull_witness"] == list(range(5))
+
+
+def test_color_empty_graph_falls_back(tmp_path, capsys):
+    mg = tmp_path / "empty.mg"
+    mg.write_text("p multigraph 0 0\n")
+    out = tmp_path / "empty.json"
+    assert run(["color", str(mg), "--out", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "Fallback" and doc["colors_used"] == 0
+    assert "PreconditionViolated: nonempty" in doc["trace"][-1]["note"]
+    assert run(["verify", str(mg), str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True

@@ -6,7 +6,6 @@ from edgecolor.coloring import (
     EdgeColoring,
     kempe_chain,
     kempe_swap,
-    parity_audit,
     verify_proper,
 )
 from edgecolor.errors import StaleChain
@@ -119,21 +118,6 @@ def test_chains_partition_two_color_subgraph(seed):
         edges.extend(ch.edges)
     expect = sorted(e for e, col in c.assignment.items() if col in (1, 2))
     assert sorted(edges) == expect
-
-
-def test_parity_audit_k4(k4):
-    c = greedy_coloring(k4, 3)
-    report = parity_audit(k4, c)
-    assert report.ok  # all classes perfect matchings: 0 misses, |V| even
-
-
-def test_parity_audit_c5():
-    g = cycle(5)
-    c = greedy_coloring(g, 3)
-    report = parity_audit(g, c)
-    assert report.ok
-    for col in range(1, 4):
-        assert (5 - 2 * c.class_size(col)) % 2 == 1  # odd misses per class
 
 
 @st.composite

@@ -8,7 +8,7 @@ from edgecolor.multigraph import (
     deficiency_report,
     detect_star_structure,
     is_overfull,
-    overfull_subgraph_check_dense,
+    overfull_deficiency,
 )
 from edgecolor.oracle import brute_overfull_scan
 
@@ -60,7 +60,7 @@ def test_overfull_examples():
 
 def test_deficiency_k5():
     rep = deficiency_report(complete(5))
-    assert rep.df_total == 0 and rep.overfull
+    assert rep.df_total == 0 and is_overfull(complete(5))
 
 
 def test_deficiency_k5_minus_edge():
@@ -79,7 +79,7 @@ def test_deficiency_k7_minus_matching():
     rep = deficiency_report(g)
     assert rep.delta_max == 6
     assert rep.df_total == 6
-    assert not rep.overfull
+    assert not is_overfull(g)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=3, max_value=11))
@@ -117,22 +117,24 @@ def test_star_detection_near_and_not():
     assert detect_star_structure(g2).kind == "NotNearStar"
 
 
-def test_dense_overfull_scan_matches_brute():
-    for seed in range(25):
-        g = random_simple(9, 0.85, seed)
-        res = overfull_subgraph_check_dense(g, 0.2)
-        if not res.sound:
-            continue
-        brute = brute_overfull_scan(g)
-        assert res.has_witness == (brute is not None)
-
-
-def test_dense_scan_examples():
+def test_overfull_deficiency_matches_brute():
+    """The dense-regime primitive agrees with the exhaustive scan."""
+    draws = [
+        random_simple(n, p, seed)
+        for n in range(8, 13)
+        for p in (0.75, 0.85, 0.95)
+        for seed in range(10)
+    ]
+    k7_plus = build_multigraph(8, [(u, v, 1) for u in range(7) for v in range(u + 1, 7)])
     pstar = petersen_minus_vertex()
-    res = overfull_subgraph_check_dense(pstar, 0.2)
-    assert not res.has_witness  # yet chi'(P*) = 4: class 2 without a witness
-    assert overfull_subgraph_check_dense(complete(7), 0.2).witness == "whole-graph"
-    assert not overfull_subgraph_check_dense(complete(6), 0.2).has_witness
+    for g in [k7_plus, pstar, complete(7), complete(6)] + draws:
+        assert (overfull_deficiency(g) < g.max_degree()) == (brute_overfull_scan(g) is not None)
+    # even order with a witness: K7 plus an isolated vertex, minus that vertex
+    assert overfull_deficiency(k7_plus) == 0 and brute_overfull_scan(k7_plus) == list(range(7))
+    # P* is class 2 without an overfull witness
+    assert overfull_deficiency(pstar) == 3 and brute_overfull_scan(pstar) is None
+    assert overfull_deficiency(complete(7)) == 0
+    assert overfull_deficiency(complete(6)) == 5
 
 
 def test_induced_with_edge_ids():
