@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from .coloring import EdgeColoring, kempe_chain, kempe_swap
 from .errors import (
@@ -63,12 +64,26 @@ def hakimi_realize(degrees: list[int]) -> Multigraph:
 # Hamiltonian cycles (Dirac regime)
 
 
-def _simple_adj(g: Multigraph) -> dict[int, set[int]]:
-    return {v: set(g.neighbors(v)) for v in g.verts}
+def _simple_adj(g: Multigraph, skip: frozenset[int] = frozenset()) -> dict[int, set[int]]:
+    """Simple adjacency of g minus the vertices ``skip``."""
+    return {v: set(g.neighbors(v)).difference(skip) for v in g.verts if v not in skip}
 
 
-def check_hamiltonian_cycle(g: Multigraph, cycle: list[int]) -> bool:
-    verts = g.verts
+def host_degrees(g: Multigraph, skip: Iterable[int] = ()) -> dict[int, int]:
+    """Degree of each vertex of g minus the vertices ``skip``: its degree in
+    g less its multiplicity into ``skip``.  No graph is built."""
+    skip = set(skip)
+    degs = {v: g.degree(v) for v in g.verts if v not in skip}
+    for s in skip & g.verts:
+        for w in g.neighbors(s):
+            if w in degs:
+                degs[w] -= g.multiplicity(s, w)
+    return degs
+
+
+def check_hamiltonian_cycle(g: Multigraph, cycle: list[int], skip: Iterable[int] = ()) -> bool:
+    """True iff ``cycle`` is a Hamiltonian cycle of g minus the vertices ``skip``."""
+    verts = g.verts.difference(skip)
     if len(cycle) != len(verts) or set(cycle) != verts:
         return False
     if len(cycle) < 3:
@@ -79,19 +94,22 @@ def check_hamiltonian_cycle(g: Multigraph, cycle: list[int]) -> bool:
     )
 
 
-def dirac_hamiltonian(g: Multigraph) -> list[int]:
-    """Hamiltonian cycle of a graph with min degree >= |V|/2.
+def dirac_hamiltonian(g: Multigraph, skip: Iterable[int] = ()) -> list[int]:
+    """Hamiltonian cycle of g minus the vertices ``skip`` (the host), whose
+    min degree is >= |V|/2.
 
     Builds the Bondy-Chvatal closure (complete under the Dirac condition),
     takes the trivial Hamiltonian cycle of the closure, then removes the
     closure edges last-in-first-out, repairing the cycle with a crossing
-    chord each time.  The result is verified before it is returned.
+    chord each time.  The result is verified on the host before it is
+    returned.
     """
-    verts = g.vertex_list()
+    skip = frozenset(skip)
+    verts = sorted(g.verts - skip)
     nv = len(verts)
     if nv < 3:
         raise PreconditionViolated("n>=3", f"|V|={nv}")
-    adj = _simple_adj(g)
+    adj = _simple_adj(g, skip)
     if min(len(adj[v]) for v in verts) * 2 < nv:
         raise PreconditionViolated(
             "dirac", f"min degree {min(len(adj[v]) for v in verts)} < |V|/2={nv / 2}"
@@ -135,7 +153,7 @@ def dirac_hamiltonian(g: Multigraph) -> list[int]:
         cycle = path[: pick + 1] + path[pick + 1 :][::-1]
         pos = {w: t for t, w in enumerate(cycle)}
 
-    if not check_hamiltonian_cycle(g, cycle):
+    if not check_hamiltonian_cycle(g, cycle, skip):
         raise AssertionError("constructed cycle failed verification")
     return cycle
 
@@ -144,16 +162,21 @@ def dirac_hamiltonian(g: Multigraph) -> list[int]:
 # Perfect matchings
 
 
-def check_matching(g: Multigraph, edge_ids: list[int], perfect: bool = True) -> bool:
+def check_matching(
+    g: Multigraph, edge_ids: list[int], perfect: bool = True, skip: Iterable[int] = ()
+) -> bool:
+    """True iff ``edge_ids`` is a matching (a perfect one when ``perfect``)
+    of g minus the vertices ``skip``."""
+    verts = g.verts.difference(skip)
     used: set[int] = set()
     for eid in edge_ids:
         if not g.has_edge_id(eid):
             return False
         u, v = g.endpoints(eid)
-        if u in used or v in used:
+        if u in used or v in used or u not in verts or v not in verts:
             return False
         used.update((u, v))
-    return (used == g.verts) if perfect else True
+    return (used == verts) if perfect else True
 
 
 def _brute_perfect_matching(g: Multigraph, verts: list[int]) -> list[int] | None:
@@ -170,19 +193,22 @@ def _brute_perfect_matching(g: Multigraph, verts: list[int]) -> list[int] | None
     return None
 
 
-def perfect_matching_dense(g: Multigraph) -> list[int]:
-    """Perfect matching when all but at most one vertex have degree > |V|/2.
+def perfect_matching_dense(g: Multigraph, skip: Iterable[int] = ()) -> list[int]:
+    """Perfect matching of g minus the vertices ``skip`` (the host) when all
+    but at most one host vertex have host degree > |V|/2.
 
     Pairs the minimum-degree vertex with a neighbor, finds a Hamiltonian
     cycle of the rest (Dirac applies), and takes alternate cycle edges.
+    The host is read off g; no graph is built.
     """
-    verts = g.vertex_list()
+    skip = frozenset(skip)
+    degs = host_degrees(g, skip)
+    verts = sorted(degs)
     nv = len(verts)
     if nv % 2 != 0:
         raise PreconditionViolated("even-order", f"|V|={nv}")
     if nv == 0:
         return []
-    degs = {v: g.degree(v) for v in verts}
     if min(degs.values()) < 1:
         raise PreconditionViolated("min-degree", "isolated vertex")
     low = [v for v in verts if degs[v] < nv // 2 + 1]
@@ -196,14 +222,13 @@ def perfect_matching_dense(g: Multigraph) -> list[int]:
             raise NoPerfectMatching("no perfect matching in small host")
         return m
     u = min(verts, key=lambda v: (degs[v], v))
-    v = g.neighbors(u)[0]
-    rest = g.without_vertices([u, v])
-    cycle = dirac_hamiltonian(rest)
+    v = next(w for w in g.neighbors(u) if w not in skip)
+    cycle = dirac_hamiltonian(g, skip | {u, v})
     matching = [g.edges_between(u, v)[0]]
     for i in range(0, len(cycle), 2):
         a, b = cycle[i], cycle[i + 1]
         matching.append(g.edges_between(a, b)[0])
-    if not check_matching(g, matching):
+    if not check_matching(g, matching, skip=skip):
         raise AssertionError("dense matching failed verification")
     return matching
 
@@ -261,43 +286,62 @@ def perfect_matching_bipartite_star(
     left: list[int],
     right: list[int],
     center: int | None = None,
+    edge_ids: Optional[Iterable[int]] = None,
 ) -> list[int]:
     """Perfect matching of a bipartite multigraph, center matched first.
 
-    With a center x: x is matched to a neighbor y, then a maximum matching
-    of the remainder must saturate it (candidate y's are tried in index
-    order).  When no perfect matching exists, ``NoPerfectMatching`` names
-    the size of a maximum matching against the size needed.
+    The host is ``g.induced(left + right, edge_ids)``, read off g without
+    building it: the listed edges (every edge when ``edge_ids`` is None)
+    with both ends on a side.  Each adjacent pair is matched through its
+    least edge id.  With a center x in the host: x is matched to a neighbor
+    y, then a maximum matching of the remainder must saturate it (candidate
+    y's are tried in index order).  When no perfect matching exists,
+    ``NoPerfectMatching`` names the size of a maximum matching against the
+    size needed.
     """
     ls, rs = set(left), set(right)
-    if ls & rs or (ls | rs) != g.verts:
+    if ls & rs or not (ls | rs) <= g.verts:
         raise PreconditionViolated("sides", "left/right must split the vertex set")
     if len(ls) != len(rs):
         raise NoPerfectMatching(f"side sizes differ: {len(ls)} vs {len(rs)}")
-    for _, u, v in g.edges():
+    nbrs: dict[int, list[int]] = {v: [] for v in ls | rs}
+    least: dict[tuple[int, int], int] = {}
+    for eid in sorted(g.edge_ids() if edge_ids is None else set(edge_ids)):
+        u, v = g.endpoints(eid)
+        if u not in nbrs or v not in nbrs:
+            continue
         if (u in ls) == (v in ls):
             raise PreconditionViolated("bipartite", f"edge inside one side: ({u},{v})")
+        if (u, v) not in least:
+            least[u, v] = eid
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    for vs in nbrs.values():
+        vs.sort()
+
+    def matched(m: dict[int, int]) -> list[int]:
+        return [least[min(u, w), max(u, w)] for u, w in sorted(m.items())]
 
     def solve(l_side: list[int], r_side: list[int]) -> dict[int, int]:
         r_set = set(r_side)
-        adj = {u: [w for w in g.neighbors(u) if w in r_set] for u in l_side}
+        adj = {u: [w for w in nbrs[u] if w in r_set] for u in l_side}
         return hopcroft_karp(adj, sorted(l_side))
 
-    if center is None or center not in g.verts:
+    if center is None or center not in nbrs:
         m = solve(sorted(ls), sorted(rs))
         if len(m) < len(ls):
             raise NoPerfectMatching(
                 f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"
             )
-        return [g.edges_between(u, w)[0] for u, w in sorted(m.items())]
+        return matched(m)
 
     if center in rs:
         ls, rs = rs, ls
-    for y in g.neighbors(center):
+    for y in nbrs[center]:
         m = solve(sorted(ls - {center}), sorted(rs - {y}))
         if len(m) == len(ls) - 1:
             m[center] = y
-            return [g.edges_between(u, w)[0] for u, w in sorted(m.items())]
+            return matched(m)
     best = len(solve(sorted(ls), sorted(rs)))
     raise NoPerfectMatching(
         f"no center choice extends to a perfect matching (maximum matching {best} of {len(ls)})"

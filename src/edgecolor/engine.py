@@ -147,8 +147,12 @@ def classify_condition(
     dmin = g.min_degree()
     degs = g.degrees()
     sdeg = {v: g.simple_degree(v) for v in g.verts}
-    gx = g.without_vertices([x])
-    dmin_x = gx.min_degree() if gx.vertex_count else 0
+    # delta(G - x) and mu(G - x), read off g without building G - x.
+    dmin_x = min((degs[v] - g.multiplicity(v, x) for v in g.verts if v != x), default=0)
+    mu_x = max(
+        (g.multiplicity(v, w) for v in g.verts if v != x for w in g.neighbors(v) if w != x),
+        default=0,
+    )
     is_star = profile.kind in ("Simple", "Star")
     regular = delta == dmin
     root_n = math.sqrt(n)
@@ -181,7 +185,7 @@ def classify_condition(
             log("b", "delta>=(1+eps)n", dmin, (1 + eps) * n, dmin >= (1 + eps) * n),
             log("b", "simple-degree(x)>=2", sdeg[x], 2, sdeg[x] >= 2),
             log("b", "heavy-neighbors<=sqrt(n)", len(heavy), root_n, len(heavy) <= root_n),
-            log("b", "mu(G-x)<sqrt(n)", gx.mu(), root_n, gx.mu() < root_n),
+            log("b", "mu(G-x)<sqrt(n)", mu_x, root_n, mu_x < root_n),
             log("b", "others-simple>=(1+eps)n", None, (1 + eps) * n, others_ok),
         ]
     )
@@ -770,10 +774,13 @@ def step3_color_residuals(state: EngineState) -> EngineState:
         failed = None
         for j in order:
             side_a, side_b = hosts[j]
-            h_j = state.g_star.induced(side_a + side_b, (e for e in free_h if e not in used))
             try:
                 matchings[j] = perfect_matching_bipartite_star(
-                    h_j, side_a, side_b, center=state.x if state.x in h_j.verts else None
+                    state.g_star,
+                    side_a,
+                    side_b,
+                    center=state.x,
+                    edge_ids=(e for e in free_h if e not in used),
                 )
             except (NoPerfectMatching, PreconditionViolated) as exc:
                 failed, failure = j, exc

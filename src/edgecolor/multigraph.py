@@ -13,6 +13,14 @@ that survives edge and vertex deletions, so a coloring built on a subgraph
 can be merged back into a coloring of the host graph.  Vertex deletion
 shrinks the *vertex set* but keeps the index space, which keeps vertex
 labels and edge ids stable across the whole pipeline.
+
+Degrees are maintained: ``add_edge`` and ``delete_edge`` update a
+per-vertex count, so every degree query is a lookup.  Every builder of a
+new graph (``induced`` and the ``without_*`` forms over it, ``grown``,
+``underlying_simple`` and ``build_multigraph``, which the parser uses)
+goes through one bulk fill that writes edges, adjacency and degrees
+directly, in increasing id order; ``add_edge`` keeps the checks for
+single edges.
 """
 
 from __future__ import annotations
@@ -34,13 +42,15 @@ class Multigraph:
     ``vertices`` is the active vertex set (defaults to the whole index
     space).  Edges are stored as ``edge_id -> (u, v)`` with ``u < v``; the
     adjacency index maps ``u -> {v -> set of edge ids}`` so multiplicity
-    lookups are O(1) amortized.  :meth:`induced` is the one subgraph
-    builder: G[A], G[A,B], G_AB, residual graphs and matching hosts are all
-    induced subgraphs, some restricted to listed edge ids.  The reductions
-    peel their working graph in place; other stages work on copies.
+    lookups are O(1) amortized, and ``_deg`` holds each vertex's degree.
+    :meth:`induced` is the one subgraph builder: G[A], G[A,B], G_AB and
+    residual graphs are induced subgraphs, some restricted to listed edge
+    ids.  The reductions peel their working graph in place, and the
+    matching routines read their hosts off the graph they are given
+    without building them; other stages work on copies.
     """
 
-    __slots__ = ("n", "verts", "_edges", "_adj", "_next_id")
+    __slots__ = ("n", "verts", "_edges", "_adj", "_deg", "_next_id")
 
     def __init__(self, n: int, vertices: Optional[Iterable[int]] = None):
         if n < 0:
@@ -52,6 +62,7 @@ class Multigraph:
                 raise VertexOutOfRange(v, n)
         self._edges: dict[int, tuple[int, int]] = {}
         self._adj: list[dict[int, set[int]]] = [dict() for _ in range(n)]
+        self._deg = [0] * n
         self._next_id = 0
 
     # -- construction ------------------------------------------------------
@@ -73,7 +84,32 @@ class Multigraph:
         self._edges[edge_id] = (u, v)
         self._adj[u].setdefault(v, set()).add(edge_id)
         self._adj[v].setdefault(u, set()).add(edge_id)
+        self._deg[u] += 1
+        self._deg[v] += 1
         return edge_id
+
+    def _fill(self, triples: Iterable[tuple[int, int, int]], next_id: int = 0) -> "Multigraph":
+        """Bulk-add ``(edge_id, u, v)`` triples to this new graph and return it.
+
+        The caller vouches for each triple: ``u < v``, both ends active,
+        ids fresh and increasing.  The id counter ends at ``next_id`` or
+        past the last id, whichever is larger.
+        """
+        edges, adj, deg = self._edges, self._adj, self._deg
+        eid = -1
+        for eid, u, v in triples:
+            edges[eid] = (u, v)
+            ids = adj[u].get(v)
+            if ids is None:
+                adj[u][v] = {eid}
+                adj[v][u] = {eid}
+            else:
+                ids.add(eid)
+                adj[v][u].add(eid)
+            deg[u] += 1
+            deg[v] += 1
+        self._next_id = max(next_id, eid + 1)
+        return self
 
     def delete_edge(self, edge_id: int) -> None:
         u, v = self._edges.pop(edge_id)
@@ -82,22 +118,22 @@ class Multigraph:
             ids.discard(edge_id)
             if not ids:
                 del self._adj[a][b]
+        self._deg[u] -= 1
+        self._deg[v] -= 1
 
     def copy(self) -> "Multigraph":
         g = Multigraph(self.n, self.verts)
         g._edges = dict(self._edges)
         g._adj = [dict((w, set(ids)) for w, ids in nbrs.items()) for nbrs in self._adj]
+        g._deg = list(self._deg)
         g._next_id = self._next_id
         return g
 
     def grown(self, extra: int) -> "Multigraph":
         """Copy with ``extra`` fresh vertices appended to the index space."""
         g = Multigraph(self.n + extra, set(self.verts) | set(range(self.n, self.n + extra)))
-        for eid in sorted(self._edges):
-            u, v = self._edges[eid]
-            g.add_edge(u, v, eid)
-        g._next_id = max(g._next_id, self._next_id)
-        return g
+        edges = self._edges
+        return g._fill(((eid, *edges[eid]) for eid in sorted(edges)), self._next_id)
 
     # -- basic queries -----------------------------------------------------
 
@@ -132,7 +168,7 @@ class Multigraph:
         return b if v == a else a
 
     def degree(self, v: int) -> int:
-        return sum(len(ids) for ids in self._adj[v].values())
+        return self._deg[v]
 
     def simple_degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -165,13 +201,14 @@ class Multigraph:
         return max((len(ids) for ids in self._adj[x].values()), default=0)
 
     def max_degree(self) -> int:
-        return max((self.degree(v) for v in self.verts), default=0)
+        return max(map(self._deg.__getitem__, self.verts), default=0)
 
     def min_degree(self) -> int:
-        return min((self.degree(v) for v in self.verts), default=0)
+        return min(map(self._deg.__getitem__, self.verts), default=0)
 
     def degrees(self) -> dict[int, int]:
-        return {v: self.degree(v) for v in self.vertex_list()}
+        deg = self._deg
+        return {v: deg[v] for v in self.vertex_list()}
 
     def is_simple(self) -> bool:
         return all(len(ids) == 1 for v in self.verts for ids in self._adj[v].values())
@@ -196,30 +233,24 @@ class Multigraph:
         are kept, and so is the id counter, so a later ``add_edge`` cannot
         reuse an id of this graph."""
         keep = set(vertices) & self.verts
-        g = Multigraph(self.n, keep)
-        for eid in sorted(self._edges if edge_ids is None else edge_ids):
-            u, v = self._edges[eid]
-            if u in keep and v in keep:
-                g.add_edge(u, v, eid)
-        g._next_id = self._next_id
-        return g
+        edges = self._edges
+        ids = sorted(edges if edge_ids is None else set(edge_ids))
+        triples = ((eid, *edges[eid]) for eid in ids)
+        return Multigraph(self.n, keep)._fill(
+            ((eid, u, v) for eid, u, v in triples if u in keep and v in keep), self._next_id
+        )
 
     def without_vertices(self, vertices: Iterable[int]) -> "Multigraph":
         return self.induced(self.verts.difference(vertices))
 
     def without_edges(self, edge_ids: Iterable[int]) -> "Multigraph":
-        g = self.copy()
-        for eid in edge_ids:
-            g.delete_edge(eid)
-        return g
+        return self.induced(self.verts, set(self._edges).difference(edge_ids))
 
     def underlying_simple(self) -> "Multigraph":
-        g = Multigraph(self.n, self.verts)
-        for u in self.verts:
-            for v in self._adj[u]:
-                if u < v:
-                    g.add_edge(u, v)
-        return g
+        """One edge per adjacent pair, with fresh ids 0, 1, ... in the order
+        of the vertex set and of each adjacency."""
+        pairs = ((u, v) for u in self.verts for v in self._adj[u] if u < v)
+        return Multigraph(self.n, self.verts)._fill((i, u, v) for i, (u, v) in enumerate(pairs))
 
     def __repr__(self) -> str:
         return f"Multigraph(|V|={self.vertex_count}, m={self.edge_count})"
@@ -228,15 +259,29 @@ class Multigraph:
 def build_multigraph(n: int, edge_list: Iterable[tuple[int, int, int]]) -> Multigraph:
     """Build a multigraph from ``(u, v, multiplicity)`` triples.
 
-    Each multiplicity expands to that many distinct edge ids.
+    Each multiplicity expands to that many distinct edge ids, numbered
+    from 0 in list order.  A triple with an end outside ``0..n-1``, a loop
+    or a multiplicity below 1 raises what ``add_edge`` would.
     """
     g = Multigraph(n)
-    for u, v, mult in edge_list:
-        if mult < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {mult}")
-        for _ in range(mult):
-            g.add_edge(u, v)
-    return g
+
+    def triples() -> Iterator[tuple[int, int, int]]:
+        eid = 0
+        for u, v, mult in edge_list:
+            if mult < 1:
+                raise ValueError(f"multiplicity must be >= 1, got {mult}")
+            for w in (u, v):
+                if w not in g.verts:
+                    raise VertexOutOfRange(w, n)
+            if u == v:
+                raise LoopRejected(u)
+            if u > v:
+                u, v = v, u
+            for _ in range(mult):
+                yield eid, u, v
+                eid += 1
+
+    return g._fill(triples())
 
 
 def is_overfull(g: Multigraph) -> bool:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .classic import hakimi_realize, path_cover_star, perfect_matching_dense
+from .classic import hakimi_realize, host_degrees, path_cover_star, perfect_matching_dense
 from .coloring import EdgeColoring, verify_proper
 from .engine import EngineParams, color_exact
 from .errors import (
@@ -98,15 +98,17 @@ def _peel_perfect_matching(
 ) -> list[int]:
     """Peel a perfect matching of ``work`` minus ``leave_out`` off ``work``.
 
-    The host's degree precondition is recorded as a guard.  The matching's
-    edges are deleted from ``work`` in place and returned.
+    The host is read off ``work`` without building it, and its degree
+    precondition is recorded as a guard.  The matching's edges are deleted
+    from ``work`` in place and returned.
     """
-    host = work.without_vertices(leave_out)
-    nv = host.vertex_count
-    low = [v for v in host.verts if host.degree(v) < nv // 2 + 1]
+    leave_out = frozenset(leave_out)
+    degs = host_degrees(work, leave_out)
+    nv = len(degs)
+    low = [v for v, d in degs.items() if d < nv // 2 + 1]
     trace.check(step, "matching-host-degrees", len(low), 1, len(low) <= 1)
     try:
-        m = perfect_matching_dense(host)
+        m = perfect_matching_dense(work, leave_out)
     except (PreconditionViolated, EdgeColorError) as exc:
         raise MatchingFailed(f"{step}: {exc}") from exc
     for eid in m:

@@ -22,6 +22,7 @@ from edgecolor.coloring import verify_proper
 from edgecolor.errors import (
     CoverFailed,
     DegreeSequenceInfeasible,
+    EdgeColorError,
     NotBipartite,
     PreconditionViolated,
     TooFewCenterNeighbors,
@@ -179,6 +180,117 @@ def test_bipartite_star_random(seed):
             g.add_edge(w - n, w)
     m = perfect_matching_bipartite_star(g, left, right, center=0)
     assert check_matching(g, m)
+
+
+def _outcome(f, *args, **kwargs):
+    """The matching f returns, or the type and message of its exception."""
+    try:
+        return f(*args, **kwargs)
+    except EdgeColorError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _dense_host_with_skip(seed):
+    """A random multigraph and a few skipped vertices; most hosts (g minus
+    the skipped vertices) are repaired up to the dense matching's degree
+    floor, the others are left as drawn."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 30)
+    g = Multigraph(n)
+    p = rng.uniform(0.4, 1.0)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                for _ in range(rng.choice((1, 1, 1, 2, 3))):
+                    g.add_edge(u, v)
+    skip = rng.sample(range(n), rng.randint(0, min(3, n - 2)))
+    host = [v for v in range(n) if v not in skip]
+    if rng.random() < 0.75:
+        for v in host:
+            for w in host:
+                if g.degree(v) - sum(g.multiplicity(v, s) for s in skip) > len(host) // 2:
+                    break
+                if w != v and g.multiplicity(v, w) == 0:
+                    g.add_edge(v, w)
+    return g, skip
+
+
+def _bundled_star():
+    """Vertex 0 joined to 1, 2, 3 by triple bundles, and a skipped vertex 4
+    joined to all: every host degree meets the floor, yet the host has no
+    perfect matching."""
+    return build_multigraph(5, [(0, v, 3) for v in (1, 2, 3)] + [(v, 4, 1) for v in range(4)]), [4]
+
+
+def test_dense_matching_on_skip_equals_matching_on_copy():
+    """perfect_matching_dense(g, skip) reads its host off g; it must give
+    what the call on a built copy of g minus skip gives, matching or error."""
+    kinds = set()
+    for seed in range(121):
+        g, skip = _dense_host_with_skip(seed) if seed < 120 else _bundled_star()
+        got = _outcome(perfect_matching_dense, g, skip)
+        assert got == _outcome(perfect_matching_dense, g.without_vertices(skip)), seed
+        if isinstance(got, list):
+            assert check_matching(g, got, skip=skip)
+            assert all(e == g.edges_between(*g.endpoints(e))[0] for e in got)
+            kinds.add("matching")
+        else:
+            kinds.add(got[0])
+    assert {"matching", "PreconditionViolated", "NoPerfectMatching"} <= kinds
+
+
+def test_dirac_cycle_on_skip_equals_cycle_on_copy():
+    for seed in range(40):
+        g, skip = _dense_host_with_skip(seed)
+        got = _outcome(dirac_hamiltonian, g, skip)
+        assert got == _outcome(dirac_hamiltonian, g.without_vertices(skip)), seed
+        if isinstance(got, list):
+            assert check_hamiltonian_cycle(g, got, skip)
+
+
+def _bipartite_host(seed):
+    """A random multigraph with two sides, a few vertices on neither, the
+    occasional edge inside a side, a random subset of allowed edge ids (or
+    None) and a center on a side, off the sides or absent."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 9)
+    extra = rng.randint(0, 3)
+    n = 2 * k + extra + (1 if rng.random() < 0.15 else 0)
+    g = Multigraph(n)
+    order = list(range(n))
+    rng.shuffle(order)
+    left, right = sorted(order[:k]), sorted(order[k : 2 * k + (n - 2 * k - extra)])
+    p = rng.uniform(0.3, 0.9)
+    for u in range(n):
+        for v in range(u + 1, n):
+            same_side = (u in left) == (v in left) and (u in right) == (v in right)
+            if rng.random() < (p if not same_side else 0.02):
+                for _ in range(rng.choice((1, 1, 2))):
+                    g.add_edge(u, v)
+    ids = None
+    if rng.random() < 0.8:
+        ids = [e for e in g.edge_ids() if rng.random() < 0.8]
+    center = rng.choice([None, rng.randrange(n), left[0], right[-1]])
+    return g, left, right, center, ids
+
+
+def test_bipartite_matching_on_ids_equals_matching_on_induced_host():
+    """perfect_matching_bipartite_star(g, ..., edge_ids=ids) reads its host
+    off g; it must give what the call on g.induced(left + right, ids) gives."""
+    kinds = set()
+    for seed in range(300):
+        g, left, right, center, ids = _bipartite_host(seed)
+        got = _outcome(perfect_matching_bipartite_star, g, left, right, center, edge_ids=ids)
+        host = g.induced(left + right, ids)
+        assert got == _outcome(perfect_matching_bipartite_star, host, left, right, center), seed
+        if isinstance(got, list):
+            assert check_matching(host, got)
+            # each pair is matched through its least allowed edge id
+            assert all(e == host.edges_between(*host.endpoints(e))[0] for e in got)
+            kinds.add("matching")
+        else:
+            kinds.add(got[0])
+    assert {"matching", "PreconditionViolated", "NoPerfectMatching"} <= kinds
 
 
 # -- Koenig ------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from edgecolor.errors import LoopRejected, VertexOutOfRange
 from edgecolor.multigraph import (
+    Multigraph,
     build_multigraph,
     deficiency_report,
     detect_star_structure,
@@ -156,3 +157,83 @@ def test_induced_with_edge_ids():
     g.delete_edge(6)  # the host's largest id: still never handed out again
     fresh = g.induced(keep, []).add_edge(0, 1)
     assert fresh == 7 and not g.has_edge_id(fresh)
+
+
+def _assert_core_consistent(g, next_id):
+    """Maintained degrees match the adjacency, and the stored edges,
+    adjacency and id counter match a graph rebuilt by add_edge in id order
+    (its counter is the one the operations so far must have left)."""
+    for v in range(g.n):
+        assert g.degree(v) == sum(len(ids) for ids in g._adj[v].values())
+    rebuilt = Multigraph(g.n, g.verts)
+    for eid in sorted(g._edges):
+        rebuilt.add_edge(*g._edges[eid], eid)
+    assert g._edges == rebuilt._edges
+    assert g._adj == rebuilt._adj
+    assert g._next_id == next_id >= rebuilt._next_id
+    assert g.max_degree() == max((g.degree(v) for v in g.verts), default=0)
+    assert g.min_degree() == min((g.degree(v) for v in g.verts), default=0)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_core_operations_keep_degrees_and_storage(data):
+    """Random sequences of every mutation and builder keep the maintained
+    degrees and the bulk-filled storage equal to an add_edge rebuild."""
+    n = data.draw(st.integers(min_value=2, max_value=7))
+    g = Multigraph(n)
+    next_id = 0
+    for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
+        op = data.draw(
+            st.sampled_from(
+                ["add", "add", "add", "delete", "copy", "induced", "induced-ids", "grown", "without_edges", "simple"]
+            )
+        )
+        verts = sorted(g.verts)
+        ids = g.edge_ids()
+        if op == "add" and len(verts) >= 2:
+            u, v = data.draw(st.lists(st.sampled_from(verts), min_size=2, max_size=2, unique=True))
+            assert g.add_edge(u, v) == next_id
+            next_id += 1
+        elif op == "delete" and ids:
+            g.delete_edge(data.draw(st.sampled_from(ids)))
+        elif op == "copy":
+            g = g.copy()
+        elif op in ("induced", "induced-ids"):
+            keep = data.draw(st.sets(st.integers(0, g.n - 1)))
+            listed = data.draw(st.lists(st.sampled_from(ids))) if op == "induced-ids" and ids else None
+            sub = g.induced(keep, listed)
+            allowed = set(ids if listed is None else listed)
+            assert sub.verts == keep & g.verts
+            assert sub.edge_ids() == [e for e in ids if e in allowed and set(g.endpoints(e)) <= sub.verts]
+            g = sub
+        elif op == "grown":
+            extra = data.draw(st.integers(0, 2))
+            grown = g.grown(extra)
+            assert grown.verts == g.verts | set(range(g.n, g.n + extra))
+            assert grown.edge_ids() == ids
+            g = grown
+        elif op == "without_edges" and ids:
+            gone = data.draw(st.sets(st.sampled_from(ids)))
+            g = g.without_edges(gone)
+            assert g.edge_ids() == [e for e in ids if e not in gone]
+        elif op == "simple":
+            pairs = {g.endpoints(e) for e in ids}
+            g = g.underlying_simple()
+            assert sorted(g._edges.values()) == sorted(pairs)
+            assert g.edge_ids() == list(range(len(pairs)))
+            next_id = len(pairs)
+        _assert_core_consistent(g, next_id)
+
+
+def test_build_multigraph_checks_each_triple():
+    with pytest.raises(ValueError, match="multiplicity"):
+        build_multigraph(3, [(0, 1, 1), (1, 2, 0)])
+    with pytest.raises(VertexOutOfRange):
+        build_multigraph(3, [(0, 1, 1), (3, 1, 1)])
+    with pytest.raises(LoopRejected):
+        build_multigraph(3, [(2, 2, 2)])
+    g = build_multigraph(4, [(2, 0, 2), (3, 1, 1)])
+    assert [g.endpoints(e) for e in g.edge_ids()] == [(0, 2), (0, 2), (1, 3)]
+    assert g.degrees() == {0: 2, 1: 1, 2: 2, 3: 1}
+    _assert_core_consistent(g, 3)
