@@ -16,6 +16,7 @@ from edgecolor.generators import (
     gen_complete,
     gen_complete_minus_matching,
     gen_dcolor_fixture,
+    gen_random_dense,
 )
 
 
@@ -31,9 +32,16 @@ def _case_fixture(case, n_half):
     return build
 
 
-def _dcolor_d():
-    fix = gen_dcolor_fixture("d", 20)
-    return fix.graph, fix.epsilon, fix.eta
+def _dcolor(condition, n_half):
+    def build():
+        fix = gen_dcolor_fixture(condition, n_half)
+        return fix.graph, fix.epsilon, fix.eta
+
+    return build
+
+
+def _random_13():
+    return gen_random_dense(13, 0.6, 0, 3), 0.3, None
 
 
 def _k11():
@@ -43,13 +51,18 @@ def _k11():
 # (name, builder, pipeline seed, sha256 of formats.dump_json(run_color(...))).
 # case2-n44 is decided through engine condition (a) with step 3's bipartite
 # matchings; case4-n24 peels four dense perfect matchings before it falls
-# back; the others end in the fallback or in ClassTwo.
+# back; dcolor-e-n30 runs equalize_per_side and step 2 and falls back at
+# step 3's pad guard, so its trace pins the step-2 choices; random-13's
+# Misra-Gries fallback takes the Kempe-swap branch; the others end in the
+# fallback or in ClassTwo.
 GOLDEN = [
     ("k21-minus-matching", _k21_minus_matching, 1, "e1943c71b19d3f4cc4d9dec7fdfb032f1093e12aae77b96d983ab6334a321cdd"),
     ("case2-n44", _case_fixture(2, 44), 1, "00659c2225641bce1a29c83315cde0d0baf2e5ab0db7435ca4fc64180cf5bac6"),
     ("case4-n24", _case_fixture(4, 24), 1, "501729c85ce2ad5a97977042520d9ed814f82abacc8ca4fc6d2581f14ca8d662"),
-    ("dcolor-d-n20", _dcolor_d, 1, "0dd2a2ac218fdc690044e522faf057b28232319a1e8ec7566094405e16d7e328"),
+    ("dcolor-d-n20", _dcolor("d", 20), 1, "0dd2a2ac218fdc690044e522faf057b28232319a1e8ec7566094405e16d7e328"),
     ("complete-11", _k11, 0, "781fbeedbae32bccde3508f894b5f641d3eb5817ca3ef79a9fc4751884301dbf"),
+    ("dcolor-e-n30", _dcolor("e", 30), 1, "3a06562e505744d7be74306054274d64bda6b240589d8b220f35b9fe56a04240"),
+    ("random-13", _random_13, 1, "89547efda1154cc7ee2d4d193c86020dae9c9606a0d40b54387b30d85e932615"),
 ]
 
 
