@@ -6,9 +6,15 @@ steps: (1) color the within-side union G_AB of a balanced partition and
 equalize the per-side missing counts, (2) grow every color class into a
 perfect matching by flipping short alternating paths of uncolored crossing
 edges and side edges of that color, all found by one depth-first search
-(``_walks``) over single exchanges (``_sacrifices``), (3) color the uncolored side edges with a few fresh colors
-and extend those classes across the bipartite middle, (4) finish the
-remaining crossing edges, which form a bipartite graph of bounded degree.
+(``_walks``) over single exchanges (``_sacrifices``), (3) color the
+uncolored side edges with a few fresh colors and extend those classes
+across the bipartite middle, (4) finish the remaining crossing edges, which
+form a bipartite graph of bounded degree.
+
+Steps 2 and 3 read the uncolored crossing edges off one index,
+``EngineState.free_h`` (vertex -> neighbor -> ascending edge ids), built
+once when step 2 starts and updated by ``_color_h_edge`` as edges are
+colored, so finding the crossing edge of an exchange is a lookup.
 
 Every inequality the construction relies on is evaluated as a named guard
 and recorded in the trace.  Guards whose failure only weakens the
@@ -85,6 +91,11 @@ class EngineState:
     U: set[int] = field(default_factory=set)
     missing_after_step1: dict[int, int] = field(default_factory=dict)
     colored_h_at: dict[int, int] = field(default_factory=dict)
+    # Step 2's index of the uncolored crossing edges: vertex -> {neighbor ->
+    # ascending ids of uncolored h_edges}, with no empty lists.  Built at
+    # the start of step 2 and kept by _color_h_edge; never grows, since only
+    # side edges are ever uncolored.
+    free_h: dict[int, dict[int, list[int]]] = field(default_factory=dict)
     r_a: set[int] = field(default_factory=set)
     r_b: set[int] = field(default_factory=set)
     r_deg: dict[int, int] = field(default_factory=dict)
@@ -474,36 +485,51 @@ def _uncolor_to_residual(state: EngineState, eid: int) -> None:
     state.r_deg[v] = _r_degree(state, v) + 1
 
 
+def _index_free_h(state: EngineState) -> None:
+    """Build ``state.free_h`` from ``h_edges`` and the coloring."""
+    c, g_star = state.coloring, state.g_star
+    free_h: dict[int, dict[int, list[int]]] = {v: {} for v in g_star.verts}
+    for eid in sorted(state.h_edges):
+        if c.color_of(eid) is None:
+            u, v = g_star.endpoints(eid)
+            free_h[u].setdefault(v, []).append(eid)
+            free_h[v].setdefault(u, []).append(eid)
+    state.free_h = free_h
+
+
 def _color_h_edge(state: EngineState, eid: int, color: int) -> None:
     state.coloring.assign(eid, color)
     u, v = state.g_star.endpoints(eid)
     state.colored_h_at[u] += 1
     state.colored_h_at[v] += 1
+    for a, b in ((u, v), (v, u)):
+        ids = state.free_h[a][b]
+        ids.remove(eid)
+        if not ids:
+            del state.free_h[a][b]
 
 
 def _uncolored_h_edge(state: EngineState, u: int, w: int) -> Optional[int]:
-    c = state.coloring
-    for eid in state.g_star.edges_between(u, w):
-        if eid in state.h_edges and c.color_of(eid) is None:
-            return eid
-    return None
+    """The least uncolored crossing edge u-w, or None."""
+    ids = state.free_h[u].get(w)
+    return ids[0] if ids else None
 
 
 def step2_fix_center(state: EngineState) -> EngineState:
     """Make every color present at the center before anything else.
 
-    For each color missing at x: either color an uncolored crossing edge
-    x-w whose w also misses it, or take the w (fewest residual edges)
-    whose own edge of that color is sacrificed into R_B.
+    Builds the step-2 crossing-edge index first.  For each color missing
+    at x: either color an uncolored crossing edge x-w whose w also misses
+    it, or take the w (fewest residual edges) whose own edge of that color
+    is sacrificed into R_B.  x lies in A, so every such w lies in B.
     """
-    c, x, g_star = state.coloring, state.x, state.g_star
+    _index_free_h(state)
+    c, x = state.coloring, state.x
     for i in sorted(c.missing(x)):
-        cands = []
-        for w in g_star.neighbors(x):
-            if w in state.side_b:
-                eid = _uncolored_h_edge(state, x, w)
-                if eid is not None:
-                    cands.append((_r_degree(state, w), w, eid))
+        cands = [
+            (_r_degree(state, w), w, ids[0])
+            for w, ids in sorted(state.free_h[x].items())
+        ]
         direct = next((eid for _, w, eid in cands if c.misses(w, i)), None)
         if direct is None:
             if not cands:
@@ -544,28 +570,27 @@ def _pair_up_missing(state: EngineState) -> None:
 def _sacrifices(state: EngineState, anchor: int, color: int):
     """One exchange from ``anchor`` across the bipartition, in neighbor order.
 
-    Yields ``(w, sac, h_eid, w2)``: ``h_eid`` is an uncolored crossing edge
-    anchor-w, and ``sac`` is w's good side edge of ``color``, ending at w2.
-    Giving ``h_eid`` the color and uncoloring ``sac`` moves the missing color
-    from ``anchor`` to w2.  Neither w nor w2 is protected.
+    Yields ``(w, sac, h_eid, w2)``: ``h_eid`` is the least uncolored
+    crossing edge anchor-w, and ``sac`` is w's good side edge of ``color``,
+    ending at w2.  Giving ``h_eid`` the color and uncoloring ``sac`` moves
+    the missing color from ``anchor`` to w2.  Neither w nor w2 is protected.
+    The candidates w are the neighbors in ``state.free_h[anchor]``, all on
+    the other side, in ascending order.
     """
     c, g_star = state.coloring, state.g_star
     if anchor in state.side_a:
-        side, avoid, store = state.side_b, state.s_b_star, state.side_b_edges
+        avoid, store = state.s_b_star, state.side_b_edges
     else:
-        side, avoid, store = state.side_a, state.s_a_star, state.side_a_edges
-    for w in g_star.neighbors(anchor):
-        if w not in side or w in avoid:
-            continue
-        h_eid = _uncolored_h_edge(state, anchor, w)
-        if h_eid is None:
+        avoid, store = state.s_a_star, state.side_a_edges
+    for w, ids in sorted(state.free_h[anchor].items()):
+        if w in avoid:
             continue
         sac = c.edge_at(w, color)
         if sac is None or sac not in store or not _is_good(state, sac):
             continue
         w2 = g_star.other_end(sac, w)
         if w2 not in avoid:
-            yield w, sac, h_eid, w2
+            yield w, sac, ids[0], w2
 
 
 def step2_relocate_S(state: EngineState) -> EngineState:

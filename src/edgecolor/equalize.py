@@ -20,6 +20,11 @@ uses the same swap.  The side-aware procedures exploit that at most one
 alternating chain can cross between the sides (all crossing edges share the
 center), which makes a reducing swap available whenever the target is
 violated.
+
+Each procedure counts once, before its first sweep: class sizes, per-side
+edge counts or per-side missing counts per color.  A swap changes the
+counts of its two colors only, by a known amount, so the counts are kept
+up to date rather than recounted in every sweep.
 """
 
 from __future__ import annotations
@@ -36,21 +41,23 @@ def equalize_classes(g: Multigraph, c: EdgeColoring) -> EdgeColoring:
 
     Repeatedly picks the color pair with the largest size gap and swaps a
     chain component that is a path starting and ending with the larger
-    color; each swap shrinks the gap by 2.
+    color; each swap moves one edge from the larger class to the smaller.
     """
     if not c.is_total():
         raise NotTotal("equalize_classes needs a total coloring")
+    size = [c.class_size(col) for col in range(c.k + 1)]
     for _ in range(_MAX_SWEEPS):
-        sizes = [(c.class_size(col), col) for col in range(1, c.k + 1)]
-        big_size, big = max(sizes)
-        small_size, small = min(sizes)
-        if big_size - small_size <= 1:
+        big = max(range(1, c.k + 1), key=lambda col: (size[col], col))
+        small = min(range(1, c.k + 1), key=lambda col: (size[col], col))
+        if size[big] - size[small] <= 1:
             return c
         if not _swap_surplus_path(g, c, big, small, restrict=None):
             raise EqualizationFailed(
                 f"no surplus ({big},{small})-path despite size gap "
-                f"{big_size - small_size}"
+                f"{size[big] - size[small]}"
             )
+        size[big] -= 1
+        size[small] += 1
     raise EqualizationFailed("sweep budget exhausted")
 
 
@@ -112,6 +119,11 @@ def _side_edge_counts(g: Multigraph, c: EdgeColoring, side_a: set[int]):
     return a, b
 
 
+def _miss_counts(c: EdgeColoring, side: set[int]) -> list[int]:
+    """Per color (index 0 unused): how many vertices of ``side`` miss it."""
+    return [0] + [len(c.missing_at(side, i)) for i in range(1, c.k + 1)]
+
+
 def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColoring:
     """Make both sides miss every color equally often, then flatten gaps.
 
@@ -139,10 +151,10 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
             "e(A)=e(B)", f"e(A)={sum(a_cnt)} != e(B)={sum(b_cnt)}"
         )
 
-    # Phase 1: drive a_i == b_i for every color.
+    # Phase 1: drive a_i == b_i for every color.  Either swap moves one
+    # edge of color hi to lo inside A, or one edge of lo to hi inside B.
+    diffs = [a - b for a, b in zip(a_cnt, b_cnt)]
     for _ in range(_MAX_SWEEPS):
-        a_cnt, b_cnt = _side_edge_counts(g, c, side_a)
-        diffs = [a_cnt[i] - b_cnt[i] for i in range(c.k + 1)]
         hi = max(range(1, c.k + 1), key=lambda i: diffs[i])
         lo = min(range(1, c.k + 1), key=lambda i: diffs[i])
         if diffs[hi] <= 0 and diffs[lo] >= 0:
@@ -154,12 +166,14 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
             raise EqualizationFailed(
                 f"no cross-balancing swap for colors ({hi},{lo})"
             )
+        diffs[hi] -= 1
+        diffs[lo] += 1
     else:
         raise EqualizationFailed("phase 1 sweep budget exhausted")
 
     # Phase 2: flatten within-side gaps with matched swaps on both sides.
+    miss = _miss_counts(c, side_a)
     for _ in range(_MAX_SWEEPS):
-        miss = [0] + [len(c.missing_at(side_a, i)) for i in range(1, c.k + 1)]
         hi = max(range(1, c.k + 1), key=lambda i: miss[i])
         lo = min(range(1, c.k + 1), key=lambda i: miss[i])
         if miss[hi] - miss[lo] <= 2:
@@ -170,6 +184,8 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
             raise EqualizationFailed(
                 f"matched within-side swap unavailable for colors ({hi},{lo})"
             )
+        miss[hi] -= 2  # the two path ends now miss lo instead of hi
+        miss[lo] += 2
     raise EqualizationFailed("phase 2 sweep budget exhausted")
 
 
@@ -186,20 +202,22 @@ def equalize_per_side(g: Multigraph, c: EdgeColoring, part) -> EdgeColoring:
         raise PreconditionViolated("partition", "A, B must split the vertex set")
     _check_crossing_at_center(g, side_a)
 
+    sides = [(side, _miss_counts(c, side)) for side in (side_a, side_b)]
     for _ in range(_MAX_SWEEPS):
         best = None
-        for side in (side_a, side_b):
-            miss = [0] + [len(c.missing_at(side, i)) for i in range(1, c.k + 1)]
+        for side, miss in sides:
             hi = max(range(1, c.k + 1), key=lambda i: miss[i])
             lo = min(range(1, c.k + 1), key=lambda i: miss[i])
             gap = miss[hi] - miss[lo]
             if best is None or gap > best[0]:
-                best = (gap, side, hi, lo)
-        gap, side, hi, lo = best
+                best = (gap, side, miss, hi, lo)
+        gap, side, miss, hi, lo = best
         if gap <= 2:
             return c
         if not _swap_surplus_path(g, c, lo, hi, restrict=side):
             raise EqualizationFailed(
                 f"no within-side swap despite gap {gap} for colors ({hi},{lo})"
             )
+        miss[hi] -= 2  # the two path ends now miss lo instead of hi
+        miss[lo] += 2
     raise EqualizationFailed("sweep budget exhausted")

@@ -91,14 +91,12 @@ def misra_gries(g: Multigraph, palette: int | None = None) -> EdgeColoring:
     for eid in g.edge_ids():
         u, v = g.endpoints(eid)
         at_u = present[u]
-        free_u = [col for col in range(1, k + 1) if col not in at_u]
         # Grow the fan at u from v until its last vertex misses a color free
         # at u, or until u's edge in the last vertex's smallest free color
         # leads back into the fan.
         fan, fan_edges = [v], [eid]
         while True:
-            last = present[fan[-1]]
-            common = next((col for col in free_u if col not in last), None)
+            common = c.first_missing(u, fan[-1])
             if common is not None:
                 rotate(fan_edges, len(fan) - 1, common)
                 break
@@ -108,7 +106,7 @@ def misra_gries(g: Multigraph, palette: int | None = None) -> EdgeColoring:
                 fan.append(w)
                 fan_edges.append(at_u[dd])
                 continue
-            kempe_swap(c, kempe_chain(g, c, u, dd, free_u[0]))
+            kempe_swap(c, kempe_chain(g, c, u, dd, c.first_missing(u)))
             # u now misses dd; rotate the first valid fan prefix whose last
             # vertex also misses dd.
             j = 0

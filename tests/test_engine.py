@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from edgecolor import engine
 from edgecolor.coloring import verify_proper
 from edgecolor.engine import (
     EngineParams,
     EngineState,
     _resolve_pair,
+    _uncolored_h_edge,
     classify_condition,
     dcolor,
     select_pairs,
@@ -16,9 +18,10 @@ from edgecolor.engine import (
     step2_relocate_S,
 )
 from edgecolor.errors import PreconditionViolated
-from edgecolor.generators import gen_complete, gen_dcolor_fixture
+from edgecolor.generators import gen_case_fixture, gen_complete, gen_dcolor_fixture
 from edgecolor.multigraph import build_multigraph
 from edgecolor.partition import adjust_for_center, balanced_partition
+from edgecolor.reduction import color_odd_dense
 from edgecolor.trace import PipelineTrace
 
 from conftest import complete, random_simple
@@ -188,3 +191,64 @@ def test_dcolor_deterministic():
     r2 = dcolor(fix.graph, _params(fix, seed=7))
     assert r1.coloring.assignment == r2.coloring.assignment
     assert r1.verdict == r2.verdict
+
+
+def _free_h_by_scan(state):
+    """The uncolored crossing edges per adjacent pair, from a fresh scan."""
+    c, g = state.coloring, state.g_star
+    want = {v: {} for v in g.verts}
+    for v in g.verts:
+        for w in g.neighbors(v):
+            ids = [e for e in g.edges_between(v, w) if e in state.h_edges and c.color_of(e) is None]
+            if ids:
+                want[v][w] = ids
+    return want
+
+
+_INDEXED_STEPS = (
+    "step2_fix_center",
+    "step2_relocate_S",
+    "step2_extend_to_factors",
+    "step3_color_residuals",
+)
+
+
+@pytest.mark.parametrize(
+    "name,steps_reached",
+    # Fixtures a and b fail in step 2's extension; e fails at step 3's pad
+    # guard; case2-n44 is colored through the engine.
+    [("dcolor-a", 3), ("dcolor-b", 3), ("dcolor-e", 4), ("case2-n44", 4)],
+)
+def test_free_h_index_matches_rebuild(monkeypatch, name, steps_reached):
+    """After each step that colors crossing edges, returning or raising,
+    the step-2 index equals a rescan of h_edges and the coloring, and
+    _uncolored_h_edge answers what the scan answers."""
+    if name == "case2-n44":
+        fix = gen_case_fixture(2, 44)
+        run = lambda: color_odd_dense(fix.graph, fix.epsilon, eta=fix.eta, seed=1)
+    else:
+        fix = gen_dcolor_fixture(name[-1], 30)
+        run = lambda: dcolor(fix.graph, _params(fix))
+    checked = []
+
+    def check(state, step):
+        want = _free_h_by_scan(state)
+        assert state.free_h == want, step
+        assert all(ids == sorted(ids) and ids for nbrs in state.free_h.values() for ids in nbrs.values())
+        for u in state.side_a:
+            for w in state.g_star.neighbors(u):
+                if w in state.side_b:
+                    ids = want[u].get(w)
+                    assert _uncolored_h_edge(state, u, w) == (ids[0] if ids else None)
+        checked.append(step)
+
+    for step in _INDEXED_STEPS:
+        def wrapped(state, _orig=getattr(engine, step), _step=step):
+            try:
+                return _orig(state)
+            finally:
+                check(state, _step)
+
+        monkeypatch.setattr(engine, step, wrapped)
+    run()
+    assert checked == list(_INDEXED_STEPS[:steps_reached])

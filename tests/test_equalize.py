@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from edgecolor import equalize
 from edgecolor.coloring import verify_proper
 from edgecolor.equalize import (
     equalize_balanced_sides,
@@ -99,6 +100,35 @@ def test_balanced_sides_postconditions(seed):
     assert am == bm
     assert max(am) - min(am) <= 2
     assert verify_proper(g, c).ok
+
+
+def test_balanced_sides_seeds_reach_every_swap(monkeypatch):
+    """The postcondition seeds take both cross-balancing swaps (inside A
+    and inside B) and the matched within-side swaps, so each kept count
+    update is checked by a postcondition."""
+    orig = equalize._swap_surplus_path
+    reached = set()
+    phase = []
+
+    def spy(g, c, heavy, light, restrict):
+        # Every sweep tries side A first; the phase is whether the sides
+        # were cross-balanced when it did.
+        if restrict == part.A:
+            inside = [
+                [sum(1 for e in c.class_edges(i) if set(g.endpoints(e)) <= side) for i in range(1, c.k + 1)]
+                for side in (part.A, part.B)
+            ]
+            phase[:] = ["cross" if inside[0] != inside[1] else "within"]
+        moved = orig(g, c, heavy, light, restrict)
+        if moved:
+            reached.add((phase[0], "A" if restrict == part.A else "B"))
+        return moved
+
+    monkeypatch.setattr(equalize, "_swap_surplus_path", spy)
+    for seed in range(10):
+        g, part = _split_instance(seed)
+        equalize_balanced_sides(g, greedy_coloring(g, g.max_degree() + 2), part)
+    assert reached == {("cross", "A"), ("cross", "B"), ("within", "A"), ("within", "B")}
 
 
 def test_balanced_sides_fixpoint():
