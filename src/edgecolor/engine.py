@@ -11,10 +11,11 @@ uncolored side edges with a few fresh colors and extend those classes
 across the bipartite middle, (4) finish the remaining crossing edges, which
 form a bipartite graph of bounded degree.
 
-Steps 2 and 3 read the uncolored crossing edges off one index,
+Step 2 reads the uncolored crossing edges off one index,
 ``EngineState.free_h`` (vertex -> neighbor -> ascending edge ids), built
-once when step 2 starts and updated by ``_color_h_edge`` as edges are
-colored, so finding the crossing edge of an exchange is a lookup.
+once when step 2 starts and updated by ``_color_h_edge`` whenever step 2 or
+3 colors a crossing edge, so finding the crossing edge of an exchange is a
+lookup.
 
 Every inequality the construction relies on is evaluated as a named guard
 and recorded in the trace.  Guards whose failure only weakens the

@@ -108,9 +108,10 @@ def test_balanced_sides_seeds_reach_every_swap(monkeypatch):
     update is checked by a postcondition."""
     orig = equalize._swap_surplus_path
     reached = set()
-    phase = []
+    phase = None
 
     def spy(g, c, heavy, light, restrict):
+        nonlocal phase
         # Every sweep tries side A first; the phase is whether the sides
         # were cross-balanced when it did.
         if restrict == part.A:
@@ -118,10 +119,10 @@ def test_balanced_sides_seeds_reach_every_swap(monkeypatch):
                 [sum(1 for e in c.class_edges(i) if set(g.endpoints(e)) <= side) for i in range(1, c.k + 1)]
                 for side in (part.A, part.B)
             ]
-            phase[:] = ["cross" if inside[0] != inside[1] else "within"]
+            phase = "cross" if inside[0] != inside[1] else "within"
         moved = orig(g, c, heavy, light, restrict)
         if moved:
-            reached.add((phase[0], "A" if restrict == part.A else "B"))
+            reached.add((phase, "A" if restrict == part.A else "B"))
         return moved
 
     monkeypatch.setattr(equalize, "_swap_surplus_path", spy)
