@@ -53,8 +53,9 @@ def _k11():
 # matchings; case4-n24 peels four dense perfect matchings before it falls
 # back; dcolor-e-n30 runs equalize_per_side and step 2 and falls back at
 # step 3's pad guard, so its trace pins the step-2 choices; random-13's
-# Misra-Gries fallback takes the Kempe-swap branch; the others end in the
-# fallback or in ClassTwo.
+# Misra-Gries fallback takes the Kempe-swap branch; case2-n44 at seed 7
+# exhausts all 30 step-3 attempts, so it pins the retry loop and the
+# NoPerfectMatching message; the others end in the fallback or in ClassTwo.
 GOLDEN = [
     ("k21-minus-matching", _k21_minus_matching, 1, "e1943c71b19d3f4cc4d9dec7fdfb032f1093e12aae77b96d983ab6334a321cdd"),
     ("case2-n44", _case_fixture(2, 44), 1, "00659c2225641bce1a29c83315cde0d0baf2e5ab0db7435ca4fc64180cf5bac6"),
@@ -63,6 +64,7 @@ GOLDEN = [
     ("complete-11", _k11, 0, "781fbeedbae32bccde3508f894b5f641d3eb5817ca3ef79a9fc4751884301dbf"),
     ("dcolor-e-n30", _dcolor("e", 30), 1, "3a06562e505744d7be74306054274d64bda6b240589d8b220f35b9fe56a04240"),
     ("random-13", _random_13, 1, "89547efda1154cc7ee2d4d193c86020dae9c9606a0d40b54387b30d85e932615"),
+    ("case2-n44-seed7", _case_fixture(2, 44), 7, "67fe6956d79bbf04504be653f67cfea95b35c65aff9146a500e6566d36c8b900"),
 ]
 
 
