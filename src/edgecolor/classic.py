@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping
 
 from .coloring import EdgeColoring, kempe_chain, kempe_swap
 from .errors import (
@@ -282,45 +282,41 @@ def hopcroft_karp(adj: dict[int, list[int]], left: list[int]) -> dict[int, int]:
 
 
 def perfect_matching_bipartite_star(
-    g: Multigraph,
+    host: Mapping[int, Mapping[int, list[int]]],
     left: list[int],
     right: list[int],
     center: int | None = None,
-    edge_ids: Optional[Iterable[int]] = None,
 ) -> list[int]:
     """Perfect matching of a bipartite multigraph, center matched first.
 
-    The host is ``g.induced(left + right, edge_ids)``, read off g without
-    building it: the listed edges (every edge when ``edge_ids`` is None)
-    with both ends on a side.  Each adjacent pair is matched through its
-    least edge id.  With a center x in the host: x is matched to a neighbor
-    y, then a maximum matching of the remainder must saturate it (candidate
-    y's are tried in index order).  When no perfect matching exists,
-    ``NoPerfectMatching`` names the size of a maximum matching against the
-    size needed.
+    ``host`` maps each vertex to ``{neighbor: ascending allowed edge ids}``,
+    with no empty lists: the shape of the engine's index of free crossing
+    edges, so step 3 builds no graph for its hosts.  The bipartite graph is
+    the part of ``host`` on ``left`` + ``right``; an allowed edge with both
+    ends on one side raises ``PreconditionViolated``, and each matched pair
+    u-w takes its least id ``host[u][w][0]``.  With a center x on a side: x
+    is matched to a neighbor y, then a maximum matching of the remainder
+    must saturate it (candidate y's are tried in index order).  When no
+    perfect matching exists, ``NoPerfectMatching`` names the size of a
+    maximum matching against the size needed.
     """
     ls, rs = set(left), set(right)
-    if ls & rs or not (ls | rs) <= g.verts:
+    if ls & rs or not (ls | rs) <= host.keys():
         raise PreconditionViolated("sides", "left/right must split the vertex set")
     if len(ls) != len(rs):
         raise NoPerfectMatching(f"side sizes differ: {len(ls)} vs {len(rs)}")
-    nbrs: dict[int, list[int]] = {v: [] for v in ls | rs}
-    least: dict[tuple[int, int], int] = {}
-    for eid in sorted(g.edge_ids() if edge_ids is None else set(edge_ids)):
-        u, v = g.endpoints(eid)
-        if u not in nbrs or v not in nbrs:
-            continue
-        if (u in ls) == (v in ls):
-            raise PreconditionViolated("bipartite", f"edge inside one side: ({u},{v})")
-        if (u, v) not in least:
-            least[u, v] = eid
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-    for vs in nbrs.values():
-        vs.sort()
+    nbrs: dict[int, list[int]] = {}
+    for side, other in ((ls, rs), (rs, ls)):
+        for v in sorted(side):
+            row = host[v].keys()
+            inside = row & side
+            if inside:
+                u, w = sorted((v, min(inside)))
+                raise PreconditionViolated("bipartite", f"edge inside one side: ({u},{w})")
+            nbrs[v] = sorted(row & other)
 
     def matched(m: dict[int, int]) -> list[int]:
-        return [least[min(u, w), max(u, w)] for u, w in sorted(m.items())]
+        return [host[u][w][0] for u, w in sorted(m.items())]
 
     def solve(l_side: list[int], r_side: list[int]) -> dict[int, int]:
         r_set = set(r_side)

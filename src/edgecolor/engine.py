@@ -15,7 +15,9 @@ Step 2 reads the uncolored crossing edges off one index,
 ``EngineState.free_h`` (vertex -> neighbor -> ascending edge ids), built
 once when step 2 starts and updated by ``_color_h_edge`` whenever step 2 or
 3 colors a crossing edge, so finding the crossing edge of an exchange is a
-lookup.
+lookup.  Step 3's bipartite matchings read their hosts off a copy of the
+same index, and step 1 reads the edges of G[A], G[B] and H as id sets, so
+neither builds a graph for them.
 
 Every inequality the construction relies on is evaluated as a named guard
 and recorded in the trace.  Guards whose failure only weakens the
@@ -388,9 +390,9 @@ def step1_color_gab(state: EngineState) -> EngineState:
         c.assign(eid, col)
     state.g_star = g_star
     state.coloring = c
-    state.h_edges = set(split.H.edge_ids()) - set(split.moved_center_edges)
-    state.side_a_edges = set(split.G_A.edge_ids())
-    state.side_b_edges = set(split.G_B.edge_ids())
+    state.h_edges = split.h_edges.difference(split.moved_center_edges)
+    state.side_a_edges = split.a_edges
+    state.side_b_edges = split.b_edges
 
     # S-pair augmentation: join same-side low-degree vertices that share a
     # missing color, and give the new edge that color.
@@ -465,13 +467,6 @@ def _r_degree(state: EngineState, v: int) -> int:
     return state.r_deg.get(v, 0)
 
 
-def _is_good(state: EngineState, eid: int) -> bool:
-    if eid in state.r_a or eid in state.r_b:
-        return False
-    u, v = state.g_star.endpoints(eid)
-    return _r_degree(state, u) < state.r_bound and _r_degree(state, v) < state.r_bound
-
-
 def _uncolor_to_residual(state: EngineState, eid: int) -> None:
     c = state.coloring
     c.unassign(eid)
@@ -498,16 +493,24 @@ def _index_free_h(state: EngineState) -> None:
     state.free_h = free_h
 
 
+def _drop_free(free_h: dict[int, dict[int, list[int]]], u: int, v: int, eid: int) -> None:
+    """Take the crossing edge ``eid`` = u-v out of an index shaped like
+    ``state.free_h``.  The lists are replaced, never changed in place, so a
+    copy of the index that shares them with ``state.free_h`` is safe."""
+    for a, b in ((u, v), (v, u)):
+        rest = [e for e in free_h[a][b] if e != eid]
+        if rest:
+            free_h[a][b] = rest
+        else:
+            del free_h[a][b]
+
+
 def _color_h_edge(state: EngineState, eid: int, color: int) -> None:
     state.coloring.assign(eid, color)
     u, v = state.g_star.endpoints(eid)
     state.colored_h_at[u] += 1
     state.colored_h_at[v] += 1
-    for a, b in ((u, v), (v, u)):
-        ids = state.free_h[a][b]
-        ids.remove(eid)
-        if not ids:
-            del state.free_h[a][b]
+    _drop_free(state.free_h, u, v, eid)
 
 
 def _uncolored_h_edge(state: EngineState, u: int, w: int) -> Optional[int]:
@@ -571,14 +574,17 @@ def _pair_up_missing(state: EngineState) -> None:
 def _sacrifices(state: EngineState, anchor: int, color: int):
     """One exchange from ``anchor`` across the bipartition, in neighbor order.
 
-    Yields ``(w, sac, h_eid, w2)``: ``h_eid`` is the least uncolored
-    crossing edge anchor-w, and ``sac`` is w's good side edge of ``color``,
-    ending at w2.  Giving ``h_eid`` the color and uncoloring ``sac`` moves
-    the missing color from ``anchor`` to w2.  Neither w nor w2 is protected.
-    The candidates w are the neighbors in ``state.free_h[anchor]``, all on
-    the other side, in ascending order.
+    Yields ``(load, (w, sac, h_eid, w2))``: ``h_eid`` is the least
+    uncolored crossing edge anchor-w, and ``sac`` is w's good side edge of
+    ``color``, ending at w2: both its ends have residual degree below r
+    (a colored edge is never residual, so that is all goodness asks), and
+    ``load`` is the sum of the two.  Giving ``h_eid`` the color and
+    uncoloring ``sac`` moves the missing color from ``anchor`` to w2.
+    Neither w nor w2 is protected.  The candidates w are the neighbors in
+    ``state.free_h[anchor]``, all on the other side, in ascending order.
     """
     c, g_star = state.coloring, state.g_star
+    r_deg, r = state.r_deg, state.r_bound
     if anchor in state.side_a:
         avoid, store = state.s_b_star, state.side_b_edges
     else:
@@ -587,11 +593,15 @@ def _sacrifices(state: EngineState, anchor: int, color: int):
         if w in avoid:
             continue
         sac = c.edge_at(w, color)
-        if sac is None or sac not in store or not _is_good(state, sac):
+        if sac is None or sac not in store:
+            continue
+        load_w = r_deg.get(w, 0)
+        if load_w >= r:
             continue
         w2 = g_star.other_end(sac, w)
-        if w2 not in avoid:
-            yield w, sac, ids[0], w2
+        load_w2 = r_deg.get(w2, 0)
+        if load_w2 < r and w2 not in avoid:
+            yield load_w + load_w2, (w, sac, ids[0], w2)
 
 
 def step2_relocate_S(state: EngineState) -> EngineState:
@@ -613,7 +623,7 @@ def step2_relocate_S(state: EngineState) -> EngineState:
             found = next(_sacrifices(state, v, i), None)
             if found is None:
                 raise NoGoodEdge(i, v)
-            _, sac, h_eid, w2 = found
+            _, (_, sac, h_eid, w2) = found
             _uncolor_to_residual(state, sac)
             _color_h_edge(state, h_eid, i)
             for pair in state.mcc_pairs.get(i, ()):
@@ -633,22 +643,20 @@ def step2_relocate_S(state: EngineState) -> EngineState:
     return state
 
 
-def _ranked(state: EngineState, anchor: int, color: int) -> list[tuple[int, int, int, int]]:
-    """The exchanges from ``anchor``, those whose ends carry the least
-    residual degree first: like the center step's min-d_R rule, this spreads
-    the uncolored edges and keeps goodness alive much longer at desk scale.
-    Ties go by (w, sac, h_eid)."""
-    r_deg = state.r_deg
-    return sorted(
-        _sacrifices(state, anchor, color),
-        key=lambda s: (r_deg.get(s[0], 0) + r_deg.get(s[3], 0), s),
-    )
+def _ranked(
+    state: EngineState, anchor: int, color: int
+) -> list[tuple[int, tuple[int, int, int, int]]]:
+    """The ``(load, exchange)`` pairs from ``anchor``, those whose ends carry
+    the least residual degree first: like the center step's min-d_R rule,
+    this spreads the uncolored edges and keeps goodness alive much longer at
+    desk scale.  Ties go by (w, sac, h_eid)."""
+    return sorted(_sacrifices(state, anchor, color))
 
 
 def _walks(state: EngineState, anchor: int, color: int, steps: int):
     """Chains of ``steps`` >= 1 ranked exchanges from ``anchor``, depth
     first; each exchange starts where the one before it ends."""
-    for step in _ranked(state, anchor, color):
+    for _, step in _ranked(state, anchor, color):
         if steps == 1:
             yield (step,)
         else:
@@ -676,7 +684,7 @@ def _resolve_pair(state: EngineState, i: int, a: int, b: int) -> None:
         if len(seen) != 2 + 2 * steps:
             continue
         end = tail[-1][3]
-        for head in heads:
+        for _, head in heads:
             if head[0] in seen or head[3] in seen:
                 continue
             closing = _uncolored_h_edge(state, end, head[3])
@@ -787,31 +795,30 @@ def step3_color_residuals(state: EngineState) -> EngineState:
                 raise GuardFailed("step3.pad", f"U cap B too small for color {state.k + 1 + j}")
         drop = a_i | b_i | set(pad_a) | set(pad_b)
         hosts.append((sorted(state.side_a - drop), sorted(state.side_b - drop)))
-    free_h = [eid for eid in sorted(state.h_edges) if c.color_of(eid) is None]
 
     # Each class takes a perfect matching of its host among the crossing
-    # edges the classes before it left over.  A class that finds none moves
-    # to the front and the matchings are found again, ell attempts at most;
-    # a class that fails at the front fails in every order.
+    # edges the classes before it left over: an attempt works on a copy of
+    # the free crossing-edge index and takes each matching out of it, so
+    # state.free_h changes only when the matchings are colored.  A class
+    # that finds none moves to the front and the matchings are found again,
+    # ell attempts at most; a class that fails at the front fails in every
+    # order.
     order = list(range(state.ell))
     for attempts in range(1, state.ell + 1):
-        used: set[int] = set()
+        free = {v: dict(row) for v, row in state.free_h.items()}
         matchings: dict[int, list[int]] = {}
         failed = None
         for j in order:
             side_a, side_b = hosts[j]
             try:
                 matchings[j] = perfect_matching_bipartite_star(
-                    state.g_star,
-                    side_a,
-                    side_b,
-                    center=state.x,
-                    edge_ids=(e for e in free_h if e not in used),
+                    free, side_a, side_b, center=state.x
                 )
             except (NoPerfectMatching, PreconditionViolated) as exc:
                 failed, failure = j, exc
                 break
-            used.update(matchings[j])
+            for eid in matchings[j]:
+                _drop_free(free, *state.g_star.endpoints(eid), eid)
         if failed is None or order[0] == failed:
             break
         order.remove(failed)

@@ -43,11 +43,13 @@ class Multigraph:
     space).  Edges are stored as ``edge_id -> (u, v)`` with ``u < v``; the
     adjacency index maps ``u -> {v -> set of edge ids}`` so multiplicity
     lookups are O(1) amortized, and ``_deg`` holds each vertex's degree.
-    :meth:`induced` is the one subgraph builder: G[A], G[A,B], G_AB and
-    residual graphs are induced subgraphs, some restricted to listed edge
-    ids.  The reductions peel their working graph in place, and the
-    matching routines read their hosts off the graph they are given
-    without building them; other stages work on copies.
+    :meth:`induced` is the one subgraph builder: the engine's G_AB and
+    residual graphs are induced subgraphs restricted to listed edge ids.
+    G[A], G[B] and G[A,B] are not built; the engine keeps their edge ids.
+    The reductions peel their working graph in place, the dense matching
+    reads its host off the graph it is given, and the bipartite matching
+    reads its host off the engine's free crossing-edge index; other stages
+    work on copies.
     """
 
     __slots__ = ("n", "verts", "_edges", "_adj", "_deg", "_next_id")

@@ -1,10 +1,14 @@
-"""Randomized balanced vertex partition and the derived split graphs.
+"""Randomized balanced vertex partition and the split of the edges it induces.
 
 The partition halves the vertex set, separates each prescribed pair, and
 keeps every vertex's simple degree nearly balanced across the two sides
 (within ``n^(2/3) - 1``).  The construction samples uniformly and retries
 with chained seeds; concentration makes failure vanishingly rare except
 at toy sizes, where the caller falls back.
+
+The split sorts the edge ids into those of G[A], G[B] and the crossing
+graph H = G[A,B]; these id sets are all the engine reads of them, so the
+only graph it builds is the working union G_AB.
 """
 
 from __future__ import annotations
@@ -29,9 +33,12 @@ class Partition:
 
 @dataclass
 class SplitGraphs:
-    G_A: Multigraph
-    G_B: Multigraph
-    H: Multigraph
+    """The edges of G[A], G[B] and H = G[A,B] as id sets, which partition
+    E(G), and the working union G_AB, the only graph that is built."""
+
+    a_edges: set[int]
+    b_edges: set[int]
+    h_edges: set[int]
     G_AB: Multigraph
     moved_center_edges: list[int] = field(default_factory=list)
 
@@ -183,16 +190,23 @@ def build_split(
     x: int,
     condition: str,
 ) -> SplitGraphs:
-    """Split into G[A], G[B], H = G[A,B], and the working union G_AB.
+    """Split E(G) into the edges of G[A], G[B] and H = G[A,B] in one pass,
+    and build the working union G_AB.
 
     G_AB receives floor((d_B(x) - d_A(x)) / 2) crossing edges at x, chosen
     round-robin over x's B-neighbors in index order.  Under condition (b)
     each neighbor contributes at most ceil(e(x,u)/2) edges; under (c) each
     contributes between floor and ceil of half its bundle.
     """
-    g_a = g.induced(part.A)
-    g_b = g.induced(part.B)
-    h = g.induced(g.verts, (eid for eid, u, v in g.edges() if (u in part.A) != (v in part.A)))
+    side_a = part.A
+    a_edges: set[int] = set()
+    b_edges: set[int] = set()
+    h_edges: set[int] = set()
+    for eid, u, v in g.edges():
+        if u in side_a:
+            (a_edges if v in side_a else h_edges).add(eid)
+        else:
+            (h_edges if v in side_a else b_edges).add(eid)
 
     d_a = _multi_side_degree(g, x, part.A)
     d_b = _multi_side_degree(g, x, part.B)
@@ -235,10 +249,12 @@ def build_split(
     for w in nbrs:
         moved.extend(g.edges_between(x, w)[: take[w]])
 
-    g_ab = g.induced(g.verts, g_a.edge_ids() + g_b.edge_ids() + moved)
+    g_ab = g.induced(g.verts, a_edges.union(b_edges, moved))
 
     if g_ab.degree(x) != g.degree(x) // 2:
         raise AssertionError("d_GAB(x) != floor(d_G(x)/2)")
-    if g_a.edge_count + g_b.edge_count + h.edge_count != g.edge_count:
+    if len(a_edges) + len(b_edges) + len(h_edges) != g.edge_count:
         raise AssertionError("split does not partition E(G)")
-    return SplitGraphs(G_A=g_a, G_B=g_b, H=h, G_AB=g_ab, moved_center_edges=moved)
+    return SplitGraphs(
+        a_edges=a_edges, b_edges=b_edges, h_edges=h_edges, G_AB=g_ab, moved_center_edges=moved
+    )

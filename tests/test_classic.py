@@ -140,13 +140,26 @@ def test_hopcroft_karp_saturates():
     assert len(m) == 3
 
 
+def _edge_index(g, edge_ids=None):
+    """vertex -> {neighbor -> ascending edge ids} over the edges of g (the
+    listed ones when edge_ids is given): the host form of the bipartite
+    matching."""
+    allowed = None if edge_ids is None else set(edge_ids)
+    index = {v: {} for v in g.verts}
+    for eid, u, v in g.edges():
+        if allowed is None or eid in allowed:
+            index[u].setdefault(v, []).append(eid)
+            index[v].setdefault(u, []).append(eid)
+    return index
+
+
 def test_bipartite_star_matching():
     n = 4
     g = Multigraph(2 * n)
     for u in range(n):
         for w in range(n, 2 * n):
             g.add_edge(u, w)
-    m = perfect_matching_bipartite_star(g, list(range(n)), list(range(n, 2 * n)))
+    m = perfect_matching_bipartite_star(_edge_index(g), list(range(n)), list(range(n, 2 * n)))
     assert check_matching(g, m)
 
 
@@ -156,7 +169,7 @@ def test_bipartite_star_center_bundle():
     g.add_edge(0, 2)
     g.add_edge(0, 2)
     g.add_edge(1, 3)
-    m = perfect_matching_bipartite_star(g, [0, 1], [2, 3], center=0)
+    m = perfect_matching_bipartite_star(_edge_index(g), [0, 1], [2, 3], center=0)
     assert check_matching(g, m)
     ends = {frozenset(g.endpoints(e)) for e in m}
     assert frozenset((0, 2)) in ends
@@ -178,7 +191,7 @@ def test_bipartite_star_random(seed):
     for w in right:
         if g.degree(w) == 0:
             g.add_edge(w - n, w)
-    m = perfect_matching_bipartite_star(g, left, right, center=0)
+    m = perfect_matching_bipartite_star(_edge_index(g), left, right, center=0)
     assert check_matching(g, m)
 
 
@@ -275,14 +288,16 @@ def _bipartite_host(seed):
 
 
 def test_bipartite_matching_on_ids_equals_matching_on_induced_host():
-    """perfect_matching_bipartite_star(g, ..., edge_ids=ids) reads its host
-    off g; it must give what the call on g.induced(left + right, ids) gives."""
+    """perfect_matching_bipartite_star on the index of the allowed edges of
+    g reads only the part on the two sides; it must give what it gives on
+    the index of g.induced(left + right, ids)."""
     kinds = set()
     for seed in range(300):
         g, left, right, center, ids = _bipartite_host(seed)
-        got = _outcome(perfect_matching_bipartite_star, g, left, right, center, edge_ids=ids)
+        got = _outcome(perfect_matching_bipartite_star, _edge_index(g, ids), left, right, center)
         host = g.induced(left + right, ids)
-        assert got == _outcome(perfect_matching_bipartite_star, host, left, right, center), seed
+        want = _outcome(perfect_matching_bipartite_star, _edge_index(host), left, right, center)
+        assert got == want, seed
         if isinstance(got, list):
             assert check_matching(host, got)
             # each pair is matched through its least allowed edge id
@@ -291,6 +306,16 @@ def test_bipartite_matching_on_ids_equals_matching_on_induced_host():
         else:
             kinds.add(got[0])
     assert {"matching", "PreconditionViolated", "NoPerfectMatching"} <= kinds
+
+
+def test_bipartite_matching_rejects_an_edge_inside_a_side():
+    g = Multigraph(4)
+    for u, v in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 3)):
+        g.add_edge(u, v)
+    with pytest.raises(PreconditionViolated, match=r"edge inside one side: \(2,3\)"):
+        perfect_matching_bipartite_star(_edge_index(g), [0, 1], [2, 3])
+    # without the two edges inside {2, 3} the host has a perfect matching
+    assert perfect_matching_bipartite_star(_edge_index(g, [0, 1, 2, 3]), [0, 1], [2, 3]) == [0, 3]
 
 
 # -- Koenig ------------------------------------------------------------

@@ -17,7 +17,7 @@ from edgecolor.engine import (
     step2_fix_center,
     step2_relocate_S,
 )
-from edgecolor.errors import PreconditionViolated
+from edgecolor.errors import EdgeColorError, MatchingFailed, PreconditionViolated
 from edgecolor.generators import gen_case_fixture, gen_complete, gen_dcolor_fixture
 from edgecolor.multigraph import build_multigraph
 from edgecolor.partition import adjust_for_center, balanced_partition
@@ -216,20 +216,24 @@ _INDEXED_STEPS = (
 @pytest.mark.parametrize(
     "name,steps_reached",
     # Fixtures a and b fail in step 2's extension; e fails at step 3's pad
-    # guard; case2-n44 is colored through the engine.
-    [("dcolor-a", 3), ("dcolor-b", 3), ("dcolor-e", 4), ("case2-n44", 4)],
+    # guard; case2-n44 is colored through the engine at pipeline seed 1, and
+    # at seed 7 every step-3 attempt fails to find its matchings.
+    [("dcolor-a", 3), ("dcolor-b", 3), ("dcolor-e", 4), ("case2-n44", 4), ("case2-n44-seed7", 4)],
 )
 def test_free_h_index_matches_rebuild(monkeypatch, name, steps_reached):
     """After each step that colors crossing edges, returning or raising,
     the step-2 index equals a rescan of h_edges and the coloring, and
-    _uncolored_h_edge answers what the scan answers."""
-    if name == "case2-n44":
+    _uncolored_h_edge answers what the scan answers.  A step 3 that raises
+    MatchingFailed leaves the index as step 2 left it."""
+    if name.startswith("case2-n44"):
         fix = gen_case_fixture(2, 44)
-        run = lambda: color_odd_dense(fix.graph, fix.epsilon, eta=fix.eta, seed=1)
+        seed = 7 if name.endswith("seed7") else 1
+        run = lambda: color_odd_dense(fix.graph, fix.epsilon, eta=fix.eta, seed=seed)
     else:
         fix = gen_dcolor_fixture(name[-1], 30)
         run = lambda: dcolor(fix.graph, _params(fix))
     checked = []
+    raised = {}
 
     def check(state, step):
         want = _free_h_by_scan(state)
@@ -245,9 +249,14 @@ def test_free_h_index_matches_rebuild(monkeypatch, name, steps_reached):
         def wrapped(state, _orig=getattr(engine, step), _step=step):
             try:
                 return _orig(state)
+            except EdgeColorError as exc:
+                raised[_step] = type(exc)
+                raise
             finally:
                 check(state, _step)
 
         monkeypatch.setattr(engine, step, wrapped)
     run()
     assert checked == list(_INDEXED_STEPS[:steps_reached])
+    if name == "case2-n44-seed7":
+        assert raised == {"step3_color_residuals": MatchingFailed}

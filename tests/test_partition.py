@@ -89,17 +89,22 @@ def test_build_split_partitions_edges():
     part = balanced_partition(g, pairs, seed=4)
     part = adjust_for_center(part, g, 0, set(), pairs)
     split = build_split(g, part, 0, "a")
-    assert split.G_A.edge_count + split.G_B.edge_count + split.H.edge_count == g.edge_count
     assert split.G_AB.degree(0) == g.degree(0) // 2
     _assert_split_edges(g, part, split)
 
 
 def _assert_split_edges(g, part, split):
-    """H holds exactly the crossing edges; G_AB holds G_A, G_B and the moved ones."""
+    """A, B and H partition E(G); A and B hold the edges inside each side
+    and H exactly the crossing edges; G_AB holds A, B and the moved ones."""
+    a, b, h = split.a_edges, split.b_edges, split.h_edges
+    assert a | b | h == set(g.edge_ids())
+    assert len(a) + len(b) + len(h) == g.edge_count
+    assert all(u in part.A and v in part.A for u, v in map(g.endpoints, a))
+    assert all(u in part.B and v in part.B for u, v in map(g.endpoints, b))
     crossing = {eid for eid, u, v in g.edges() if (u in part.A) != (v in part.A)}
-    assert set(split.H.edge_ids()) == crossing
-    gab = set(split.G_A.edge_ids()) | set(split.G_B.edge_ids()) | set(split.moved_center_edges)
-    assert set(split.G_AB.edge_ids()) == gab
+    assert h == crossing
+    assert set(split.moved_center_edges) <= h
+    assert set(split.G_AB.edge_ids()) == a | b | set(split.moved_center_edges)
     assert split.G_AB.verts == g.verts
 
 
