@@ -3,6 +3,7 @@ import pytest
 from edgecolor.errors import PartitionFailed, PreconditionViolated
 from edgecolor.multigraph import Multigraph
 from edgecolor.partition import (
+    Partition,
     adjust_for_center,
     audit_partition,
     balanced_partition,
@@ -71,6 +72,29 @@ def test_adjust_for_center_places_x():
         assert len(adjusted.A & {xi, yi}) == 1
 
 
+@pytest.mark.parametrize(
+    "side_a, want_a",
+    [
+        ({0, 2, 6, 7}, {0, 2, 6, 7}),  # x in A, d_B(x) >= d_A(x): kept
+        ({0, 2, 4, 5}, {0, 3, 6, 7}),  # x in A, d_B(x) < d_A(x): x swaps with y1
+        ({1, 3, 4, 5}, {0, 2, 6, 7}),  # x in B: sides renamed
+        ({1, 3, 6, 7}, {0, 3, 6, 7}),  # x in B: renamed, then x swaps with y1
+    ],
+)
+def test_adjust_for_center_pins_sides(side_a, want_a):
+    """The sides adjust_for_center picks, from each start: x in A or in B,
+    with and without the x-y1 swap (x has multiplicity 3 to vertex 4 and 2
+    to vertex 5)."""
+    g = complete(8)
+    for w in (4, 4, 5):
+        g.add_edge(0, w)
+    pairs = [(0, 1), (2, 3)]
+    part = Partition(A=set(side_a), B=set(range(8)) - side_a, pairs=pairs, seed=0, retries=0)
+    adjusted = adjust_for_center(part, g, 0, set(), pairs)
+    assert adjusted.A == want_a
+    assert adjusted.B == set(range(8)) - want_a
+
+
 def test_adjust_moves_nb_members():
     g = complete(12)
     pairs = [(0, 1), (2, 3), (4, 5)]
@@ -116,8 +140,6 @@ def test_build_split_bundle_caps_condition_c():
     for w, mult in ((4, 3), (5, 3), (6, 2)):
         for _ in range(mult):
             g.add_edge(0, w)
-    from edgecolor.partition import Partition
-
     part = Partition(A={0, 1, 2, 3}, B={4, 5, 6, 7}, pairs=[(0, 4)], seed=0, retries=0)
     split = build_split(g, part, 0, "c")
     for w in (4, 5, 6):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -197,22 +199,40 @@ def test_peel_deletes_exactly_a_perfect_matching_of_the_host(leave_out):
     ]
 
 
-def test_case4_mid_peel_leaves_an_even_order_host():
+def test_case4_mid_peel_leaves_an_even_order_host(monkeypatch):
     """K_11 minus the circulant C_6(1,2) on vertices 0-5: saturating vertex 0
     leaves G' (order 12) with middle-degree vertices, and the mid peel must
     leave out a set that keeps the matched host at even order, so the
-    leveling loop gets past it."""
+    leveling loop gets past it.
+
+    The digest pins what the branch builds: the graph and leave-out set of
+    every peel (the first is G' as saturated), the returned G' and peeled
+    classes or the exception's type and text, and the trace."""
     g = complete(11)
     for u in range(6):
         for off in (1, 2):
             g.delete_edge(g.edges_between(u, (u + off) % 6)[0])
+    peel = reduction._peel_perfect_matching
+    hosts = []
+
+    def spy(work, leave_out, trace, step):
+        hosts.append([list(work.edges()), sorted(leave_out)])
+        return peel(work, leave_out, trace, step)
+
+    monkeypatch.setattr(reduction, "_peel_perfect_matching", spy)
     trace = PipelineTrace()
     try:
-        reduction._case4_branch_saturate(g, trace)
+        gp, peeled = reduction._case4_branch_saturate(g, trace)
+        built = {"edges": list(gp.edges()), "peeled": peeled}
     except EdgeColorError as exc:
         assert "even-order" not in str(exc)
+        built = {"raised": [type(exc).__name__, str(exc)]}
     peels = [e.step for e in trace.entries if e.guard == "matching-host-degrees"]
     assert peels[0] == "case4.mid" and len(peels) >= 2
+    built["hosts"] = hosts
+    built["trace"] = trace.to_list()
+    digest = hashlib.sha256(json.dumps(built, sort_keys=True).encode()).hexdigest()
+    assert digest == "e98ef562a054c030ed113409929c495f756302d5ca3f8237082c8975121f4da1"
 
 
 def test_recombine_gives_peeled_classes_the_top_colors():
