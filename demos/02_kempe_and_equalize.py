@@ -39,7 +39,7 @@ for u in range(14):
 k = g.max_degree() + 1
 c = greedy(g, k)
 print(f"graph: |V|=14 |E|={g.edge_count} Delta={g.max_degree()}, greedy with {k} colors")
-print("class sizes before:", [c.class_size(i) for i in range(1, k + 1)])
+print("class sizes before:", [len(cls) for cls in c.classes()])
 
 chain = kempe_chain(g, c, 0, 1, 2)
 print(f"a (1,2)-chain through vertex 0: shape={chain.shape}, {len(chain.edges)} edges")
@@ -48,7 +48,7 @@ print("after one swap, still proper:", verify_proper(g, c).ok)
 kempe_swap(c, chain)  # swapping back restores the original coloring
 
 equalize_classes(g, c)
-sizes = [c.class_size(i) for i in range(1, k + 1)]
+sizes = [len(cls) for cls in c.classes()]
 print("class sizes after equalize:", sizes, "(gap <= 1)")
 misses = [len(c.missing_at(g.vertex_list(), i)) for i in range(1, k + 1)]
 print("vertices missing each color:", misses, "(each even, like |V|=14)")

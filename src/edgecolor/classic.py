@@ -162,11 +162,8 @@ def dirac_hamiltonian(g: Multigraph, skip: Iterable[int] = ()) -> list[int]:
 # Perfect matchings
 
 
-def check_matching(
-    g: Multigraph, edge_ids: list[int], perfect: bool = True, skip: Iterable[int] = ()
-) -> bool:
-    """True iff ``edge_ids`` is a matching (a perfect one when ``perfect``)
-    of g minus the vertices ``skip``."""
+def check_matching(g: Multigraph, edge_ids: list[int], skip: Iterable[int] = ()) -> bool:
+    """True iff ``edge_ids`` is a perfect matching of g minus the vertices ``skip``."""
     verts = g.verts.difference(skip)
     used: set[int] = set()
     for eid in edge_ids:
@@ -176,7 +173,7 @@ def check_matching(
         if u in used or v in used or u not in verts or v not in verts:
             return False
         used.update((u, v))
-    return (used == verts) if perfect else True
+    return used == verts
 
 
 def _brute_perfect_matching(g: Multigraph, verts: list[int]) -> list[int] | None:

@@ -152,7 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "schema": 1,
         "ok": report.ok,
         "total": all(eid in c.assignment for eid in g.edge_ids()),
-        "colors_used": len(set(c.assignment.values())),
+        "colors_used": len(c.used_colors()),
         "violations": [list(v) for v in report.violations[:50]],
     }
     _write_out(formats.dump_json(doc), args.out)

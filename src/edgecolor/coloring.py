@@ -1,14 +1,17 @@
 """Edge colorings, an independent properness verifier, and Kempe chains.
 
 An :class:`EdgeColoring` is a partial map from edge ids to colors in
-``[1, k]`` that maintains per-vertex present-color indexes incrementally
-and refuses improper assignments.  Callers ask which colors are missing
-through two queries: :meth:`EdgeColoring.first_missing`, the smallest color
-missing at a vertex or at both ends of a pair, and
-:meth:`EdgeColoring.missing_at`, the vertices of a list that miss a color.
-:func:`verify_proper` recomputes properness from scratch and shares no
-state with the incremental indexes, so it can serve as an oracle for
-everything built on top.
+``[1, k]`` that refuses improper assignments.  It keeps two indexes, both
+updated on every assign and unassign: the assignment itself and, per
+vertex, the present colors with their edges.  Color classes are derived:
+:meth:`EdgeColoring.classes` reads them off the assignment in one pass.
+:meth:`EdgeColoring.rebind` hands a coloring to another graph that shares
+its edge ids.  Callers ask which colors are missing through two queries:
+:meth:`EdgeColoring.first_missing`, the smallest color missing at a vertex
+or at both ends of a pair, and :meth:`EdgeColoring.missing_at`, the
+vertices of a list that miss a color.  :func:`verify_proper` recomputes
+properness from scratch and shares no state with the incremental indexes,
+so it can serve as an oracle for everything built on top.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class EdgeColoring:
     exists to catch bugs in this bookkeeping, not to repair them.
     """
 
-    __slots__ = ("graph", "k", "assignment", "_present", "_classes")
+    __slots__ = ("graph", "k", "assignment", "_present")
 
     def __init__(self, graph: Multigraph, palette_size: int):
         if palette_size < 0:
@@ -40,11 +43,14 @@ class EdgeColoring:
         self.k = palette_size
         self.assignment: dict[int, int] = {}
         self._present: list[dict[int, int]] = [dict() for _ in range(graph.n)]
-        self._classes: dict[int, set[int]] = {}
 
-    def rebind(self, graph: Multigraph) -> "EdgeColoring":
-        """Copy restricted to the edges of ``graph`` (shared edge ids)."""
-        c = EdgeColoring(graph, self.k)
+    def rebind(self, graph: Multigraph, palette_size: Optional[int] = None) -> "EdgeColoring":
+        """Copy restricted to the edges of ``graph`` (shared edge ids), over
+        palette ``[1, palette_size]`` (default ``k``).
+
+        Raises ``ValueError`` if a kept color lies outside that palette.
+        """
+        c = EdgeColoring(graph, self.k if palette_size is None else palette_size)
         for eid, col in self.assignment.items():
             if graph.has_edge_id(eid):
                 c.assign(eid, col)
@@ -87,17 +93,19 @@ class EdgeColoring:
         present = self._present
         return [v for v in vertices if color not in present[v]]
 
-    def class_edges(self, color: int) -> set[int]:
-        return set(self._classes.get(color, ()))
-
-    def class_size(self, color: int) -> int:
-        return len(self._classes.get(color, ()))
-
     def is_total(self) -> bool:
         return len(self.assignment) == self.graph.edge_count
 
     def used_colors(self) -> set[int]:
-        return {c for c, eids in self._classes.items() if eids}
+        return set(self.assignment.values())
+
+    def classes(self) -> list[list[int]]:
+        """The ascending edge ids of each color; entry i holds color i + 1."""
+        out: list[list[int]] = [[] for _ in range(self.k)]
+        assignment = self.assignment
+        for eid in sorted(assignment):
+            out[assignment[eid] - 1].append(eid)
+        return out
 
     # -- updates -----------------------------------------------------------
 
@@ -112,14 +120,12 @@ class EdgeColoring:
         self.assignment[edge_id] = color
         self._present[u][color] = edge_id
         self._present[v][color] = edge_id
-        self._classes.setdefault(color, set()).add(edge_id)
 
     def unassign(self, edge_id: int) -> int:
         color = self.assignment.pop(edge_id)
         u, v = self.graph.endpoints(edge_id)
         del self._present[u][color]
         del self._present[v][color]
-        self._classes[color].discard(edge_id)
         return color
 
 
@@ -201,16 +207,8 @@ def kempe_chain(g: Multigraph, c: EdgeColoring, v: int, alpha: int, beta: int) -
             shape=SHAPE_EVEN_CYCLE,
             endpoints=(v, v),
         )
-    bv, be, bc, closed_b = _walk(g, c, v, beta, alpha)
-    if closed_b:
-        return KempeChain(
-            colors=(alpha, beta),
-            vertices=bv[:-1],
-            edges=be,
-            edge_colors=bc,
-            shape=SHAPE_EVEN_CYCLE,
-            endpoints=(v, v),
-        )
+    # The alpha walk did not close, so v lies on a path: the beta walk cannot close.
+    bv, be, bc, _ = _walk(g, c, v, beta, alpha)
     vertices = list(reversed(bv[1:])) + fv
     edges = list(reversed(be)) + fe
     cols = list(reversed(bc)) + fc

@@ -385,9 +385,7 @@ def step1_color_gab(state: EngineState) -> EngineState:
 
     g_star = g.copy()
     gab = split.G_AB
-    c = EdgeColoring(g_star, k)
-    for eid, col in base.assignment.items():
-        c.assign(eid, col)
+    c = base.rebind(g_star, k)
     state.g_star = g_star
     state.coloring = c
     state.h_edges = split.h_edges.difference(split.moved_center_edges)
@@ -738,10 +736,11 @@ def step2_extend_to_factors(state: EngineState) -> EngineState:
 # Step 3
 
 
-def _residual_classes(state: EngineState, ids: set[int]) -> list[set[int]]:
+def _residual_classes(state: EngineState, ids: set[int]) -> list[list[int]]:
     """Color one residual multigraph with the ell fresh colors, equalized.
 
-    Returns the classes ordered largest first (ties by smallest edge id).
+    Returns the classes as ascending edge-id lists, ordered largest first
+    (ties by smallest edge id).
     """
     ell = state.ell
     sub = state.g_star.induced(state.g_star.verts, ids)
@@ -750,8 +749,8 @@ def _residual_classes(state: EngineState, ids: set[int]) -> list[set[int]]:
     except StarColoringFailed as exc:
         raise GuardFailed("step3.palette", str(exc)) from exc
     equalize_classes(sub, local)
-    classes = [local.class_edges(col) for col in range(1, ell + 1)]
-    classes.sort(key=lambda s: (-len(s), min(s) if s else 1 << 60))
+    classes = local.classes()
+    classes.sort(key=lambda cls: (-len(cls), cls[0] if cls else 1 << 60))
     return classes
 
 
@@ -829,7 +828,7 @@ def step3_color_residuals(state: EngineState) -> EngineState:
 
     for j in range(state.ell):
         color = state.k + 1 + j
-        for eid in sorted(classes_a[j] | classes_b[j]):
+        for eid in sorted(classes_a[j] + classes_b[j]):
             c.assign(eid, color)
         for eid in matchings[j]:
             _color_h_edge(state, eid, color)

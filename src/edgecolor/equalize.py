@@ -21,10 +21,14 @@ alternating chain can cross between the sides (all crossing edges share the
 center), which makes a reducing swap available whenever the target is
 violated.
 
-Each procedure counts once, before its first sweep: class sizes, per-side
-edge counts or per-side missing counts per color.  A swap changes the
-counts of its two colors only, by a known amount, so the counts are kept
-up to date rather than recounted in every sweep.
+There is one count and one flattening.  The side-aware procedures count
+per-side missing counts per color (:func:`_miss_counts`), and
+:func:`equalize_classes` reads class sizes off the coloring; each counts
+once, and a swap changes the counts of its two colors only, by a known
+amount, so the counts are kept up to date rather than recounted in every
+sweep.  :func:`_flatten` evens out one side's missing counts; it is all of
+:func:`equalize_per_side` and the second phase of
+:func:`equalize_balanced_sides`, run on side A and then on side B.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def equalize_classes(g: Multigraph, c: EdgeColoring) -> EdgeColoring:
     """
     if not c.is_total():
         raise NotTotal("equalize_classes needs a total coloring")
-    size = [c.class_size(col) for col in range(c.k + 1)]
+    size = [0] + [len(cls) for cls in c.classes()]
     for _ in range(_MAX_SWEEPS):
         big = max(range(1, c.k + 1), key=lambda col: (size[col], col))
         small = min(range(1, c.k + 1), key=lambda col: (size[col], col))
@@ -106,38 +110,51 @@ def _check_crossing_at_center(g: Multigraph, side_a: set[int]) -> None:
             )
 
 
-def _side_edge_counts(g: Multigraph, c: EdgeColoring, side_a: set[int]):
-    """Per color: (#edges inside A, #edges inside B)."""
-    a = [0] * (c.k + 1)
-    b = [0] * (c.k + 1)
-    for eid, col in c.assignment.items():
-        u, v = g.endpoints(eid)
-        if u in side_a and v in side_a:
-            a[col] += 1
-        elif u not in side_a and v not in side_a:
-            b[col] += 1
-    return a, b
-
-
 def _miss_counts(c: EdgeColoring, side: set[int]) -> list[int]:
     """Per color (index 0 unused): how many vertices of ``side`` miss it."""
     return [0] + [len(c.missing_at(side, i)) for i in range(1, c.k + 1)]
 
 
+def _flatten(g: Multigraph, c: EdgeColoring, side: set[int]) -> None:
+    """Swap paths inside ``side`` until its missing counts differ by <= 2.
+
+    Two vertices of the side that miss the overloaded color must lie on one
+    common chain (chains cross sides at most once), and swapping that chain
+    shrinks the gap.  Only edges inside the side change color.
+    """
+    miss = _miss_counts(c, side)
+    for _ in range(_MAX_SWEEPS):
+        hi = max(range(1, c.k + 1), key=lambda i: miss[i])
+        lo = min(range(1, c.k + 1), key=lambda i: miss[i])
+        if miss[hi] - miss[lo] <= 2:
+            return
+        if not _swap_surplus_path(g, c, lo, hi, restrict=side):
+            raise EqualizationFailed(
+                f"no within-side swap despite gap {miss[hi] - miss[lo]} for colors ({hi},{lo})"
+            )
+        miss[hi] -= 2  # the two path ends now miss lo instead of hi
+        miss[lo] += 2
+    raise EqualizationFailed("within-side sweep budget exhausted")
+
+
 def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColoring:
     """Make both sides miss every color equally often, then flatten gaps.
 
-    Preconditions: ``part.A`` / ``part.B`` split V(g), all crossing edges
-    of ``g`` share one vertex, and both sides carry the same number of
-    edges.  Postconditions, for all colors i, j:
+    Preconditions: ``part.A`` / ``part.B`` split V(g) into halves, all
+    crossing edges of ``g`` share one vertex, and both sides carry the same
+    number of colored edges.  Postconditions, for all colors i, j:
     ``|miss_A(i)| == |miss_B(i)|`` and ``| |miss_A(i)| - |miss_A(j)| | <= 2``.
 
-    Phase 1 fixes the cross-side imbalance one unit at a time: if color i
-    is overloaded inside A relative to B, either an A-side path with both
-    end edges colored i or a B-side path with both end edges colored j
-    (an underloaded color) must exist, because at most one chain crosses
-    between the sides.  Phase 2 then runs matched within-side swaps on
-    both sides at once, which leaves the cross-side balance intact.
+    Each crossing edge of color i covers one vertex on each side, so with
+    |A| = |B| the sides' color-i edge counts differ by
+    ``(|miss_B(i)| - |miss_A(i)|) / 2``.  Phase 1 drives that difference to
+    zero one unit at a time: if color i is overloaded inside A relative to
+    B, either an A-side path with both end edges colored i or a B-side path
+    with both end edges colored j (an underloaded color) must exist,
+    because at most one chain crosses between the sides.  Phase 2 flattens
+    side A and then side B.  A within-side swap recolors only edges inside
+    its side, so the sides evolve independently; B starts from A's counts
+    and repeats A's choices, which keeps both sides' counts equal.
     """
     side_a, side_b = set(part.A), set(part.B)
     if side_a | side_b != g.verts or side_a & side_b:
@@ -145,15 +162,14 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
     if len(side_a) != len(side_b):
         raise PreconditionViolated("|A|=|B|", f"{len(side_a)} != {len(side_b)}")
     _check_crossing_at_center(g, side_a)
-    a_cnt, b_cnt = _side_edge_counts(g, c, side_a)
-    if sum(a_cnt) != sum(b_cnt):
-        raise PreconditionViolated(
-            "e(A)=e(B)", f"e(A)={sum(a_cnt)} != e(B)={sum(b_cnt)}"
-        )
+    diffs = [
+        (mb - ma) // 2 for ma, mb in zip(_miss_counts(c, side_a), _miss_counts(c, side_b))
+    ]
+    if sum(diffs):
+        raise PreconditionViolated("e(A)=e(B)", f"e(A) - e(B) = {sum(diffs)}")
 
     # Phase 1: drive a_i == b_i for every color.  Either swap moves one
     # edge of color hi to lo inside A, or one edge of lo to hi inside B.
-    diffs = [a - b for a, b in zip(a_cnt, b_cnt)]
     for _ in range(_MAX_SWEEPS):
         hi = max(range(1, c.k + 1), key=lambda i: diffs[i])
         lo = min(range(1, c.k + 1), key=lambda i: diffs[i])
@@ -171,53 +187,18 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
     else:
         raise EqualizationFailed("phase 1 sweep budget exhausted")
 
-    # Phase 2: flatten within-side gaps with matched swaps on both sides.
-    miss = _miss_counts(c, side_a)
-    for _ in range(_MAX_SWEEPS):
-        hi = max(range(1, c.k + 1), key=lambda i: miss[i])
-        lo = min(range(1, c.k + 1), key=lambda i: miss[i])
-        if miss[hi] - miss[lo] <= 2:
-            return c
-        ok_a = _swap_surplus_path(g, c, lo, hi, restrict=side_a)
-        ok_b = _swap_surplus_path(g, c, lo, hi, restrict=side_b)
-        if not (ok_a and ok_b):
-            raise EqualizationFailed(
-                f"matched within-side swap unavailable for colors ({hi},{lo})"
-            )
-        miss[hi] -= 2  # the two path ends now miss lo instead of hi
-        miss[lo] += 2
-    raise EqualizationFailed("phase 2 sweep budget exhausted")
+    # Phase 2: flatten within-side gaps.
+    _flatten(g, c, side_a)
+    _flatten(g, c, side_b)
+    return c
 
 
 def equalize_per_side(g: Multigraph, c: EdgeColoring, part) -> EdgeColoring:
-    """Flatten per-side missing-count gaps to at most 2 on each side.
-
-    Follows the textbook swap loop: take the side and color pair with the
-    widest gap; two vertices missing the overloaded color must then lie on
-    one common chain (chains cross sides at most once), and swapping that
-    chain shrinks the gap.
-    """
+    """Flatten per-side missing-count gaps to at most 2 on each side."""
     side_a, side_b = set(part.A), set(part.B)
     if side_a | side_b != g.verts or side_a & side_b:
         raise PreconditionViolated("partition", "A, B must split the vertex set")
     _check_crossing_at_center(g, side_a)
-
-    sides = [(side, _miss_counts(c, side)) for side in (side_a, side_b)]
-    for _ in range(_MAX_SWEEPS):
-        best = None
-        for side, miss in sides:
-            hi = max(range(1, c.k + 1), key=lambda i: miss[i])
-            lo = min(range(1, c.k + 1), key=lambda i: miss[i])
-            gap = miss[hi] - miss[lo]
-            if best is None or gap > best[0]:
-                best = (gap, side, miss, hi, lo)
-        gap, side, miss, hi, lo = best
-        if gap <= 2:
-            return c
-        if not _swap_surplus_path(g, c, lo, hi, restrict=side):
-            raise EqualizationFailed(
-                f"no within-side swap despite gap {gap} for colors ({hi},{lo})"
-            )
-        miss[hi] -= 2  # the two path ends now miss lo instead of hi
-        miss[lo] += 2
-    raise EqualizationFailed("sweep budget exhausted")
+    _flatten(g, c, side_a)
+    _flatten(g, c, side_b)
+    return c

@@ -109,7 +109,7 @@ def write_graph(path: str, g: Multigraph, comments: Optional[list[str]] = None) 
 
 def coloring_to_dict(c: EdgeColoring, g: Multigraph) -> dict:
     """Schema: {"k": int, "classes": [[edge_id,...],...], "uncolored": [...]}"""
-    classes = [sorted(c.class_edges(i)) for i in range(1, c.k + 1)]
+    classes = c.classes()
     uncolored = sorted(e for e in g.edge_ids() if c.color_of(e) is None)
     return {"k": c.k, "classes": classes, "uncolored": uncolored}
 

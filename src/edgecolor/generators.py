@@ -22,7 +22,6 @@ class Fixture:
     epsilon: float
     eta: float
     kind: str
-    note: str = ""
 
 
 def gen_complete(n: int) -> Multigraph:

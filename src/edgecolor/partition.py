@@ -133,9 +133,11 @@ def adjust_for_center(
 ) -> Partition:
     """Normalize the partition around the multi-center.
 
-    Ensures x in A with d_B(x) >= d_A(x) (multigraph degrees), then moves
-    the members of ``nb_x`` to B with their partners moved opposite, which
-    preserves the pair-splitting and the side sizes.
+    Puts x in A, and swaps x with its partner y1 if d_B(x) < d_A(x)
+    (multigraph degrees); that swap reverses the inequality, since the x-y1
+    edges then count toward B.  Then moves the members of ``nb_x`` to B
+    with their partners moved opposite, which preserves the pair-splitting
+    and the side sizes.
     """
     x1, y1 = pairs[0]
     if x1 != x:
@@ -145,34 +147,11 @@ def adjust_for_center(
         partner[a] = b
         partner[b] = a
 
-    chosen = None
-    for swap_pair in (False, True):
-        for rename in (False, True):
-            a_side = set(part.A)
-            b_side = set(part.B)
-            if swap_pair:
-                if x in a_side:
-                    a_side.discard(x)
-                    b_side.add(x)
-                    b_side.discard(y1)
-                    a_side.add(y1)
-                else:
-                    b_side.discard(x)
-                    a_side.add(x)
-                    a_side.discard(y1)
-                    b_side.add(y1)
-            if rename:
-                a_side, b_side = b_side, a_side
-            if x in a_side and _multi_side_degree(g, x, b_side) >= _multi_side_degree(
-                g, x, a_side
-            ):
-                chosen = (a_side, b_side)
-                break
-        if chosen:
-            break
-    if chosen is None:
+    a_side, b_side = (set(part.A), set(part.B)) if x in part.A else (set(part.B), set(part.A))
+    if x not in a_side:
         raise AssertionError("no orientation places x in A with d_B(x) >= d_A(x)")
-    a_side, b_side = chosen
+    if _multi_side_degree(g, x, b_side) < _multi_side_degree(g, x, a_side):
+        a_side, b_side = (b_side - {y1}) | {x}, (a_side - {x}) | {y1}
 
     for v in sorted(nb_x):
         if v in a_side:

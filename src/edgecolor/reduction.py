@@ -5,6 +5,12 @@ star-multigraph instance for the coloring engine: a new center vertex
 absorbs the deficiencies, and perfect matchings or spanning linear forests
 are peeled off until one of the engine's entry conditions holds.
 
+One center attachment, ``_saturate_center``, joins the new center to a
+pool of vertices in order, each up to a cap, until it reaches a target
+degree.  Cases 2 and 3 and case 4's saturating branch build their center
+with it.  Case 1 spreads its center edges round-robin over W' instead, and
+case 4's parallel branch joins a full-degree center to its padded graph.
+
 Case contract.  A case returns ``(instance, peeled)``: the even-order
 engine instance G' and the edge-id classes it peeled off on the way.  It
 peels its working graph in place: g grown by the center, or in case 4 a
@@ -139,17 +145,38 @@ def _recombine(g: Multigraph, engine: EdgeColoring, peeled: list[list[int]]) -> 
     clashes with a peeled class or exceeds Delta(g) raises ``GuardFailed``.
     """
     delta = g.max_degree()
-    colors = list(engine.assignment.items())
-    for color, cls in enumerate(peeled, start=delta - len(peeled) + 1):
-        colors.extend((eid, color) for eid in cls)
-    final = EdgeColoring(g, delta)
     try:
-        for eid, col in colors:
-            if g.has_edge_id(eid):
-                final.assign(eid, col)
+        final = engine.rebind(g, delta)
+        for color, cls in enumerate(peeled, start=delta - len(peeled) + 1):
+            for eid in cls:
+                if g.has_edge_id(eid):
+                    final.assign(eid, color)
     except ValueError as exc:
         raise GuardFailed("recombine", str(exc)) from exc
     return final
+
+
+def _saturate_center(
+    g: Multigraph, pool: list[int], per_vertex_cap: dict[int, int], target: int
+) -> tuple[Multigraph, int]:
+    """The one center attachment: g grown by a new center x, joined to the
+    pool's vertices in order until d(x) reaches ``target``.
+
+    Each vertex v takes parallel x-v edges up to its cap, and never past
+    degree Delta(g).  Raises ``ConstructionFailed`` if the pool runs out
+    first.
+    """
+    gp = g.grown(1)
+    x = g.n
+    delta = g.max_degree()
+    for v in pool:
+        cap = per_vertex_cap[v]
+        while cap > 0 and gp.degree(x) < target and gp.degree(v) < delta:
+            gp.add_edge(x, v)
+            cap -= 1
+    if gp.degree(x) != target:
+        raise ConstructionFailed(f"center saturation stuck at {gp.degree(x)}/{target}")
+    return gp, x
 
 
 # ---------------------------------------------------------------------------
@@ -201,26 +228,7 @@ def case2_reduce(
     rep = deficiency_report(g)
 
     order = sorted(g.verts, key=lambda v: (g.degree(v), v))
-    acc = 0
-    s_idx = None
-    for idx, v in enumerate(order):
-        acc += rep.df_per_vertex[v]
-        if acc >= small:
-            s_idx = idx
-            break
-    if s_idx is None:
-        raise ConstructionFailed("case2: total deficiency below delta(G)")
-
-    gp = g.grown(1)
-    x = g.n
-    budget = small
-    for idx in range(s_idx + 1):
-        v = order[idx]
-        df_v = rep.df_per_vertex[v]
-        amount = df_v if idx < s_idx else budget
-        for _ in range(amount):
-            gp.add_edge(x, v)
-        budget -= amount
+    gp, x = _saturate_center(g, order, rep.df_per_vertex, small)
     trace.check("case2", "d(x)=delta(G')=delta(G)", gp.degree(x), small, gp.degree(x) == small == gp.min_degree())
     trace.check("case2", "Delta(G')=Delta(G)", gp.max_degree(), delta, gp.max_degree() == delta)
     non_max_nbrs = [w for w in gp.neighbors(x) if gp.degree(w) != delta]
@@ -244,8 +252,7 @@ def case2_reduce(
         h_color = greedy_color(h, max(2 * h.max_degree() - 1, 1))
         size_cap = max(1, math.floor(eps * n / 26))
         matchings = []
-        for col in range(1, h_color.k + 1):
-            cls = sorted(h_color.class_edges(col))
+        for cls in h_color.classes():
             for i in range(0, len(cls), size_cap):
                 chunk = cls[i : i + size_cap]
                 matchings.append(
@@ -282,24 +289,6 @@ def case2_reduce(
 
 # ---------------------------------------------------------------------------
 # Case 3: sqrt(n) <= |W| < 2*eta*n
-
-
-def _saturate_center(
-    g: Multigraph, pool: list[int], per_vertex_cap: dict[int, int], target: int
-) -> tuple[Multigraph, int]:
-    """New center joined along the pool (respecting caps) until it reaches
-    the degree target."""
-    gp = g.grown(1)
-    x = g.n
-    delta = g.max_degree()
-    for v in pool:
-        cap = per_vertex_cap[v]
-        while cap > 0 and gp.degree(x) < target and gp.degree(v) < delta:
-            gp.add_edge(x, v)
-            cap -= 1
-    if gp.degree(x) != target:
-        raise ConstructionFailed(f"center saturation stuck at {gp.degree(x)}/{target}")
-    return gp, x
 
 
 def case3_reduce(
@@ -430,10 +419,7 @@ def _case4_branch_saturate(
     small = rep.delta_min
     v_small = sorted(rep.vertices_of_degree(small))
     y = v_small[0]
-    gp = work.grown(1)
-    x = work.n
-    for _ in range(rep.df_per_vertex[y]):
-        gp.add_edge(x, y)
+    gp, x = _saturate_center(work, [y], rep.df_per_vertex, rep.df_per_vertex[y])
 
     for _ in range(4 * gp.vertex_count):
         gprep = deficiency_report(gp)

@@ -9,9 +9,10 @@ at the last vertex extends the fan, unless it leads back into the fan; then
 the (d, c)-chain at u is swapped, c the smallest color free at u, and the
 first fan prefix whose last vertex misses d is rotated.  A star-multigraph is
 colored by first coloring the simple part away from the multi-center and
-then inserting the center's edges one by one with a center-anchored fan;
-fan vertices may repeat (parallel center edges), which the shift step
-tolerates because its colors are pairwise distinct and individually free.
+then inserting the center's edges one by one with a center-anchored fan.
+Both fans turn through one rotation, :func:`_rotate`; star fan vertices may
+repeat (parallel center edges), which it tolerates because the shifted
+colors are pairwise distinct and individually free.
 
 A near star-multigraph reduces to the star case by setting aside all but
 one edge of its single non-center multi-pair.
@@ -43,6 +44,24 @@ def greedy_color(g: Multigraph, k: int) -> EdgeColoring:
 
 # ---------------------------------------------------------------------------
 # Misra-Gries on simple graphs
+
+
+def _rotate(c: EdgeColoring, fan_edges: list[int], j: int, col: int) -> None:
+    """Rotate a fan at its center: edges 0..j-1 take the current colors of
+    edges 1..j, and edge j takes ``col``.  ``fan_edges[0]`` is uncolored.
+
+    The rotation is proper when each shifted color is missing at the far end
+    of the edge it moves to, and ``col`` at the center and at the far end of
+    edge j.  Repeated fan vertices (parallel center edges of a
+    star-multigraph) are fine, since the shifted colors are pairwise
+    distinct.  The star insertion checks those colors as it grows the fan,
+    and the checks still hold here: every Kempe swap made in between avoids
+    the center, where every fan edge ends.
+    """
+    shift = [c.unassign(e) for e in fan_edges[1 : j + 1]]
+    for e, sc in zip(fan_edges, shift):
+        c.assign(e, sc)
+    c.assign(fan_edges[j], col)
 
 
 def _complete_round_robin(g: Multigraph, k: int) -> EdgeColoring:
@@ -80,14 +99,6 @@ def misra_gries(g: Multigraph, palette: int | None = None) -> EdgeColoring:
         return _complete_round_robin(g, k)
     c = EdgeColoring(g, k)
     present = c._present
-
-    def rotate(fan_edges: list[int], j: int, col: int) -> None:
-        """Shift each fan edge up to j to the next one's color; give edge j ``col``."""
-        shift = [c.unassign(e) for e in fan_edges[1 : j + 1]]
-        for e, sc in zip(fan_edges, shift):
-            c.assign(e, sc)
-        c.assign(fan_edges[j], col)
-
     for eid in g.edge_ids():
         u, v = g.endpoints(eid)
         at_u = present[u]
@@ -98,7 +109,7 @@ def misra_gries(g: Multigraph, palette: int | None = None) -> EdgeColoring:
         while True:
             common = c.first_missing(u, fan[-1])
             if common is not None:
-                rotate(fan_edges, len(fan) - 1, common)
+                _rotate(c, fan_edges, len(fan) - 1, common)
                 break
             dd = c.first_missing(fan[-1])
             w = g.other_end(at_u[dd], u)
@@ -115,33 +126,13 @@ def misra_gries(g: Multigraph, palette: int | None = None) -> EdgeColoring:
                 col = c.color_of(fan_edges[j]) if j < len(fan) else None
                 if col is None or col in present[fan[j - 1]]:
                     raise AssertionError("misra-gries found no rotatable fan prefix")
-            rotate(fan_edges, j, dd)
+            _rotate(c, fan_edges, j, dd)
             break
     return c
 
 
 # ---------------------------------------------------------------------------
 # Star-multigraph coloring
-
-
-def _shift_center_fan(
-    c: EdgeColoring,
-    fan_edges: list[int],
-    fan_colors: list[int | None],
-    upto: int,
-    final: int,
-) -> None:
-    """Give edge i the color of edge i+1 along the fan, then color the last.
-
-    Valid even when fan vertices repeat: the shifted colors are pairwise
-    distinct and each was recorded free at its target vertex, and no swap
-    since recording has touched colors outside the swap pair.
-    """
-    for eid in fan_edges[1 : upto + 1]:
-        c.unassign(eid)
-    for i in range(upto):
-        c.assign(fan_edges[i], fan_colors[i + 1])
-    c.assign(fan_edges[upto], final)
 
 
 def _insert_center_edge(g: Multigraph, c: EdgeColoring, eid: int, x: int) -> bool:
@@ -168,7 +159,7 @@ def _insert_center_edge(g: Multigraph, c: EdgeColoring, eid: int, x: int) -> boo
         collisions: list[int] = []
         for beta in sorted(c.missing(vj)):
             if c.misses(x, beta):
-                _shift_center_fan(c, fan_edges, fan_colors, len(fan_edges) - 1, beta)
+                _rotate(c, fan_edges, len(fan_edges) - 1, beta)
                 return True
             beta_edge = c.edge_at(x, beta)  # exists: beta is present at x
             if beta not in used_colors and beta_edge not in in_fan:
@@ -189,29 +180,29 @@ def _insert_center_edge(g: Multigraph, c: EdgeColoring, eid: int, x: int) -> boo
             last = len(fan_edges) - 1
             for alpha in sorted(c.missing(x)):
                 if c.misses(vj, alpha):
-                    _shift_center_fan(c, fan_edges, fan_colors, last, alpha)
+                    _rotate(c, fan_edges, last, alpha)
                     return True
                 chain = kempe_chain(g, c, vj, alpha, beta)
                 if x not in chain.vertices:
                     kempe_swap(c, chain)
                     if w != vj and w not in chain.vertices:
                         # beta is still free at w, so the full shift stays valid.
-                        _shift_center_fan(c, fan_edges, fan_colors, last, alpha)
+                        _rotate(c, fan_edges, last, alpha)
                     else:
                         # The swap reached w (or w is vj itself): stop the
                         # shift at w, whose missing set now contains alpha.
-                        _shift_center_fan(c, fan_edges, fan_colors, i - 1, alpha)
+                        _rotate(c, fan_edges, i - 1, alpha)
                     return True
                 if w == vj:
                     continue  # vj's chain ends at x and w offers no second chain
                 if c.misses(w, alpha):
-                    _shift_center_fan(c, fan_edges, fan_colors, i - 1, alpha)
+                    _rotate(c, fan_edges, i - 1, alpha)
                     return True
                 chain2 = kempe_chain(g, c, w, alpha, beta)
                 if x in chain2.vertices:
                     continue  # cannot happen for a proper coloring; stay safe
                 kempe_swap(c, chain2)
-                _shift_center_fan(c, fan_edges, fan_colors, i - 1, alpha)
+                _rotate(c, fan_edges, i - 1, alpha)
                 return True
         return False
     return False
@@ -226,10 +217,7 @@ def star_multigraph_color(g: Multigraph) -> EdgeColoring:
         raise NotStarMultigraph(f"structure is {profile.kind}")
     x = profile.center
     k = g.max_degree() + 1
-    base = misra_gries(g.without_vertices([x]), k)
-    c = EdgeColoring(g, k)
-    for eid, col in base.assignment.items():
-        c.assign(eid, col)
+    c = misra_gries(g.without_vertices([x]), k).rebind(g)
 
     pending = sorted(g.incident_edges(x), key=lambda e: (g.other_end(e, x), e))
     for round_no in range(1 + 4 * len(pending)):
@@ -269,10 +257,7 @@ def near_star_color(g: Multigraph) -> EdgeColoring:
     bundle = g.edges_between(y, z)
     spares = bundle[1:]
     reduced = g.without_edges(spares)
-    c = star_multigraph_color(reduced)
-    full = EdgeColoring(g, c.k)
-    for eid, col in c.assignment.items():
-        full.assign(eid, col)
+    full = star_multigraph_color(reduced).rebind(g)
     for eid in spares:
         shared = full.first_missing(y, z)
         if shared is not None:

@@ -290,8 +290,7 @@ def test_criterion_08_step2_one_factors():
         completed += 1
         c = state.coloring
         nv = state.g_star.vertex_count
-        for i in range(1, state.k + 1):
-            cls = c.class_edges(i)
+        for i, cls in enumerate(c.classes()[: state.k], start=1):
             covered = {v for e in cls for v in state.g_star.endpoints(e)}
             assert len(cls) == nv // 2, (cond, i)
             assert len(covered) == nv, (cond, i)

@@ -170,6 +170,21 @@ def test_verify_partial_coloring(tmp_path, capsys):
     assert run(["verify", str(mg), str(col)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True and doc["total"] is False and doc["violations"] == []
+    assert doc["colors_used"] == 2
+
+
+def test_verify_counts_colors_outside_the_palette(tmp_path, capsys):
+    """A loaded coloring may use colors outside [1, k]; colors_used counts
+    them like any other, and each one is a violation."""
+    mg = tmp_path / "k3.mg"
+    col = tmp_path / "k3.json"
+    run(["gen", "--kind", "complete", "--n", "3", "--out", str(mg)])
+    col.write_text(json.dumps({"k": 1, "classes": [[0], [1], [2]], "uncolored": []}))
+    capsys.readouterr()
+    assert run(["verify", str(mg), str(col)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["colors_used"] == 3 and doc["total"] is True
+    assert doc["violations"] == [[-1, 2, 1, 1], [-1, 3, 2, 2]]
 
 
 def test_color_too_large_exits_1(tmp_path, capsys, monkeypatch):

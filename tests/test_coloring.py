@@ -169,3 +169,54 @@ def test_first_missing_full_palette():
     assert c.first_missing(1, 0) is None
     assert c.first_missing(1) == 2 and c.first_missing(1, 2) == 3
     assert c.missing_at([3, 0, 1], 1) == [3]
+
+
+@given(partial_colorings(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_classes_partition_the_assignment_after_updates(c, data):
+    """After any mix of assign, unassign and Kempe swaps, classes() holds k
+    ascending lists that partition the assignment by color, and
+    used_colors() names the non-empty ones."""
+    g = c.graph
+    for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+        op = data.draw(st.sampled_from(["assign", "unassign", "swap"]))
+        if op == "assign":
+            free = [e for e in g.edge_ids() if e not in c.assignment]
+            if free and c.k:
+                eid = data.draw(st.sampled_from(free))
+                col = data.draw(st.integers(min_value=1, max_value=c.k))
+                u, v = g.endpoints(eid)
+                if c.misses(u, col) and c.misses(v, col):
+                    c.assign(eid, col)
+        elif op == "unassign":
+            if c.assignment:
+                c.unassign(data.draw(st.sampled_from(sorted(c.assignment))))
+        elif c.k >= 2:
+            v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+            alpha, beta = data.draw(
+                st.lists(st.integers(min_value=1, max_value=c.k), min_size=2, max_size=2, unique=True)
+            )
+            kempe_swap(c, kempe_chain(g, c, v, alpha, beta))
+    classes = c.classes()
+    assert len(classes) == c.k
+    for color, cls in enumerate(classes, start=1):
+        assert cls == sorted(cls)
+        assert all(c.assignment[eid] == color for eid in cls)
+    assert sum(len(cls) for cls in classes) == len(c.assignment)
+    assert c.used_colors() == {color for color, cls in enumerate(classes, start=1) if cls}
+    assert verify_proper(g, c).ok
+
+
+def test_rebind_keeps_the_shared_edges_and_checks_the_palette():
+    g = complete(5)
+    c = greedy_coloring(g, 7)
+    dropped = g.edges_between(0, 1) + g.edges_between(2, 3)
+    sub = g.without_edges(dropped)
+    moved = c.rebind(sub)
+    assert moved.graph is sub and moved.k == c.k
+    assert moved.assignment == {e: col for e, col in c.assignment.items() if e not in dropped}
+    assert verify_proper(sub, moved).ok
+    assert c.rebind(sub, 9).k == 9
+    top = max(moved.assignment.values())
+    with pytest.raises(ValueError, match="outside palette"):
+        c.rebind(sub, top - 1)

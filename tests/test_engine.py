@@ -108,8 +108,7 @@ def test_steps_1_2_make_one_factors():
     c = state.coloring
     assert verify_proper(state.g_star, c).ok
     nv = state.g_star.vertex_count
-    for i in range(1, state.k + 1):
-        cls = c.class_edges(i)
+    for cls in c.classes()[: state.k]:
         covered = {v for e in cls for v in state.g_star.endpoints(e)}
         assert len(cls) == nv // 2 and len(covered) == nv
 

@@ -17,7 +17,7 @@ from conftest import greedy_coloring, random_simple
 
 
 def _sizes(c):
-    return [c.class_size(i) for i in range(1, c.k + 1)]
+    return [len(cls) for cls in c.classes()]
 
 
 def test_equalize_path_two_colors():
@@ -104,30 +104,28 @@ def test_balanced_sides_postconditions(seed):
 
 def test_balanced_sides_seeds_reach_every_swap(monkeypatch):
     """The postcondition seeds take both cross-balancing swaps (inside A
-    and inside B) and the matched within-side swaps, so each kept count
+    and inside B) and within-side swaps on both sides, so each kept count
     update is checked by a postcondition."""
-    orig = equalize._swap_surplus_path
+    swap, flatten = equalize._swap_surplus_path, equalize._flatten
     reached = set()
     phase = None
 
-    def spy(g, c, heavy, light, restrict):
-        nonlocal phase
-        # Every sweep tries side A first; the phase is whether the sides
-        # were cross-balanced when it did.
-        if restrict == part.A:
-            inside = [
-                [sum(1 for e in c.class_edges(i) if set(g.endpoints(e)) <= side) for i in range(1, c.k + 1)]
-                for side in (part.A, part.B)
-            ]
-            phase = "cross" if inside[0] != inside[1] else "within"
-        moved = orig(g, c, heavy, light, restrict)
+    def spy_swap(g, c, heavy, light, restrict):
+        moved = swap(g, c, heavy, light, restrict)
         if moved:
             reached.add((phase, "A" if restrict == part.A else "B"))
         return moved
 
-    monkeypatch.setattr(equalize, "_swap_surplus_path", spy)
+    def spy_flatten(g, c, side):
+        nonlocal phase
+        phase = "within"  # the within-side phase starts at the first flattening
+        return flatten(g, c, side)
+
+    monkeypatch.setattr(equalize, "_swap_surplus_path", spy_swap)
+    monkeypatch.setattr(equalize, "_flatten", spy_flatten)
     for seed in range(10):
         g, part = _split_instance(seed)
+        phase = "cross"
         equalize_balanced_sides(g, greedy_coloring(g, g.max_degree() + 2), part)
     assert reached == {("cross", "A"), ("cross", "B"), ("within", "A"), ("within", "B")}
 
