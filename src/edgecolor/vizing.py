@@ -9,10 +9,11 @@ at the last vertex extends the fan, unless it leads back into the fan; then
 the (d, c)-chain at u is swapped, c the smallest color free at u, and the
 first fan prefix whose last vertex misses d is rotated.  A star-multigraph is
 colored by first coloring the simple part away from the multi-center and
-then inserting the center's edges one by one with a center-anchored fan.
-Both fans turn through one rotation, :func:`_rotate`; star fan vertices may
-repeat (parallel center edges), which it tolerates because the shifted
-colors are pairwise distinct and individually free.
+then inserting the center's edges one by one with a center-anchored fan,
+or, where that fan is blocked, with the Misra-Gries fan at the edge's other
+end.  Every fan turns through one rotation, :func:`_rotate`; star fan
+vertices may repeat (parallel center edges), which it tolerates because
+the shifted colors are pairwise distinct and individually free.
 
 A near star-multigraph reduces to the star case by setting aside all but
 one edge of its single non-center multi-pair.
@@ -98,37 +99,48 @@ def misra_gries(g: Multigraph, palette: int | None = None) -> EdgeColoring:
     if g.edge_count == m * (m - 1) // 2 and m >= 2:
         return _complete_round_robin(g, k)
     c = EdgeColoring(g, k)
-    present = c._present
     for eid in g.edge_ids():
-        u, v = g.endpoints(eid)
-        at_u = present[u]
-        # Grow the fan at u from v until its last vertex misses a color free
-        # at u, or until u's edge in the last vertex's smallest free color
-        # leads back into the fan.
-        fan, fan_edges = [v], [eid]
-        while True:
-            common = c.first_missing(u, fan[-1])
-            if common is not None:
-                _rotate(c, fan_edges, len(fan) - 1, common)
-                break
-            dd = c.first_missing(fan[-1])
-            w = g.other_end(at_u[dd], u)
-            if w not in fan:
-                fan.append(w)
-                fan_edges.append(at_u[dd])
-                continue
-            kempe_swap(c, kempe_chain(g, c, u, dd, c.first_missing(u)))
-            # u now misses dd; rotate the first valid fan prefix whose last
-            # vertex also misses dd.
-            j = 0
-            while dd in present[fan[j]]:
-                j += 1
-                col = c.color_of(fan_edges[j]) if j < len(fan) else None
-                if col is None or col in present[fan[j - 1]]:
-                    raise AssertionError("misra-gries found no rotatable fan prefix")
-            _rotate(c, fan_edges, j, dd)
-            break
+        if not _fan_color(g, c, eid, g.endpoints(eid)[0]):
+            raise AssertionError("misra-gries fan left a simple graph's edge uncolored")
     return c
+
+
+def _fan_color(g: Multigraph, c: EdgeColoring, eid: int, u: int) -> bool:
+    """Color the uncolored edge ``eid`` through a Misra-Gries fan at its end u.
+
+    Grows the fan at u from the other end until its last vertex misses a
+    color free at u, or until u's edge in the last vertex's smallest free
+    color leads back into the fan.  Returns False, with the coloring
+    untouched, only if that edge is not a fan edge: a parallel edge at u,
+    which a simple graph does not have.
+    """
+    present = c._present
+    at_u = present[u]
+    fan, fan_edges = [g.other_end(eid, u)], [eid]
+    while True:
+        common = c.first_missing(u, fan[-1])
+        if common is not None:
+            _rotate(c, fan_edges, len(fan) - 1, common)
+            return True
+        dd = c.first_missing(fan[-1])
+        w = g.other_end(at_u[dd], u)
+        if w not in fan:
+            fan.append(w)
+            fan_edges.append(at_u[dd])
+            continue
+        if at_u[dd] not in fan_edges:
+            return False
+        kempe_swap(c, kempe_chain(g, c, u, dd, c.first_missing(u)))
+        # u now misses dd; rotate the first valid fan prefix whose last
+        # vertex also misses dd.
+        j = 0
+        while dd in present[fan[j]]:
+            j += 1
+            col = c.color_of(fan_edges[j]) if j < len(fan) else None
+            if col is None or col in present[fan[j - 1]]:
+                raise AssertionError("misra-gries found no rotatable fan prefix")
+        _rotate(c, fan_edges, j, dd)
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -219,26 +231,36 @@ def star_multigraph_color(g: Multigraph) -> EdgeColoring:
     k = g.max_degree() + 1
     c = misra_gries(g.without_vertices([x]), k).rebind(g)
 
-    pending = sorted(g.incident_edges(x), key=lambda e: (g.other_end(e, x), e))
+    center = sorted(g.incident_edges(x), key=lambda e: (g.other_end(e, x), e))
+    pending = center
     for round_no in range(1 + 4 * len(pending)):
         stuck: list[int] = []
         for eid in pending:
-            if not _insert_center_edge(g, c, eid, x):
+            # The center's fan first, then the Misra-Gries fan at the far end.
+            if not (_insert_center_edge(g, c, eid, x) or _fan_color(g, c, eid, g.other_end(eid, x))):
                 stuck.append(eid)
         if not stuck:
             return c
         if len(stuck) == len(pending):
             # A failed insertion leaves the coloring untouched, so a plain
             # retry would repeat itself; perturb with a harmless Kempe swap
-            # near the stuck edge before the next round.
+            # near the stuck edge before the next round.  If that swap would
+            # reach the center, insert every center edge again instead,
+            # starting from another one.
             vj = g.other_end(stuck[0], x)
-            pres = sorted(c.present(vj) - set(c.color_of(e) for e in g.incident_edges(x)))
+            pres = sorted(c.present(vj) - set(c.color_of(e) for e in center))
             free = c.first_missing(vj)
             if pres and free is not None:
                 pick = pres[round_no % len(pres)]
                 chain = kempe_chain(g, c, vj, free, pick)
                 if x not in chain.vertices:
                     kempe_swap(c, chain)
+                else:
+                    for eid in center:
+                        if c.color_of(eid) is not None:
+                            c.unassign(eid)
+                    r = round_no % len(center)
+                    stuck = center[r:] + center[:r]
             stuck = stuck[1:] + stuck[:1]
         pending = stuck
     raise StarColoringFailed(f"{len(pending)} center edges left after retries")

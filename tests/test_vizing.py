@@ -103,6 +103,18 @@ def test_star_color_rejects_near_star():
         star_multigraph_color(g)
 
 
+def test_star_color_falls_back_on_the_fan_at_the_far_end():
+    """Inserting center edge 0-5 blocks the center's fan: its fan meets
+    vertex 3 twice along the parallel 0-3 edges, and every chain from 3
+    reaches the center.  The Misra-Gries fan at 5 colors the edge."""
+    pairs = [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+             (2, 3), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
+    g = build_multigraph(7, [(u, v, 1) for u, v in pairs] + [(0, 3, 2)])
+    assert detect_star_structure(g).kind == "Star"
+    c = star_multigraph_color(g)
+    assert _proper_within(g, c, g.max_degree() + 1)
+
+
 def test_near_star_single_residual_reduces():
     g = build_multigraph(5, [(0, 1, 2), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 2, 1)])
     c = near_star_color(g)
