@@ -11,6 +11,8 @@ from .coloring import (
     EdgeColoring,
     KempeChain,
     ProperReport,
+    alternating_path,
+    flip_path,
     kempe_chain,
     kempe_swap,
     verify_proper,
@@ -60,6 +62,7 @@ __all__ = [
     "SplitGraphs",
     "StarProfile",
     "adjust_for_center",
+    "alternating_path",
     "balanced_partition",
     "brute_chromatic_index",
     "brute_overfull_scan",
@@ -77,6 +80,7 @@ __all__ = [
     "equalize_balanced_sides",
     "equalize_classes",
     "equalize_per_side",
+    "flip_path",
     "hakimi_realize",
     "is_overfull",
     "kempe_chain",

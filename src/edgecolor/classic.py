@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .coloring import EdgeColoring, kempe_chain, kempe_swap
+from .coloring import EdgeColoring, alternating_path, flip_path
 from .errors import (
     CoverFailed,
     DegreeSequenceInfeasible,
@@ -371,9 +371,9 @@ def konig_color(g: Multigraph) -> EdgeColoring:
 
     The alternating-path proof of König's theorem.  Edges are colored in id
     order: edge uv takes a color a missing at u.  If v has an a-edge, then
-    for a color b missing at v the (a, b)-chain through v is a path leaving
-    v by its a-edge; every vertex it enters by an a-edge lies on u's side,
-    and u misses a, so the path avoids u.  Swapping it frees a at v.
+    for a color b missing at v the (a, b)-path leaving v by its a-edge is
+    maximal; every vertex it enters by an a-edge lies on u's side, and u
+    misses a, so the path avoids u.  Flipping it frees a at v.
     """
     bipartition(g)  # raises NotBipartite; the argument above needs two sides
     coloring = EdgeColoring(g, g.max_degree())
@@ -381,7 +381,7 @@ def konig_color(g: Multigraph) -> EdgeColoring:
         a = coloring.first_missing(u)
         if not coloring.misses(v, a):
             b = coloring.first_missing(v)
-            kempe_swap(coloring, kempe_chain(g, coloring, v, a, b))
+            flip_path(coloring, alternating_path(coloring, v, a, b)[1], a, b)
         coloring.assign(eid, a)
     return coloring
 

@@ -233,8 +233,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if f.endswith(".mg")
     )
     jobs = [(p, args.epsilon, args.eta, args.seed) for p in paths]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, jobs))
     else:
         rows = [_bench_one(j) for j in jobs]
@@ -260,7 +261,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         + (f" fallback-causes[{cause_summary}]" if causes else ""),
         file=sys.stderr,
     )
-    return EXIT_OK
+    return EXIT_OK if len(done) == len(rows) else EXIT_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.3)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_bench)
     return ap

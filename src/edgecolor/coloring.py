@@ -1,4 +1,4 @@
-"""Edge colorings, an independent properness verifier, and Kempe chains.
+"""Edge colorings, an independent properness verifier, and Kempe moves.
 
 An :class:`EdgeColoring` is a partial map from edge ids to colors in
 ``[1, k]`` that refuses improper assignments.  It keeps two indexes, both
@@ -12,6 +12,15 @@ or at both ends of a pair, and :meth:`EdgeColoring.missing_at`, the
 vertices of a list that miss a color.  :func:`verify_proper` recomputes
 properness from scratch and shares no state with the incremental indexes,
 so it can serve as an oracle for everything built on top.
+
+A Kempe move is one walk and one flip.  :func:`alternating_path` walks the
+maximal two-colored path that starts at a vertex missing one of its colors,
+which is the shape of every swap the constructions make, and
+:func:`flip_path` exchanges the two colors on it, checking each edge's new
+color as ``assign`` would.  :func:`kempe_chain` and :func:`kempe_swap` are
+the general-component forms (cycles, or a start in the middle of a path)
+on the same walk and flip, with a :class:`KempeChain` record and a
+staleness check in between.
 """
 
 from __future__ import annotations
@@ -168,57 +177,106 @@ class KempeChain:
     endpoints: tuple[int, int]
 
 
-def _walk(g: Multigraph, c: EdgeColoring, start: int, first: int, second: int):
-    """Forced walk from ``start`` beginning with a ``first``-colored edge."""
+def _walk(
+    ends: dict[int, tuple[int, int]], present: list[dict[int, int]], start: int, first: int, second: int
+) -> tuple[list[int], list[int], bool]:
+    """Forced walk from ``start`` beginning with a ``first``-colored edge:
+    its vertices, its edges, and whether it closed back at ``start``.
+
+    In a proper coloring the walk ends or closes within ``|E|`` edges; a
+    longer one means the present-color index is broken, and raises.
+    """
     verts = [start]
     edges: list[int] = []
-    seen: set[int] = set()
-    cols: list[int] = []
-    cur, want = start, first
-    while True:
-        eid = c.edge_at(cur, want)
-        if eid is None or eid in seen:
-            return verts, edges, cols, False
-        seen.add(eid)
+    cur, want, other = start, first, second
+    for _ in range(len(ends) + 1):
+        eid = present[cur].get(want)
+        if eid is None:
+            return verts, edges, False
         edges.append(eid)
-        cols.append(want)
-        cur = g.other_end(eid, cur)
+        a, b = ends[eid]
+        cur = b if cur == a else a
         verts.append(cur)
         if cur == start:
-            return verts, edges, cols, True
-        want = second if want == first else first
+            return verts, edges, True
+        want, other = other, want
+    raise AssertionError("alternating walk longer than |E|: the coloring's index is not proper")
+
+
+def alternating_path(c: EdgeColoring, v: int, alpha: int, beta: int) -> tuple[list[int], list[int]]:
+    """The maximal (alpha, beta)-path that leaves ``v`` by its alpha-edge,
+    where ``v`` misses beta: its vertices from ``v`` on, and its edges in
+    walk order (none if ``v`` misses alpha too).
+
+    Raises ``ValueError`` if the colors are equal or ``v`` has a beta-edge,
+    since then ``v`` need not be an end of its chain.
+    """
+    if alpha == beta:
+        raise ValueError("chain colors must differ")
+    present = c._present
+    if beta in present[v]:
+        raise ValueError(f"vertex {v} has a {beta}-edge, so no path of {alpha}/{beta} starts there")
+    verts, edges, _ = _walk(c.graph._edges, present, v, alpha, beta)
+    return verts, edges
+
+
+def flip_path(c: EdgeColoring, edges: list[int], alpha: int, beta: int) -> None:
+    """Exchange alpha and beta in place on ``edges``, the edges of an
+    (alpha, beta)-alternating path or cycle, as :func:`alternating_path` or
+    :func:`kempe_chain` gives them.
+
+    Each swapped color is checked at both ends of its edge as ``assign``
+    checks it, so a path that is not maximal raises ``ValueError`` instead
+    of leaving a clash; the edge at fault and the ones after it are then
+    left uncolored, and the coloring stays proper.
+    """
+    k = c.k
+    if not (1 <= alpha <= k and 1 <= beta <= k):
+        raise ValueError(f"colors {alpha}, {beta} outside palette [1, {k}]")
+    assignment, present, ends = c.assignment, c._present, c.graph._edges
+    for eid in edges:
+        u, v = ends[eid]
+        col = assignment[eid]
+        del present[u][col]
+        del present[v][col]
+    for eid in edges:
+        u, v = ends[eid]
+        col = beta if assignment[eid] == alpha else alpha
+        at_u, at_v = present[u], present[v]
+        if col in at_u or col in at_v:
+            for rest in edges[edges.index(eid) :]:
+                del assignment[rest]
+            raise ValueError(f"color {col} already present at an endpoint of edge {eid}")
+        assignment[eid] = col
+        at_u[col] = eid
+        at_v[col] = eid
 
 
 def kempe_chain(g: Multigraph, c: EdgeColoring, v: int, alpha: int, beta: int) -> KempeChain:
     """The maximal (alpha, beta)-alternating component through ``v``.
 
     Either a path or an even cycle; a vertex missing both colors yields a
-    degenerate single-vertex path.
+    degenerate single-vertex path.  Unlike :func:`alternating_path`, ``v``
+    may lie anywhere on the component.
     """
     if alpha == beta:
         raise ValueError("chain colors must differ")
-    fv, fe, fc, closed = _walk(g, c, v, alpha, beta)
+    ends, present = g._edges, c._present
+    fv, fe, closed = _walk(ends, present, v, alpha, beta)
     if closed:
-        return KempeChain(
-            colors=(alpha, beta),
-            vertices=fv[:-1],
-            edges=fe,
-            edge_colors=fc,
-            shape=SHAPE_EVEN_CYCLE,
-            endpoints=(v, v),
-        )
-    # The alpha walk did not close, so v lies on a path: the beta walk cannot close.
-    bv, be, bc, _ = _walk(g, c, v, beta, alpha)
-    vertices = list(reversed(bv[1:])) + fv
-    edges = list(reversed(be)) + fe
-    cols = list(reversed(bc)) + fc
+        vertices, edges, shape, endpoints = fv[:-1], fe, SHAPE_EVEN_CYCLE, (v, v)
+    else:
+        # The alpha walk did not close, so v lies on a path: the beta walk cannot close.
+        bv, be, _ = _walk(ends, present, v, beta, alpha)
+        vertices, edges = bv[:0:-1] + fv, be[::-1] + fe
+        shape, endpoints = SHAPE_PATH, (vertices[0], vertices[-1])
     return KempeChain(
         colors=(alpha, beta),
         vertices=vertices,
         edges=edges,
-        edge_colors=cols,
-        shape=SHAPE_PATH,
-        endpoints=(vertices[0], vertices[-1]),
+        edge_colors=[c.assignment[e] for e in edges],
+        shape=shape,
+        endpoints=endpoints,
     )
 
 
@@ -229,17 +287,13 @@ def kempe_swap(c: EdgeColoring, chain: KempeChain) -> EdgeColoring:
     :class:`StaleChain` if the chain no longer matches the coloring.
     """
     alpha, beta = chain.colors
-    current: list[int] = []
+    prev = None
     for eid in chain.edges:
         col = c.color_of(eid)
         if col not in (alpha, beta):
             raise StaleChain(f"edge {eid} no longer colored {alpha}/{beta}")
-        current.append(col)
-    for a, b in zip(current, current[1:]):
-        if a == b:
+        if col == prev:
             raise StaleChain("chain edges no longer alternate")
-    for eid in chain.edges:
-        c.unassign(eid)
-    for eid, col in zip(chain.edges, current):
-        c.assign(eid, beta if col == alpha else alpha)
+        prev = col
+    flip_path(c, chain.edges, alpha, beta)
     return c

@@ -12,14 +12,16 @@ Three procedures, all operating in place on an :class:`EdgeColoring`:
   balance required: within each side the missing counts differ by at
   most 2.
 
-All three make one kind of move, :func:`_swap_surplus_path`: swap a
+All three make one kind of move, :func:`_swap_surplus_path`: flip a
 two-colored path whose end edges both carry the heavier color, optionally
-only a path that stays inside one side.  A path whose end vertices both miss
-color i is such a path for the other color, so the within-side flattening
-uses the same swap.  The side-aware procedures exploit that at most one
-alternating chain can cross between the sides (all crossing edges share the
-center), which makes a reducing swap available whenever the target is
-violated.
+only a path that stays inside one side.  Such a path starts at a vertex
+that has the heavier color and misses the lighter one, and has odd length,
+so it is one walk and one flip (``coloring.alternating_path`` and
+``coloring.flip_path``).  A path whose end vertices both miss color i is
+such a path for the other color, so the within-side flattening uses the
+same swap.  The side-aware procedures exploit that at most one alternating
+chain can cross between the sides (all crossing edges share the center),
+which makes a reducing swap available whenever the target is violated.
 
 There is one count and one flattening.  The side-aware procedures count
 per-side missing counts per color (:func:`_miss_counts`), and
@@ -33,7 +35,7 @@ sweep.  :func:`_flatten` evens out one side's missing counts; it is all of
 
 from __future__ import annotations
 
-from .coloring import SHAPE_PATH, EdgeColoring, kempe_chain, kempe_swap
+from .coloring import EdgeColoring, alternating_path, flip_path
 from .errors import EqualizationFailed, NotTotal, PreconditionViolated
 from .multigraph import Multigraph
 
@@ -84,14 +86,14 @@ def _swap_surplus_path(
             continue
         if c.edge_at(v, heavy) is None or c.edge_at(v, light) is not None:
             continue  # chain endpoints with a heavy end-edge only
-        chain = kempe_chain(g, c, v, heavy, light)
-        seen.update(chain.vertices)
-        if chain.shape != SHAPE_PATH or not chain.edges:
+        # v has heavy and misses light, so its chain is a path from v that
+        # starts heavy; it ends heavy exactly when its length is odd.
+        verts, path = alternating_path(c, v, heavy, light)
+        seen.update(verts)
+        if restrict is not None and not restrict.issuperset(verts):
             continue
-        if restrict is not None and not all(u in restrict for u in chain.vertices):
-            continue
-        if chain.edge_colors[0] == heavy and chain.edge_colors[-1] == heavy:
-            kempe_swap(c, chain)
+        if len(path) % 2:
+            flip_path(c, path, heavy, light)
             return True
     return False
 

@@ -123,10 +123,13 @@ def coloring_from_dict(data: dict, g: Multigraph) -> EdgeColoring:
     A malformed document, or an edge listed in two classes, raises
     :class:`ParseError`.
     """
+    malformed = 'a coloring needs an integer "k" and a list "classes"'
     try:
-        k, classes = int(data["k"]), list(data["classes"])
+        k, classes = data["k"], list(data["classes"])
     except (KeyError, TypeError, ValueError):
-        raise ParseError('a coloring needs an integer "k" and a list "classes"') from None
+        raise ParseError(malformed) from None
+    if type(k) is not int:  # rejects 3.7, "3" and true, which int() would accept
+        raise ParseError(malformed)
     c = EdgeColoring(g, k)
     for color, cls in enumerate(classes, start=1):
         if not isinstance(cls, list):

@@ -213,7 +213,9 @@ class Multigraph:
         return {v: deg[v] for v in self.vertex_list()}
 
     def is_simple(self) -> bool:
-        return all(len(ids) == 1 for v in self.verts for ids in self._adj[v].values())
+        # Each adjacent pair is one key at each end, so the keys count
+        # 2 * |E| exactly when no pair has a parallel edge.
+        return sum(map(len, self._adj)) == 2 * len(self._edges)
 
     def multi_pairs(self) -> list[tuple[int, int]]:
         """Vertex pairs (u < v) joined by two or more parallel edges."""

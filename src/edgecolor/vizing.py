@@ -6,12 +6,15 @@ rotated.  To color uv, the fan at u grows from v one vertex at a time.  If
 its last vertex misses a color free at u, the fan is rotated and its last
 edge takes that color.  Otherwise u's edge in the smallest color d missing
 at the last vertex extends the fan, unless it leads back into the fan; then
-the (d, c)-chain at u is swapped, c the smallest color free at u, and the
-first fan prefix whose last vertex misses d is rotated.  A star-multigraph is
-colored by first coloring the simple part away from the multi-center and
-then inserting the center's edges one by one with a center-anchored fan,
-or, where that fan is blocked, with the Misra-Gries fan at the edge's other
-end.  Every fan turns through one rotation, :func:`_rotate`; star fan
+the (d, c)-path that leaves u by its d-edge is flipped, c the smallest
+color free at u, and the first fan prefix whose last vertex misses d is
+rotated.  A star-multigraph is colored by first coloring the simple part
+away from the multi-center and then inserting the center's edges one by
+one with a center-anchored fan, or, where that fan is blocked, with the
+Misra-Gries fan at the edge's other end.  Every recoloring there is one
+Kempe move from a vertex that misses one of its two colors:
+``coloring.alternating_path`` walks the path and ``coloring.flip_path``
+flips it.  Every fan turns through one rotation, :func:`_rotate`; star fan
 vertices may repeat (parallel center edges), which it tolerates because
 the shifted colors are pairwise distinct and individually free.
 
@@ -21,7 +24,7 @@ one edge of its single non-center multi-pair.
 
 from __future__ import annotations
 
-from .coloring import EdgeColoring, kempe_chain, kempe_swap
+from .coloring import EdgeColoring, alternating_path, flip_path
 from .errors import NotNearStar, NotStarMultigraph, StarColoringFailed
 from .multigraph import (
     KIND_NEAR_STAR,
@@ -130,7 +133,8 @@ def _fan_color(g: Multigraph, c: EdgeColoring, eid: int, u: int) -> bool:
             continue
         if at_u[dd] not in fan_edges:
             return False
-        kempe_swap(c, kempe_chain(g, c, u, dd, c.first_missing(u)))
+        free = c.first_missing(u)
+        flip_path(c, alternating_path(c, u, dd, free)[1], dd, free)
         # u now misses dd; rotate the first valid fan prefix whose last
         # vertex also misses dd.
         j = 0
@@ -194,10 +198,10 @@ def _insert_center_edge(g: Multigraph, c: EdgeColoring, eid: int, x: int) -> boo
                 if c.misses(vj, alpha):
                     _rotate(c, fan_edges, last, alpha)
                     return True
-                chain = kempe_chain(g, c, vj, alpha, beta)
-                if x not in chain.vertices:
-                    kempe_swap(c, chain)
-                    if w != vj and w not in chain.vertices:
+                verts, path = alternating_path(c, vj, alpha, beta)
+                if x not in verts:
+                    flip_path(c, path, alpha, beta)
+                    if w != vj and w not in verts:
                         # beta is still free at w, so the full shift stays valid.
                         _rotate(c, fan_edges, last, alpha)
                     else:
@@ -210,10 +214,11 @@ def _insert_center_edge(g: Multigraph, c: EdgeColoring, eid: int, x: int) -> boo
                 if c.misses(w, alpha):
                     _rotate(c, fan_edges, i - 1, alpha)
                     return True
-                chain2 = kempe_chain(g, c, w, alpha, beta)
-                if x in chain2.vertices:
+                # w still misses beta: the fan has only grown since it was recorded.
+                verts, path = alternating_path(c, w, alpha, beta)
+                if x in verts:
                     continue  # cannot happen for a proper coloring; stay safe
-                kempe_swap(c, chain2)
+                flip_path(c, path, alpha, beta)
                 _rotate(c, fan_edges, i - 1, alpha)
                 return True
         return False
@@ -252,9 +257,9 @@ def star_multigraph_color(g: Multigraph) -> EdgeColoring:
             free = c.first_missing(vj)
             if pres and free is not None:
                 pick = pres[round_no % len(pres)]
-                chain = kempe_chain(g, c, vj, free, pick)
-                if x not in chain.vertices:
-                    kempe_swap(c, chain)
+                verts, path = alternating_path(c, vj, pick, free)
+                if x not in verts:
+                    flip_path(c, path, pick, free)
                 else:
                     for eid in center:
                         if c.color_of(eid) is not None:

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from edgecolor import formats
+from edgecolor import cli, formats
 from edgecolor.cli import main
 from edgecolor.formats import read_graph
 
@@ -159,6 +159,65 @@ def test_verify_reports_violations(tmp_path, capsys, coloring, violation):
     doc = json.loads(out.out)
     assert doc["ok"] is False and doc["violations"] == [violation]
     assert out.err == ""
+
+
+@pytest.mark.parametrize("k", [True, 3.7, "3", None, [3]])
+def test_verify_rejects_a_k_that_is_not_an_integer(tmp_path, capsys, k):
+    """JSON true would load as k = 1 and int() would take 3.7 and "3": each
+    is a malformed document, an error with exit 1 and no traceback."""
+    mg = tmp_path / "k3.mg"
+    col = tmp_path / "k3.json"
+    run(["gen", "--kind", "complete", "--n", "3", "--out", str(mg)])
+    col.write_text(json.dumps({"k": k, "classes": [[0], [1], [2]], "uncolored": []}))
+    capsys.readouterr()
+    assert run(["verify", str(mg), str(col)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == 'error: a coloring needs an integer "k" and a list "classes"\n'
+
+
+def test_bench_exits_1_when_a_row_errors(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    run(["gen", "--kind", "complete", "--n", "5", "--out", str(corpus / "good.mg")])
+    (corpus / "loop.mg").write_text("p multigraph 3 1\ne 1 1 1\n")
+    out = tmp_path / "bench.csv"
+    assert run(["bench", str(corpus), "--out", str(out)]) == 1
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["good.mg", "loop.mg"]
+    assert ",ClassTwo," in rows[0] and ",error," in rows[1]
+    assert "errors=1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs,cpus,workers", [(64, 2, 2), (10**6, 4, 4), (2, 8, 2), (3, None, None)])
+def test_bench_caps_jobs_at_the_cpu_count(tmp_path, monkeypatch, jobs, cpus, workers):
+    """No pool is started: the executor is replaced by a recorder that runs
+    the rows in this process.  With one CPU (or an unknown count) there is
+    no pool at all."""
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    run(["gen", "--kind", "complete", "--n", "5", "--out", str(corpus / "k5.mg")])
+    out = tmp_path / "bench.csv"
+    assert run(["bench", str(corpus), "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert started == ([] if workers is None else [workers])
+    assert len(out.read_text().strip().splitlines()) == 2
 
 
 def test_verify_partial_coloring(tmp_path, capsys):

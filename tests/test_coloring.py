@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from edgecolor.coloring import (
     EdgeColoring,
+    alternating_path,
+    flip_path,
     kempe_chain,
     kempe_swap,
     verify_proper,
@@ -220,3 +222,82 @@ def test_rebind_keeps_the_shared_edges_and_checks_the_palette():
     top = max(moved.assignment.values())
     with pytest.raises(ValueError, match="outside palette"):
         c.rebind(sub, top - 1)
+
+
+def _copy(c: EdgeColoring) -> EdgeColoring:
+    return c.rebind(c.graph)
+
+
+def _present_index(c: EdgeColoring) -> list[dict[int, int]]:
+    """The present-color index rebuilt from the assignment."""
+    present: list[dict[int, int]] = [dict() for _ in range(c.graph.n)]
+    for eid, col in c.assignment.items():
+        for w in c.graph.endpoints(eid):
+            present[w][col] = eid
+    return present
+
+
+@given(partial_colorings())
+@settings(max_examples=200, deadline=None)
+def test_alternating_path_and_flip_match_the_general_chain(c):
+    """For every vertex v, color alpha at v and color beta that v misses,
+    the walk gives kempe_chain's component through v, in the same order,
+    and the flip leaves what kempe_swap leaves: a proper coloring whose
+    indexes agree with its assignment."""
+    g = c.graph
+    for v in range(g.n):
+        for alpha in sorted(c.present(v)):
+            for beta in sorted(c.missing(v)):
+                verts, path = alternating_path(c, v, alpha, beta)
+                chain = kempe_chain(g, c, v, alpha, beta)
+                assert chain.shape == "Path" and chain.endpoints[0] == v
+                assert (verts, path) == (chain.vertices, chain.edges)
+                flipped, swapped = _copy(c), _copy(c)
+                flip_path(flipped, path, alpha, beta)
+                kempe_swap(swapped, chain)
+                assert flipped.assignment == swapped.assignment
+                assert verify_proper(g, flipped).ok
+                assert flipped._present == _present_index(flipped)
+
+
+def test_alternating_path_needs_v_to_miss_beta():
+    g = cycle(6)
+    c = EdgeColoring(g, 3)
+    for i, (eid, u, v) in enumerate(g.edges()):
+        c.assign(eid, i % 2 + 1)
+    with pytest.raises(ValueError, match="has a 2-edge"):
+        alternating_path(c, 0, 1, 2)  # 0 lies on an even cycle of 1/2
+    with pytest.raises(ValueError, match="must differ"):
+        alternating_path(c, 0, 3, 3)
+    assert alternating_path(c, 0, 1, 3) == ([0, g.other_end(c.edge_at(0, 1), 0)], [c.edge_at(0, 1)])
+
+
+def test_flip_path_refuses_a_truncated_path():
+    """On the path 0-1-2-3 colored 1, 2, 1, flipping only the first two edges
+    would give edge 1-2 the color 1 that edge 2-3 has at vertex 2."""
+    g = cycle(5)
+    g.delete_edge(g.edges_between(0, 4)[0])
+    g.delete_edge(g.edges_between(3, 4)[0])
+    c = EdgeColoring(g, 2)
+    e01, e12, e23 = (g.edges_between(u, u + 1)[0] for u in range(3))
+    for eid, col in ((e01, 1), (e12, 2), (e23, 1)):
+        c.assign(eid, col)
+    with pytest.raises(ValueError, match="already present"):
+        flip_path(c, [e01, e12], 1, 2)
+    assert c.assignment == {e01: 2, e23: 1}  # the edge at fault is left uncolored
+    assert verify_proper(g, c).ok and c._present == _present_index(c)
+    with pytest.raises(ValueError, match="outside palette"):
+        flip_path(c, [e23], 1, 3)
+
+
+
+def test_walk_stops_on_a_broken_index():
+    """A present-color index that sends the walk round a loop away from its
+    start is caught by the |E| bound instead of walking forever."""
+    g = build_multigraph(3, [(0, 1, 1), (1, 2, 1)])
+    c = EdgeColoring(g, 2)
+    c.assign(0, 1)
+    c.assign(1, 2)
+    c._present[2][1] = 1  # planted defect: vertex 2 claims edge 1-2 under both colors
+    with pytest.raises(AssertionError, match="longer than"):
+        alternating_path(c, 0, 1, 2)

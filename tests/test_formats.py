@@ -91,6 +91,13 @@ def test_parse_rejects_huge_multiplicity_before_building(monkeypatch):
         parse_graph("p multigraph 100000000000 0\n")
 
 
+@pytest.mark.parametrize("k", [True, False, 3.7, "3", None])
+def test_coloring_from_dict_needs_an_integer_k(k):
+    g = random_simple(5, 0.6, 1)
+    with pytest.raises(ParseError, match='integer "k"'):
+        coloring_from_dict({"k": k, "classes": [], "uncolored": []}, g)
+
+
 def test_coloring_json_round_trip():
     g = random_simple(8, 0.6, 1)
     c = greedy_coloring(g, g.max_degree() + 1)

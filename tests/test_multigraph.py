@@ -162,7 +162,8 @@ def test_induced_with_edge_ids():
 def _assert_core_consistent(g, next_id):
     """Maintained degrees match the adjacency, and the stored edges,
     adjacency and id counter match a graph rebuilt by add_edge in id order
-    (its counter is the one the operations so far must have left)."""
+    (its counter is the one the operations so far must have left), and
+    is_simple matches its pairwise definition."""
     for v in range(g.n):
         assert g.degree(v) == sum(len(ids) for ids in g._adj[v].values())
     rebuilt = Multigraph(g.n, g.verts)
@@ -173,13 +174,16 @@ def _assert_core_consistent(g, next_id):
     assert g._next_id == next_id >= rebuilt._next_id
     assert g.max_degree() == max((g.degree(v) for v in g.verts), default=0)
     assert g.min_degree() == min((g.degree(v) for v in g.verts), default=0)
+    ends = list(g._edges.values())
+    assert g.is_simple() == (len(set(ends)) == len(ends))  # no two edges share a pair
 
 
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_core_operations_keep_degrees_and_storage(data):
     """Random sequences of every mutation and builder keep the maintained
-    degrees and the bulk-filled storage equal to an add_edge rebuild."""
+    degrees and the bulk-filled storage equal to an add_edge rebuild, and
+    is_simple equal to its pairwise definition."""
     n = data.draw(st.integers(min_value=2, max_value=7))
     g = Multigraph(n)
     next_id = 0
