@@ -12,10 +12,11 @@ across the bipartite middle, (4) finish the remaining crossing edges, which
 form a bipartite graph of bounded degree.
 
 Step 2 reads the uncolored crossing edges off one index,
-``EngineState.free_h`` (vertex -> neighbor -> ascending edge ids), built
-once when step 2 starts and updated by ``_color_h_edge`` whenever step 2 or
-3 colors a crossing edge, so finding the crossing edge of an exchange is a
-lookup.  Step 3's bipartite matchings read their hosts off a copy of the
+``EngineState.free_h`` (vertex -> neighbor -> ascending edge ids, one list
+per free crossing pair, shared by both ends), built once when step 2 starts
+and updated by ``_color_h_edge`` whenever step 2 or 3 colors a crossing
+edge, so finding the crossing edge of an exchange is a lookup.  A pair's
+list is replaced when it changes, never changed in place.  Step 3's bipartite matchings read their hosts off a copy of the
 same index, and step 1 reads the edges of G[A], G[B] and H as id sets, so
 neither builds a graph for them.
 
@@ -486,21 +487,24 @@ def _index_free_h(state: EngineState) -> None:
     for eid in sorted(state.h_edges):
         if c.color_of(eid) is None:
             u, v = g_star.endpoints(eid)
-            free_h[u].setdefault(v, []).append(eid)
-            free_h[v].setdefault(u, []).append(eid)
+            ids = free_h[u].get(v)
+            if ids is None:
+                free_h[u][v] = free_h[v][u] = [eid]
+            else:
+                ids.append(eid)
     state.free_h = free_h
 
 
 def _drop_free(free_h: dict[int, dict[int, list[int]]], u: int, v: int, eid: int) -> None:
     """Take the crossing edge ``eid`` = u-v out of an index shaped like
-    ``state.free_h``.  The lists are replaced, never changed in place, so a
-    copy of the index that shares them with ``state.free_h`` is safe."""
-    for a, b in ((u, v), (v, u)):
-        rest = [e for e in free_h[a][b] if e != eid]
-        if rest:
-            free_h[a][b] = rest
-        else:
-            del free_h[a][b]
+    ``state.free_h``.  The pair's one list, shared by both ends, is
+    replaced at both rows, never changed in place, so a copy of the index
+    that shares it with ``state.free_h`` is safe."""
+    rest = [e for e in free_h[u][v] if e != eid]
+    if rest:
+        free_h[u][v] = free_h[v][u] = rest
+    else:
+        del free_h[u][v], free_h[v][u]
 
 
 def _color_h_edge(state: EngineState, eid: int, color: int) -> None:

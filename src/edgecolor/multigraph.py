@@ -14,6 +14,9 @@ can be merged back into a coloring of the host graph.  Vertex deletion
 shrinks the *vertex set* but keeps the index space, which keeps vertex
 labels and edge ids stable across the whole pipeline.
 
+Each adjacent pair has one id set, shared by both ends: ``_adj[u][v] is
+_adj[v][u]``, so a pair costs one container however it is reached.
+
 Degrees are maintained: ``add_edge`` and ``delete_edge`` update a
 per-vertex count, so every degree query is a lookup.  Every builder of a
 new graph (``induced`` and the ``without_*`` forms over it, ``grown``,
@@ -42,7 +45,8 @@ class Multigraph:
     ``vertices`` is the active vertex set (defaults to the whole index
     space).  Edges are stored as ``edge_id -> (u, v)`` with ``u < v``; the
     adjacency index maps ``u -> {v -> set of edge ids}`` so multiplicity
-    lookups are O(1) amortized, and ``_deg`` holds each vertex's degree.
+    lookups are O(1) amortized, with one id set per adjacent pair, shared
+    by both ends, and ``_deg`` holds each vertex's degree.
     :meth:`induced` is the one subgraph builder: the engine's G_AB and
     residual graphs are induced subgraphs restricted to listed edge ids.
     G[A], G[B] and G[A,B] are not built; the engine keeps their edge ids.
@@ -84,8 +88,12 @@ class Multigraph:
             raise ValueError(f"edge id {edge_id} already present")
         self._next_id = max(self._next_id, edge_id + 1)
         self._edges[edge_id] = (u, v)
-        self._adj[u].setdefault(v, set()).add(edge_id)
-        self._adj[v].setdefault(u, set()).add(edge_id)
+        adj = self._adj
+        ids = adj[u].get(v)
+        if ids is None:
+            adj[u][v] = adj[v][u] = {edge_id}
+        else:
+            ids.add(edge_id)
         self._deg[u] += 1
         self._deg[v] += 1
         return edge_id
@@ -103,11 +111,9 @@ class Multigraph:
             edges[eid] = (u, v)
             ids = adj[u].get(v)
             if ids is None:
-                adj[u][v] = {eid}
-                adj[v][u] = {eid}
+                adj[u][v] = adj[v][u] = {eid}
             else:
                 ids.add(eid)
-                adj[v][u].add(eid)
             deg[u] += 1
             deg[v] += 1
         self._next_id = max(next_id, eid + 1)
@@ -115,18 +121,23 @@ class Multigraph:
 
     def delete_edge(self, edge_id: int) -> None:
         u, v = self._edges.pop(edge_id)
-        for a, b in ((u, v), (v, u)):
-            ids = self._adj[a][b]
-            ids.discard(edge_id)
-            if not ids:
-                del self._adj[a][b]
+        adj = self._adj
+        ids = adj[u][v]
+        ids.discard(edge_id)
+        if not ids:
+            del adj[u][v], adj[v][u]
         self._deg[u] -= 1
         self._deg[v] -= 1
 
     def copy(self) -> "Multigraph":
         g = Multigraph(self.n, self.verts)
         g._edges = dict(self._edges)
-        g._adj = [dict((w, set(ids)) for w, ids in nbrs.items()) for nbrs in self._adj]
+        # Each pair's set is copied once, in the row of its smaller end, and
+        # the larger end's row reuses that copy; every row keeps its key order.
+        adj: list[dict[int, set[int]]] = []
+        for u, nbrs in enumerate(self._adj):
+            adj.append({w: set(ids) if u < w else adj[w][u] for w, ids in nbrs.items()})
+        g._adj = adj
         g._deg = list(self._deg)
         g._next_id = self._next_id
         return g

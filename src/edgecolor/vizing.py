@@ -102,8 +102,12 @@ def misra_gries(g: Multigraph, palette: int | None = None) -> EdgeColoring:
     if g.edge_count == m * (m - 1) // 2 and m >= 2:
         return _complete_round_robin(g, k)
     c = EdgeColoring(g, k)
-    for eid in g.edge_ids():
-        if not _fan_color(g, c, eid, g.endpoints(eid)[0]):
+    for eid, u, v in g.edges():
+        # A color free at both ends is the fan's first step, taken directly.
+        common = c.first_missing(u, v)
+        if common is not None:
+            c.assign(eid, common)
+        elif not _fan_color(g, c, eid, u):
             raise AssertionError("misra-gries fan left a simple graph's edge uncolored")
     return c
 

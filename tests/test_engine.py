@@ -237,6 +237,9 @@ def test_free_h_index_matches_rebuild(monkeypatch, name, steps_reached):
     def check(state, step):
         want = _free_h_by_scan(state)
         assert state.free_h == want, step
+        for u, row in state.free_h.items():
+            for w, ids in row.items():
+                assert state.free_h[w][u] is ids  # one list per pair, shared
         for u in state.side_a:
             for w in state.g_star.neighbors(u):
                 if w in state.side_b:

@@ -162,10 +162,18 @@ def test_induced_with_edge_ids():
 def _assert_core_consistent(g, next_id):
     """Maintained degrees match the adjacency, and the stored edges,
     adjacency and id counter match a graph rebuilt by add_edge in id order
-    (its counter is the one the operations so far must have left), and
-    is_simple matches its pairwise definition."""
+    (its counter is the one the operations so far must have left),
+    is_simple matches its pairwise definition, each adjacent pair has one
+    id set shared by both ends, and a copy keeps every row's key order."""
     for v in range(g.n):
         assert g.degree(v) == sum(len(ids) for ids in g._adj[v].values())
+        for w, ids in g._adj[v].items():
+            assert g._adj[w][v] is ids
+    copied = g.copy()
+    assert [list(row) for row in copied._adj] == [list(row) for row in g._adj]
+    for v in range(g.n):
+        for w, ids in copied._adj[v].items():
+            assert copied._adj[w][v] is ids and ids is not g._adj[v][w]
     rebuilt = Multigraph(g.n, g.verts)
     for eid in sorted(g._edges):
         rebuilt.add_edge(*g._edges[eid], eid)
@@ -228,6 +236,33 @@ def test_core_operations_keep_degrees_and_storage(data):
             assert g.edge_ids() == list(range(len(pairs)))
             next_id = len(pairs)
         _assert_core_consistent(g, next_id)
+
+
+def test_copy_keeps_key_order_after_deletions_and_readditions():
+    """Deleting a pair's last edge and adding it back moves the pair to the
+    end of both rows; a copy keeps that order, so underlying_simple numbers
+    the copy's pairs as it numbers the original's, and the copy's shared
+    sets are its own."""
+    g = Multigraph(4)
+    for u, v in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (0, 1)]:
+        g.add_edge(u, v)
+    g.delete_edge(0)
+    g.delete_edge(5)
+    g.delete_edge(1)
+    g.add_edge(1, 0)
+    g.add_edge(2, 0)
+    assert [list(row) for row in g._adj] == [[3, 1, 2], [2, 3, 0], [1, 0], [0, 1]]
+    copied = g.copy()
+    assert [list(row) for row in copied._adj] == [list(row) for row in g._adj]
+    assert copied.underlying_simple()._edges == g.underlying_simple()._edges
+    copied.add_edge(0, 1)
+    assert copied.multiplicity(1, 0) == 2 and g.multiplicity(1, 0) == 1
+    copied.delete_edge(6)
+    copied.delete_edge(8)
+    assert 1 not in copied._adj[0] and 0 not in copied._adj[1]
+    assert g.edges_between(0, 1) == [6]
+    _assert_core_consistent(g, 8)
+    _assert_core_consistent(copied, 9)
 
 
 def test_build_multigraph_checks_each_triple():
