@@ -16,9 +16,10 @@ Step 2 reads the uncolored crossing edges off one index,
 per free crossing pair, shared by both ends), built once when step 2 starts
 and updated by ``_color_h_edge`` whenever step 2 or 3 colors a crossing
 edge, so finding the crossing edge of an exchange is a lookup.  A pair's
-list is replaced when it changes, never changed in place.  Step 3's bipartite matchings read their hosts off a copy of the
-same index, and step 1 reads the edges of G[A], G[B] and H as id sets, so
-neither builds a graph for them.
+list is replaced when it changes, never changed in place.  Step 3's
+bipartite matchings read their hosts off a copy of the same index, and
+step 1 reads the edges of G[A], G[B] and H as id sets, so neither builds a
+graph for them.
 
 Every inequality the construction relies on is evaluated as a named guard
 and recorded in the trace.  Guards whose failure only weakens the
