@@ -48,6 +48,10 @@ def _k11():
     return gen_complete(11), 0.3, None
 
 
+def _k60():
+    return gen_complete(60), 0.5, 0.12
+
+
 # (name, builder, pipeline seed, sha256 of formats.dump_json(run_color(...))).
 # case2-n44 is decided through engine condition (a) with step 3's bipartite
 # matchings; case4-n24 peels four dense perfect matchings before it falls
@@ -55,7 +59,9 @@ def _k11():
 # step 3's pad guard, so its trace pins the step-2 choices; random-13's
 # Misra-Gries fallback takes the Kempe-swap branch; case2-n44 at seed 7
 # exhausts all 30 step-3 attempts, so it pins the retry loop and the
-# NoPerfectMatching message; the others end in the fallback or in ClassTwo.
+# NoPerfectMatching message; complete-60 is even, so it goes to the engine
+# alone and ends Colored at condition (a) with 59 colors; the others end in
+# the fallback or in ClassTwo.
 GOLDEN = [
     ("k21-minus-matching", _k21_minus_matching, 1, "e1943c71b19d3f4cc4d9dec7fdfb032f1093e12aae77b96d983ab6334a321cdd"),
     ("case2-n44", _case_fixture(2, 44), 1, "00659c2225641bce1a29c83315cde0d0baf2e5ab0db7435ca4fc64180cf5bac6"),
@@ -65,6 +71,7 @@ GOLDEN = [
     ("dcolor-e-n30", _dcolor("e", 30), 1, "3a06562e505744d7be74306054274d64bda6b240589d8b220f35b9fe56a04240"),
     ("random-13", _random_13, 1, "89547efda1154cc7ee2d4d193c86020dae9c9606a0d40b54387b30d85e932615"),
     ("case2-n44-seed7", _case_fixture(2, 44), 7, "67fe6956d79bbf04504be653f67cfea95b35c65aff9146a500e6566d36c8b900"),
+    ("complete-60", _k60, 1, "27cd4ea705292057011337897de0a0f3b1995094b61ce58150b17d1a73f7565b"),
 ]
 
 
