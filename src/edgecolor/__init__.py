@@ -27,7 +27,7 @@ from .classic import (
     perfect_matching_bipartite_star,
     perfect_matching_dense,
 )
-from .engine import DcolorResult, EngineParams, classify_condition, dcolor, select_pairs
+from .engine import EngineParams, classify_condition, dcolor, select_pairs
 from .equalize import equalize_balanced_sides, equalize_classes, equalize_per_side
 from .formats import emit_graph, parse_graph, read_graph, write_graph
 from .multigraph import (
@@ -42,23 +42,22 @@ from .multigraph import (
 )
 from .oracle import OracleResult, brute_chromatic_index, brute_overfull_scan
 from .partition import Partition, SplitGraphs, adjust_for_center, balanced_partition, build_split
-from .reduction import OddResult, color_odd_dense, compute_W, derive_eta
-from .trace import PipelineTrace
+from .reduction import color_odd_dense, compute_W, derive_eta
+from .trace import PipelineTrace, Result
 from .vizing import misra_gries, near_star_color, star_multigraph_color
 
 __all__ = [
-    "DcolorResult",
     "DeficiencyReport",
     "EdgeColoring",
     "EngineParams",
     "KempeChain",
     "Multigraph",
-    "OddResult",
     "OracleResult",
     "Partition",
     "PathCover",
     "PipelineTrace",
     "ProperReport",
+    "Result",
     "SplitGraphs",
     "StarProfile",
     "adjust_for_center",

@@ -30,6 +30,7 @@ from .multigraph import Multigraph, is_overfull
 from .oracle import brute_chromatic_index, brute_overfull_scan
 from .reduction import color_odd_dense
 from .coloring import verify_proper
+from .trace import CLASS_ONE, CLASS_TWO, COLORED, DECIDED
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -131,9 +132,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     _write_out(formats.dump_json(doc), args.out)
-    if doc["verdict"] in ("ClassOne", "ClassTwo", "Colored"):
-        return EXIT_OK
-    return EXIT_FALLBACK
+    return EXIT_OK if doc["verdict"] in DECIDED else EXIT_FALLBACK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -199,7 +198,7 @@ def _bench_one(job: tuple[str, float, float | None, int]) -> dict:
         row["case_or_condition"] = str(doc.get("case", "")) + doc.get("condition", "")
         row["colors"] = doc["colors_used"]
         row["guard_failures"] = sum(1 for e in doc["trace"] if not e["pass"])
-        if "Fallback" in doc["verdict"]:
+        if doc["verdict"] not in DECIDED:
             cause = next(
                 (e["note"] for e in doc["trace"] if e["step"] == "fallback"), ""
             )
@@ -246,9 +245,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         writer.writerow({k: row.get(k, "") for k in _BENCH_FIELDS})
     _write_out(buf.getvalue(), args.out)
     done = [r for r in rows if r["verdict"] != "error"]
-    class_one = sum(1 for r in done if r["verdict"] == "ClassOne")
-    colored = sum(1 for r in done if r["verdict"] == "Colored")
-    fellback = [r for r in done if "Fallback" in r["verdict"]]
+    class_one = sum(1 for r in done if r["verdict"] == CLASS_ONE)
+    colored = sum(1 for r in done if r["verdict"] == COLORED)
+    fellback = [r for r in done if r["verdict"] not in DECIDED]
     causes: dict[str, int] = {}
     for r in fellback:
         key = r.get("cause") or "unspecified"
@@ -256,7 +255,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     cause_summary = " ".join(f"{k}:{v}" for k, v in sorted(causes.items()))
     print(
         f"instances={len(rows)} class-one={class_one} engine-colored={colored} "
-        f"class-two={sum(1 for r in done if r['verdict'] == 'ClassTwo')} "
+        f"class-two={sum(1 for r in done if r['verdict'] == CLASS_TWO)} "
         f"fallback={len(fellback)} errors={len(rows) - len(done)}"
         + (f" fallback-causes[{cause_summary}]" if causes else ""),
         file=sys.stderr,

@@ -172,7 +172,6 @@ class KempeChain:
     colors: tuple[int, int]
     vertices: list[int]
     edges: list[int]
-    edge_colors: list[int]
     shape: str
     endpoints: tuple[int, int]
 
@@ -274,7 +273,6 @@ def kempe_chain(g: Multigraph, c: EdgeColoring, v: int, alpha: int, beta: int) -
         colors=(alpha, beta),
         vertices=vertices,
         edges=edges,
-        edge_colors=[c.assignment[e] for e in edges],
         shape=shape,
         endpoints=endpoints,
     )

@@ -24,8 +24,11 @@ graph for them.
 Every inequality the construction relies on is evaluated as a named guard
 and recorded in the trace.  Guards whose failure only weakens the
 asymptotic accounting do not stop the run (the object searches are
-primary); when a needed object is genuinely missing the engine raises,
-and the caller falls back to a Delta+1-style coloring.
+primary); when a needed object is genuinely missing :func:`color_exact`
+raises, and otherwise it returns the verified Delta coloring of its input.
+:func:`dcolor` answers with a ``trace.Result``, falling back to the
+near-star coloring through ``trace.fall_back``, the fallback tail it
+shares with the odd-order pipeline.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .errors import (
 from .classic import konig_color, perfect_matching_bipartite_star
 from .multigraph import KIND_NOT_NEAR_STAR, Multigraph, detect_star_structure
 from .partition import Partition, adjust_for_center, balanced_partition, build_split
-from .trace import PipelineTrace
+from .trace import COLORED, FALLBACK, PipelineTrace, Result, fall_back
 from .vizing import greedy_color, near_star_color
 
 CONDITIONS = ("a", "b", "c", "d", "e")
@@ -123,21 +126,6 @@ class EngineState:
         return self.S_B | self.nb_x
 
 
-@dataclass
-class DcolorResult:
-    verdict: str  # "Colored" or "Fallback"
-    coloring: EdgeColoring
-    trace: PipelineTrace
-
-    @property
-    def condition(self) -> str:
-        return self.trace.condition
-
-    @property
-    def colors_used(self) -> int:
-        return len(self.coloring.used_colors())
-
-
 # ---------------------------------------------------------------------------
 # Condition classification
 
@@ -148,7 +136,8 @@ def classify_condition(
     """First matching condition (a)-(e), its center, and named context.
 
     Every sub-clause of every condition is evaluated and logged; the
-    returned context carries the special vertices (y, z) where relevant.
+    returned context carries the high-deficiency set U and, under (d),
+    the two deficient vertices y and z.
     """
     trace = trace if trace is not None else PipelineTrace()
     if not g.verts:
@@ -178,7 +167,7 @@ def classify_condition(
         trace.check(f"classify.{cond}", clause, lhs, rhs, passed)
         return passed
 
-    ctx: dict = {"U": u_set, "profile": profile}
+    ctx: dict = {"U": u_set}
 
     ok_a = all(
         [
@@ -193,7 +182,6 @@ def classify_condition(
         return "a", x, ctx
 
     heavy = [w for w in g.neighbors(x) if g.multiplicity(x, w) >= eta * n]
-    resid = profile.residual_pair
     others_ok = all(sdeg[w] >= (1 + eps) * n for w in g.verts if w != x)
     ok_b = all(
         [
@@ -206,11 +194,6 @@ def classify_condition(
         ]
     )
     if ok_b:
-        if resid is not None:
-            ctx["y"], ctx["z"] = resid
-        else:
-            rest = [v for v in g.vertex_list() if v != x]
-            ctx["y"], ctx["z"] = rest[0], rest[1]
         return "b", x, ctx
 
     y_c = min((v for v in g.verts if v != x), key=lambda v: (sdeg[v], v), default=None)
@@ -232,7 +215,6 @@ def classify_condition(
         ]
     )
     if ok_c:
-        ctx["y"] = y_c
         return "c", x, ctx
 
     by_degree = sorted((v for v in g.verts if v != x), key=lambda v: (degs[v], v))
@@ -881,11 +863,12 @@ def step4_finish(state: EngineState) -> EdgeColoring:
 # Orchestration
 
 
-def color_exact(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> DcolorResult:
+def color_exact(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> EdgeColoring:
     """Run the four steps and return a verified Delta coloring of ``g``.
 
-    Guards and notes go into the caller's ``trace``.  Any guard failure or
-    missing object raises its :class:`EdgeColorError`; there is no fallback.
+    Guards and notes go into the caller's ``trace``, and the matched
+    condition into ``trace.condition``.  Any guard failure or missing
+    object raises its :class:`EdgeColorError`; there is no fallback.
     """
     nv = g.vertex_count
     if nv % 2 != 0:
@@ -896,7 +879,7 @@ def color_exact(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> Dc
     trace.condition = cond
     trace.note("classify", f"condition ({cond}), center {x}")
     pairs, nb_x = select_pairs(g, cond, x, ctx, params)
-    part = balanced_partition(g.underlying_simple(), pairs, params.seed)
+    part = balanced_partition(g, pairs, params.seed)
     trace.retries = part.retries
     part = adjust_for_center(part, g, x, nb_x, pairs)
     state = EngineState(
@@ -926,18 +909,15 @@ def color_exact(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> Dc
     trace.check("final", "colors<=Delta", used, delta, used <= delta)
     if used > delta:
         raise GuardFailed("final.count", f"{used} colors > Delta={delta}")
-    return DcolorResult(verdict="Colored", coloring=final.rebind(g), trace=trace)
+    return final.rebind(g)
 
 
-def dcolor(g: Multigraph, params: EngineParams) -> DcolorResult:
-    """:func:`color_exact`, or on any guard failure a verified near-star
-    coloring and a trace naming the failed guard."""
+def dcolor(g: Multigraph, params: EngineParams) -> Result:
+    """:func:`color_exact` under the verdict Colored, or on any guard
+    failure the verified near-star coloring of :func:`fall_back`."""
     trace = PipelineTrace(seed=params.seed)
     try:
-        return color_exact(g, params, trace)
+        coloring = color_exact(g, params, trace)
     except EdgeColorError as exc:
-        trace.note("fallback", f"{type(exc).__name__}: {exc}")
-        fb = near_star_color(g)
-        if not verify_proper(g, fb).ok:
-            raise AssertionError("fallback coloring failed verification")
-        return DcolorResult(verdict="Fallback", coloring=fb, trace=trace)
+        return fall_back(g, trace, exc, near_star_color, FALLBACK, condition=trace.condition)
+    return Result(COLORED, coloring, trace, condition=trace.condition)

@@ -9,6 +9,7 @@ raises InfeasibleParams otherwise; fixtures additionally return the
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -21,7 +22,6 @@ class Fixture:
     graph: Multigraph
     epsilon: float
     eta: float
-    kind: str
 
 
 def gen_complete(n: int) -> Multigraph:
@@ -225,7 +225,7 @@ def gen_dcolor_fixture(condition: str, n_half: int) -> Fixture:
         g = _dense_base(n)
         if eta * n > 2:
             _double_center_bundle(g, 0, 2, n)
-        f = Fixture(g, eps, eta, f"dcolor-a-n{n}")
+        f = Fixture(g, eps, eta)
     elif cond == "b":
         eps, eta = 0.5, 0.12
         f = _fixture_b(n, eps, eta)
@@ -259,12 +259,10 @@ def _fixture_b(n: int, eps: float, eta: float) -> Fixture:
         g.add_edge(a, b)
         g.add_edge(y, z)
     _double_center_bundle(g, x, 2, n)
-    return Fixture(g, eps, eta, f"dcolor-b-n{n}")
+    return Fixture(g, eps, eta)
 
 
 def _fixture_c(n: int, eps: float, eta: float) -> Fixture:
-    import math
-
     nv = 2 * n
     d0 = int((1 + eps) * n) + 4
     d0 += d0 % 2
@@ -303,7 +301,7 @@ def _fixture_c(n: int, eps: float, eta: float) -> Fixture:
         for _ in range(cnt):
             g.add_edge(0, t)
     _pairing_repair(g, orphans, banned=banned)
-    return Fixture(g, eps, eta, f"dcolor-c-n{n}")
+    return Fixture(g, eps, eta)
 
 
 def _fixture_d(n: int, eps: float, eta: float) -> Fixture:
@@ -315,26 +313,29 @@ def _fixture_d(n: int, eps: float, eta: float) -> Fixture:
     y, z = 1, 2
     _shed_degree(g, y, t, n, banned={0, z})
     _shed_degree(g, z, t, n, banned={0, y})
-    return Fixture(g, eps, eta, f"dcolor-d-n{n}")
+    return Fixture(g, eps, eta)
 
 
 def _fixture_e(n: int, eps: float, eta: float) -> Fixture:
-    import math
-
     g = _dense_base(n)
     dip = int(eta * n) + 1
     dip += dip % 2
     u_size = max(int(math.ceil(eta * n)) + 2, dip + 3)
     if 2 + u_size + dip // 2 >= n:
         raise InfeasibleParams("U block collides with its antipodes")
-    members = list(range(2, 2 + u_size))
+    _delete_inner_circulant(g, list(range(2, 2 + u_size)), dip)
+    return Fixture(g, eps, eta)
+
+
+def _delete_inner_circulant(g: Multigraph, members: list[int], degree: int) -> None:
+    """Delete, where present, the edge from each member to the next
+    ``degree // 2`` members around the block, taken cyclically."""
     for i, u in enumerate(members):
-        for off in range(1, dip // 2 + 1):
-            v = members[(i + off) % u_size]
+        for off in range(1, degree // 2 + 1):
+            v = members[(i + off) % len(members)]
             a, b = min(u, v), max(u, v)
             if g.multiplicity(a, b):
                 g.delete_edge(g.edges_between(a, b)[0])
-    return Fixture(g, eps, eta, f"dcolor-e-n{n}")
 
 
 def _audit_fixture(f: Fixture, cond: str) -> None:
@@ -356,15 +357,13 @@ def gen_case_fixture(case: int, n_half: int) -> Fixture:
     (epsilon, eta) pair the dispatch thresholds were tuned for.  Audits:
     not overfull, density floor, and the dispatch window.
     """
-    import math
-
     n = n_half
     nv = 2 * n - 1
     if case == 1:
         eps, eta = 0.4, 0.15
         w_size = int(2 * eta * n) + 2
         df = int(eta * n) + 1
-        fix = _odd_block_fixture(nv, n, eps, eta, w_size, df, f"case1-n{n}")
+        fix = _odd_block_fixture(nv, n, eps, eta, w_size, df)
     elif case == 2:
         # Near-perfect matching removal: every deficiency is 1, W is empty,
         # and the engine sub-instance is near-complete (full completion for
@@ -373,21 +372,21 @@ def gen_case_fixture(case: int, n_half: int) -> Fixture:
         if eta * n <= 1:
             raise InfeasibleParams("case 2 needs eta*n > 1 to keep W empty")
         g = gen_complete_minus_matching(nv, nv // 2)
-        fix = Fixture(g, eps, eta, f"case2-n{n}")
+        fix = Fixture(g, eps, eta)
     elif case == 3:
         eps, eta = 0.7, 0.09
         if 2 * eta * n <= math.sqrt(n) + 1:
             raise InfeasibleParams("case 3 window is empty at this size")
         w_size = int(math.isqrt(n)) + 1
         df = int(eta * n) + 1
-        fix = _odd_spread_fixture(nv, n, eps, eta, w_size, df, f"case3-n{n}")
+        fix = _odd_spread_fixture(nv, n, eps, eta, w_size, df)
     elif case == 4:
         eps, eta = 0.4, 0.1
         w_size = min(2, int(math.isqrt(n)) - 1)
         if w_size < 1:
             raise InfeasibleParams("n too small for case 4")
         df = int(eta * n) + 2
-        fix = _odd_deficient_fixture(nv, n, eps, eta, w_size, df, f"case4-n{n}")
+        fix = _odd_deficient_fixture(nv, n, eps, eta, w_size, df)
     else:
         raise InfeasibleParams(f"unknown case {case}")
     rep = deficiency_report(fix.graph)
@@ -411,7 +410,6 @@ def _odd_deficient_fixture(
     eta: float,
     w_size: int,
     df: int,
-    kind: str,
 ) -> Fixture:
     """Odd near-complete graph with ``w_size`` vertices short ``df`` edges.
 
@@ -438,11 +436,11 @@ def _odd_deficient_fixture(
             g.delete_edge(g.edges_between(w, a)[0])
             g.delete_edge(g.edges_between(w, b)[0])
             g.add_edge(a, b)
-    return Fixture(g, eps, eta, kind)
+    return Fixture(g, eps, eta)
 
 
 def _odd_block_fixture(
-    nv: int, n: int, eps: float, eta: float, w_size: int, df: int, kind: str
+    nv: int, n: int, eps: float, eta: float, w_size: int, df: int
 ) -> Fixture:
     """Circulant minus an inner block: the W members supply each other's
     deficiency, so no repair is needed (requires w_size > df)."""
@@ -453,19 +451,12 @@ def _odd_block_fixture(
     if w_size <= df + 1:
         raise InfeasibleParams("block too small for the inner deletion")
     g = gen_circulant(nv, d0)
-    members = [1 + i for i in range(w_size)]
-    inner = df + (df % 2)
-    for i, u in enumerate(members):
-        for off in range(1, inner // 2 + 1):
-            v = members[(i + off) % w_size]
-            a, b = min(u, v), max(u, v)
-            if g.multiplicity(a, b):
-                g.delete_edge(g.edges_between(a, b)[0])
-    return Fixture(g, eps, eta, kind)
+    _delete_inner_circulant(g, [1 + i for i in range(w_size)], df + (df % 2))
+    return Fixture(g, eps, eta)
 
 
 def _odd_spread_fixture(
-    nv: int, n: int, eps: float, eta: float, w_size: int, df: int, kind: str
+    nv: int, n: int, eps: float, eta: float, w_size: int, df: int
 ) -> Fixture:
     """Circulant where each W member sheds ``df`` edges to far neighbors,
     repaired by pairing/rerouting the orphans."""
@@ -513,4 +504,4 @@ def _odd_spread_fixture(
             done += 2
     if done < hard:
         raise InfeasibleParams("cannot pad deficiency to the non-overfull floor")
-    return Fixture(g, eps, eta, kind)
+    return Fixture(g, eps, eta)

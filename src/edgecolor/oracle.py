@@ -8,7 +8,6 @@ serve as oracles for it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,6 @@ from .multigraph import Multigraph
 class OracleResult:
     chi_prime: int
     witness: EdgeColoring
-    elapsed: float
 
 
 def _colorable(g: Multigraph, k: int) -> Optional[dict[int, int]]:
@@ -76,7 +74,6 @@ def brute_chromatic_index(g: Multigraph, max_edges: int = 40) -> OracleResult:
     """Exact chromatic index with a verified witness coloring."""
     if g.edge_count > max_edges:
         raise TooLarge(f"{g.edge_count} edges > cap {max_edges}")
-    start = time.perf_counter()
     delta = g.max_degree()
     half = g.vertex_count // 2
     lower = delta if half == 0 else max(delta, -(-g.edge_count // half))
@@ -89,9 +86,7 @@ def brute_chromatic_index(g: Multigraph, max_edges: int = 40) -> OracleResult:
                 witness.assign(eid, c)
             if not verify_proper(g, witness).ok:
                 raise AssertionError("oracle witness failed verification")
-            return OracleResult(
-                chi_prime=k, witness=witness, elapsed=time.perf_counter() - start
-            )
+            return OracleResult(chi_prime=k, witness=witness)
         if k > delta + max(g.mu(), 1):
             raise AssertionError("exceeded Delta + mu without a coloring")
         k += 1

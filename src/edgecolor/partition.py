@@ -56,7 +56,9 @@ def balanced_partition(
     """Halve V(g) separating each pair, with per-vertex degree balance.
 
     Clause audit per attempt: |A| = |B|, |A ∩ {x_i, y_i}| = 1, and
-    |d_A(v) - d_B(v)| <= n^(2/3) - 1 on the underlying simple graph.
+    |d_A(v) - d_B(v)| <= n^(2/3) - 1 on the underlying simple graph.  Only
+    the vertices and neighbor lists of ``g`` are read, so a multigraph and
+    its underlying simple graph give the same partition.
     """
     verts = g.vertex_list()
     nv = len(verts)

@@ -30,13 +30,14 @@ Four cases, keyed by the size of the high-deficiency set W:
 |W| >= 2*eta*n (case 1), |W| = 0 (case 2), sqrt(n) <= |W| < 2*eta*n
 (case 3), and 0 < |W| < sqrt(n) (case 4).  Ties go to the lower case.
 Every guard failure anywhere collapses to a verified Delta+1 fallback on
-the original input.
+the original input: ``color_odd_dense`` hands it to ``trace.fall_back``,
+the one fallback tail it shares with the engine's ``dcolor``, with
+Misra-Gries as the colorer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .classic import hakimi_realize, host_degrees, path_cover_star, perfect_matching_dense
@@ -58,25 +59,8 @@ from .multigraph import (
     is_overfull,
     overfull_deficiency,
 )
-from .trace import PipelineTrace
+from .trace import CLASS_ONE, CLASS_TWO, FALLBACK_CLASS_UNKNOWN, PipelineTrace, Result, fall_back
 from .vizing import greedy_color, misra_gries
-
-VERDICT_CLASS_ONE = "ClassOne"
-VERDICT_CLASS_TWO = "ClassTwo"
-VERDICT_FALLBACK = "FallbackClassUnknown"
-
-
-@dataclass
-class OddResult:
-    verdict: str
-    coloring: EdgeColoring
-    trace: PipelineTrace
-    case: int = 0
-    condition: str = ""
-
-    @property
-    def colors_used(self) -> int:
-        return len(self.coloring.used_colors())
 
 
 def derive_eta(epsilon: float) -> float:
@@ -467,12 +451,13 @@ def color_odd_dense(
     epsilon: float,
     eta: Optional[float] = None,
     seed: int = 0,
-) -> OddResult:
+) -> Result:
     """Color an odd-order dense simple graph optimally, or fall back.
 
     Overfull inputs get an exact Delta+1 coloring (they are class 2).
     Otherwise the case reductions and the engine aim for Delta colors; any
-    guard failure yields a verified Delta+1 coloring with an open verdict.
+    guard failure yields the verified Delta+1 coloring of
+    :func:`~edgecolor.trace.fall_back` with an open verdict.
     """
     trace = PipelineTrace(seed=seed)
     if g.vertex_count % 2 == 0:
@@ -492,7 +477,7 @@ def color_odd_dense(
         if len(coloring.used_colors()) != delta + 1 or not verify_proper(g, coloring).ok:
             raise AssertionError("class-2 coloring must use exactly Delta+1 colors")
         trace.note("verdict", "overfull input: class 2")
-        return OddResult(VERDICT_CLASS_TWO, coloring, trace)
+        return Result(CLASS_TWO, coloring, trace)
 
     w_set = compute_W(g, eta_val)
     wn = len(w_set)
@@ -511,8 +496,7 @@ def color_odd_dense(
     reduce = {1: case1_reduce, 2: case2_reduce, 3: case3_reduce, 4: case4_reduce}[case]
     try:
         gp, peeled = reduce(g, params, trace)
-        res = color_exact(gp, params, trace)
-        coloring = _recombine(g, res.coloring, peeled)
+        coloring = _recombine(g, color_exact(gp, params, trace), peeled)
         report = verify_proper(g, coloring)
         used = len(coloring.used_colors())
         if not report.ok or not coloring.is_total() or used != delta:
@@ -520,10 +504,6 @@ def color_odd_dense(
                 "recombine",
                 f"proper={report.ok} total={coloring.is_total()} colors={used}/{delta}",
             )
-        return OddResult(VERDICT_CLASS_ONE, coloring, trace, case, res.condition)
+        return Result(CLASS_ONE, coloring, trace, case, trace.condition)
     except EdgeColorError as exc:
-        trace.note("fallback", f"{type(exc).__name__}: {exc}")
-        coloring = misra_gries(g)
-        if not verify_proper(g, coloring).ok:
-            raise AssertionError("fallback coloring failed verification")
-        return OddResult(VERDICT_FALLBACK, coloring, trace, case)
+        return fall_back(g, trace, exc, misra_gries, FALLBACK_CLASS_UNKNOWN, case)

@@ -1,6 +1,7 @@
 """Every function the benchmark's tracer wraps exists in the package, and
 the pipeline calls it through the name the tracer rebinds, so a rename, a
-deletion or a bypass fails here rather than in a traced benchmark run."""
+deletion or a bypass fails here rather than in a traced benchmark run.
+Every name the package exports resolves too, so a stale export fails."""
 
 import importlib
 import os
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+import edgecolor
 from edgecolor.generators import gen_complete_minus_matching
 from edgecolor.reduction import color_odd_dense
 
@@ -23,6 +25,10 @@ def test_wrapped_name_resolves(module_name, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_package_exports_resolve():
+    assert [name for name in edgecolor.__all__ if not hasattr(edgecolor, name)] == []
 
 
 def test_traced_run_records_one_reduction_case():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgecolor.errors import PartitionFailed, PreconditionViolated
 from edgecolor.multigraph import Multigraph
@@ -33,6 +35,34 @@ def test_partition_random_dense(seed):
     part = balanced_partition(g, [(0, 1), (2, 3), (4, 5)], seed=seed)
     assert not audit_partition(g, part)
     assert part.retries <= 50
+
+
+@st.composite
+def _multigraph_with_pairs(draw):
+    """An even-order multigraph with parallel edges, and disjoint pairs."""
+    nv = 2 * draw(st.integers(min_value=2, max_value=8))
+    g = Multigraph(nv)
+    for u in range(nv):
+        for v in range(u + 1, nv):
+            for _ in range(draw(st.integers(min_value=0, max_value=3))):
+                g.add_edge(u, v)
+    order = draw(st.permutations(range(nv)))
+    t = draw(st.integers(min_value=1, max_value=nv // 2))
+    return g, [(order[2 * i], order[2 * i + 1]) for i in range(t)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_multigraph_with_pairs(), st.integers(min_value=0, max_value=1000), st.integers(min_value=1, max_value=4))
+def test_partition_of_multigraph_matches_its_underlying_simple_graph(gp, seed, max_retries):
+    g, pairs = gp
+    outcomes = []
+    for host in (g, g.underlying_simple()):
+        try:
+            part = balanced_partition(host, pairs, seed, max_retries=max_retries)
+            outcomes.append((part.A, part.B, part.retries))
+        except PartitionFailed as exc:
+            outcomes.append(("failed", exc.retries))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_partition_rejects_bad_pairs():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from edgecolor import reduction
 from edgecolor.coloring import EdgeColoring, verify_proper
-from edgecolor.engine import DcolorResult
 from edgecolor.errors import EdgeColorError, EvenOrderInput, PreconditionViolated
 from edgecolor.generators import (
     gen_case_fixture,
@@ -146,7 +145,7 @@ def test_bad_engine_coloring_falls_back(monkeypatch, case, extra, error):
             col = next((col for col in range(top, 0, -1) if c.misses(u, col) and c.misses(v, col)), None)
             if col is not None:
                 c.assign(eid, col)
-        return DcolorResult("Colored", c, trace)
+        return c
 
     monkeypatch.setattr(reduction, "color_exact", stub_engine)
     fix = gen_case_fixture(case, 20)
