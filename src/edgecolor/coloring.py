@@ -1,17 +1,22 @@
 """Edge colorings, an independent properness verifier, and Kempe moves.
 
 An :class:`EdgeColoring` is a partial map from edge ids to colors in
-``[1, k]`` that refuses improper assignments.  It keeps two indexes, both
-updated on every assign and unassign: the assignment itself and, per
-vertex, the present colors with their edges.  Color classes are derived:
+``[1, k]`` that refuses improper assignments.  It keeps three indexes, all
+updated on every assign, unassign and flip: the assignment itself; per
+vertex, the present colors with their edges (the edge-at index); and per
+vertex, an int whose bit c is set iff color c is present, with bit 0
+always set (the mask).  Color classes are derived:
 :meth:`EdgeColoring.classes` reads them off the assignment in one pass.
 :meth:`EdgeColoring.rebind` hands a coloring to another graph that shares
-its edge ids.  Callers ask which colors are missing through two queries:
-:meth:`EdgeColoring.first_missing`, the smallest color missing at a vertex
-or at both ends of a pair, and :meth:`EdgeColoring.missing_at`, the
-vertices of a list that miss a color.  :func:`verify_proper` recomputes
-properness from scratch and shares no state with the incremental indexes,
-so it can serve as an oracle for everything built on top.
+its edge ids.  The mask is the one missing-color index, and no query on
+it walks the palette: :meth:`EdgeColoring.first_missing`, the smallest
+color missing at a vertex or at both ends of a pair, is the lowest clear
+bit; :meth:`EdgeColoring.missing` reads the clear bits; and
+:meth:`EdgeColoring.misses` and :meth:`EdgeColoring.missing_at`, the
+vertices of a list that miss a color, test one bit.  :func:`verify_proper`
+recomputes properness from scratch and shares no state with the
+incremental indexes, so it can serve as an oracle for everything built on
+top.
 
 A Kempe move is one walk and one flip.  :func:`alternating_path` walks the
 maximal two-colored path that starts at a vertex missing one of its colors,
@@ -43,7 +48,7 @@ class EdgeColoring:
     exists to catch bugs in this bookkeeping, not to repair them.
     """
 
-    __slots__ = ("graph", "k", "assignment", "_present")
+    __slots__ = ("graph", "k", "assignment", "_present", "_mask")
 
     def __init__(self, graph: Multigraph, palette_size: int):
         if palette_size < 0:
@@ -52,6 +57,7 @@ class EdgeColoring:
         self.k = palette_size
         self.assignment: dict[int, int] = {}
         self._present: list[dict[int, int]] = [dict() for _ in range(graph.n)]
+        self._mask = [1] * graph.n
 
     def rebind(self, graph: Multigraph, palette_size: Optional[int] = None) -> "EdgeColoring":
         """Copy restricted to the edges of ``graph`` (shared edge ids), over
@@ -82,25 +88,27 @@ class EdgeColoring:
         return set(self._present[v])
 
     def missing(self, v: int) -> set[int]:
-        here = self._present[v]
-        return {c for c in range(1, self.k + 1) if c not in here}
+        free = ~self._mask[v] & ((2 << self.k) - 1)  # the clear bits 1..k
+        out = set()
+        while free:
+            low = free & -free
+            out.add(low.bit_length() - 1)
+            free ^= low
+        return out
 
     def misses(self, v: int, color: int) -> bool:
-        return color not in self._present[v]
+        return not self._mask[v] >> color & 1
 
     def first_missing(self, u: int, v: Optional[int] = None) -> Optional[int]:
         """The smallest color missing at ``u`` (and at ``v``), or None."""
-        at_u = self._present[u]
-        at_v = at_u if v is None else self._present[v]
-        for color in range(1, self.k + 1):
-            if color not in at_u and color not in at_v:
-                return color
-        return None
+        busy = self._mask[u] if v is None else self._mask[u] | self._mask[v]
+        color = (~busy & (busy + 1)).bit_length() - 1  # the lowest clear bit
+        return color if color <= self.k else None
 
     def missing_at(self, vertices: Iterable[int], color: int) -> list[int]:
         """The given vertices that miss ``color``, in the order given."""
-        present = self._present
-        return [v for v in vertices if color not in present[v]]
+        mask, bit = self._mask, 1 << color
+        return [v for v in vertices if not mask[v] & bit]
 
     def is_total(self) -> bool:
         return len(self.assignment) == self.graph.edge_count
@@ -124,17 +132,21 @@ class EdgeColoring:
         if edge_id in self.assignment:
             raise ValueError(f"edge {edge_id} already colored; unassign first")
         u, v = self.graph.endpoints(edge_id)
-        if color in self._present[u] or color in self._present[v]:
+        mask, present, bit = self._mask, self._present, 1 << color
+        if (mask[u] | mask[v]) & bit:
             raise ValueError(f"color {color} already present at an endpoint of edge {edge_id}")
         self.assignment[edge_id] = color
-        self._present[u][color] = edge_id
-        self._present[v][color] = edge_id
+        present[u][color] = present[v][color] = edge_id
+        mask[u] |= bit
+        mask[v] |= bit
 
     def unassign(self, edge_id: int) -> int:
         color = self.assignment.pop(edge_id)
         u, v = self.graph.endpoints(edge_id)
-        del self._present[u][color]
-        del self._present[v][color]
+        mask, present, bit = self._mask, self._present, 1 << color
+        del present[u][color], present[v][color]
+        mask[u] ^= bit
+        mask[v] ^= bit
         return color
 
 
@@ -212,10 +224,9 @@ def alternating_path(c: EdgeColoring, v: int, alpha: int, beta: int) -> tuple[li
     """
     if alpha == beta:
         raise ValueError("chain colors must differ")
-    present = c._present
-    if beta in present[v]:
+    if not c.misses(v, beta):
         raise ValueError(f"vertex {v} has a {beta}-edge, so no path of {alpha}/{beta} starts there")
-    verts, edges, _ = _walk(c.graph._edges, present, v, alpha, beta)
+    verts, edges, _ = _walk(c.graph._edges, c._present, v, alpha, beta)
     return verts, edges
 
 
@@ -232,23 +243,26 @@ def flip_path(c: EdgeColoring, edges: list[int], alpha: int, beta: int) -> None:
     k = c.k
     if not (1 <= alpha <= k and 1 <= beta <= k):
         raise ValueError(f"colors {alpha}, {beta} outside palette [1, {k}]")
-    assignment, present, ends = c.assignment, c._present, c.graph._edges
+    assignment, present, mask, ends = c.assignment, c._present, c._mask, c.graph._edges
     for eid in edges:
         u, v = ends[eid]
         col = assignment[eid]
-        del present[u][col]
-        del present[v][col]
+        del present[u][col], present[v][col]
+        bit = 1 << col
+        mask[u] ^= bit
+        mask[v] ^= bit
     for eid in edges:
         u, v = ends[eid]
         col = beta if assignment[eid] == alpha else alpha
-        at_u, at_v = present[u], present[v]
-        if col in at_u or col in at_v:
+        bit = 1 << col
+        if (mask[u] | mask[v]) & bit:
             for rest in edges[edges.index(eid) :]:
                 del assignment[rest]
             raise ValueError(f"color {col} already present at an endpoint of edge {eid}")
         assignment[eid] = col
-        at_u[col] = eid
-        at_v[col] = eid
+        present[u][col] = present[v][col] = eid
+        mask[u] |= bit
+        mask[v] |= bit
 
 
 def kempe_chain(g: Multigraph, c: EdgeColoring, v: int, alpha: int, beta: int) -> KempeChain:

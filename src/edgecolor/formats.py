@@ -9,19 +9,23 @@ Graph text format (one graph per file)::
 Vertices are 0-based, ``u < v`` is not required on input but loops and
 duplicate ``(u, v)`` lines are rejected (multiplicity must be aggregated).
 The writer emits a canonical form so parse(emit(g)) round-trips bit-exact.
-The reader refuses a vertex count above :data:`MAX_VERTICES` or a total
-multiplicity above :data:`MAX_EDGES` with :class:`TooLarge` before it
-allocates the graph.
+
+The reader makes one pass: it reads the problem line, allocates the graph
+and streams the edge lines into its bulk fill, checking each line as it
+goes.  It refuses with :class:`TooLarge` a vertex count above
+:data:`MAX_VERTICES`, before it allocates the graph, and a total
+multiplicity above :data:`MAX_EDGES`, before it stores any edge of the line
+that crosses the cap.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Iterator, Optional
 
 from .coloring import EdgeColoring
 from .errors import ParseError, TooLarge
-from .multigraph import Multigraph, build_multigraph
+from .multigraph import Multigraph
 
 MAX_VERTICES = 100_000  # far beyond what the pipeline colors in reasonable time
 MAX_EDGES = 1_000_000  # total multiplicity, so one 'e' line cannot expand unbounded
@@ -39,30 +43,44 @@ def emit_graph(g: Multigraph, comments: Optional[list[str]] = None) -> str:
 
 
 def parse_graph(text: str) -> Multigraph:
-    n = None
-    mlines_declared = None
-    triples: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    total = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError(f"line {lineno}: duplicate problem line")
-            if len(parts) != 4 or parts[1] != "multigraph":
-                raise ParseError(f"line {lineno}: expected 'p multigraph <n> <m>'")
-            try:
-                n, mlines_declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: <n> and <m> must be integers") from None
-            if n > MAX_VERTICES:
-                raise TooLarge(f"line {lineno}: {n} vertices > cap {MAX_VERTICES}")
-        elif parts[0] == "e":
-            if n is None:
-                raise ParseError(f"line {lineno}: edge before problem line")
+        if parts[0] == "e":
+            raise ParseError(f"line {lineno}: edge before problem line")
+        if parts[0] != "p":
+            raise ParseError(f"line {lineno}: unknown record '{parts[0]}'")
+        if len(parts) != 4 or parts[1] != "multigraph":
+            raise ParseError(f"line {lineno}: expected 'p multigraph <n> <m>'")
+        try:
+            n, declared = int(parts[2]), int(parts[3])
+        except ValueError:
+            raise ParseError(f"line {lineno}: <n> and <m> must be integers") from None
+        if n > MAX_VERTICES:
+            raise TooLarge(f"line {lineno}: {n} vertices > cap {MAX_VERTICES}")
+        if n < 0:
+            raise ParseError(f"line {lineno}: vertex count must be nonnegative")
+        break
+    else:
+        raise ParseError("missing problem line")
+    g = Multigraph(n)
+    adj = g._adj
+
+    def edges() -> Iterator[tuple[int, int, int]]:
+        """``(edge_id, u, v)`` for each multiplicity of each remaining line."""
+        found = eid = 0
+        for lineno, raw in lines:
+            parts = raw.split()
+            if not parts:
+                continue
+            if parts[0] != "e":
+                if parts[0].startswith("c"):
+                    continue
+                if parts[0] == "p":
+                    raise ParseError(f"line {lineno}: duplicate problem line")
+                raise ParseError(f"line {lineno}: unknown record '{parts[0]}'")
             if len(parts) != 4:
                 raise ParseError(f"line {lineno}: expected 'e <u> <v> <mult>'")
             try:
@@ -71,30 +89,30 @@ def parse_graph(text: str) -> Multigraph:
                 raise ParseError(f"line {lineno}: <u>, <v> and <mult> must be integers") from None
             if u == v:
                 raise ParseError(f"line {lineno}: loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= n:
                 raise ParseError(
-                    f"line {lineno}: duplicate pair {key}; aggregate multiplicity in one line"
+                    f"line {lineno}: vertex {u if u < 0 else v} outside range [0, {n})"
+                )
+            # _fill stores each edge before it asks for the next one, so the
+            # edges of every earlier line are in adj by the time this line is read.
+            if v in adj[u]:
+                raise ParseError(
+                    f"line {lineno}: duplicate pair {(u, v)}; aggregate multiplicity in one line"
                 )
             if mult < 1:
                 raise ParseError(f"line {lineno}: multiplicity must be >= 1")
-            total += mult
-            if total > MAX_EDGES:
+            if eid + mult > MAX_EDGES:
                 raise TooLarge(f"line {lineno}: more than {MAX_EDGES} edges in total")
-            seen.add(key)
-            triples.append((key[0], key[1], mult))
-        else:
-            raise ParseError(f"line {lineno}: unknown record '{parts[0]}'")
-    if n is None:
-        raise ParseError("missing problem line")
-    if mlines_declared is not None and mlines_declared != len(triples):
-        raise ParseError(
-            f"problem line declares {mlines_declared} edge lines, found {len(triples)}"
-        )
-    try:
-        return build_multigraph(n, triples)
-    except Exception as exc:  # vertex range errors surface as parse errors
-        raise ParseError(str(exc)) from exc
+            found += 1
+            for i in range(eid, eid + mult):
+                yield i, u, v
+            eid += mult
+        if found != declared:
+            raise ParseError(f"problem line declares {declared} edge lines, found {found}")
+
+    return g._fill(edges())
 
 
 def read_graph(path: str) -> Multigraph:

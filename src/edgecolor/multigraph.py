@@ -20,10 +20,12 @@ _adj[v][u]``, so a pair costs one container however it is reached.
 Degrees are maintained: ``add_edge`` and ``delete_edge`` update a
 per-vertex count, so every degree query is a lookup.  Every builder of a
 new graph (``induced`` and the ``without_*`` forms over it, ``grown``,
-``underlying_simple`` and ``build_multigraph``, which the parser uses)
-goes through one bulk fill that writes edges, adjacency and degrees
-directly, in increasing id order; ``add_edge`` keeps the checks for
-single edges.
+``underlying_simple`` and ``build_multigraph``) goes through one bulk
+fill that writes edges, adjacency and degrees directly, in increasing id
+order; ``add_edge`` keeps the checks for single edges.  The reader
+(``formats.parse_graph``) streams its checked edge lines straight into
+that fill; it no longer goes through ``build_multigraph``, which stays
+public for tests and callers that hold ``(u, v, multiplicity)`` triples.
 """
 
 from __future__ import annotations

@@ -147,16 +147,26 @@ def _present_from_assignment(c: EdgeColoring) -> dict[int, set[int]]:
     return present
 
 
-@given(partial_colorings(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_missing_queries_match_assignment(c, data):
+def _assert_missing_index_matches(c: EdgeColoring) -> None:
+    """The mask holds bit 0 and the bits of the present colors, and the
+    missing-color queries agree with the assignment."""
+    assert c._mask == [1 | sum(1 << col for col in row) for row in c._present]
     present = _present_from_assignment(c)
     verts = list(range(c.graph.n))
     for u in verts:
+        assert c.missing(u) == set(range(1, c.k + 1)) - present[u]
         for v in [None] + verts:  # u == v included
             busy = present[u] | (present[v] if v is not None else set())
             free = [col for col in range(1, c.k + 1) if col not in busy]
             assert c.first_missing(u, v) == (free[0] if free else None)
+
+
+@given(partial_colorings(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_missing_queries_match_assignment(c, data):
+    _assert_missing_index_matches(c)
+    present = _present_from_assignment(c)
+    verts = list(range(c.graph.n))
     order = data.draw(st.permutations(verts))
     for col in range(1, c.k + 1):
         assert c.missing_at(order, col) == [w for w in order if col not in present[w]]
@@ -177,8 +187,9 @@ def test_first_missing_full_palette():
 @settings(max_examples=200, deadline=None)
 def test_classes_partition_the_assignment_after_updates(c, data):
     """After any mix of assign, unassign and Kempe swaps, classes() holds k
-    ascending lists that partition the assignment by color, and
-    used_colors() names the non-empty ones."""
+    ascending lists that partition the assignment by color, used_colors()
+    names the non-empty ones, and the missing-color index agrees with the
+    assignment."""
     g = c.graph
     for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
         op = data.draw(st.sampled_from(["assign", "unassign", "swap"]))
@@ -207,6 +218,7 @@ def test_classes_partition_the_assignment_after_updates(c, data):
     assert sum(len(cls) for cls in classes) == len(c.assignment)
     assert c.used_colors() == {color for color, cls in enumerate(classes, start=1) if cls}
     assert verify_proper(g, c).ok
+    _assert_missing_index_matches(c)
 
 
 def test_rebind_keeps_the_shared_edges_and_checks_the_palette():
@@ -258,6 +270,7 @@ def test_alternating_path_and_flip_match_the_general_chain(c):
                 assert flipped.assignment == swapped.assignment
                 assert verify_proper(g, flipped).ok
                 assert flipped._present == _present_index(flipped)
+                _assert_missing_index_matches(flipped)
 
 
 def test_alternating_path_needs_v_to_miss_beta():
@@ -286,6 +299,7 @@ def test_flip_path_refuses_a_truncated_path():
         flip_path(c, [e01, e12], 1, 2)
     assert c.assignment == {e01: 2, e23: 1}  # the edge at fault is left uncolored
     assert verify_proper(g, c).ok and c._present == _present_index(c)
+    _assert_missing_index_matches(c)
     with pytest.raises(ValueError, match="outside palette"):
         flip_path(c, [e23], 1, 3)
 

@@ -11,7 +11,7 @@ from edgecolor.formats import (
     emit_graph,
     parse_graph,
 )
-from edgecolor.multigraph import build_multigraph
+from edgecolor.multigraph import Multigraph, build_multigraph
 
 from conftest import greedy_coloring, random_simple
 
@@ -81,14 +81,92 @@ def test_parse_caps_size(monkeypatch):
 
 
 def test_parse_rejects_huge_multiplicity_before_building(monkeypatch):
-    def never(*args):
-        raise AssertionError("the graph was built")
+    """A huge vertex count is refused before any graph is allocated, and a
+    huge multiplicity before any edge of its line is stored."""
+    built = []
 
-    monkeypatch.setattr(formats, "build_multigraph", never)
-    with pytest.raises(TooLarge):
-        parse_graph("p multigraph 2 1\ne 0 1 100000000000\n")
+    class Recorded(Multigraph):
+        def __init__(self, n):
+            super().__init__(n)
+            built.append(self)
+
+    monkeypatch.setattr(formats, "Multigraph", Recorded)
     with pytest.raises(TooLarge):
         parse_graph("p multigraph 100000000000 0\n")
+    assert built == []
+    with pytest.raises(TooLarge):
+        parse_graph("p multigraph 2 1\ne 0 1 100000000000\n")
+    assert len(built) == 1 and built[0].edge_count == 0
+
+
+def test_parse_rejects_a_negative_vertex_count():
+    with pytest.raises(ParseError, match="line 1: vertex count must be nonnegative"):
+        parse_graph("p multigraph -1 0\n")
+
+
+@pytest.mark.parametrize(
+    "edge,message",
+    [
+        ("e 0 5 1", r"line 2: vertex 5 outside range \[0, 3\)"),
+        ("e 3 1 1", r"line 2: vertex 3 outside range \[0, 3\)"),
+        ("e -1 2 1", r"line 2: vertex -1 outside range \[0, 3\)"),
+        ("e 2 -3 1", r"line 2: vertex -3 outside range \[0, 3\)"),
+    ],
+)
+def test_parse_names_the_line_of_an_out_of_range_vertex(edge, message):
+    """The range is checked before the adjacency row is read, so a negative
+    vertex cannot index a row from the end."""
+    with pytest.raises(ParseError, match=message):
+        parse_graph(f"p multigraph 3 1\n{edge}\n")
+
+
+def _state(g: Multigraph) -> tuple:
+    """Everything the bulk fill writes, with each row's key order."""
+    rows = [list(row.items()) for row in g._adj]
+    return g.n, g.verts, list(g._edges.items()), rows, g._deg, g._next_id
+
+
+@given(numbered_multigraphs())
+@settings(max_examples=200, deadline=None)
+def test_parse_matches_build_multigraph_on_the_whole_state(g):
+    """The streamed reader leaves the same graph as build_multigraph of the
+    same triples: edges in order, each row's key order, one shared id set
+    per pair, degrees and the id counter."""
+    pairs = sorted({(u, v) for _, u, v in g.edges()})
+    built = build_multigraph(g.n, [(u, v, g.multiplicity(u, v)) for u, v in pairs])
+    parsed = parse_graph(emit_graph(g))
+    assert _state(parsed) == _state(built)
+    for u, row in enumerate(parsed._adj):
+        assert all(ids is parsed._adj[v][u] for v, ids in row.items())
+
+
+_TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "9", "1_0", "x", "e", "p", "c", "100001", "1000001"])
+
+
+@st.composite
+def token_texts(draw):
+    """The text of a small multigraph with up to three tokens replaced and up
+    to two lines of random tokens inserted."""
+    lines = [line.split() for line in emit_graph(draw(numbered_multigraphs())).splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        line = draw(st.sampled_from(lines))
+        line[draw(st.integers(0, len(line) - 1))] = draw(_TOKENS)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.lists(_TOKENS, max_size=5)))
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@given(token_texts())
+@settings(max_examples=500, deadline=None)
+def test_parse_fuzz_gives_a_graph_or_a_clear_error(text):
+    """Lines of tokens give a graph, a ParseError or TooLarge; a graph it
+    gives has every edge inside its vertex range."""
+    try:
+        g = parse_graph(text)
+    except (ParseError, TooLarge):
+        return
+    assert all(0 <= u < v < g.n for _, u, v in g.edges())
+    assert sum(g._deg) == 2 * g.edge_count
 
 
 @pytest.mark.parametrize("k", [True, False, 3.7, "3", None])
