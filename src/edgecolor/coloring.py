@@ -8,12 +8,14 @@ vertex, an int whose bit c is set iff color c is present, with bit 0
 always set (the mask).  Color classes are derived:
 :meth:`EdgeColoring.classes` reads them off the assignment in one pass.
 :meth:`EdgeColoring.rebind` hands a coloring to another graph that shares
-its edge ids.  The mask is the one missing-color index, and no query on
-it walks the palette: :meth:`EdgeColoring.first_missing`, the smallest
-color missing at a vertex or at both ends of a pair, is the lowest clear
-bit; :meth:`EdgeColoring.missing` reads the clear bits; and
-:meth:`EdgeColoring.misses` and :meth:`EdgeColoring.missing_at`, the
-vertices of a list that miss a color, test one bit.  :func:`verify_proper`
+its edge ids.  The mask is the one missing-color index, so no query walks
+the palette: :meth:`EdgeColoring.first_missing`, the smallest color
+missing at a vertex or at both ends of a pair, is the lowest clear bit,
+and :meth:`EdgeColoring.missing` reads the clear bits.  A test for one
+color (:meth:`EdgeColoring.misses`, :meth:`EdgeColoring.missing_at`, the
+vertices of a list that miss a color, and the clash checks of ``assign``
+and :func:`flip_path`) is a lookup in the edge-at index, which costs O(1)
+where a bit test on the mask costs O(k / word).  :func:`verify_proper`
 recomputes properness from scratch and shares no state with the
 incremental indexes, so it can serve as an oracle for everything built on
 top.
@@ -31,6 +33,7 @@ staleness check in between.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import Iterable, Optional
 
 from .errors import StaleChain
@@ -38,6 +41,8 @@ from .multigraph import Multigraph
 
 SHAPE_PATH = "Path"
 SHAPE_EVEN_CYCLE = "EvenCycle"
+
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as bytes compress reads
 
 
 class EdgeColoring:
@@ -89,15 +94,13 @@ class EdgeColoring:
 
     def missing(self, v: int) -> set[int]:
         free = ~self._mask[v] & ((2 << self.k) - 1)  # the clear bits 1..k
-        out = set()
-        while free:
-            low = free & -free
-            out.add(low.bit_length() - 1)
-            free ^= low
-        return out
+        # Reversed, the binary numeral holds bit c at index c.  compress picks
+        # the indexes of its 1 digits in one C pass: peeling the lowest bit
+        # off in Python costs O(k / word) per missing color instead.
+        return set(compress(count(), f"{free:b}".encode()[::-1].translate(_DIGIT_BITS)))
 
     def misses(self, v: int, color: int) -> bool:
-        return not self._mask[v] >> color & 1
+        return color not in self._present[v]
 
     def first_missing(self, u: int, v: Optional[int] = None) -> Optional[int]:
         """The smallest color missing at ``u`` (and at ``v``), or None."""
@@ -107,8 +110,8 @@ class EdgeColoring:
 
     def missing_at(self, vertices: Iterable[int], color: int) -> list[int]:
         """The given vertices that miss ``color``, in the order given."""
-        mask, bit = self._mask, 1 << color
-        return [v for v in vertices if not mask[v] & bit]
+        present = self._present
+        return [v for v in vertices if color not in present[v]]
 
     def is_total(self) -> bool:
         return len(self.assignment) == self.graph.edge_count
@@ -132,21 +135,23 @@ class EdgeColoring:
         if edge_id in self.assignment:
             raise ValueError(f"edge {edge_id} already colored; unassign first")
         u, v = self.graph.endpoints(edge_id)
-        mask, present, bit = self._mask, self._present, 1 << color
-        if (mask[u] | mask[v]) & bit:
+        if color in self._present[u] or color in self._present[v]:
             raise ValueError(f"color {color} already present at an endpoint of edge {edge_id}")
         self.assignment[edge_id] = color
-        present[u][color] = present[v][color] = edge_id
-        mask[u] |= bit
-        mask[v] |= bit
+        self._present[u][color] = edge_id
+        self._present[v][color] = edge_id
+        bit = 1 << color
+        self._mask[u] |= bit
+        self._mask[v] |= bit
 
     def unassign(self, edge_id: int) -> int:
         color = self.assignment.pop(edge_id)
         u, v = self.graph.endpoints(edge_id)
-        mask, present, bit = self._mask, self._present, 1 << color
-        del present[u][color], present[v][color]
-        mask[u] ^= bit
-        mask[v] ^= bit
+        del self._present[u][color]
+        del self._present[v][color]
+        bit = 1 << color
+        self._mask[u] ^= bit
+        self._mask[v] ^= bit
         return color
 
 
@@ -224,9 +229,10 @@ def alternating_path(c: EdgeColoring, v: int, alpha: int, beta: int) -> tuple[li
     """
     if alpha == beta:
         raise ValueError("chain colors must differ")
-    if not c.misses(v, beta):
+    present = c._present
+    if beta in present[v]:
         raise ValueError(f"vertex {v} has a {beta}-edge, so no path of {alpha}/{beta} starts there")
-    verts, edges, _ = _walk(c.graph._edges, c._present, v, alpha, beta)
+    verts, edges, _ = _walk(c.graph._edges, present, v, alpha, beta)
     return verts, edges
 
 
@@ -247,20 +253,23 @@ def flip_path(c: EdgeColoring, edges: list[int], alpha: int, beta: int) -> None:
     for eid in edges:
         u, v = ends[eid]
         col = assignment[eid]
-        del present[u][col], present[v][col]
+        del present[u][col]
+        del present[v][col]
         bit = 1 << col
         mask[u] ^= bit
         mask[v] ^= bit
     for eid in edges:
         u, v = ends[eid]
         col = beta if assignment[eid] == alpha else alpha
-        bit = 1 << col
-        if (mask[u] | mask[v]) & bit:
+        at_u, at_v = present[u], present[v]
+        if col in at_u or col in at_v:
             for rest in edges[edges.index(eid) :]:
                 del assignment[rest]
             raise ValueError(f"color {col} already present at an endpoint of edge {eid}")
         assignment[eid] = col
-        present[u][col] = present[v][col] = eid
+        at_u[col] = eid
+        at_v[col] = eid
+        bit = 1 << col
         mask[u] |= bit
         mask[v] |= bit
 

@@ -121,7 +121,8 @@ def _fan_color(g: Multigraph, c: EdgeColoring, eid: int, u: int) -> bool:
     untouched, only if that edge is not a fan edge: a parallel edge at u,
     which a simple graph does not have.
     """
-    at_u = c._present[u]
+    present = c._present
+    at_u = present[u]
     fan, fan_edges = [g.other_end(eid, u)], [eid]
     while True:
         common = c.first_missing(u, fan[-1])
@@ -141,10 +142,10 @@ def _fan_color(g: Multigraph, c: EdgeColoring, eid: int, u: int) -> bool:
         # u now misses dd; rotate the first valid fan prefix whose last
         # vertex also misses dd.
         j = 0
-        while not c.misses(fan[j], dd):
+        while dd in present[fan[j]]:
             j += 1
             col = c.color_of(fan_edges[j]) if j < len(fan) else None
-            if col is None or not c.misses(fan[j - 1], col):
+            if col is None or col in present[fan[j - 1]]:
                 raise AssertionError("misra-gries found no rotatable fan prefix")
         _rotate(c, fan_edges, j, dd)
         return True

@@ -183,6 +183,19 @@ def test_first_missing_full_palette():
     assert c.missing_at([3, 0, 1], 1) == [3]
 
 
+def test_missing_index_beyond_one_word():
+    """A palette of 200 colors spans several machine words of the mask."""
+    g = build_multigraph(4, [(0, 1, 60), (0, 2, 50), (0, 3, 20)])
+    c = EdgeColoring(g, 200)
+    for i, eid in enumerate(g.edge_ids()[:100]):
+        c.assign(eid, 2 * i + 1)  # the odd colors 1..199 at the center
+    _assert_missing_index_matches(c)
+    assert c.missing(0) == set(range(2, 201, 2)) and c.first_missing(0) == 2
+    assert c.first_missing(3) == 1 and c.first_missing(0, 2) == 2
+    c.unassign(g.edge_ids()[0])
+    assert c.first_missing(0) == 1 and c.misses(1, 1) and not c.misses(1, 3)
+
+
 @given(partial_colorings(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_classes_partition_the_assignment_after_updates(c, data):
