@@ -60,8 +60,10 @@ def _k60():
 # Misra-Gries fallback takes the Kempe-swap branch; case2-n44 at seed 7
 # exhausts all 30 step-3 attempts, so it pins the retry loop and the
 # NoPerfectMatching message; complete-60 is even, so it goes to the engine
-# alone and ends Colored at condition (a) with 59 colors; the others end in
-# the fallback or in ClassTwo.
+# alone and ends Colored at condition (a) with 59 colors; case1-n30 cannot
+# attach its center and ends in the case-1 ConstructionFailed; case1-n60
+# attaches its center and falls back in step 2, so its trace pins the
+# attached edges; the others end in the fallback or in ClassTwo.
 GOLDEN = [
     ("k21-minus-matching", _k21_minus_matching, 1, "e1943c71b19d3f4cc4d9dec7fdfb032f1093e12aae77b96d983ab6334a321cdd"),
     ("case2-n44", _case_fixture(2, 44), 1, "00659c2225641bce1a29c83315cde0d0baf2e5ab0db7435ca4fc64180cf5bac6"),
@@ -72,6 +74,8 @@ GOLDEN = [
     ("random-13", _random_13, 1, "89547efda1154cc7ee2d4d193c86020dae9c9606a0d40b54387b30d85e932615"),
     ("case2-n44-seed7", _case_fixture(2, 44), 7, "67fe6956d79bbf04504be653f67cfea95b35c65aff9146a500e6566d36c8b900"),
     ("complete-60", _k60, 1, "27cd4ea705292057011337897de0a0f3b1995094b61ce58150b17d1a73f7565b"),
+    ("case1-n30", _case_fixture(1, 30), 1, "b95d28accdd14fdca9f0160dd6422cbebbc081994787673de09bf6727ccd28ae"),
+    ("case1-n60", _case_fixture(1, 60), 1, "6cbff922c83131295cb8b29adb3f23c99b555ae40cd1e827a7b0a8af12011056"),
 ]
 
 
