@@ -66,7 +66,7 @@ for u, v in b_edges:
 for w in (6, 7, 8):
     h.add_edge(0, w)  # all crossings at the center 0
 
-part = Partition(A=set(range(6)), B=set(range(6, 12)), pairs=[], seed=0, retries=0)
+part = Partition(A=set(range(6)), B=set(range(6, 12)), pairs=[], retries=0)
 hc = greedy(h, h.max_degree() + 2)
 equalize_balanced_sides(h, hc, part)
 am = [sum(1 for v in part.A if hc.misses(v, i)) for i in range(1, hc.k + 1)]

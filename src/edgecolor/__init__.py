@@ -35,6 +35,7 @@ from .multigraph import (
     Multigraph,
     StarProfile,
     build_multigraph,
+    compute_W,
     deficiency_report,
     detect_star_structure,
     is_overfull,
@@ -42,7 +43,7 @@ from .multigraph import (
 )
 from .oracle import OracleResult, brute_chromatic_index, brute_overfull_scan
 from .partition import Partition, SplitGraphs, adjust_for_center, balanced_partition, build_split
-from .reduction import color_odd_dense, compute_W, derive_eta
+from .reduction import color_odd_dense, derive_eta
 from .trace import PipelineTrace, Result
 from .vizing import misra_gries, near_star_color, star_multigraph_color
 

@@ -39,7 +39,7 @@ from itertools import combinations
 from typing import Optional
 
 from .coloring import EdgeColoring, verify_proper
-from .equalize import equalize_balanced_sides, equalize_classes, equalize_per_side
+from .equalize import equalize_balanced_sides, equalize_classes, equalize_per_side, miss_counts
 from .errors import (
     EdgeColorError,
     GuardFailed,
@@ -53,7 +53,7 @@ from .errors import (
     StarColoringFailed,
 )
 from .classic import konig_color, perfect_matching_bipartite_star
-from .multigraph import KIND_NOT_NEAR_STAR, Multigraph, detect_star_structure
+from .multigraph import KIND_NOT_NEAR_STAR, Multigraph, compute_W, detect_star_structure
 from .partition import Partition, adjust_for_center, balanced_partition, build_split
 from .trace import COLORED, FALLBACK, PipelineTrace, Result, fall_back
 from .vizing import greedy_color, near_star_color
@@ -93,7 +93,6 @@ class EngineState:
     r_bound: float = 0.0
     ell: int = 0
     coloring: Optional[EdgeColoring] = None
-    S: set[int] = field(default_factory=set)
     S_A: set[int] = field(default_factory=set)
     S_B: set[int] = field(default_factory=set)
     U: set[int] = field(default_factory=set)
@@ -161,7 +160,7 @@ def classify_condition(
     is_star = profile.kind in ("Simple", "Star")
     regular = delta == dmin
     root_n = math.sqrt(n)
-    u_set = {v for v in g.verts if delta - degs[v] >= eta * n}
+    u_set = compute_W(g, eta)
 
     def log(cond: str, clause: str, lhs, rhs, passed: bool) -> bool:
         trace.check(f"classify.{cond}", clause, lhs, rhs, passed)
@@ -378,13 +377,13 @@ def step1_color_gab(state: EngineState) -> EngineState:
 
     # S-pair augmentation: join same-side low-degree vertices that share a
     # missing color, and give the new edge that color.
-    state.S = {v for v in g.verts if delta - g.degree(v) >= 7 * n ** (2 / 3)}
+    s_set = {v for v in g.verts if delta - g.degree(v) >= 7 * n ** (2 / 3)}
     changed = True
     added = 0
     while changed:
         changed = False
         for side, store in ((state.side_a, state.side_a_edges), (state.side_b, state.side_b_edges)):
-            cand = sorted(state.S & side)
+            cand = sorted(s_set & side)
             for u, v in combinations(cand, 2):
                 col = c.first_missing(u, v)
                 if col is None:
@@ -410,25 +409,18 @@ def step1_color_gab(state: EngineState) -> EngineState:
         equalize_per_side(gab, c, state.part)
 
     # S1.1 audit and S1.2 guard (diagnostic: its role is the MCC-pair budget).
-    counts = [
-        (len(c.missing_at(state.side_a, i)), len(c.missing_at(state.side_b, i)))
-        for i in range(1, k + 1)
-    ]
-    ok_s11 = state.condition not in ("a", "b", "c", "d") or all(a == b for a, b in counts)
+    miss_a, miss_b = miss_counts(c, state.side_a)[1:], miss_counts(c, state.side_b)[1:]
+    ok_s11 = state.condition not in ("a", "b", "c", "d") or miss_a == miss_b
     trace.check("step1", "S1.1", None, None, ok_s11)
     if not ok_s11:
         raise GuardFailed("step1.S1.1", "per-color side missing counts differ")
     cap = 3 * eta * n if state.condition in ("a", "b", "c", "d") else 7 * n ** (2 / 3)
-    worst = max((max(pair) for pair in counts), default=0)
+    worst = max(miss_a + miss_b, default=0)
     trace.check("step1", "S1.2", worst, cap, worst < cap)
 
-    state.S_A = {
-        u for u in state.S & state.side_a if gab.degree(u) <= k - 2 * n ** (2 / 3)
-    }
-    state.S_B = {
-        u for u in state.S & state.side_b if gab.degree(u) <= k - 2 * n ** (2 / 3)
-    }
-    state.U = {v for v in g.verts if delta - g.degree(v) >= eta * n}
+    state.S_A = {u for u in s_set & state.side_a if gab.degree(u) <= k - 2 * n ** (2 / 3)}
+    state.S_B = {u for u in s_set & state.side_b if gab.degree(u) <= k - 2 * n ** (2 / 3)}
+    state.U = compute_W(g, eta)
     state.missing_after_step1 = {v: len(c.missing(v)) for v in g_star.verts}
     state.colored_h_at = {v: 0 for v in g_star.verts}
 

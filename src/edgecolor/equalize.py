@@ -23,8 +23,8 @@ same swap.  The side-aware procedures exploit that at most one alternating
 chain can cross between the sides (all crossing edges share the center),
 which makes a reducing swap available whenever the target is violated.
 
-There is one count and one flattening.  The side-aware procedures count
-per-side missing counts per color (:func:`_miss_counts`), and
+There is one count and one flattening.  :func:`miss_counts` is the one
+per-side missing count per color (engine step 1's audit reads it too), and
 :func:`equalize_classes` reads class sizes off the coloring; each counts
 once, and a swap changes the counts of its two colors only, by a known
 amount, so the counts are kept up to date rather than recounted in every
@@ -112,7 +112,7 @@ def _check_crossing_at_center(g: Multigraph, side_a: set[int]) -> None:
             )
 
 
-def _miss_counts(c: EdgeColoring, side: set[int]) -> list[int]:
+def miss_counts(c: EdgeColoring, side: set[int]) -> list[int]:
     """Per color (index 0 unused): how many vertices of ``side`` miss it."""
     return [0] + [len(c.missing_at(side, i)) for i in range(1, c.k + 1)]
 
@@ -124,7 +124,7 @@ def _flatten(g: Multigraph, c: EdgeColoring, side: set[int]) -> None:
     common chain (chains cross sides at most once), and swapping that chain
     shrinks the gap.  Only edges inside the side change color.
     """
-    miss = _miss_counts(c, side)
+    miss = miss_counts(c, side)
     for _ in range(_MAX_SWEEPS):
         hi = max(range(1, c.k + 1), key=lambda i: miss[i])
         lo = min(range(1, c.k + 1), key=lambda i: miss[i])
@@ -137,6 +137,14 @@ def _flatten(g: Multigraph, c: EdgeColoring, side: set[int]) -> None:
         miss[hi] -= 2  # the two path ends now miss lo instead of hi
         miss[lo] += 2
     raise EqualizationFailed("within-side sweep budget exhausted")
+
+
+def _split_sides(g: Multigraph, part) -> tuple[set[int], set[int]]:
+    """Copies of ``part.A`` and ``part.B``, which must split V(g)."""
+    side_a, side_b = set(part.A), set(part.B)
+    if side_a | side_b != g.verts or side_a & side_b:
+        raise PreconditionViolated("partition", "A, B must split the vertex set")
+    return side_a, side_b
 
 
 def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColoring:
@@ -158,14 +166,12 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
     its side, so the sides evolve independently; B starts from A's counts
     and repeats A's choices, which keeps both sides' counts equal.
     """
-    side_a, side_b = set(part.A), set(part.B)
-    if side_a | side_b != g.verts or side_a & side_b:
-        raise PreconditionViolated("partition", "A, B must split the vertex set")
+    side_a, side_b = _split_sides(g, part)
     if len(side_a) != len(side_b):
         raise PreconditionViolated("|A|=|B|", f"{len(side_a)} != {len(side_b)}")
     _check_crossing_at_center(g, side_a)
     diffs = [
-        (mb - ma) // 2 for ma, mb in zip(_miss_counts(c, side_a), _miss_counts(c, side_b))
+        (mb - ma) // 2 for ma, mb in zip(miss_counts(c, side_a), miss_counts(c, side_b))
     ]
     if sum(diffs):
         raise PreconditionViolated("e(A)=e(B)", f"e(A) - e(B) = {sum(diffs)}")
@@ -197,9 +203,7 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
 
 def equalize_per_side(g: Multigraph, c: EdgeColoring, part) -> EdgeColoring:
     """Flatten per-side missing-count gaps to at most 2 on each side."""
-    side_a, side_b = set(part.A), set(part.B)
-    if side_a | side_b != g.verts or side_a & side_b:
-        raise PreconditionViolated("partition", "A, B must split the vertex set")
+    side_a, side_b = _split_sides(g, part)
     _check_crossing_at_center(g, side_a)
     _flatten(g, c, side_a)
     _flatten(g, c, side_b)

@@ -8,6 +8,8 @@ Graph text format (one graph per file)::
 
 Vertices are 0-based, ``u < v`` is not required on input but loops and
 duplicate ``(u, v)`` lines are rejected (multiplicity must be aggregated).
+Numbers are ASCII decimal integers, ``-?[0-9]+``; ``int``'s ``+0``,
+``0_1`` and non-ASCII digits are refused.
 The writer emits a canonical form so parse(emit(g)) round-trips bit-exact.
 
 The reader makes one pass: it reads the problem line, allocates the graph
@@ -42,6 +44,12 @@ def emit_graph(g: Multigraph, comments: Optional[list[str]] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(tokens: str) -> bool:
+    """Whether tokens that ``int`` took are ``-?[0-9]+``: beyond those, ``int``
+    takes only a ``+``, a ``_`` or a non-ASCII digit."""
+    return tokens.isascii() and "+" not in tokens and "_" not in tokens
+
+
 def parse_graph(text: str) -> Multigraph:
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
@@ -56,6 +64,8 @@ def parse_graph(text: str) -> Multigraph:
             raise ParseError(f"line {lineno}: expected 'p multigraph <n> <m>'")
         try:
             n, declared = int(parts[2]), int(parts[3])
+            if not _decimal(parts[2] + parts[3]):
+                raise ValueError
         except ValueError:
             raise ParseError(f"line {lineno}: <n> and <m> must be integers") from None
         if n > MAX_VERTICES:
@@ -85,6 +95,8 @@ def parse_graph(text: str) -> Multigraph:
                 raise ParseError(f"line {lineno}: expected 'e <u> <v> <mult>'")
             try:
                 u, v, mult = int(parts[1]), int(parts[2]), int(parts[3])
+                if not _decimal(parts[1] + parts[2] + parts[3]):
+                    raise ValueError
             except ValueError:
                 raise ParseError(f"line {lineno}: <u>, <v> and <mult> must be integers") from None
             if u == v:

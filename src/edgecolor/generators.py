@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InfeasibleParams
-from .multigraph import Multigraph, deficiency_report, is_overfull
+from .multigraph import Multigraph, compute_W, deficiency_report, is_overfull
 
 
 @dataclass
@@ -389,12 +389,11 @@ def gen_case_fixture(case: int, n_half: int) -> Fixture:
         fix = _odd_deficient_fixture(nv, n, eps, eta, w_size, df)
     else:
         raise InfeasibleParams(f"unknown case {case}")
-    rep = deficiency_report(fix.graph)
     if is_overfull(fix.graph):
         raise InfeasibleParams("fixture is overfull")
     if fix.graph.min_degree() < (1 + fix.epsilon) * n:
         raise InfeasibleParams("fixture misses the density floor")
-    w_got = sum(1 for v in fix.graph.verts if rep.delta_max - fix.graph.degree(v) >= fix.eta * n)
+    w_got = len(compute_W(fix.graph, fix.eta))
     window = {1: w_got >= 2 * fix.eta * n, 2: w_got == 0,
               3: math.sqrt(n) <= w_got < 2 * fix.eta * n,
               4: 0 < w_got < math.sqrt(n)}[case]

@@ -1,6 +1,10 @@
 """Loopless multigraph with stable edge identities, plus degree and
 overfull analytics.
 
+Deficiency has one vocabulary, here: :func:`deficiency_report` and the
+high-deficiency set W of :func:`compute_W`, which the reduction, the
+engine (as U) and the fixture generators share.
+
 Overfull logic has one dense-regime primitive, :func:`overfull_deficiency`:
 the least deficiency of the subgraphs that can be overfull when the
 minimum degree is large (g at odd order, g minus a vertex at even order).
@@ -335,6 +339,13 @@ def deficiency_report(g: Multigraph) -> DeficiencyReport:
     )
 
 
+def compute_W(g: Multigraph, eta: float) -> set[int]:
+    """Vertices whose deficiency reaches eta*n (n = (|V|+1)/2)."""
+    n = (g.vertex_count + 1) // 2
+    delta = g.max_degree()
+    return {v for v in g.verts if delta - g.degree(v) >= eta * n}
+
+
 def overfull_deficiency(g: Multigraph) -> int:
     """The least deficiency ``df(H) = sum(Delta(g) - d_H(v))`` over the
     subgraphs H that can be overfull in the dense regime: g itself at odd
@@ -352,7 +363,6 @@ def overfull_deficiency(g: Multigraph) -> int:
 class StarProfile:
     kind: str
     center: Optional[int] = None
-    mu_center: int = 0
     residual_pair: Optional[tuple[int, int]] = None
 
 
@@ -368,14 +378,9 @@ def detect_star_structure(g: Multigraph) -> StarProfile:
         return StarProfile(kind=KIND_SIMPLE)
     for x in g.vertex_list():
         if all(x in p for p in pairs):
-            return StarProfile(kind=KIND_STAR, center=x, mu_center=g.mu_of(x))
+            return StarProfile(kind=KIND_STAR, center=x)
     for x in g.vertex_list():
         outside = [p for p in pairs if x not in p]
         if len(outside) == 1:
-            return StarProfile(
-                kind=KIND_NEAR_STAR,
-                center=x,
-                mu_center=g.mu_of(x),
-                residual_pair=outside[0],
-            )
+            return StarProfile(kind=KIND_NEAR_STAR, center=x, residual_pair=outside[0])
     return StarProfile(kind=KIND_NOT_NEAR_STAR)

@@ -27,7 +27,6 @@ class Partition:
     A: set[int]
     B: set[int]
     pairs: list[tuple[int, int]]
-    seed: int
     retries: int
 
 
@@ -98,7 +97,7 @@ def balanced_partition(
             for v in verts
         )
         if ok:
-            return Partition(A=side_a, B=side_b, pairs=list(pairs), seed=seed, retries=attempt)
+            return Partition(A=side_a, B=side_b, pairs=list(pairs), retries=attempt)
     raise PartitionFailed(max_retries)
 
 
@@ -162,7 +161,7 @@ def adjust_for_center(
             mate = partner[v]
             b_side.discard(mate)
             a_side.add(mate)
-    return Partition(A=a_side, B=b_side, pairs=list(pairs), seed=part.seed, retries=part.retries)
+    return Partition(A=a_side, B=b_side, pairs=list(pairs), retries=part.retries)
 
 
 def build_split(

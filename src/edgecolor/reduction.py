@@ -7,9 +7,11 @@ are peeled off until one of the engine's entry conditions holds.
 
 One center attachment, ``_saturate_center``, joins the new center to a
 pool of vertices in order, each up to a cap, until it reaches a target
-degree.  Cases 2 and 3 and case 4's saturating branch build their center
-with it.  Case 1 spreads its center edges round-robin over W' instead, and
-case 4's parallel branch joins a full-degree center to its padded graph.
+degree.  Every case builds its center with it (case 1's round-robin over
+W' is the pool W' repeated, one edge per visit) but case 4's parallel
+branch, which joins a full-degree center to its padded graph and then
+checks that it is Delta-regular: through ``_saturate_center``, a padding
+that lifts y or z above Delta could raise a different error.
 
 Case contract.  A case returns ``(instance, peeled)``: the even-order
 engine instance G' and the edge-id classes it peeled off on the way.  It
@@ -55,6 +57,7 @@ from .errors import (
 from .multigraph import (
     DeficiencyReport,
     Multigraph,
+    compute_W,
     deficiency_report,
     is_overfull,
     overfull_deficiency,
@@ -65,13 +68,6 @@ from .vizing import greedy_color, misra_gries
 
 def derive_eta(epsilon: float) -> float:
     return epsilon * epsilon / 100.0
-
-
-def compute_W(g: Multigraph, eta: float) -> set[int]:
-    """Vertices whose deficiency reaches eta*n (n = (|V|+1)/2)."""
-    n = (g.vertex_count + 1) // 2
-    delta = g.max_degree()
-    return {v for v in g.verts if delta - g.degree(v) >= eta * n}
 
 
 def _check_not_overfull(g: Multigraph, trace: PipelineTrace, step: str) -> None:
@@ -172,26 +168,16 @@ def case1_reduce(
 ) -> tuple[Multigraph, list[list[int]]]:
     n = (g.vertex_count + 1) // 2
     eta = params.eta
-    w_set = compute_W(g, eta)
-    w_prime = sorted(w_set)[: math.floor(eta * n)]
+    w_prime = sorted(compute_W(g, eta))[: math.floor(eta * n)]
     if not w_prime:
         raise ConstructionFailed("case1: floor(eta*n) = 0 leaves W' empty")
     cap = math.floor(2.0 / eta)
     target = g.min_degree()
-    gp = g.grown(1)
-    x = g.n
-    taken = {w: 0 for w in w_prime}
-    while gp.degree(x) < target:
-        progressed = False
-        for w in w_prime:
-            if gp.degree(x) == target:
-                break
-            if taken[w] < cap and gp.degree(w) < g.max_degree():
-                gp.add_edge(x, w)
-                taken[w] += 1
-                progressed = True
-        if not progressed:
-            raise ConstructionFailed("case1: cannot reach delta(g) at the center")
+    # Round-robin over W', one edge per visit and at most cap per vertex.
+    try:
+        gp, x = _saturate_center(g, w_prime * cap, dict.fromkeys(w_prime, 1), target)
+    except ConstructionFailed as exc:
+        raise ConstructionFailed("case1: cannot reach delta(g) at the center") from exc
     trace.check("case1", "Delta(G')=Delta(G)", gp.max_degree(), g.max_degree(), gp.max_degree() == g.max_degree())
     trace.check("case1", "d(x)=delta(G)", gp.degree(x), target, gp.degree(x) == target)
     trace.check("case1", "mu(x)<=2/eta", gp.mu_of(x), cap, gp.mu_of(x) <= cap)
@@ -219,7 +205,7 @@ def case2_reduce(
     trace.check("case2", "x-nonmax-neighbors<=1", len(non_max_nbrs), 1, len(non_max_nbrs) <= 1)
 
     # Hakimi multigraph on the residual deficiencies guides the peeling.
-    df_prime = {v: delta - gp.degree(v) for v in gp.verts}
+    df_prime = deficiency_report(gp).df_per_vertex
     seq = sorted(df_prime.values(), reverse=True)
     by_df = sorted(gp.verts, key=lambda v: (-df_prime[v], v))
     total = sum(seq)

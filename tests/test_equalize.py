@@ -80,9 +80,7 @@ def _split_instance(seed: int, n_side: int = 7, cross: int = 3):
         g.add_edge(u, v)
     for w in range(n_side, n_side + cross):
         g.add_edge(0, w)
-    part = Partition(
-        A=set(range(n_side)), B=set(range(n_side, 2 * n_side)), pairs=[], seed=seed, retries=0
-    )
+    part = Partition(A=set(range(n_side)), B=set(range(n_side, 2 * n_side)), pairs=[], retries=0)
     return g, part
 
 

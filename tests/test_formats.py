@@ -80,6 +80,13 @@ def test_parse_rejects_bad_counts():
         parse_graph("p multigraph 3 1\ne 0 y 1\n")
     with pytest.raises(ParseError, match="line 1: vertex count must be nonnegative"):
         parse_graph("p multigraph -1 0\n")
+    # Only ASCII decimal integers, -?[0-9]+: not every token int() reads.
+    for edge in ("e +0 2 1", "e 0 \u0662 1", "e 0 2 0_1"):
+        with pytest.raises(ParseError, match="line 2: <u>, <v> and <mult> must be integers"):
+            parse_graph(f"p multigraph 3 1\n{edge}\n")
+    for problem in ("p multigraph +3 0", "p multigraph 1_0 0"):
+        with pytest.raises(ParseError, match="line 1: <n> and <m> must be integers"):
+            parse_graph(problem + "\n")
 
 
 def test_parse_caps_size(monkeypatch):

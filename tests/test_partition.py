@@ -119,7 +119,7 @@ def test_adjust_for_center_pins_sides(side_a, want_a):
     for w in (4, 4, 5):
         g.add_edge(0, w)
     pairs = [(0, 1), (2, 3)]
-    part = Partition(A=set(side_a), B=set(range(8)) - side_a, pairs=pairs, seed=0, retries=0)
+    part = Partition(A=set(side_a), B=set(range(8)) - side_a, pairs=pairs, retries=0)
     adjusted = adjust_for_center(part, g, 0, set(), pairs)
     assert adjusted.A == want_a
     assert adjusted.B == set(range(8)) - want_a
@@ -170,7 +170,7 @@ def test_build_split_bundle_caps_condition_c():
     for w, mult in ((4, 3), (5, 3), (6, 2)):
         for _ in range(mult):
             g.add_edge(0, w)
-    part = Partition(A={0, 1, 2, 3}, B={4, 5, 6, 7}, pairs=[(0, 4)], seed=0, retries=0)
+    part = Partition(A={0, 1, 2, 3}, B={4, 5, 6, 7}, pairs=[(0, 4)], retries=0)
     split = build_split(g, part, 0, "c")
     for w in (4, 5, 6):
         mult = g.multiplicity(0, w)

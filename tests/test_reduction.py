@@ -13,13 +13,12 @@ from edgecolor.generators import (
     gen_complete,
     gen_complete_minus_matching,
 )
-from edgecolor.multigraph import build_multigraph
+from edgecolor.multigraph import build_multigraph, compute_W
 from edgecolor.oracle import brute_chromatic_index
 from edgecolor.reduction import (
     _peel_perfect_matching,
     _recombine,
     color_odd_dense,
-    compute_W,
     derive_eta,
 )
 from edgecolor.trace import PipelineTrace

@@ -115,6 +115,28 @@ def test_star_color_falls_back_on_the_fan_at_the_far_end():
     assert _proper_within(g, c, g.max_degree() + 1)
 
 
+# K_n with some center edges moved onto the center's parallel bundles
+# (center 3): (n, dropped center pairs, doubled center pairs).  In each one
+# center edge stays stuck after both fans.  On K_9 the perturbing swap
+# would reach the center, so every center edge is inserted again; on K_11
+# the swap stays away from the center and the next round succeeds.
+RETRY_INPUTS = [
+    (9, {(1, 3), (3, 4), (3, 8)}, {(2, 3), (3, 5), (3, 7)}),
+    (11, {(0, 3), (2, 3), (3, 5), (3, 7), (3, 8)}, {(1, 3), (3, 4), (3, 6), (3, 9), (3, 10)}),
+]
+
+
+@pytest.mark.parametrize("n,dropped,doubled", RETRY_INPUTS, ids=["reinsert-k9", "swap-k11"])
+def test_star_color_retry_loop(n, dropped, doubled):
+    g = build_multigraph(
+        n,
+        [(u, v, 2 if (u, v) in doubled else 1) for u in range(n) for v in range(u + 1, n) if (u, v) not in dropped],
+    )
+    assert detect_star_structure(g).center == 3
+    c = star_multigraph_color(g)
+    assert _proper_within(g, c, g.max_degree() + 1)
+
+
 def test_near_star_single_residual_reduces():
     g = build_multigraph(5, [(0, 1, 2), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 2, 1)])
     c = near_star_color(g)
