@@ -16,8 +16,10 @@ from edgecolor.generators import (
     gen_complete,
     gen_complete_minus_matching,
     gen_dcolor_fixture,
+    gen_circulant,
     gen_random_dense,
 )
+from edgecolor.multigraph import Multigraph
 
 
 def _k21_minus_matching():
@@ -52,6 +54,21 @@ def _k60():
     return gen_complete(60), 0.5, 0.12
 
 
+def _case4_saturate():
+    """C(17, 12) minus 0-1, 2-3, 4-5, 6-7, with 17 joined to 0, 2, 4, 6 and
+    18 to 1, 3, 5, 7: case 4 with |W| = 2, df 16 >= Delta+|W|+1 = 15 and no
+    vertex of middle degree, so it takes the saturating branch."""
+    g = Multigraph(19)
+    for _, u, v in gen_circulant(17, 12).edges():
+        if (min(u, v), max(u, v)) not in {(0, 1), (2, 3), (4, 5), (6, 7)}:
+            g.add_edge(u, v)
+    for v in (0, 2, 4, 6):
+        g.add_edge(17, v)
+    for v in (1, 3, 5, 7):
+        g.add_edge(18, v)
+    return g, 0.3, 0.2
+
+
 # (name, builder, pipeline seed, sha256 of formats.dump_json(run_color(...))).
 # case2-n44 is decided through engine condition (a) with step 3's bipartite
 # matchings; case4-n24 peels four dense perfect matchings before it falls
@@ -63,7 +80,11 @@ def _k60():
 # alone and ends Colored at condition (a) with 59 colors; case1-n30 cannot
 # attach its center and ends in the case-1 ConstructionFailed; case1-n60
 # attaches its center and falls back in step 2, so its trace pins the
-# attached edges; the others end in the fallback or in ClassTwo.
+# attached edges; dcolor-c-n20 is the one run through engine condition (c),
+# its pair selection, split and step-2 relocation, and falls back with
+# NoAlternatingPath; case4-saturate-n10 is the one run through case 4's
+# saturating branch and ends in MatchingFailed at case4.mid; the others end
+# in the fallback or in ClassTwo.
 GOLDEN = [
     ("k21-minus-matching", _k21_minus_matching, 1, "e1943c71b19d3f4cc4d9dec7fdfb032f1093e12aae77b96d983ab6334a321cdd"),
     ("case2-n44", _case_fixture(2, 44), 1, "00659c2225641bce1a29c83315cde0d0baf2e5ab0db7435ca4fc64180cf5bac6"),
@@ -76,6 +97,8 @@ GOLDEN = [
     ("complete-60", _k60, 1, "27cd4ea705292057011337897de0a0f3b1995094b61ce58150b17d1a73f7565b"),
     ("case1-n30", _case_fixture(1, 30), 1, "b95d28accdd14fdca9f0160dd6422cbebbc081994787673de09bf6727ccd28ae"),
     ("case1-n60", _case_fixture(1, 60), 1, "6cbff922c83131295cb8b29adb3f23c99b555ae40cd1e827a7b0a8af12011056"),
+    ("dcolor-c-n20", _dcolor("c", 20), 1, "b346e36035de737e642c9326810f267e14518c3389b353588e728026f86064f2"),
+    ("case4-saturate-n10", _case4_saturate, 1, "7e70029590c98cf5f2f508b879be74ccc892955a57fec992cd08222ed46b769c"),
 ]
 
 
