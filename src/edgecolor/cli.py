@@ -74,14 +74,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             g = fix.graph
             comments.append(f"condition {args.condition}")
             comments.append(f"suggested-epsilon {fix.epsilon} suggested-eta {fix.eta}")
-        elif kind == "case-fixture":
+        else:  # case-fixture: argparse's choices refuse any other kind
             fix = gen_case_fixture(args.case, args.n)
             g = fix.graph
             comments.append(f"case {args.case}")
             comments.append(f"suggested-epsilon {fix.epsilon} suggested-eta {fix.eta}")
-        else:
-            print(f"unknown kind {kind!r}", file=sys.stderr)
-            return EXIT_ERROR
     except InfeasibleParams as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -295,13 +295,12 @@ def select_pairs(
     u_set: set[int] = ctx.get("U", set())
 
     def pick_y1() -> int:
+        # The order is even and at least 2, and at least 4 under (d), so a
+        # vertex outside ``avoid`` exists.
         prefer = [v for v in g.vertex_list() if v not in avoid and v not in u_set]
         if condition == "e" and prefer:
             return prefer[0]
-        cands = [v for v in g.vertex_list() if v not in avoid]
-        if not cands:
-            raise GuardFailed("select-pairs", "no candidate for y1")
-        return cands[0]
+        return next(v for v in g.vertex_list() if v not in avoid)
 
     y1 = pick_y1()
     used = {x, y1}
@@ -322,9 +321,10 @@ def select_pairs(
             }
         else:
             nb_x = {v for v in g.neighbors(x) if v != y1}
+        # (b)'s heavy-neighbor clause and (c)'s simple-degree clause bound
+        # |nb_x| by sqrt(n), and both need simple-degree(x) >= 2, so n >= 2
+        # and |nb_x| <= n - 1: the 2n - 2 - |nb_x| partners suffice.
         partners = [v for v in g.vertex_list() if v not in used and v not in nb_x]
-        if len(partners) < len(nb_x):
-            raise GuardFailed("select-pairs", "not enough partner vertices")
         for i, xi in enumerate(sorted(nb_x)):
             pairs.append((xi, partners[i]))
             used.add(xi)
@@ -335,9 +335,8 @@ def select_pairs(
     delta = g.max_degree()
     pool = [v for v in g.vertex_list() if g.degree(v) < delta and v not in used]
     ordered = [v for v in pool if v in u_set] + [v for v in pool if v not in u_set]
+    # ordered avoids x and y1, so at most n - 1 pairs join the first one.
     for i in range(0, len(ordered) - 1, 2):
-        if len(pairs) >= n:
-            break
         pairs.append((ordered[i], ordered[i + 1]))
     return pairs, nb_x
 
@@ -351,7 +350,7 @@ def step1_color_gab(state: EngineState) -> EngineState:
     equalize so both sides miss every color in step (nearly) equally."""
     g, params, trace = state.g, state.params, state.trace
     n = state.n_half
-    eps, eta = params.epsilon, params.eta
+    eta = params.eta
     split = build_split(g, state.part, state.x, state.condition)
     k = split.G_AB.max_degree() + math.isqrt(n)
     state.k = k
@@ -516,8 +515,8 @@ def step2_fix_center(state: EngineState) -> EngineState:
             if not cands:
                 raise NoEligibleNeighbor(i)
             _, w, direct = min(cands)
-            sac = c.edge_at(w, i)
-            if sac is None or sac not in state.side_b_edges:
+            sac = c.edge_at(w, i)  # an edge: no candidate misses i
+            if sac not in state.side_b_edges:
                 raise NoEligibleNeighbor(i)
             _uncolor_to_residual(state, sac)
         _color_h_edge(state, direct, i)
@@ -594,9 +593,7 @@ def step2_relocate_S(state: EngineState) -> EngineState:
     for v in sorted(state.S_A | (state.S_B | state.nb_x)):
         if v == state.x:
             continue
-        for i in sorted(c.missing(v)):
-            if i > state.k:
-                continue
+        for i in sorted(c.missing(v)):  # within [1, state.k]: c.k grows only in step 3
             found = next(_sacrifices(state, v, i), None)
             if found is None:
                 raise NoGoodEdge(i, v)
@@ -690,7 +687,6 @@ def step2_extend_to_factors(state: EngineState) -> EngineState:
         if uncovered:
             raise GuardFailed("step2.one-factor", f"color {i} misses {uncovered[:4]}")
 
-    n = state.n_half
     trace.check("step2", "S2.1:e(R_A)<4s", len(state.r_a), 4 * state.s_bound, len(state.r_a) < 4 * state.s_bound)
     trace.check("step2", "S2.1:e(R_B)<4s", len(state.r_b), 4 * state.s_bound, len(state.r_b) < 4 * state.s_bound)
     if state.condition in ("a", "b", "c", "d"):
@@ -737,7 +733,6 @@ def step3_color_residuals(state: EngineState) -> EngineState:
     """Color R_A and R_B with ell fresh colors and extend each new class
     across the middle so it covers everything outside U."""
     c, trace = state.coloring, state.trace
-    n = state.n_half
     if state.ell == 0:
         if state.r_a or state.r_b:
             raise GuardFailed("step3.ell-zero", "residual edges exist but ell=0")

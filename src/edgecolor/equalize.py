@@ -100,7 +100,7 @@ def _swap_surplus_path(
 
 def _check_crossing_at_center(g: Multigraph, side_a: set[int]) -> None:
     centers = None
-    for eid, u, v in g.edges():
+    for _, u, v in g.edges():
         cross = (u in side_a) != (v in side_a)
         if not cross:
             continue

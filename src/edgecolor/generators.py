@@ -341,7 +341,7 @@ def _delete_inner_circulant(g: Multigraph, members: list[int], degree: int) -> N
 def _audit_fixture(f: Fixture, cond: str) -> None:
     from .engine import EngineParams, classify_condition
 
-    got, x, _ = classify_condition(f.graph, EngineParams(epsilon=f.epsilon, eta=f.eta))
+    got, _, _ = classify_condition(f.graph, EngineParams(epsilon=f.epsilon, eta=f.eta))
     if got != cond:
         raise InfeasibleParams(f"fixture classifies as {got!r}, wanted {cond!r}")
 

@@ -87,11 +87,10 @@ def balanced_partition(
                 side_b.add(xi)
         pool = rest[:]
         rng.shuffle(pool)
+        # The t distinct pairs fill t seats a side, the 2n - 2t others the rest.
         need_a = n - len(side_a)
         side_a.update(pool[:need_a])
         side_b.update(pool[need_a:])
-        if len(side_a) != n or len(side_b) != n:
-            continue
         ok = all(
             abs(_side_degrees(adj, v, side_a) - _side_degrees(adj, v, side_b)) <= bound
             for v in verts

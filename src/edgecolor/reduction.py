@@ -7,11 +7,8 @@ are peeled off until one of the engine's entry conditions holds.
 
 One center attachment, ``_saturate_center``, joins the new center to a
 pool of vertices in order, each up to a cap, until it reaches a target
-degree.  Every case builds its center with it (case 1's round-robin over
-W' is the pool W' repeated, one edge per visit) but case 4's parallel
-branch, which joins a full-degree center to its padded graph and then
-checks that it is Delta-regular: through ``_saturate_center``, a padding
-that lifts y or z above Delta could raise a different error.
+degree.  Every case builds its center with it; case 1's round-robin over
+W' is the pool W' repeated, one edge per visit.
 
 Case contract.  A case returns ``(instance, peeled)``: the even-order
 engine instance G' and the edge-id classes it peeled off on the way.  It
@@ -208,12 +205,11 @@ def case2_reduce(
     df_prime = deficiency_report(gp).df_per_vertex
     seq = sorted(df_prime.values(), reverse=True)
     by_df = sorted(gp.verts, key=lambda v: (-df_prime[v], v))
-    total = sum(seq)
-    if total == 0:
+    if sum(seq) == 0:
         matchings: list[list[tuple[int, int]]] = []
     else:
-        if total % 2 != 0 or (seq and 2 * seq[0] > total):
-            raise ConstructionFailed("case2: residual deficiency sequence infeasible")
+        # G' has even order, so the sum is even; a dominant entry is
+        # refused by hakimi_realize.
         try:
             h = hakimi_realize(seq)
         except DegreeSequenceInfeasible as exc:
@@ -352,25 +348,25 @@ def _case4_branch_parallel(
 ) -> tuple[Multigraph, list[list[int]]]:
     """df(G) < Delta + |W| + 1: pad ``work`` in place with (y,z)-parallels
     and add a full-degree center, for the engine's condition (b).  Peels
-    nothing."""
+    nothing.
+
+    ``case4_reduce`` peels a lone minimum vertex first, so y and z exist.
+    The surplus df - Delta is even, since at odd order df = Delta*|V| - 2|E|
+    has Delta's parity, and not negative, by the not-overfull certificate.
+    No lift: the padding lifts y and z by surplus/2 <= |W|/2, which is 0
+    when W is empty and otherwise below eta*n <= df(y), since the peels
+    never grow W and case 4 runs only when |W(g)| < 2*eta*n.  So every
+    vertex takes its whole padded deficiency as its cap, and the caps sum
+    to exactly Delta.
+    """
     rep = deficiency_report(work)
     delta = rep.delta_max
-    v_small = sorted(rep.vertices_of_degree(rep.delta_min))
-    if len(v_small) < 2:
-        raise GuardFailed("case4.parallel", "need two minimum-degree vertices")
-    y, z = v_small[0], v_small[1]
+    y, z = sorted(rep.vertices_of_degree(rep.delta_min))[:2]
     surplus = rep.df_total - delta
     trace.check("case4", "df-Delta-even", surplus % 2, 0, surplus % 2 == 0)
-    if surplus % 2 != 0:
-        raise GuardFailed("case4.parallel", "df(G) - Delta(G) is odd")
     for _ in range(surplus // 2):
         work.add_edge(y, z)
-    hat_rep = deficiency_report(work)
-    gp = work.grown(1)
-    x = work.n
-    for v in sorted(work.verts):
-        for _ in range(hat_rep.df_per_vertex[v]):
-            gp.add_edge(x, v)
+    gp, x = _saturate_center(work, sorted(work.verts), deficiency_report(work).df_per_vertex, delta)
     trace.check("case4", "d(x)=Delta", gp.degree(x), delta, gp.degree(x) == delta)
     degs = set(gp.degrees().values())
     if degs != {delta}:

@@ -158,6 +158,12 @@ def _fan_color(g: Multigraph, c: EdgeColoring, eid: int, u: int) -> bool:
 def _insert_center_edge(g: Multigraph, c: EdgeColoring, eid: int, x: int) -> bool:
     """Color one uncolored center edge, recoloring as needed.
 
+    The fan at x grows from eid's far end by x's edge in the least color
+    that the last fan vertex misses and no fan edge has.  Fan invariant: no
+    fan vertex misses a color that x misses.  Each vertex's missing colors
+    are checked against x while it is the last one, and nothing is
+    recolored until the one flip that ends the insertion.
+
     Returns False only when every fan/chain resolution was blocked; the
     coloring is left proper either way.
     """
@@ -169,9 +175,7 @@ def _insert_center_edge(g: Multigraph, c: EdgeColoring, eid: int, x: int) -> boo
 
     fan_edges = [eid]
     fan_verts = [v]
-    fan_colors: list[int | None] = [None]
-    used_colors: set[int] = set()
-    in_fan = {eid}
+    fan_at: dict[int, int] = {}  # the color of each grown fan edge -> its index
 
     for _ in range(g.degree(x) + 2):
         vj = fan_verts[-1]
@@ -181,27 +185,20 @@ def _insert_center_edge(g: Multigraph, c: EdgeColoring, eid: int, x: int) -> boo
             if c.misses(x, beta):
                 _rotate(c, fan_edges, len(fan_edges) - 1, beta)
                 return True
-            beta_edge = c.edge_at(x, beta)  # exists: beta is present at x
-            if beta not in used_colors and beta_edge not in in_fan:
-                if grow_to is None:
-                    grow_to = (beta, beta_edge)
-            elif beta in used_colors:
+            if beta in fan_at:
                 collisions.append(beta)
+            elif grow_to is None:
+                grow_to = beta
         if grow_to is not None:
-            beta, beta_edge = grow_to
-            fan_edges.append(beta_edge)
-            fan_verts.append(g.other_end(beta_edge, x))
-            fan_colors.append(beta)
-            used_colors.add(beta)
+            fan_at[grow_to] = len(fan_edges)
+            fan_edges.append(c.edge_at(x, grow_to))  # exists: grow_to is present at x
+            fan_verts.append(g.other_end(fan_edges[-1], x))
             continue
         for beta in collisions:
-            i = fan_colors.index(beta)
+            i = fan_at[beta]
             w = fan_verts[i - 1]  # the fan vertex whose recorded free color is beta
             last = len(fan_edges) - 1
             for alpha in sorted(c.missing(x)):
-                if c.misses(vj, alpha):
-                    _rotate(c, fan_edges, last, alpha)
-                    return True
                 verts, path = alternating_path(c, vj, alpha, beta)
                 if x not in verts:
                     flip_path(c, path, alpha, beta)
@@ -215,14 +212,10 @@ def _insert_center_edge(g: Multigraph, c: EdgeColoring, eid: int, x: int) -> boo
                     return True
                 if w == vj:
                     continue  # vj's chain ends at x and w offers no second chain
-                if c.misses(w, alpha):
-                    _rotate(c, fan_edges, i - 1, alpha)
-                    return True
-                # w still misses beta: the fan has only grown since it was recorded.
-                verts, path = alternating_path(c, w, alpha, beta)
-                if x in verts:
-                    continue  # cannot happen for a proper coloring; stay safe
-                flip_path(c, path, alpha, beta)
+                # x and vj end vj's chain.  w misses beta but, by the fan
+                # invariant, not alpha, so it ends another chain, which
+                # avoids x.
+                flip_path(c, alternating_path(c, w, alpha, beta)[1], alpha, beta)
                 _rotate(c, fan_edges, i - 1, alpha)
                 return True
         return False
@@ -255,11 +248,12 @@ def star_multigraph_color(g: Multigraph) -> EdgeColoring:
             # retry would repeat itself; perturb with a harmless Kempe swap
             # near the stuck edge before the next round.  If that swap would
             # reach the center, insert every center edge again instead,
-            # starting from another one.
+            # starting from another one.  vj ends an uncolored center edge,
+            # so it misses at least two of the Delta+1 colors: ``free`` is one.
             vj = g.other_end(stuck[0], x)
             pres = sorted(c.present(vj) - set(c.color_of(e) for e in center))
             free = c.first_missing(vj)
-            if pres and free is not None:
+            if pres:
                 pick = pres[round_no % len(pres)]
                 verts, path = alternating_path(c, vj, pick, free)
                 if x not in verts:

@@ -277,7 +277,6 @@ def test_criterion_08_step2_one_factors():
     1-factor of G*; the completion rate is reported, not gated."""
     fixtures = []
     for i in range(20):
-        cond = "abdeab"[i % 6] if i % 6 < 4 else ("a", "b")[i % 2]
         cond = "abde"[i % 4]
         n = (40, 50)[i % 2]
         fixtures.append((gen_dcolor_fixture(cond, n), 100 + i, cond))

@@ -1,0 +1,78 @@
+"""Static checks on the package source, stdlib ``ast`` only.
+
+A dead local is a name that a function assigns and never reads: in an
+assignment, a loop or ``with`` target, an unpacking or an ``except ... as``.
+Reads count anywhere in the function, nested functions and comprehensions
+included, since a closure reads its enclosing function's names.  Names
+that start with ``_`` are exempt, as are names a function declares
+``global`` or ``nonlocal``.
+"""
+
+import ast
+from pathlib import Path
+
+import edgecolor
+
+SOURCE = Path(edgecolor.__file__).parent
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fn: ast.AST):
+    """The nodes of ``fn``'s body, without the bodies of the functions and
+    classes defined in it."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(source: str, filename: str = "<string>") -> list[tuple[str, int, str]]:
+    """``(filename, line, name)`` of every dead local in ``source``."""
+    found = []
+    for fn in ast.walk(ast.parse(source, filename)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        declared: set[str] = set()
+        stores: dict[str, int] = {}
+        for node in _own_nodes(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stores.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                stores.setdefault(node.name, node.lineno)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)  # x += 1 reads x first
+        for name, line in sorted(stores.items(), key=lambda item: item[1]):
+            if name not in read and name not in declared and not name.startswith("_"):
+                found.append((filename, line, name))
+    return found
+
+
+def test_checker_flags_dead_locals():
+    source = (
+        "def f(g):\n"
+        "    total = 0\n"
+        "    for eid, u, _ in g:\n"
+        "        total += u\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as exc:\n"
+        "        pass\n"
+        "    seen = set()\n"
+        "    def inner():\n"
+        "        return seen\n"
+        "    return inner\n"
+    )
+    assert [(line, name) for _, line, name in dead_locals(source)] == [(3, "eid"), (7, "exc")]
+
+
+def test_no_dead_locals():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += dead_locals(path.read_text(encoding="utf-8"), path.name)
+    assert found == [], "assigned and never read: " + ", ".join(f"{f}:{line} {name}" for f, line, name in found)
