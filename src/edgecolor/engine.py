@@ -6,7 +6,8 @@ steps: (1) color the within-side union G_AB of a balanced partition and
 equalize the per-side missing counts, (2) grow every color class into a
 perfect matching by flipping short alternating paths of uncolored crossing
 edges and side edges of that color, all found by one depth-first search
-(``_walks``) over single exchanges (``_sacrifices``), (3) color the
+(``_walks``) over single exchanges (``_exchange``), ranked per color from
+an index of them (``_index_exchanges``), (3) color the
 uncolored side edges with a few fresh colors and extend those classes
 across the bipartite middle, (4) finish the remaining crossing edges, which
 form a bipartite graph of bounded degree.
@@ -35,8 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Optional
+from itertools import chain, combinations
+from typing import Iterable, Optional
 
 from .coloring import EdgeColoring, verify_proper
 from .equalize import equalize_balanced_sides, equalize_classes, equalize_per_side, miss_counts
@@ -547,37 +548,37 @@ def _pair_up_missing(state: EngineState) -> None:
         state.mcc_pairs[i] = pairs
 
 
-def _sacrifices(state: EngineState, anchor: int, color: int):
-    """One exchange from ``anchor`` across the bipartition, in neighbor order.
+def _exchange(
+    state: EngineState, w: int, color: int, protected: set[int]
+) -> Optional[tuple[int, int, int]]:
+    """The one exchange at w in ``color``, as ``(load, sac, w2)``, or None.
 
-    Yields ``(load, (w, sac, h_eid, w2))``: ``h_eid`` is the least
-    uncolored crossing edge anchor-w, and ``sac`` is w's good side edge of
-    ``color``, ending at w2: both its ends have residual degree below r
-    (a colored edge is never residual, so that is all goodness asks), and
-    ``load`` is the sum of the two.  Giving ``h_eid`` the color and
-    uncoloring ``sac`` moves the missing color from ``anchor`` to w2.
-    Neither w nor w2 is protected.  The candidates w are the neighbors in
-    ``state.free_h[anchor]``, all on the other side, in ascending order.
+    ``sac`` is w's good side edge of ``color``, ending at w2: both its ends
+    have residual degree below r (a colored edge is never residual, so that
+    is all goodness asks), and ``load`` is the sum of the two.  From an
+    anchor across the bipartition, giving the least uncolored crossing edge
+    anchor-w the color and uncoloring ``sac`` moves the missing color from
+    the anchor to w2.  Neither w nor w2 may lie in ``protected``, the union
+    of S*_A and S*_B, which the caller reads once: S*_A lies in A and S*_B
+    in B, and w2 lies on w's side, so the union answers for w's side alone.
+    w's side also fixes the edge store, so the exchange depends on w, not
+    on the anchor.
     """
-    c, g_star = state.coloring, state.g_star
-    r_deg, r = state.r_deg, state.r_bound
-    if anchor in state.side_a:
-        avoid, store = state.s_b_star, state.side_b_edges
-    else:
-        avoid, store = state.s_a_star, state.side_a_edges
-    for w, ids in sorted(state.free_h[anchor].items()):
-        if w in avoid:
-            continue
-        sac = c.edge_at(w, color)
-        if sac is None or sac not in store:
-            continue
-        load_w = r_deg.get(w, 0)
-        if load_w >= r:
-            continue
-        w2 = g_star.other_end(sac, w)
-        load_w2 = r_deg.get(w2, 0)
-        if load_w2 < r and w2 not in avoid:
-            yield load_w + load_w2, (w, sac, ids[0], w2)
+    if w in protected:
+        return None
+    c, r_deg, r = state.coloring, state.r_deg, state.r_bound
+    sac = c.edge_at(w, color)
+    store = state.side_a_edges if w in state.side_a else state.side_b_edges
+    if sac is None or sac not in store:
+        return None
+    load_w = r_deg.get(w, 0)
+    if load_w >= r:
+        return None
+    w2 = state.g_star.other_end(sac, w)
+    load_w2 = r_deg.get(w2, 0)
+    if load_w2 >= r or w2 in protected:
+        return None
+    return load_w + load_w2, sac, w2
 
 
 def step2_relocate_S(state: EngineState) -> EngineState:
@@ -590,21 +591,25 @@ def step2_relocate_S(state: EngineState) -> EngineState:
     """
     _pair_up_missing(state)
     c = state.coloring
+    protected = state.s_a_star | state.s_b_star
     for v in sorted(state.S_A | (state.S_B | state.nb_x)):
         if v == state.x:
             continue
         for i in sorted(c.missing(v)):  # within [1, state.k]: c.k grows only in step 3
-            found = next(_sacrifices(state, v, i), None)
-            if found is None:
+            # The first good exchange in neighbor order.
+            for w, ids in sorted(state.free_h[v].items()):
+                found = _exchange(state, w, i, protected)
+                if found is not None:
+                    break
+            else:
                 raise NoGoodEdge(i, v)
-            _, (_, sac, h_eid, w2) = found
+            _, sac, w2 = found
             _uncolor_to_residual(state, sac)
-            _color_h_edge(state, h_eid, i)
+            _color_h_edge(state, ids[0], i)
             for pair in state.mcc_pairs.get(i, ()):
                 if v in pair:
                     pair[pair.index(v)] = w2
                     break
-    protected = state.s_a_star | state.s_b_star
     bad = [
         (i, p)
         for i, ps in state.mcc_pairs.items()
@@ -617,56 +622,116 @@ def step2_relocate_S(state: EngineState) -> EngineState:
     return state
 
 
-def _ranked(
-    state: EngineState, anchor: int, color: int
-) -> list[tuple[int, tuple[int, int, int, int]]]:
-    """The ``(load, exchange)`` pairs from ``anchor``, those whose ends carry
-    the least residual degree first: like the center step's min-d_R rule,
-    this spreads the uncolored edges and keeps goodness alive much longer at
-    desk scale.  Ties go by (w, sac, h_eid)."""
-    return sorted(_sacrifices(state, anchor, color))
+@dataclass
+class _Exchanges:
+    """The exchanges in one color: w -> ``(load, sac, w2)`` as built, and
+    the ws of each side whose exchange is still good, in ascending
+    (load, w)."""
+
+    color: int
+    at: dict[int, tuple[int, int, int]]
+    order_a: list[int]
+    order_b: list[int]
 
 
-def _walks(state: EngineState, anchor: int, color: int, steps: int):
+def _index_exchanges(state: EngineState, color: int, sacs: Iterable[int]) -> _Exchanges:
+    """Index every good exchange in ``color``; ``sacs`` are the side edges
+    of that color, the only edges an exchange in it can sacrifice.
+
+    The orders stay exact across the resolves of its color as long as each
+    flip takes the ends w and w2 of its exchanges out.  A flip uncolors only
+    its sacrificed edges, so it raises the residual degree only at their
+    ends.  After it, every vertex of the path, so also each end of its
+    closing edge, has the color on a crossing edge and no exchange left.
+    Every other vertex keeps its edge of the color, whose other end lies
+    off the path too, and both keep their residual degrees: no other
+    exchange of the color changes its validity or its load.  Loads change
+    from one color to the next, so each color builds its own index.
+    """
+    protected = state.s_a_star | state.s_b_star
+    at: dict[int, tuple[int, int, int]] = {}
+    for sac in sacs:
+        for w in state.g_star.endpoints(sac):
+            found = _exchange(state, w, color, protected)
+            if found is not None:
+                at[w] = found
+    order = sorted(at, key=lambda w: (at[w][0], w))
+    side_a = state.side_a
+    order_a = [w for w in order if w in side_a]
+    return _Exchanges(color, at, order_a, [w for w in order if w not in side_a])
+
+
+def _ranked(state: EngineState, index: _Exchanges, anchor: int):
+    """The ``(load, (w, sac, h_eid, w2))`` exchanges from ``anchor``, lazily,
+    those whose ends carry the least residual degree first: like the center
+    step's min-d_R rule, this spreads the uncolored edges and keeps goodness
+    alive much longer at desk scale.  Ties go by w, which is unique per
+    anchor.  The ws are read off the index's order for the other side
+    against the live row ``state.free_h[anchor]``, and ``h_eid`` is the
+    least uncolored crossing edge anchor-w."""
+    row, at = state.free_h[anchor], index.at
+    for w in index.order_b if anchor in state.side_a else index.order_a:
+        ids = row.get(w)
+        if ids is not None:
+            load, sac, w2 = at[w]
+            yield load, (w, sac, ids[0], w2)
+
+
+def _walks(state: EngineState, index: _Exchanges, anchor: int, steps: int):
     """Chains of ``steps`` >= 1 ranked exchanges from ``anchor``, depth
     first; each exchange starts where the one before it ends."""
-    for _, step in _ranked(state, anchor, color):
+    for _, step in _ranked(state, index, anchor):
         if steps == 1:
             yield (step,)
         else:
-            for rest in _walks(state, step[3], color, steps - 1):
+            for rest in _walks(state, index, step[3], steps - 1):
                 yield (step, *rest)
 
 
-def _resolve_pair(state: EngineState, i: int, a: int, b: int) -> None:
-    """Make color i present at a and b, which both miss it, by flipping one
-    alternating path of uncolored crossing edges and side edges of color i.
+def _resolve_pair(state: EngineState, index: _Exchanges, a: int, b: int) -> None:
+    """Make the index's color present at a and b, which both miss it, by
+    flipping one alternating path of uncolored crossing edges and side
+    edges of that color.
 
     The path runs from a through one exchange (the head), then a closing
     uncolored crossing edge, then a tail of exchanges back to b: one for a
     cross pair, whose A-side end is a, and two for a same-side pair.  These
     are the 5-edge path a-b1-b2-a2-a1-b and the 7-edge path
     a-b1-b2-a2-a2'-b2'-b1'-a'.  Nothing changes until the flip, so the
-    heads are ranked once.
+    heads are drawn at most once: the first tail draws only as many as it
+    tries, and later tails reuse them before drawing more.  The flip takes
+    the ends w and w2 of its exchanges out of the index's orders.
     """
+    i = index.color
     steps = 1 if (a in state.side_a) != (b in state.side_a) else 2
-    heads = _ranked(state, a, i)
-    for tail in _walks(state, b, i, steps):
+    drawn: list = []
+    undrawn = _ranked(state, index, a)
+
+    def heads():
+        yield from drawn
+        for head in undrawn:
+            drawn.append(head)
+            yield head
+
+    for tail in _walks(state, index, b, steps):
         seen = {a, b}
         for w, _, _, w2 in tail:
             seen.update((w, w2))
         if len(seen) != 2 + 2 * steps:
             continue
         end = tail[-1][3]
-        for _, head in heads:
+        for _, head in heads():
             if head[0] in seen or head[3] in seen:
                 continue
             closing = _uncolored_h_edge(state, end, head[3])
             if closing is None:
                 continue
-            for _, sac, h_eid, _ in (*tail, head):
+            for w, sac, h_eid, w2 in (*tail, head):
                 _uncolor_to_residual(state, sac)
                 _color_h_edge(state, h_eid, i)
+                order = index.order_a if w in state.side_a else index.order_b
+                order.remove(w)
+                order.remove(w2)
             _color_h_edge(state, closing, i)
             return
     raise NoAlternatingPath(i, (a, b))
@@ -675,14 +740,25 @@ def _resolve_pair(state: EngineState, i: int, a: int, b: int) -> None:
 def step2_extend_to_factors(state: EngineState) -> EngineState:
     """Resolve every pair so each of the k classes becomes a 1-factor."""
     c, trace = state.coloring, state.trace
+    # The side edges of each color.  Step 2 colors no side edge, and only
+    # color i's own resolves uncolor one of color i, so the groups hold
+    # until their color comes.
+    sacs: dict[int, list[int]] = {}
+    for eid in chain(state.side_a_edges, state.side_b_edges):
+        col = c.color_of(eid)
+        if col is not None:
+            sacs.setdefault(col, []).append(eid)
     for i in range(1, state.k + 1):
-        for pair in state.mcc_pairs.get(i, ()):
+        pairs = state.mcc_pairs.get(i, ())
+        if pairs:
+            index = _index_exchanges(state, i, sacs.get(i, ()))
+        for pair in pairs:
             u, v = pair
             if not c.misses(u, i) or not c.misses(v, i):
                 raise AssertionError("pair endpoint no longer missing its color")
             if v in state.side_a and u not in state.side_a:
                 u, v = v, u
-            _resolve_pair(state, i, u, v)
+            _resolve_pair(state, index, u, v)
         uncovered = c.missing_at(state.g_star.verts, i)
         if uncovered:
             raise GuardFailed("step2.one-factor", f"color {i} misses {uncovered[:4]}")

@@ -7,6 +7,7 @@ from edgecolor.coloring import verify_proper
 from edgecolor.engine import (
     EngineParams,
     EngineState,
+    _index_exchanges,
     _resolve_pair,
     _uncolored_h_edge,
     classify_condition,
@@ -119,13 +120,15 @@ def test_resolve_pair_path_shapes():
     c = state.coloring
     shapes = []
     for i in range(1, state.k + 1):
+        sacs = [e for e in state.side_a_edges | state.side_b_edges if c.color_of(e) == i]
+        index = _index_exchanges(state, i, sacs)
         for a, b in state.mcc_pairs[i]:
             cross = (a in state.side_a) != (b in state.side_a)
             if b in state.side_a and a not in state.side_a:
                 a, b = b, a
             h_before = {e for e in state.h_edges if c.color_of(e) == i}
             r_a, r_b = set(state.r_a), set(state.r_b)
-            _resolve_pair(state, i, a, b)
+            _resolve_pair(state, index, a, b)
             h_new = {e for e in state.h_edges if c.color_of(e) == i} - h_before
             new_a, new_b = state.r_a - r_a, state.r_b - r_b
             if cross:
@@ -135,6 +138,87 @@ def test_resolve_pair_path_shapes():
             assert not c.misses(a, i) and not c.misses(b, i)
             shapes.append(cross)
     assert True in shapes and False in shapes
+
+
+def _ranked_by_scan(state, anchor, color):
+    """Every exchange from ``anchor`` in ``color``, from a scan of its whole
+    free row and a sort: the oracle for the index-driven ``_ranked``."""
+    c, r = state.coloring, state.r_bound
+    if anchor in state.side_a:
+        avoid, store = state.s_b_star, state.side_b_edges
+    else:
+        avoid, store = state.s_a_star, state.side_a_edges
+    found = []
+    for w, ids in state.free_h[anchor].items():
+        sac = c.edge_at(w, color)
+        if w in avoid or sac is None or sac not in store:
+            continue
+        w2 = state.g_star.other_end(sac, w)
+        load_w, load_w2 = state.r_deg.get(w, 0), state.r_deg.get(w2, 0)
+        if load_w < r and load_w2 < r and w2 not in avoid:
+            found.append((load_w + load_w2, (w, sac, ids[0], w2)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("cond,n_half", [("a", 40), ("e", 30)])
+def test_ranked_index_matches_full_scan(monkeypatch, cond, n_half):
+    """At every resolve, the ranking drawn from the color's index equals a
+    full scan and sort, from both ends; and step 2 driven by the scan ends
+    with the same coloring and residual edges as step 2 driven by the
+    index.  Fixture a resolves cross pairs, e also same-side pairs along
+    7-edge paths."""
+    fix = gen_dcolor_fixture(cond, n_half)
+    resolve = engine._resolve_pair
+    cross = []
+
+    def checked(state, index, a, b):
+        for end in (a, b):
+            assert list(engine._ranked(state, index, end)) == _ranked_by_scan(state, end, index.color)
+        cross.append((a in state.side_a) != (b in state.side_a))
+        return resolve(state, index, a, b)
+
+    monkeypatch.setattr(engine, "_resolve_pair", checked)
+    indexed = _run_through_step2(fix)
+    assert True in cross and (cond == "a" or False in cross)
+
+    monkeypatch.setattr(engine, "_resolve_pair", resolve)
+    monkeypatch.setattr(
+        engine, "_ranked", lambda state, index, anchor: iter(_ranked_by_scan(state, anchor, index.color))
+    )
+    scanned = _run_through_step2(fix)
+    assert indexed.coloring.assignment == scanned.coloring.assignment
+    assert (indexed.r_a, indexed.r_b, indexed.r_deg) == (scanned.r_a, scanned.r_b, scanned.r_deg)
+
+
+def test_step2_work_grows_at_most_4_5x_per_doubling(monkeypatch):
+    """ROADMAP item 4 counts work, not wall time: the exchanges step 2
+    evaluates, as calls of ``_exchange`` and index entries ``_ranked``
+    walks.  K_200 has 4x the edges of K_100; the count may grow 4.5x."""
+    work = [0]
+    exchange, ranked = engine._exchange, engine._ranked
+
+    def counted_exchange(*args):
+        work[0] += 1
+        return exchange(*args)
+
+    def walked(order):
+        for w in order:
+            work[0] += 1
+            yield w
+
+    def counted_ranked(state, index, anchor):
+        orders = walked(index.order_a), walked(index.order_b)
+        return ranked(state, engine._Exchanges(index.color, index.at, *orders), anchor)
+
+    monkeypatch.setattr(engine, "_exchange", counted_exchange)
+    monkeypatch.setattr(engine, "_ranked", counted_ranked)
+    counts = []
+    for n in (100, 200):
+        work[0] = 0
+        res = dcolor(gen_complete(n), EngineParams(epsilon=0.5, eta=0.12, seed=1))
+        assert res.verdict == "Colored"
+        counts.append(work[0])
+    assert 0 < counts[0] and counts[1] <= 4.5 * counts[0], counts
 
 
 def test_step1_equalization_audit():

@@ -1,5 +1,9 @@
 """Static checks on the package source, stdlib ``ast`` only.
 
+An uncalled private function is a module-level function or class whose
+name starts with one ``_`` and that no line of the package outside its own
+definition names, as a name, an attribute or an import.
+
 A dead local is a name that a function assigns and never reads: in an
 assignment, a loop or ``with`` target, an unpacking or an ``except ... as``.
 Reads count anywhere in the function, nested functions and comprehensions
@@ -51,6 +55,62 @@ def dead_locals(source: str, filename: str = "<string>") -> list[tuple[str, int,
             if name not in read and name not in declared and not name.startswith("_"):
                 found.append((filename, line, name))
     return found
+
+
+def uncalled_private(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """``(filename, line, name)`` of every uncalled private function or class
+    in ``sources``, a map of filename to source."""
+    defs, refs = [], []
+    for filename, source in sources.items():
+        tree = ast.parse(source, filename)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defs.append((filename, node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((filename, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((filename, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                refs.append((filename, node.lineno, node.name))
+    found = []
+    for filename, node in defs:
+        inside = range(node.lineno, node.end_lineno + 1)
+        if not any(
+            name == node.name and (where != filename or line not in inside) for where, line, name in refs
+        ):
+            found.append((filename, node.lineno, node.name))
+    return found
+
+
+def test_checker_flags_uncalled_private():
+    sources = {
+        "a.py": (
+            "def _used():\n"
+            "    return 1\n"
+            "def _self_only(n):\n"
+            "    return _self_only(n - 1) if n else 0\n"
+            "class _Unused:\n"
+            "    pass\n"
+            "def __dunder__():\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _used()\n"
+        ),
+        "b.py": "from a import _imported\n",
+        "c.py": "def _imported():\n    pass\n",
+    }
+    assert [(f, line, name) for f, line, name in uncalled_private(sources)] == [
+        ("a.py", 3, "_self_only"),
+        ("a.py", 5, "_Unused"),
+    ]
+
+
+def test_no_uncalled_private_functions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SOURCE.glob("*.py"))}
+    found = uncalled_private(sources)
+    assert found == [], "never referenced: " + ", ".join(f"{f}:{line} {name}" for f, line, name in found)
 
 
 def test_checker_flags_dead_locals():
