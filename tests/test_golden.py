@@ -69,6 +69,22 @@ def _case4_saturate():
     return g, 0.3, 0.2
 
 
+def _heavy_center(m):
+    """K_m plus two more parallel edges from vertex 0 to every other vertex:
+    condition (e) with the center carrying Delta = 3(m - 1), far above 2n,
+    and every other vertex deficient enough for step 1's S-pair
+    augmentation."""
+
+    def build():
+        g = gen_complete(m)
+        for v in range(1, m):
+            g.add_edge(0, v)
+            g.add_edge(0, v)
+        return g, 0.3, 0.1
+
+    return build
+
+
 # (name, builder, pipeline seed, sha256 of formats.dump_json(run_color(...))).
 # case2-n44 is decided through engine condition (a) with step 3's bipartite
 # matchings; case4-n24 peels four dense perfect matchings before it falls
@@ -83,8 +99,11 @@ def _case4_saturate():
 # attached edges; dcolor-c-n20 is the one run through engine condition (c),
 # its pair selection, split and step-2 relocation, and falls back with
 # NoAlternatingPath; case4-saturate-n10 is the one run through case 4's
-# saturating branch and ends in MatchingFailed at case4.mid; the others end
-# in the fallback or in ClassTwo.
+# saturating branch and ends in MatchingFailed at case4.mid;
+# heavy-center-k20 augments 197 same-side S-pair edges in step 1 and runs
+# the S2.3 guard with them in G*, and heavy-center-k22 relocates over S
+# vertices and ends in NoGoodEdge at step2.relocate; the others end in the
+# fallback or in ClassTwo.
 GOLDEN = [
     ("k21-minus-matching", _k21_minus_matching, 1, "e1943c71b19d3f4cc4d9dec7fdfb032f1093e12aae77b96d983ab6334a321cdd"),
     ("case2-n44", _case_fixture(2, 44), 1, "00659c2225641bce1a29c83315cde0d0baf2e5ab0db7435ca4fc64180cf5bac6"),
@@ -99,6 +118,8 @@ GOLDEN = [
     ("case1-n60", _case_fixture(1, 60), 1, "6cbff922c83131295cb8b29adb3f23c99b555ae40cd1e827a7b0a8af12011056"),
     ("dcolor-c-n20", _dcolor("c", 20), 1, "b346e36035de737e642c9326810f267e14518c3389b353588e728026f86064f2"),
     ("case4-saturate-n10", _case4_saturate, 1, "7e70029590c98cf5f2f508b879be74ccc892955a57fec992cd08222ed46b769c"),
+    ("heavy-center-k20", _heavy_center(20), 1, "1f6098c2a77775ba9046cdd1c4002aedb96a23f6a62085b184bf58785d4740a3"),
+    ("heavy-center-k22", _heavy_center(22), 1, "c11468dd763b66d8d15cb1899e07a61c2047586b999508e0b86541e9e1f79062"),
 ]
 
 
