@@ -50,6 +50,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.n < 0:
         print(f"error: --n must be nonnegative, got {args.n}", file=sys.stderr)
         return EXIT_ERROR
+    # Refuse, before building anything, a graph the reader would refuse: the
+    # fixtures have 2n or 2n-1 vertices and no vertex of degree above
+    # |V| - 1, and random-dense visits every pair.
+    nv = {"dcolor-fixture": 2 * args.n, "case-fixture": 2 * args.n - 1}.get(kind, args.n)
+    most_edges = nv * args.degree // 2 if kind == "regular" else nv * (nv - 1) // 2
+    if nv > formats.MAX_VERTICES or most_edges > formats.MAX_EDGES:
+        print(
+            f"error: --kind {kind} --n {args.n} can have {nv} vertices and {most_edges} edges;"
+            f" the reader takes at most {formats.MAX_VERTICES} vertices and {formats.MAX_EDGES} edges",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
     comments = [f"kind {kind}"]
     try:
         if kind == "complete":

@@ -20,7 +20,10 @@ edge, so finding the crossing edge of an exchange is a lookup.  A pair's
 list is replaced when it changes, never changed in place.  Step 3's
 bipartite matchings read their hosts off a copy of the same index, and
 step 1 reads the edges of G[A], G[B] and H as id sets, so neither builds a
-graph for them.
+graph for them.  Step 1 also fixes the protected set S*_A | S*_B once,
+as ``EngineState.protected``; the exchanges, the relocation and the S2.3
+guard read that one set, and S2.3 reads its per-vertex counts off G* and
+the coloring rather than keeping them.
 
 Every inequality the construction relies on is evaluated as a named guard
 and recorded in the trace.  Guards whose failure only weakens the
@@ -94,11 +97,11 @@ class EngineState:
     r_bound: float = 0.0
     ell: int = 0
     coloring: Optional[EdgeColoring] = None
-    S_A: set[int] = field(default_factory=set)
-    S_B: set[int] = field(default_factory=set)
+    # S*_A | S*_B, set once by step 1: the low-degree S vertices of both
+    # sides, x and nb_x.  S*_A lies in A and S*_B in B, so the union
+    # restricted to a side is that side's set.
+    protected: set[int] = field(default_factory=set)
     U: set[int] = field(default_factory=set)
-    missing_after_step1: dict[int, int] = field(default_factory=dict)
-    colored_h_at: dict[int, int] = field(default_factory=dict)
     # Step 2's index of the uncolored crossing edges: vertex -> {neighbor ->
     # ascending ids of uncolored h_edges}, with no empty lists.  Built at
     # the start of step 2 and kept by _color_h_edge; never grows, since only
@@ -116,14 +119,6 @@ class EngineState:
     @property
     def side_b(self) -> set[int]:
         return self.part.B
-
-    @property
-    def s_a_star(self) -> set[int]:
-        return self.S_A | {self.x}
-
-    @property
-    def s_b_star(self) -> set[int]:
-        return self.S_B | self.nb_x
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +413,9 @@ def step1_color_gab(state: EngineState) -> EngineState:
     worst = max(miss_a + miss_b, default=0)
     trace.check("step1", "S1.2", worst, cap, worst < cap)
 
-    state.S_A = {u for u in s_set & state.side_a if gab.degree(u) <= k - 2 * n ** (2 / 3)}
-    state.S_B = {u for u in s_set & state.side_b if gab.degree(u) <= k - 2 * n ** (2 / 3)}
+    state.protected = {u for u in s_set if gab.degree(u) <= k - 2 * n ** (2 / 3)}
+    state.protected |= {state.x} | state.nb_x
     state.U = compute_W(g, eta)
-    state.missing_after_step1 = {v: len(c.missing(v)) for v in g_star.verts}
-    state.colored_h_at = {v: 0 for v in g_star.verts}
 
     if state.condition == "e":
         s, r = 7.0 * n ** (5 / 3), n ** (5 / 6)
@@ -437,10 +430,6 @@ def step1_color_gab(state: EngineState) -> EngineState:
 # Step 2
 
 
-def _r_degree(state: EngineState, v: int) -> int:
-    return state.r_deg.get(v, 0)
-
-
 def _uncolor_to_residual(state: EngineState, eid: int) -> None:
     c = state.coloring
     c.unassign(eid)
@@ -451,8 +440,8 @@ def _uncolor_to_residual(state: EngineState, eid: int) -> None:
         state.r_b.add(eid)
     else:
         raise AssertionError("residual edge must be a side edge")
-    state.r_deg[u] = _r_degree(state, u) + 1
-    state.r_deg[v] = _r_degree(state, v) + 1
+    state.r_deg[u] = state.r_deg.get(u, 0) + 1
+    state.r_deg[v] = state.r_deg.get(v, 0) + 1
 
 
 def _index_free_h(state: EngineState) -> None:
@@ -484,10 +473,7 @@ def _drop_free(free_h: dict[int, dict[int, list[int]]], u: int, v: int, eid: int
 
 def _color_h_edge(state: EngineState, eid: int, color: int) -> None:
     state.coloring.assign(eid, color)
-    u, v = state.g_star.endpoints(eid)
-    state.colored_h_at[u] += 1
-    state.colored_h_at[v] += 1
-    _drop_free(state.free_h, u, v, eid)
+    _drop_free(state.free_h, *state.g_star.endpoints(eid), eid)
 
 
 def _uncolored_h_edge(state: EngineState, u: int, w: int) -> Optional[int]:
@@ -508,7 +494,7 @@ def step2_fix_center(state: EngineState) -> EngineState:
     c, x = state.coloring, state.x
     for i in sorted(c.missing(x)):
         cands = [
-            (_r_degree(state, w), w, ids[0])
+            (state.r_deg.get(w, 0), w, ids[0])
             for w, ids in sorted(state.free_h[x].items())
         ]
         direct = next((eid for _, w, eid in cands if c.misses(w, i)), None)
@@ -548,9 +534,7 @@ def _pair_up_missing(state: EngineState) -> None:
         state.mcc_pairs[i] = pairs
 
 
-def _exchange(
-    state: EngineState, w: int, color: int, protected: set[int]
-) -> Optional[tuple[int, int, int]]:
+def _exchange(state: EngineState, w: int, color: int) -> Optional[tuple[int, int, int]]:
     """The one exchange at w in ``color``, as ``(load, sac, w2)``, or None.
 
     ``sac`` is w's good side edge of ``color``, ending at w2: both its ends
@@ -558,12 +542,12 @@ def _exchange(
     is all goodness asks), and ``load`` is the sum of the two.  From an
     anchor across the bipartition, giving the least uncolored crossing edge
     anchor-w the color and uncoloring ``sac`` moves the missing color from
-    the anchor to w2.  Neither w nor w2 may lie in ``protected``, the union
-    of S*_A and S*_B, which the caller reads once: S*_A lies in A and S*_B
-    in B, and w2 lies on w's side, so the union answers for w's side alone.
-    w's side also fixes the edge store, so the exchange depends on w, not
-    on the anchor.
+    the anchor to w2.  Neither w nor w2 may lie in ``state.protected``:
+    w2 lies on w's side, and the protected set restricted to a side is
+    that side's S*, so the one set answers for both sides.  w's side also
+    fixes the edge store, so the exchange depends on w, not on the anchor.
     """
+    protected = state.protected
     if w in protected:
         return None
     c, r_deg, r = state.coloring, state.r_deg, state.r_bound
@@ -582,23 +566,20 @@ def _exchange(
 
 
 def step2_relocate_S(state: EngineState) -> EngineState:
-    """Move every missing color away from the protected vertex sets.
+    """Move every missing color away from the protected vertices.
 
-    Pairs up the per-color missing vertices first, then each low-degree
-    vertex v in S_A (resp. S_B and the moved neighbors of x) sheds a
-    missing color by a 2-edge exchange whose sacrificed edge lies on the
-    opposite side; its pair slot passes to the new endpoint.
+    Pairs up the per-color missing vertices first, then each protected
+    vertex v other than x sheds a missing color by a 2-edge exchange whose
+    sacrificed edge lies on the opposite side; its pair slot passes to the
+    new endpoint.
     """
     _pair_up_missing(state)
-    c = state.coloring
-    protected = state.s_a_star | state.s_b_star
-    for v in sorted(state.S_A | (state.S_B | state.nb_x)):
-        if v == state.x:
-            continue
+    c, protected = state.coloring, state.protected
+    for v in sorted(protected - {state.x}):
         for i in sorted(c.missing(v)):  # within [1, state.k]: c.k grows only in step 3
             # The first good exchange in neighbor order.
             for w, ids in sorted(state.free_h[v].items()):
-                found = _exchange(state, w, i, protected)
+                found = _exchange(state, w, i)
                 if found is not None:
                     break
             else:
@@ -647,14 +628,21 @@ def _index_exchanges(state: EngineState, color: int, sacs: Iterable[int]) -> _Ex
     off the path too, and both keep their residual degrees: no other
     exchange of the color changes its validity or its load.  Loads change
     from one color to the next, so each color builds its own index.
+
+    One evaluation per side edge is enough: both ends of ``sac`` see it as
+    their edge of the color, lie on the side of its store, and read the
+    same two residual degrees and the same protected test, so
+    ``_exchange(w2) == (load, sac, w)`` exactly when
+    ``_exchange(w) == (load, sac, w2)``.  The orders sort by (load, w),
+    so the order of the entries does not matter.
     """
-    protected = state.s_a_star | state.s_b_star
     at: dict[int, tuple[int, int, int]] = {}
     for sac in sacs:
-        for w in state.g_star.endpoints(sac):
-            found = _exchange(state, w, color, protected)
-            if found is not None:
-                at[w] = found
+        w = state.g_star.endpoints(sac)[0]
+        found = _exchange(state, w, color)
+        if found is not None:
+            load, _, w2 = found
+            at[w], at[w2] = found, (load, sac, w)
     order = sorted(at, key=lambda w: (at[w][0], w))
     side_a = state.side_a
     order_a = [w for w in order if w in side_a]
@@ -769,16 +757,23 @@ def step2_extend_to_factors(state: EngineState) -> EngineState:
         trace.check("step2", "S2.1:e(R_A)=e(R_B)", len(state.r_a), len(state.r_b), len(state.r_a) == len(state.r_b))
     max_rdeg = max(state.r_deg.values(), default=0)
     trace.check("step2", "S2.2:Delta(R)<r", max_rdeg, state.r_bound, max_rdeg < state.r_bound)
+    # Step 1 colored exactly G_AB, so v missed k - d_G*(v) + h(v) colors
+    # after it; every crossing edge colored since stays colored.
+    g_star = state.g_star
+    h_at = dict.fromkeys(g_star.verts, 0)
+    colored_h_at = dict.fromkeys(g_star.verts, 0)
+    for eid in state.h_edges:
+        colored = c.color_of(eid) is not None
+        for v in g_star.endpoints(eid):
+            h_at[v] += 1
+            colored_h_at[v] += colored
     budget_ok = True
-    protected = state.s_a_star | state.s_b_star
-    for v in state.g_star.verts:
-        cap = state.missing_after_step1.get(v, 0)
-        if v not in protected:
-            cap += state.r_bound
-            if not state.colored_h_at[v] < cap:
-                budget_ok = False
-        elif state.colored_h_at[v] > state.missing_after_step1.get(v, 0):
-            budget_ok = False
+    for v in g_star.verts:
+        missing_after_step1 = state.k - g_star.degree(v) + h_at[v]
+        if v in state.protected:
+            budget_ok &= colored_h_at[v] <= missing_after_step1
+        else:
+            budget_ok &= colored_h_at[v] < missing_after_step1 + state.r_bound
     trace.check("step2", "S2.3:H-edge-budget", None, None, budget_ok)
     return state
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleParams
 from .multigraph import Multigraph, compute_W, deficiency_report, is_overfull
+from .reduction import dispatch_case
 
 
 @dataclass
@@ -394,10 +395,7 @@ def gen_case_fixture(case: int, n_half: int) -> Fixture:
     if fix.graph.min_degree() < (1 + fix.epsilon) * n:
         raise InfeasibleParams("fixture misses the density floor")
     w_got = len(compute_W(fix.graph, fix.eta))
-    window = {1: w_got >= 2 * fix.eta * n, 2: w_got == 0,
-              3: math.sqrt(n) <= w_got < 2 * fix.eta * n,
-              4: 0 < w_got < math.sqrt(n)}[case]
-    if not window:
+    if dispatch_case(w_got, fix.eta, n) != case:
         raise InfeasibleParams(f"fixture landed outside the case-{case} window: |W|={w_got}")
     return fix
 

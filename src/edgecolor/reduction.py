@@ -428,6 +428,18 @@ def _case4_branch_saturate(
 # Front door
 
 
+def dispatch_case(w_size: int, eta: float, n: int) -> int:
+    """The case for a high-deficiency set W of ``w_size`` vertices: 1 when
+    |W| >= 2*eta*n, 2 when |W| = 0, 3 when sqrt(n) <= |W|, 4 otherwise."""
+    if w_size >= 2 * eta * n:
+        return 1
+    if w_size == 0:
+        return 2
+    if w_size >= math.sqrt(n):
+        return 3
+    return 4
+
+
 def color_odd_dense(
     g: Multigraph,
     epsilon: float,
@@ -461,16 +473,8 @@ def color_odd_dense(
         trace.note("verdict", "overfull input: class 2")
         return Result(CLASS_TWO, coloring, trace)
 
-    w_set = compute_W(g, eta_val)
-    wn = len(w_set)
-    if wn >= 2 * eta_val * n:
-        case = 1
-    elif wn == 0:
-        case = 2
-    elif wn >= math.sqrt(n):
-        case = 3
-    else:
-        case = 4
+    wn = len(compute_W(g, eta_val))
+    case = dispatch_case(wn, eta_val, n)
     trace.note("dispatch", f"|W|={wn} -> case {case}")
 
     # Looked up at call time, so a rebinding of the module's case names

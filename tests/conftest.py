@@ -21,6 +21,17 @@ def complete(n: int) -> Multigraph:
     return build_multigraph(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
 
 
+def heavy_center(m: int) -> Multigraph:
+    """K_m plus two more parallel edges from vertex 0 to every other vertex:
+    engine condition (e) with the center carrying Delta = 3(m - 1), and
+    every other vertex deficient enough for step 1's S-pair augmentation."""
+    g = complete(m)
+    for v in range(1, m):
+        g.add_edge(0, v)
+        g.add_edge(0, v)
+    return g
+
+
 def cycle(n: int) -> Multigraph:
     return build_multigraph(n, [(i, (i + 1) % n, 1) for i in range(n)])
 

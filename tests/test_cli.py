@@ -282,6 +282,30 @@ def test_gen_negative_n_exits_1(capsys):
     assert err.startswith("error: ") and "--n" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["--kind", "complete", "--n", "1415"],
+    ["--kind", "random-dense", "--n", "100000"],
+    ["--kind", "regular", "--n", "100001", "--degree", "2"],
+    ["--kind", "regular", "--n", "2001", "--degree", "1000"],
+    ["--kind", "dcolor-fixture", "--n", "708"],
+    ["--kind", "case-fixture", "--n", "709"],
+])
+def test_gen_refuses_what_the_reader_refuses(tmp_path, monkeypatch, capsys, args):
+    """K_1415 has 1,000,405 edges, past formats.MAX_EDGES; 100,001 vertices
+    pass formats.MAX_VERTICES.  gen exits 1 before it builds a graph and
+    writes no file."""
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("a generator ran")
+
+    for name in ("gen_complete", "gen_random_dense", "gen_regular", "gen_dcolor_fixture", "gen_case_fixture"):
+        monkeypatch.setattr(cli, name, unreachable)
+    mg = tmp_path / "big.mg"
+    assert run(["gen", *args, "--out", str(mg)]) == 1
+    assert not mg.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "the reader takes at most" in err
+
+
 def test_gen_empty_dcolor_fixture_exits_1(capsys):
     assert run(["gen", "--kind", "dcolor-fixture", "--condition", "a", "--n", "0", "--out", os.devnull]) == 1
     err = capsys.readouterr().err

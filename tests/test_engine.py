@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +27,7 @@ from edgecolor.partition import adjust_for_center, balanced_partition
 from edgecolor.reduction import color_odd_dense
 from edgecolor.trace import PipelineTrace
 
-from conftest import complete, random_simple
+from conftest import complete, heavy_center, random_simple
 
 
 def _params(fix, seed=1):
@@ -78,20 +80,24 @@ def test_select_pairs_condition_e_prefers_u():
     assert all(a in u_set and b in u_set for a, b in head)
 
 
-def _relocated(fix, seed=1):
-    """The engine state just before step 2 extends the classes."""
-    g = fix.graph
-    params = _params(fix, seed)
-    trace = PipelineTrace(seed=seed)
+def _after_step1(g, params):
+    """The engine state of ``g`` right after step 1."""
+    trace = PipelineTrace(seed=params.seed)
     cond, x, ctx = classify_condition(g, params, trace)
     pairs, nb = select_pairs(g, cond, x, ctx, params)
-    part = balanced_partition(g.underlying_simple(), pairs, seed)
+    part = balanced_partition(g.underlying_simple(), pairs, params.seed)
     part = adjust_for_center(part, g, x, nb, pairs)
     state = EngineState(
         g=g, params=params, trace=trace, x=x, n_half=g.vertex_count // 2,
         condition=cond, nb_x=nb, part=part,
     )
     step1_color_gab(state)
+    return state
+
+
+def _relocated(fix, seed=1):
+    """The engine state just before step 2 extends the classes."""
+    state = _after_step1(fix.graph, _params(fix, seed))
     step2_fix_center(state)
     step2_relocate_S(state)
     return state
@@ -145,9 +151,9 @@ def _ranked_by_scan(state, anchor, color):
     free row and a sort: the oracle for the index-driven ``_ranked``."""
     c, r = state.coloring, state.r_bound
     if anchor in state.side_a:
-        avoid, store = state.s_b_star, state.side_b_edges
+        avoid, store = state.protected & state.side_b, state.side_b_edges
     else:
-        avoid, store = state.s_a_star, state.side_a_edges
+        avoid, store = state.protected & state.side_a, state.side_a_edges
     found = []
     for w, ids in state.free_h[anchor].items():
         sac = c.edge_at(w, color)
@@ -221,20 +227,92 @@ def test_step2_work_grows_at_most_4_5x_per_doubling(monkeypatch):
     assert 0 < counts[0] and counts[1] <= 4.5 * counts[0], counts
 
 
+def test_index_evaluates_each_side_edge_once(monkeypatch):
+    """_index_exchanges evaluates one exchange per side edge of its color and
+    writes both ends' entries from it; the index equals one built from both
+    ends.  On K_100 that is 2,450 evaluations in all."""
+    exchange, index_exchanges = engine._exchange, engine._index_exchanges
+    calls = [0]
+
+    def counted_exchange(*args):
+        calls[0] += 1
+        return exchange(*args)
+
+    def checked_index(state, color, sacs):
+        sacs = list(sacs)
+        before = calls[0]
+        index = index_exchanges(state, color, sacs)
+        assert calls[0] - before == len(sacs)
+        both_ends = {}
+        for sac in sacs:
+            for w in state.g_star.endpoints(sac):
+                found = exchange(state, w, color)
+                if found is not None:
+                    both_ends[w] = found
+        assert index.at == both_ends
+        return index
+
+    monkeypatch.setattr(engine, "_exchange", counted_exchange)
+    monkeypatch.setattr(engine, "_index_exchanges", checked_index)
+    res = dcolor(gen_complete(100), EngineParams(epsilon=0.5, eta=0.12, seed=1))
+    assert res.verdict == "Colored"
+    assert calls[0] == 2450
+
+
+_S23_INPUTS = {
+    "dcolor-a-40": lambda: gen_dcolor_fixture("a", 40),
+    "dcolor-c-20": lambda: gen_dcolor_fixture("c", 20),
+    "dcolor-e-30": lambda: gen_dcolor_fixture("e", 30),
+    "heavy-center-k20": lambda: SimpleNamespace(graph=heavy_center(20), epsilon=0.3, eta=0.1),
+    "heavy-center-k22": lambda: SimpleNamespace(graph=heavy_center(22), epsilon=0.3, eta=0.1),
+}
+
+
+@pytest.mark.parametrize(
+    "name,reaches_s23",
+    # c-20 stops in step 2's extension and heavy-center-k22 in its
+    # relocation; the others reach the S2.3 guard.
+    [("dcolor-a-40", True), ("dcolor-c-20", False), ("dcolor-e-30", True),
+     ("heavy-center-k20", True), ("heavy-center-k22", False)],
+)
+def test_s23_counts_read_off_g_star(monkeypatch, name, reaches_s23):
+    """The S2.3 guard derives its two counts.  Right after step 1 every
+    vertex misses exactly k - d_G*(v) + h(v) colors, h(v) counting its
+    crossing edges, augmentation or not; and where step 2 ends, at S2.3 or
+    at the raise before it, each vertex's colored crossing edges are the
+    _color_h_edge calls at it."""
+    fix = _S23_INPUTS[name]()
+    state = _after_step1(fix.graph, _params(fix))
+    g_star, c = state.g_star, state.coloring
+    h_at = Counter(v for eid in state.h_edges for v in g_star.endpoints(eid))
+    for v in g_star.verts:
+        assert len(c.missing(v)) == state.k - g_star.degree(v) + h_at[v]
+
+    calls = Counter()
+    color_h_edge = engine._color_h_edge
+
+    def counted(state, eid, color):
+        calls.update(state.g_star.endpoints(eid))
+        return color_h_edge(state, eid, color)
+
+    monkeypatch.setattr(engine, "_color_h_edge", counted)
+    try:
+        step2_fix_center(state)
+        step2_relocate_S(state)
+        step2_extend_to_factors(state)
+    except EdgeColorError:
+        pass
+    reached = any(e.guard == "S2.3:H-edge-budget" for e in state.trace.entries)
+    assert reached == reaches_s23
+    colored = Counter(
+        v for eid in state.h_edges if c.color_of(eid) is not None for v in g_star.endpoints(eid)
+    )
+    assert sum(calls.values()) > 0 and colored == calls
+
+
 def test_step1_equalization_audit():
     fix = gen_dcolor_fixture("b", 30)
-    g = fix.graph
-    params = _params(fix)
-    trace = PipelineTrace(seed=1)
-    cond, x, ctx = classify_condition(g, params, trace)
-    pairs, nb = select_pairs(g, cond, x, ctx, params)
-    part = balanced_partition(g.underlying_simple(), pairs, 1)
-    part = adjust_for_center(part, g, x, nb, pairs)
-    state = EngineState(
-        g=g, params=params, trace=trace, x=x, n_half=g.vertex_count // 2,
-        condition=cond, nb_x=nb, part=part,
-    )
-    step1_color_gab(state)
+    state = _after_step1(fix.graph, _params(fix))
     c = state.coloring
     for i in range(1, state.k + 1):
         ma = sum(1 for v in state.side_a if c.misses(v, i))

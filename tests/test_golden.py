@@ -21,6 +21,8 @@ from edgecolor.generators import (
 )
 from edgecolor.multigraph import Multigraph
 
+from conftest import heavy_center
+
 
 def _k21_minus_matching():
     return gen_complete_minus_matching(21, 10), 0.45, 0.12
@@ -70,19 +72,7 @@ def _case4_saturate():
 
 
 def _heavy_center(m):
-    """K_m plus two more parallel edges from vertex 0 to every other vertex:
-    condition (e) with the center carrying Delta = 3(m - 1), far above 2n,
-    and every other vertex deficient enough for step 1's S-pair
-    augmentation."""
-
-    def build():
-        g = gen_complete(m)
-        for v in range(1, m):
-            g.add_edge(0, v)
-            g.add_edge(0, v)
-        return g, 0.3, 0.1
-
-    return build
+    return lambda: (heavy_center(m), 0.3, 0.1)
 
 
 # (name, builder, pipeline seed, sha256 of formats.dump_json(run_color(...))).

@@ -20,6 +20,7 @@ from edgecolor.reduction import (
     _recombine,
     color_odd_dense,
     derive_eta,
+    dispatch_case,
 )
 from edgecolor.trace import PipelineTrace
 
@@ -97,6 +98,14 @@ def test_case_dispatch(case):
     assert res.case == case
     assert verify_proper(fix.graph, res.coloring).ok and res.coloring.is_total()
     assert res.colors_used <= fix.graph.max_degree() + 1
+
+
+@pytest.mark.parametrize("w_size,n,case", [
+    (0, 100, 2), (1, 100, 4), (9, 100, 4), (10, 100, 3), (19, 100, 3), (20, 100, 1),
+    (2, 9, 1),  # 2*eta*n = 1.8 <= |W| < sqrt(n) = 3: ties go to the lower case
+])
+def test_dispatch_case_boundaries(w_size, n, case):
+    assert dispatch_case(w_size, 0.1, n) == case
 
 
 def test_case2_full_pipeline_class_one():
