@@ -71,6 +71,20 @@ def _case4_saturate():
     return g, 0.3, 0.2
 
 
+def _case4_vdelta1():
+    """The case-4 fixture at n = 24 with its least W vertex w = 44 made the
+    unique minimum: delete w-8 and w-9 and add 8-9, where (8, 9) is the
+    first even pair outside W that is a non-edge with both ends adjacent to
+    w.  Vertices 8 and 9 keep their degrees, w drops to 39 (next lowest
+    41), |W| stays 2, and the graph stays in the regime and not overfull."""
+    fix = gen_case_fixture(4, 24)
+    g = fix.graph
+    for v in (8, 9):
+        g.delete_edge(g.edges_between(44, v)[0])
+    g.add_edge(8, 9)
+    return g, fix.epsilon, fix.eta
+
+
 def _heavy_center(m):
     return lambda: (heavy_center(m), 0.3, 0.1)
 
@@ -92,8 +106,10 @@ def _heavy_center(m):
 # saturating branch and ends in MatchingFailed at case4.mid;
 # heavy-center-k20 augments 197 same-side S-pair edges in step 1 and runs
 # the S2.3 guard with them in G*, and heavy-center-k22 relocates over S
-# vertices and ends in NoGoodEdge at step2.relocate; the others end in the
-# fallback or in ClassTwo.
+# vertices and ends in NoGoodEdge at step2.relocate; case4-vdelta1-n24 is
+# the one run through case 4's single-minimum-vertex peel (twice at
+# case4.vdelta1, then at case4.parity) and ends in NoAlternatingPath; the
+# others end in the fallback or in ClassTwo.
 GOLDEN = [
     ("k21-minus-matching", _k21_minus_matching, 1, "e1943c71b19d3f4cc4d9dec7fdfb032f1093e12aae77b96d983ab6334a321cdd"),
     ("case2-n44", _case_fixture(2, 44), 1, "00659c2225641bce1a29c83315cde0d0baf2e5ab0db7435ca4fc64180cf5bac6"),
@@ -110,6 +126,7 @@ GOLDEN = [
     ("case4-saturate-n10", _case4_saturate, 1, "7e70029590c98cf5f2f508b879be74ccc892955a57fec992cd08222ed46b769c"),
     ("heavy-center-k20", _heavy_center(20), 1, "1f6098c2a77775ba9046cdd1c4002aedb96a23f6a62085b184bf58785d4740a3"),
     ("heavy-center-k22", _heavy_center(22), 1, "c11468dd763b66d8d15cb1899e07a61c2047586b999508e0b86541e9e1f79062"),
+    ("case4-vdelta1-n24", _case4_vdelta1, 1, "20b73c1654b095d84ea462eb526125dc196711268e83e16f3fa0bc9934a12b2e"),
 ]
 
 
