@@ -84,6 +84,6 @@ print()
 print("Path cover: spanning vertex-disjoint paths with prescribed ends,")
 print("the center spliced back in afterwards:")
 cover = path_cover_star(g, [(1, 2), (3, 4)], x=0)
-for path, (a, b) in zip(cover.paths, cover.endpoints):
-    print(f"  path {a}..{b}: {len(path)} vertices")
-print("  union covers V:", sorted(v for p in cover.paths for v in p) == list(range(n)))
+for path in cover:
+    print(f"  path {path[0]}..{path[-1]}: {len(path)} vertices")
+print("  union covers V:", sorted(v for p in cover for v in p) == list(range(n)))

@@ -18,7 +18,6 @@ from .coloring import (
     verify_proper,
 )
 from .classic import (
-    PathCover,
     dirac_hamiltonian,
     hakimi_realize,
     konig_color,
@@ -55,7 +54,6 @@ __all__ = [
     "Multigraph",
     "OracleResult",
     "Partition",
-    "PathCover",
     "PipelineTrace",
     "ProperReport",
     "Result",

@@ -3,14 +3,13 @@
 Degree-sequence realization, Dirac-style Hamiltonian cycles via closure
 reversal, perfect matchings in dense and bipartite graphs, exact
 bipartite edge coloring by König's alternating paths, and spanning path
-covers with prescribed endpoint pairs.
+covers with prescribed endpoint pairs, returned as their paths.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .coloring import EdgeColoring, alternating_path, flip_path
@@ -115,18 +114,14 @@ def dirac_hamiltonian(g: Multigraph, skip: Iterable[int] = ()) -> list[int]:
             "dirac", f"min degree {min(len(adj[v]) for v in verts)} < |V|/2={nv / 2}"
         )
 
-    added: list[tuple[int, int]] = []
-    # Closure: saturate pairs with degree sum >= nv.  Under Dirac every
-    # non-adjacent pair qualifies immediately, so one pass suffices.
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            if v not in adj[u] and len(adj[u]) + len(adj[v]) >= nv:
-                adj[u].add(v)
-                adj[v].add(u)
-                added.append((u, v))
-    for u in verts:
-        if len(adj[u]) != nv - 1:
-            raise PreconditionViolated("closure", "closure is not complete")
+    # Closure: saturate non-adjacent pairs with degree sum >= nv.  Every
+    # degree is already >= nv/2 and degrees only grow, so every non-edge
+    # qualifies when it is visited: the closure adds all of them, in
+    # lexicographic order, and is complete.
+    added = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :] if v not in adj[u]]
+    for u, v in added:
+        adj[u].add(v)
+        adj[v].add(u)
 
     cycle = list(verts)
     pos = {v: i for i, v in enumerate(cycle)}
@@ -390,17 +385,13 @@ def konig_color(g: Multigraph) -> EdgeColoring:
 # Spanning path covers with prescribed endpoints
 
 
-@dataclass
-class PathCover:
-    paths: list[list[int]]
-    endpoints: list[tuple[int, int]]
-
-
-def check_path_cover(g: Multigraph, cover: PathCover, pairs: list[tuple[int, int]]) -> bool:
+def check_path_cover(g: Multigraph, paths: list[list[int]], pairs: list[tuple[int, int]]) -> bool:
+    """True iff ``paths`` are vertex-disjoint paths of g that jointly span
+    V(g), ``paths[i]`` running from a to b where ``pairs[i] = (a, b)``."""
     seen: set[int] = set()
-    if len(cover.paths) != len(pairs):
+    if len(paths) != len(pairs):
         return False
-    for path, (a, b) in zip(cover.paths, pairs):
+    for path, (a, b) in zip(paths, pairs):
         if not path or path[0] != a or path[-1] != b:
             return False
         for u, v in zip(path, path[1:]):
@@ -463,8 +454,9 @@ def _anchored_ham_path(
 def path_cover_matching(
     g: Multigraph,
     pairs: list[tuple[int, int]],
-) -> PathCover:
-    """Vertex-disjoint paths joining each (a_i, b_i), jointly spanning V(g).
+) -> list[list[int]]:
+    """Vertex-disjoint paths joining each (a_i, b_i), jointly spanning V(g),
+    returned in the order of ``pairs``, each running from a_i to b_i.
 
     All but the last pair get short routes through so-far-unused vertices;
     the last pair absorbs everything that remains via an anchored
@@ -473,7 +465,7 @@ def path_cover_matching(
     """
     if not pairs:
         if g.vertex_count == 0:
-            return PathCover(paths=[], endpoints=[])
+            return []
         raise PreconditionViolated("pairs", "no pairs but vertices remain")
     flat = [v for p in pairs for v in p]
     if len(set(flat)) != len(flat):
@@ -521,22 +513,22 @@ def path_cover_matching(
             raise CoverFailed(f"no spanning path for final pair ({a},{b})")
         paths.append(spine + [b])
 
-    cover = PathCover(paths=paths, endpoints=list(pairs))
-    if not check_path_cover(g, cover, list(pairs)):
+    if not check_path_cover(g, paths, pairs):
         raise AssertionError("path cover failed self-audit")
-    return cover
+    return paths
 
 
 def path_cover_star(
     g: Multigraph,
     pairs: list[tuple[int, int]],
     x: int,
-) -> PathCover:
+) -> list[list[int]]:
     """Path cover of a star-multigraph: remove the center, cover, splice back.
 
-    If x is itself a pair endpoint its pair is rerouted through one fresh
-    center neighbor; otherwise the last pair is split around x using two
-    fresh center neighbors.
+    If x is itself a pair endpoint its pair moves last as (x, b) and is
+    rerouted through one fresh center neighbor; otherwise the last pair is
+    split around x using two fresh center neighbors.  Returns one path per
+    pair in that order, each running from its pair's first vertex.
     """
     ends = {v for p in pairs for v in p}
     spare = [w for w in g.neighbors(x) if w not in ends]
@@ -545,27 +537,19 @@ def path_cover_star(
 
     order = list(pairs)
     if x in ends:
-        t = next(i for i, p in enumerate(order) if x in p)
-        order.append(order.pop(t))
-        a, b = order[-1]
+        a, b = order.pop(next(i for i, p in enumerate(order) if x in p))
         if a != x:
             a, b = b, a
-        stand_in = spare[0]
-        sub_pairs = order[:-1] + [(stand_in, b)]
-        sub = path_cover_matching(g.without_vertices([x]), sub_pairs)
-        paths = sub.paths[:-1] + [[x] + sub.paths[-1]]
-        cover = PathCover(paths=paths, endpoints=order[:-1] + [(x, b)])
-        if not check_path_cover(g, cover, order[:-1] + [(x, b)]):
-            raise AssertionError("star cover failed self-audit")
-        return cover
-
-    a, b = order[-1]
-    x1, x2 = spare[0], spare[1]
-    sub_pairs = order[:-1] + [(a, x1), (x2, b)]
-    sub = path_cover_matching(g.without_vertices([x]), sub_pairs)
-    merged = sub.paths[-2] + [x] + sub.paths[-1]
-    paths = sub.paths[:-2] + [merged]
-    cover = PathCover(paths=paths, endpoints=order)
-    if not check_path_cover(g, cover, order):
+        order.append((x, b))
+        tail = [(spare[0], b)]
+    else:
+        a, b = order[-1]
+        tail = [(a, spare[0]), (spare[1], b)]
+    sub = path_cover_matching(g.without_vertices([x]), order[:-1] + tail)
+    # With x interior, sub[-2] runs from a to x's first stand-in and x joins
+    # it to sub[-1]; with x an endpoint, x leads sub[-1] alone.
+    lead = [] if x in ends else sub[-2]
+    paths = sub[: len(order) - 1] + [lead + [x] + sub[-1]]
+    if not check_path_cover(g, paths, order):
         raise AssertionError("star cover failed self-audit")
-    return cover
+    return paths

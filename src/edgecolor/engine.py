@@ -10,7 +10,9 @@ edges and side edges of that color, all found by one depth-first search
 an index of them (``_index_exchanges``), (3) color the
 uncolored side edges with a few fresh colors and extend those classes
 across the bipartite middle, (4) finish the remaining crossing edges, which
-form a bipartite graph of bounded degree.
+form a bipartite graph of bounded degree.  One setup, :func:`prepare`,
+builds the ``EngineState`` the steps share: condition, pairs, partition,
+and the high-deficiency set U that classification found.
 
 Step 2 reads the uncolored crossing edges off one index,
 ``EngineState.free_h`` (vertex -> neighbor -> ascending edge ids, one list
@@ -415,7 +417,6 @@ def step1_color_gab(state: EngineState) -> EngineState:
 
     state.protected = {u for u in s_set if gab.degree(u) <= k - 2 * n ** (2 / 3)}
     state.protected |= {state.x} | state.nb_x
-    state.U = compute_W(g, eta)
 
     if state.condition == "e":
         s, r = 7.0 * n ** (5 / 3), n ** (5 / 6)
@@ -827,17 +828,14 @@ def step3_color_residuals(state: EngineState) -> EngineState:
     for j in range(state.ell):
         a_i = {v for eid in classes_a[j] for v in state.g_star.endpoints(eid)}
         b_i = {v for eid in classes_b[j] for v in state.g_star.endpoints(eid)}
-        pad_a: list[int] = []
-        pad_b: list[int] = []
-        if len(b_i) > len(a_i):
-            pad_a = sorted((state.U & state.side_a) - a_i)[: len(b_i) - len(a_i)]
-            if len(pad_a) < len(b_i) - len(a_i):
-                raise GuardFailed("step3.pad", f"U cap A too small for color {state.k + 1 + j}")
-        elif len(a_i) > len(b_i):
-            pad_b = sorted((state.U & state.side_b) - b_i)[: len(a_i) - len(b_i)]
-            if len(pad_b) < len(a_i) - len(b_i):
-                raise GuardFailed("step3.pad", f"U cap B too small for color {state.k + 1 + j}")
-        drop = a_i | b_i | set(pad_a) | set(pad_b)
+        drop = a_i | b_i
+        for name, side, own, other in (("A", state.side_a, a_i, b_i), ("B", state.side_b, b_i, a_i)):
+            short = len(other) - len(own)
+            if short > 0:
+                pad = sorted((state.U & side) - own)[:short]
+                if len(pad) < short:
+                    raise GuardFailed("step3.pad", f"U cap {name} too small for color {state.k + 1 + j}")
+                drop.update(pad)
         hosts.append((sorted(state.side_a - drop), sorted(state.side_b - drop)))
 
     # Each class takes a perfect matching of its host among the crossing
@@ -921,13 +919,10 @@ def step4_finish(state: EngineState) -> EdgeColoring:
 # Orchestration
 
 
-def color_exact(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> EdgeColoring:
-    """Run the four steps and return a verified Delta coloring of ``g``.
-
-    Guards and notes go into the caller's ``trace``, and the matched
-    condition into ``trace.condition``.  Any guard failure or missing
-    object raises its :class:`EdgeColorError`; there is no fallback.
-    """
+def prepare(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> EngineState:
+    """The state step 1 starts from: classify ``g``, select its pairs,
+    partition it and place the center.  Sets ``trace.condition`` and
+    ``trace.retries``; raises ``GuardFailed`` on odd order or no condition."""
     nv = g.vertex_count
     if nv % 2 != 0:
         raise GuardFailed("input.even-order", f"|V|={nv}")
@@ -939,17 +934,20 @@ def color_exact(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> Ed
     pairs, nb_x = select_pairs(g, cond, x, ctx, params)
     part = balanced_partition(g, pairs, params.seed)
     trace.retries = part.retries
-    part = adjust_for_center(part, g, x, nb_x, pairs)
-    state = EngineState(
-        g=g,
-        params=params,
-        trace=trace,
-        x=x,
-        n_half=nv // 2,
-        condition=cond,
-        nb_x=nb_x,
-        part=part,
+    return EngineState(
+        g=g, params=params, trace=trace, x=x, n_half=nv // 2, condition=cond,
+        nb_x=nb_x, part=adjust_for_center(part, g, x, nb_x), U=ctx["U"],
     )
+
+
+def color_exact(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> EdgeColoring:
+    """Run the four steps and return a verified Delta coloring of ``g``.
+
+    Guards and notes go into the caller's ``trace``, and the matched
+    condition into ``trace.condition``.  Any guard failure or missing
+    object raises its :class:`EdgeColorError`; there is no fallback.
+    """
+    state = prepare(g, params, trace)
     step1_color_gab(state)
     step2_fix_center(state)
     step2_relocate_S(state)

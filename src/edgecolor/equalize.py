@@ -52,12 +52,13 @@ def equalize_classes(g: Multigraph, c: EdgeColoring) -> EdgeColoring:
     if not c.is_total():
         raise NotTotal("equalize_classes needs a total coloring")
     size = [0] + [len(cls) for cls in c.classes()]
+    order = g.vertex_list()
     for _ in range(_MAX_SWEEPS):
         big = max(range(1, c.k + 1), key=lambda col: (size[col], col))
         small = min(range(1, c.k + 1), key=lambda col: (size[col], col))
         if size[big] - size[small] <= 1:
             return c
-        if not _swap_surplus_path(g, c, big, small, restrict=None):
+        if not _swap_surplus_path(order, c, big, small, restrict=None):
             raise EqualizationFailed(
                 f"no surplus ({big},{small})-path despite size gap "
                 f"{size[big] - size[small]}"
@@ -68,7 +69,7 @@ def equalize_classes(g: Multigraph, c: EdgeColoring) -> EdgeColoring:
 
 
 def _swap_surplus_path(
-    g: Multigraph,
+    order: list[int],
     c: EdgeColoring,
     heavy: int,
     light: int,
@@ -76,11 +77,12 @@ def _swap_surplus_path(
 ) -> bool:
     """Swap one (heavy, light)-path whose end edges both carry ``heavy``.
 
-    With ``restrict`` given, only chains all of whose vertices lie inside
-    that set are eligible.  Returns False when no such component exists.
+    Start vertices are tried in ``order``, which the caller sorts once:
+    the vertex list, or ``restrict`` when given.  With ``restrict`` given,
+    only chains all of whose vertices lie inside that set are eligible.
+    Returns False when no such component exists.
     """
     seen: set[int] = set()
-    order = sorted(restrict) if restrict is not None else g.vertex_list()
     for v in order:
         if v in seen:
             continue
@@ -117,7 +119,7 @@ def miss_counts(c: EdgeColoring, side: set[int]) -> list[int]:
     return [0] + [len(c.missing_at(side, i)) for i in range(1, c.k + 1)]
 
 
-def _flatten(g: Multigraph, c: EdgeColoring, side: set[int]) -> None:
+def _flatten(c: EdgeColoring, side: set[int]) -> None:
     """Swap paths inside ``side`` until its missing counts differ by <= 2.
 
     Two vertices of the side that miss the overloaded color must lie on one
@@ -125,12 +127,13 @@ def _flatten(g: Multigraph, c: EdgeColoring, side: set[int]) -> None:
     shrinks the gap.  Only edges inside the side change color.
     """
     miss = miss_counts(c, side)
+    order = sorted(side)
     for _ in range(_MAX_SWEEPS):
-        hi = max(range(1, c.k + 1), key=lambda i: miss[i])
-        lo = min(range(1, c.k + 1), key=lambda i: miss[i])
+        hi = max(range(1, c.k + 1), key=miss.__getitem__)
+        lo = min(range(1, c.k + 1), key=miss.__getitem__)
         if miss[hi] - miss[lo] <= 2:
             return
-        if not _swap_surplus_path(g, c, lo, hi, restrict=side):
+        if not _swap_surplus_path(order, c, lo, hi, restrict=side):
             raise EqualizationFailed(
                 f"no within-side swap despite gap {miss[hi] - miss[lo]} for colors ({hi},{lo})"
             )
@@ -178,14 +181,15 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
 
     # Phase 1: drive a_i == b_i for every color.  Either swap moves one
     # edge of color hi to lo inside A, or one edge of lo to hi inside B.
+    order_a, order_b = sorted(side_a), sorted(side_b)
     for _ in range(_MAX_SWEEPS):
-        hi = max(range(1, c.k + 1), key=lambda i: diffs[i])
-        lo = min(range(1, c.k + 1), key=lambda i: diffs[i])
+        hi = max(range(1, c.k + 1), key=diffs.__getitem__)
+        lo = min(range(1, c.k + 1), key=diffs.__getitem__)
         if diffs[hi] <= 0 and diffs[lo] >= 0:
             break
-        moved = _swap_surplus_path(g, c, hi, lo, restrict=side_a)
+        moved = _swap_surplus_path(order_a, c, hi, lo, restrict=side_a)
         if not moved:
-            moved = _swap_surplus_path(g, c, lo, hi, restrict=side_b)
+            moved = _swap_surplus_path(order_b, c, lo, hi, restrict=side_b)
         if not moved:
             raise EqualizationFailed(
                 f"no cross-balancing swap for colors ({hi},{lo})"
@@ -196,8 +200,8 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
         raise EqualizationFailed("phase 1 sweep budget exhausted")
 
     # Phase 2: flatten within-side gaps.
-    _flatten(g, c, side_a)
-    _flatten(g, c, side_b)
+    _flatten(c, side_a)
+    _flatten(c, side_b)
     return c
 
 
@@ -205,6 +209,6 @@ def equalize_per_side(g: Multigraph, c: EdgeColoring, part) -> EdgeColoring:
     """Flatten per-side missing-count gaps to at most 2 on each side."""
     side_a, side_b = _split_sides(g, part)
     _check_crossing_at_center(g, side_a)
-    _flatten(g, c, side_a)
-    _flatten(g, c, side_b)
+    _flatten(c, side_a)
+    _flatten(c, side_b)
     return c

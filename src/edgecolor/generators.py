@@ -77,11 +77,7 @@ def gen_circulant(n: int, degree: int) -> Multigraph:
     g = Multigraph(n)
     for off in range(1, degree // 2 + 1):
         for u in range(n):
-            v = (u + off) % n
-            if u < v:
-                g.add_edge(u, v)
-            elif v < u and (u + off) // n > 0:
-                g.add_edge(v, u)
+            g.add_edge(u, (u + off) % n)
     if degree % 2 == 1:
         half = n // 2
         for u in range(half):

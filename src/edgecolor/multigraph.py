@@ -28,8 +28,8 @@ new graph (``induced`` and the ``without_*`` forms over it, ``grown``,
 fill that writes edges, adjacency and degrees directly, in increasing id
 order; ``add_edge`` keeps the checks for single edges.  The reader
 (``formats.parse_graph``) streams its checked edge lines straight into
-that fill; it no longer goes through ``build_multigraph``, which stays
-public for tests and callers that hold ``(u, v, multiplicity)`` triples.
+that fill; ``build_multigraph`` serves tests and callers that hold
+``(u, v, multiplicity)`` triples.
 """
 
 from __future__ import annotations

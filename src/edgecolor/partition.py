@@ -124,21 +124,16 @@ def _multi_side_degree(g: Multigraph, v: int, side: set[int]) -> int:
     return sum(g.multiplicity(v, w) for w in g.neighbors(v) if w in side)
 
 
-def adjust_for_center(
-    part: Partition,
-    g: Multigraph,
-    x: int,
-    nb_x: set[int],
-    pairs: list[tuple[int, int]],
-) -> Partition:
+def adjust_for_center(part: Partition, g: Multigraph, x: int, nb_x: set[int]) -> Partition:
     """Normalize the partition around the multi-center.
 
     Puts x in A, and swaps x with its partner y1 if d_B(x) < d_A(x)
     (multigraph degrees); that swap reverses the inequality, since the x-y1
     edges then count toward B.  Then moves the members of ``nb_x`` to B
-    with their partners moved opposite, which preserves the pair-splitting
-    and the side sizes.
+    with their partners in ``part.pairs`` moved opposite, which preserves
+    the pair-splitting and the side sizes.
     """
+    pairs = part.pairs
     x1, y1 = pairs[0]
     if x1 != x:
         raise PreconditionViolated("pairs[0]", "center must be paired first")

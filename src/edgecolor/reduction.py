@@ -238,7 +238,7 @@ def case2_reduce(
     for m_i in matchings:
         cover = path_cover_star(gp, m_i, x)
         halves: tuple[list[int], list[int]] = ([], [])
-        for path in cover.paths:
+        for path in cover:
             for j, (u, v) in enumerate(zip(path, path[1:])):
                 halves[j % 2].append(gp.edges_between(u, v)[0])
         for eid in halves[0] + halves[1]:
@@ -289,7 +289,6 @@ def case3_reduce(
         peeled.append(_peel_perfect_matching(gp, leave_out, trace, "case3.branchA"))
         _check_not_overfull(gp, trace, "case3.branchA")
 
-    wrep = deficiency_report(gp)
     if wrep.delta_max != wrep.delta_min:
         # Branch B: paired peels through the two fixed minimum vertices.
         v_small = sorted(wrep.vertices_of_degree(wrep.delta_min))
@@ -329,11 +328,11 @@ def case4_reduce(
             _check_not_overfull(work, trace, "case4.vdelta1")
             continue
         if rep.df_total < rep.delta_max + len(compute_W(work, params.eta)) + 1:
-            gp, inner = _case4_branch_parallel(work, trace)
+            gp, inner = _case4_branch_parallel(work, rep, trace)
             break
         leave_out = _leave_out(rep, work.vertex_count)
         if leave_out is None:
-            gp, inner = _case4_branch_saturate(work, trace)
+            gp, inner = _case4_branch_saturate(work, rep, trace)
             break
         peeled.append(_peel_perfect_matching(work, leave_out, trace, "case4.parity"))
         _check_not_overfull(work, trace, "case4.parity")
@@ -344,11 +343,11 @@ def case4_reduce(
 
 
 def _case4_branch_parallel(
-    work: Multigraph, trace: PipelineTrace
+    work: Multigraph, rep: DeficiencyReport, trace: PipelineTrace
 ) -> tuple[Multigraph, list[list[int]]]:
     """df(G) < Delta + |W| + 1: pad ``work`` in place with (y,z)-parallels
     and add a full-degree center, for the engine's condition (b).  Peels
-    nothing.
+    nothing.  ``rep`` is the caller's deficiency report of ``work``.
 
     ``case4_reduce`` peels a lone minimum vertex first, so y and z exist.
     The surplus df - Delta is even, since at odd order df = Delta*|V| - 2|E|
@@ -359,7 +358,6 @@ def _case4_branch_parallel(
     vertex takes its whole padded deficiency as its cap, and the caps sum
     to exactly Delta.
     """
-    rep = deficiency_report(work)
     delta = rep.delta_max
     y, z = sorted(rep.vertices_of_degree(rep.delta_min))[:2]
     surplus = rep.df_total - delta
@@ -375,12 +373,12 @@ def _case4_branch_parallel(
 
 
 def _case4_branch_saturate(
-    work: Multigraph, trace: PipelineTrace
+    work: Multigraph, rep: DeficiencyReport, trace: PipelineTrace
 ) -> tuple[Multigraph, list[list[int]]]:
     """df(G) >= Delta + |W| + 1 with |V_delta| even and no middle vertex:
     saturate one minimum vertex, level the rest, then peel G' to regular
-    for the engine's condition (c)."""
-    rep = deficiency_report(work)
+    for the engine's condition (c).  ``rep`` is the caller's deficiency
+    report of ``work``."""
     delta = rep.delta_max
     small = rep.delta_min
     v_small = sorted(rep.vertices_of_degree(small))

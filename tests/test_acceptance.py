@@ -21,10 +21,8 @@ from edgecolor.cli import main as cli_main
 from edgecolor.coloring import verify_proper
 from edgecolor.engine import (
     EngineParams,
-    EngineState,
-    classify_condition,
     dcolor,
-    select_pairs,
+    prepare,
     step1_color_gab,
     step2_extend_to_factors,
     step2_fix_center,
@@ -43,6 +41,7 @@ from edgecolor.multigraph import Multigraph, build_multigraph, detect_star_struc
 from edgecolor.oracle import brute_chromatic_index, brute_overfull_scan
 from edgecolor.partition import audit_partition, balanced_partition
 from edgecolor.reduction import color_odd_dense
+from edgecolor.trace import PipelineTrace
 
 from conftest import complete, petersen_minus_vertex, random_simple
 
@@ -252,19 +251,8 @@ def test_criterion_07_partition_lemma():
 
 
 def _steps_1_2(fix, seed):
-    g = fix.graph
     params = EngineParams(epsilon=fix.epsilon, eta=fix.eta, seed=seed)
-    trace = __import__("edgecolor.trace", fromlist=["PipelineTrace"]).PipelineTrace(seed=seed)
-    cond, x, ctx = classify_condition(g, params, trace)
-    pairs, nb = select_pairs(g, cond, x, ctx, params)
-    part = balanced_partition(g.underlying_simple(), pairs, seed)
-    from edgecolor.partition import adjust_for_center
-
-    part = adjust_for_center(part, g, x, nb, pairs)
-    state = EngineState(
-        g=g, params=params, trace=trace, x=x, n_half=g.vertex_count // 2,
-        condition=cond, nb_x=nb, part=part,
-    )
+    state = prepare(fix.graph, params, PipelineTrace(seed=seed))
     step1_color_gab(state)
     step2_fix_center(state)
     step2_relocate_S(state)

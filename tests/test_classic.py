@@ -384,13 +384,48 @@ def test_path_cover_single_pair():
     g = complete(6)
     cover = path_cover_matching(g, [(0, 1)])
     assert check_path_cover(g, cover, [(0, 1)])
-    assert len(cover.paths) == 1 and len(cover.paths[0]) == 6
+    assert len(cover) == 1 and len(cover[0]) == 6
 
 
 def test_path_cover_two_pairs():
     g = complete(6)
     cover = path_cover_matching(g, [(0, 1), (2, 3)])
     assert check_path_cover(g, cover, [(0, 1), (2, 3)])
+
+
+def _spokes(nbrs_0, nbrs_1):
+    """Vertices 2-7 complete, with 0 adjacent only to ``nbrs_0`` and 1 only
+    to ``nbrs_1``."""
+    g = Multigraph(8)
+    for u, v in itertools.combinations(range(2, 8), 2):
+        g.add_edge(u, v)
+    for w in nbrs_0:
+        g.add_edge(0, w)
+    for w in nbrs_1:
+        g.add_edge(1, w)
+    return g
+
+
+def test_path_cover_two_hop_route():
+    g = complete(8)
+    g.delete_edge(g.edges_between(0, 1)[0])
+    pairs = [(0, 1), (2, 3)]
+    cover = path_cover_matching(g, pairs)
+    assert cover[0] == [0, 4, 1]
+    assert check_path_cover(g, cover, pairs)
+
+
+def test_path_cover_three_hop_route():
+    g = _spokes((2, 4), (3, 5))
+    pairs = [(0, 1), (2, 3)]
+    cover = path_cover_matching(g, pairs)
+    assert cover[0] == [0, 4, 5, 1]
+    assert check_path_cover(g, cover, pairs)
+
+
+def test_path_cover_no_short_route():
+    with pytest.raises(CoverFailed, match=r"no short route for pair \(0,1\)"):
+        path_cover_matching(_spokes((2,), (3,)), [(0, 1), (2, 3)])
 
 
 def test_path_cover_rejects_shared_endpoints():
@@ -402,7 +437,7 @@ def test_path_cover_star_interior_center():
     g = complete(7)
     cover = path_cover_star(g, [(1, 2)], x=0)
     assert check_path_cover(g, cover, [(1, 2)])
-    spine = cover.paths[-1]
+    spine = cover[-1]
     assert 0 in spine and spine[0] != 0 and spine[-1] != 0
 
 
@@ -410,8 +445,8 @@ def test_path_cover_star_center_endpoint():
     g = complete(7)
     cover = path_cover_star(g, [(3, 4), (0, 5)], x=0)
     # the center pair is rerouted to run last, starting at the center
-    assert cover.endpoints[-1][0] == 0
-    flat = [v for p in cover.paths for v in p]
+    assert cover[-1][0] == 0
+    flat = [v for p in cover for v in p]
     assert sorted(flat) == list(range(7))
 
 

@@ -8,12 +8,12 @@ from edgecolor import engine
 from edgecolor.coloring import verify_proper
 from edgecolor.engine import (
     EngineParams,
-    EngineState,
     _index_exchanges,
     _resolve_pair,
     _uncolored_h_edge,
     classify_condition,
     dcolor,
+    prepare,
     select_pairs,
     step1_color_gab,
     step2_extend_to_factors,
@@ -23,7 +23,6 @@ from edgecolor.engine import (
 from edgecolor.errors import EdgeColorError, MatchingFailed, PreconditionViolated
 from edgecolor.generators import gen_case_fixture, gen_complete, gen_dcolor_fixture
 from edgecolor.multigraph import build_multigraph
-from edgecolor.partition import adjust_for_center, balanced_partition
 from edgecolor.reduction import color_odd_dense
 from edgecolor.trace import PipelineTrace
 
@@ -82,15 +81,7 @@ def test_select_pairs_condition_e_prefers_u():
 
 def _after_step1(g, params):
     """The engine state of ``g`` right after step 1."""
-    trace = PipelineTrace(seed=params.seed)
-    cond, x, ctx = classify_condition(g, params, trace)
-    pairs, nb = select_pairs(g, cond, x, ctx, params)
-    part = balanced_partition(g.underlying_simple(), pairs, params.seed)
-    part = adjust_for_center(part, g, x, nb, pairs)
-    state = EngineState(
-        g=g, params=params, trace=trace, x=x, n_half=g.vertex_count // 2,
-        condition=cond, nb_x=nb, part=part,
-    )
+    state = prepare(g, params, PipelineTrace(seed=params.seed))
     step1_color_gab(state)
     return state
 

@@ -108,16 +108,16 @@ def test_balanced_sides_seeds_reach_every_swap(monkeypatch):
     reached = set()
     phase = None
 
-    def spy_swap(g, c, heavy, light, restrict):
-        moved = swap(g, c, heavy, light, restrict)
+    def spy_swap(order, c, heavy, light, restrict):
+        moved = swap(order, c, heavy, light, restrict)
         if moved:
             reached.add((phase, "A" if restrict == part.A else "B"))
         return moved
 
-    def spy_flatten(g, c, side):
+    def spy_flatten(c, side):
         nonlocal phase
         phase = "within"  # the within-side phase starts at the first flattening
-        return flatten(g, c, side)
+        return flatten(c, side)
 
     monkeypatch.setattr(equalize, "_swap_surplus_path", spy_swap)
     monkeypatch.setattr(equalize, "_flatten", spy_flatten)

@@ -10,6 +10,10 @@ Reads count anywhere in the function, nested functions and comprehensions
 included, since a closure reads its enclosing function's names.  Names
 that start with ``_`` are exempt, as are names a function declares
 ``global`` or ``nonlocal``.
+
+An unused import is a name an import statement binds that its module never
+reads.  ``from __future__`` imports are exempt, and a name listed in the
+module's ``__all__`` counts as read.
 """
 
 import ast
@@ -136,3 +140,48 @@ def test_no_dead_locals():
     for path in sorted(SOURCE.glob("*.py")):
         found += dead_locals(path.read_text(encoding="utf-8"), path.name)
     assert found == [], "assigned and never read: " + ", ".join(f"{f}:{line} {name}" for f, line, name in found)
+
+
+def unused_imports(source: str, filename: str = "<string>") -> list[tuple[str, int, str]]:
+    """``(filename, line, name)`` of every unused import in ``source``."""
+    tree = ast.parse(source, filename)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            read.update(elt.value for elt in node.value.elts)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    found.append((filename, node.lineno, name))
+    return found
+
+
+def test_checker_flags_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from typing import Iterable, Optional\n"
+        "from .x import exported, unused as alias\n"
+        "__all__ = [\"exported\"]\n"
+        "def f(n: Optional[int]) -> float:\n"
+        "    return math.sqrt(n)\n"
+    )
+    assert [(line, name) for _, line, name in unused_imports(source)] == [
+        (3, "os"),
+        (4, "Iterable"),
+        (5, "alias"),
+    ]
+
+
+def test_no_unused_imports():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += unused_imports(path.read_text(encoding="utf-8"), path.name)
+    assert found == [], "imported and never read: " + ", ".join(f"{f}:{line} {name}" for f, line, name in found)

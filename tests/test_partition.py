@@ -93,7 +93,7 @@ def test_adjust_for_center_places_x():
     g.add_edge(0, 3)  # multigraph degrees matter for the center rule
     pairs = [(0, 1), (2, 3)]
     part = balanced_partition(g.underlying_simple(), pairs, seed=2)
-    adjusted = adjust_for_center(part, g, 0, set(), pairs)
+    adjusted = adjust_for_center(part, g, 0, set())
     assert 0 in adjusted.A
     d_a = sum(g.multiplicity(0, w) for w in adjusted.A if w != 0)
     d_b = sum(g.multiplicity(0, w) for w in adjusted.B)
@@ -120,7 +120,7 @@ def test_adjust_for_center_pins_sides(side_a, want_a):
         g.add_edge(0, w)
     pairs = [(0, 1), (2, 3)]
     part = Partition(A=set(side_a), B=set(range(8)) - side_a, pairs=pairs, retries=0)
-    adjusted = adjust_for_center(part, g, 0, set(), pairs)
+    adjusted = adjust_for_center(part, g, 0, set())
     assert adjusted.A == want_a
     assert adjusted.B == set(range(8)) - want_a
 
@@ -130,7 +130,7 @@ def test_adjust_moves_nb_members():
     pairs = [(0, 1), (2, 3), (4, 5)]
     part = balanced_partition(g, pairs, seed=3)
     nb = {2, 4}
-    adjusted = adjust_for_center(part, g, 0, nb, pairs)
+    adjusted = adjust_for_center(part, g, 0, nb)
     assert nb <= adjusted.B
     assert len(adjusted.A) == len(adjusted.B)
     for xi, yi in pairs:
@@ -141,7 +141,7 @@ def test_build_split_partitions_edges():
     g = complete(10)
     pairs = [(0, 1)]
     part = balanced_partition(g, pairs, seed=4)
-    part = adjust_for_center(part, g, 0, set(), pairs)
+    part = adjust_for_center(part, g, 0, set())
     split = build_split(g, part, 0, "a")
     assert split.G_AB.degree(0) == g.degree(0) // 2
     _assert_split_edges(g, part, split)

@@ -13,7 +13,7 @@ from edgecolor.generators import (
     gen_complete,
     gen_complete_minus_matching,
 )
-from edgecolor.multigraph import build_multigraph, compute_W
+from edgecolor.multigraph import build_multigraph, compute_W, deficiency_report
 from edgecolor.oracle import brute_chromatic_index
 from edgecolor.reduction import (
     _peel_perfect_matching,
@@ -229,7 +229,7 @@ def test_case4_mid_peel_leaves_an_even_order_host(monkeypatch):
     monkeypatch.setattr(reduction, "_peel_perfect_matching", spy)
     trace = PipelineTrace()
     try:
-        gp, peeled = reduction._case4_branch_saturate(g, trace)
+        gp, peeled = reduction._case4_branch_saturate(g, deficiency_report(g), trace)
         built = {"edges": list(gp.edges()), "peeled": peeled}
     except EdgeColorError as exc:
         assert "even-order" not in str(exc)
