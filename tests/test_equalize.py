@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -179,3 +180,49 @@ def test_equalize_never_changes_edge_set():
     colored_before = set(c.assignment)
     equalize_balanced_sides(g, c, part)
     assert set(c.assignment) == colored_before
+
+
+def _spy_picks(monkeypatch):
+    """Record each swap attempt's (heavy, light) pair, with the class sizes
+    at that moment."""
+    picks, sizes = [], []
+    swap = equalize._swap_surplus_path
+
+    def spy(order, c, heavy, light, restrict):
+        picks.append((heavy, light))
+        sizes.append([len(cls) for cls in c.classes()])
+        return swap(order, c, heavy, light, restrict)
+
+    monkeypatch.setattr(equalize, "_swap_surplus_path", spy)
+    return picks, sizes
+
+
+def _digest(picks):
+    return hashlib.sha256(repr(picks).encode()).hexdigest()
+
+
+def test_equalize_classes_pick_sequence(monkeypatch):
+    """Golden pick order of equalize_classes: among tied largest classes the
+    largest color, among tied smallest classes the smallest color.  The
+    greedy colorings below tie at both ends before most swaps."""
+    picks, sizes = _spy_picks(monkeypatch)
+    for seed in range(12):
+        g = random_simple(14, 0.55, seed)
+        equalize_classes(g, greedy_coloring(g, g.max_degree() + 2))
+    assert sum(s.count(max(s)) > 1 for s in sizes) >= len(picks) // 2
+    assert sum(s.count(min(s)) > 1 for s in sizes) >= len(picks) // 2
+    assert (len(picks), _digest(picks)) == (
+        128, "d93a77b86ce48bce1a6671f53c49d2ad4348f1465ab0cd57e5f3faf3ec067ea6"
+    )
+
+
+def test_balanced_sides_pick_sequence(monkeypatch):
+    """Golden pick order of equalize_balanced_sides (phase 1 and both
+    flattenings): the smallest color among tied counts on both ends."""
+    picks, _ = _spy_picks(monkeypatch)
+    for seed in range(10):
+        g, part = _split_instance(seed)
+        equalize_balanced_sides(g, greedy_coloring(g, g.max_degree() + 2), part)
+    assert (len(picks), _digest(picks)) == (
+        103, "735a30c86af0975bb64a2ab537ecade523883f4f6ed27b7e9fb3d726338d8d2d"
+    )
