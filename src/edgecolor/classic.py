@@ -230,11 +230,24 @@ def hopcroft_karp(adj: dict[int, list[int]], left: list[int]) -> dict[int, int]:
 
     Returns ``left vertex -> right vertex``.  Neighbor lists are scanned
     in the given order, so the result is deterministic.
+
+    The first phase is a greedy pass: each left vertex in ``left`` order
+    takes its first unmatched neighbor.  That is exactly what the textbook
+    first phase finds, whose BFS starts with every vertex free and sets no
+    distance its DFS can follow.  The later phases are the textbook ones,
+    each BFS run through all its layers.
     """
     INF = float("inf")
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
     dist: dict[int, float] = {}
+    for u in left:
+        if u not in match_l:
+            for w in adj.get(u, ()):
+                if w not in match_r:
+                    match_l[u] = w
+                    match_r[w] = u
+                    break
 
     def bfs() -> bool:
         queue: deque[int] = deque()
@@ -290,33 +303,31 @@ def perfect_matching_bipartite_star(
     is matched to a neighbor y, then a maximum matching of the remainder
     must saturate it (candidate y's are tried in index order).  When no
     perfect matching exists, ``NoPerfectMatching`` names the size of a
-    maximum matching against the size needed.
+    maximum matching against the size needed.  Hopcroft-Karp reads rows of
+    the matching side only, the center's side when there is one, each row
+    the sorted neighbors that solve may use on the other side.
     """
     ls, rs = set(left), set(right)
     if ls & rs or not (ls | rs) <= host.keys():
         raise PreconditionViolated("sides", "left/right must split the vertex set")
     if len(ls) != len(rs):
         raise NoPerfectMatching(f"side sizes differ: {len(ls)} vs {len(rs)}")
-    nbrs: dict[int, list[int]] = {}
-    for side, other in ((ls, rs), (rs, ls)):
+    for side in (ls, rs):
         for v in sorted(side):
-            row = host[v].keys()
-            inside = row & side
+            inside = host[v].keys() & side
             if inside:
                 u, w = sorted((v, min(inside)))
                 raise PreconditionViolated("bipartite", f"edge inside one side: ({u},{w})")
-            nbrs[v] = sorted(row & other)
 
     def matched(m: dict[int, int]) -> list[int]:
         return [host[u][w][0] for u, w in sorted(m.items())]
 
-    def solve(l_side: list[int], r_side: list[int]) -> dict[int, int]:
-        r_set = set(r_side)
-        adj = {u: [w for w in nbrs[u] if w in r_set] for u in l_side}
-        return hopcroft_karp(adj, sorted(l_side))
+    def solve(l_side: set[int], r_set: set[int]) -> dict[int, int]:
+        l_sorted = sorted(l_side)
+        return hopcroft_karp({u: sorted(host[u].keys() & r_set) for u in l_sorted}, l_sorted)
 
-    if center is None or center not in nbrs:
-        m = solve(sorted(ls), sorted(rs))
+    if center is None or center not in ls | rs:
+        m = solve(ls, rs)
         if len(m) < len(ls):
             raise NoPerfectMatching(
                 f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"
@@ -325,12 +336,12 @@ def perfect_matching_bipartite_star(
 
     if center in rs:
         ls, rs = rs, ls
-    for y in nbrs[center]:
-        m = solve(sorted(ls - {center}), sorted(rs - {y}))
+    for y in sorted(host[center].keys() & rs):
+        m = solve(ls - {center}, rs - {y})
         if len(m) == len(ls) - 1:
             m[center] = y
             return matched(m)
-    best = len(solve(sorted(ls), sorted(rs)))
+    best = len(solve(ls, rs))
     raise NoPerfectMatching(
         f"no center choice extends to a perfect matching (maximum matching {best} of {len(ls)})"
     )

@@ -17,15 +17,16 @@ and the high-deficiency set U that classification found.
 Step 2 reads the uncolored crossing edges off one index,
 ``EngineState.free_h`` (vertex -> neighbor -> ascending edge ids, one list
 per free crossing pair, shared by both ends), built once when step 2 starts
-and updated by ``_color_h_edge`` whenever step 2 or 3 colors a crossing
-edge, so finding the crossing edge of an exchange is a lookup.  A pair's
-list is replaced when it changes, never changed in place.  Step 3's
-bipartite matchings read their hosts off a copy of the same index, and
-step 1 reads the edges of G[A], G[B] and H as id sets, so neither builds a
-graph for them.  Step 1 also fixes the protected set S*_A | S*_B once,
-as ``EngineState.protected``; the exchanges, the relocation and the S2.3
-guard read that one set, and S2.3 reads its per-vertex counts off G* and
-the coloring rather than keeping them.
+and updated by ``_color_h_edge`` whenever step 2 colors a crossing edge,
+so finding the crossing edge of an exchange is a lookup.  A pair's list is
+replaced when it changes, never changed in place.  Step 3's bipartite
+matchings read their hosts off a copy of the same index, which drops each
+matched edge and then replaces the index, and step 1 reads the edges of
+G[A], G[B] and H as id sets, so neither builds a graph for them.  Step 1
+also fixes the protected set S*_A | S*_B once, as ``EngineState.protected``;
+the exchanges, the relocation and the S2.3 guard read that one set, and
+S2.3 reads its per-vertex counts off G* and the coloring rather than
+keeping them.
 
 Every inequality the construction relies on is evaluated as a named guard
 and recorded in the trace.  Guards whose failure only weakens the
@@ -106,8 +107,9 @@ class EngineState:
     U: set[int] = field(default_factory=set)
     # Step 2's index of the uncolored crossing edges: vertex -> {neighbor ->
     # ascending ids of uncolored h_edges}, with no empty lists.  Built at
-    # the start of step 2 and kept by _color_h_edge; never grows, since only
-    # side edges are ever uncolored.
+    # the start of step 2, kept by _color_h_edge in step 2 and replaced by
+    # step 3's matched copy; never grows, since only side edges are ever
+    # uncolored.
     free_h: dict[int, dict[int, list[int]]] = field(default_factory=dict)
     r_a: set[int] = field(default_factory=set)
     r_b: set[int] = field(default_factory=set)
@@ -840,11 +842,12 @@ def step3_color_residuals(state: EngineState) -> EngineState:
 
     # Each class takes a perfect matching of its host among the crossing
     # edges the classes before it left over: an attempt works on a copy of
-    # the free crossing-edge index and takes each matching out of it, so
-    # state.free_h changes only when the matchings are colored.  A class
-    # that finds none moves to the front and the matchings are found again,
-    # ell attempts at most; a class that fails at the front fails in every
-    # order.
+    # the free crossing-edge index and takes each matching out of it.  A
+    # class that finds none moves to the front and the matchings are found
+    # again, ell attempts at most; a class that fails at the front fails in
+    # every order.  The copy of the attempt that succeeds holds exactly the
+    # crossing edges left uncolored, so it becomes state.free_h when the
+    # matchings are colored.
     order = list(range(state.ell))
     for attempts in range(1, state.ell + 1):
         free = {v: dict(row) for v, row in state.free_h.items()}
@@ -874,7 +877,8 @@ def step3_color_residuals(state: EngineState) -> EngineState:
         for eid in sorted(classes_a[j] + classes_b[j]):
             c.assign(eid, color)
         for eid in matchings[j]:
-            _color_h_edge(state, eid, color)
+            c.assign(eid, color)
+    state.free_h = free
 
     for v in state.g_star.verts - state.U:
         missing_low = sorted(c.missing(v))

@@ -28,8 +28,13 @@ per-side missing count per color (engine step 1's audit reads it too), and
 :func:`equalize_classes` reads class sizes off the coloring; each counts
 once, and a swap changes the counts of its two colors only, by a known
 amount, so the counts are kept up to date rather than recounted in every
-sweep.  :func:`_flatten` evens out one side's missing counts; it is all of
-:func:`equalize_per_side` and the second phase of
+sweep.  Before each swap the heavy and the light color are read off the
+count list by ``max``/``min`` and ``list.index``, scans in C rather than a
+Python key per color: :func:`equalize_classes` takes the largest color
+among the largest classes and the smallest among the smallest, and the
+side-aware procedures take the smallest color at both ends
+(:func:`_extremes`).  :func:`_flatten` evens out one side's missing counts;
+it is all of :func:`equalize_per_side` and the second phase of
 :func:`equalize_balanced_sides`, run on side A and then on side B.
 """
 
@@ -54,8 +59,9 @@ def equalize_classes(g: Multigraph, c: EdgeColoring) -> EdgeColoring:
     size = [0] + [len(cls) for cls in c.classes()]
     order = g.vertex_list()
     for _ in range(_MAX_SWEEPS):
-        big = max(range(1, c.k + 1), key=lambda col: (size[col], col))
-        small = min(range(1, c.k + 1), key=lambda col: (size[col], col))
+        counts = size[1:]
+        big = c.k - counts[::-1].index(max(counts))
+        small = counts.index(min(counts)) + 1
         if size[big] - size[small] <= 1:
             return c
         if not _swap_surplus_path(order, c, big, small, restrict=None):
@@ -119,6 +125,13 @@ def miss_counts(c: EdgeColoring, side: set[int]) -> list[int]:
     return [0] + [len(c.missing_at(side, i)) for i in range(1, c.k + 1)]
 
 
+def _extremes(counts: list[int]) -> tuple[int, int]:
+    """The smallest color with the largest count and the smallest color
+    with the smallest count; ``counts[0]`` is unused."""
+    rest = counts[1:]
+    return rest.index(max(rest)) + 1, rest.index(min(rest)) + 1
+
+
 def _flatten(c: EdgeColoring, side: set[int]) -> None:
     """Swap paths inside ``side`` until its missing counts differ by <= 2.
 
@@ -129,8 +142,7 @@ def _flatten(c: EdgeColoring, side: set[int]) -> None:
     miss = miss_counts(c, side)
     order = sorted(side)
     for _ in range(_MAX_SWEEPS):
-        hi = max(range(1, c.k + 1), key=miss.__getitem__)
-        lo = min(range(1, c.k + 1), key=miss.__getitem__)
+        hi, lo = _extremes(miss)
         if miss[hi] - miss[lo] <= 2:
             return
         if not _swap_surplus_path(order, c, lo, hi, restrict=side):
@@ -183,8 +195,7 @@ def equalize_balanced_sides(g: Multigraph, c: EdgeColoring, part) -> EdgeColorin
     # edge of color hi to lo inside A, or one edge of lo to hi inside B.
     order_a, order_b = sorted(side_a), sorted(side_b)
     for _ in range(_MAX_SWEEPS):
-        hi = max(range(1, c.k + 1), key=diffs.__getitem__)
-        lo = min(range(1, c.k + 1), key=diffs.__getitem__)
+        hi, lo = _extremes(diffs)
         if diffs[hi] <= 0 and diffs[lo] >= 0:
             break
         moved = _swap_surplus_path(order_a, c, hi, lo, restrict=side_a)

@@ -140,7 +140,8 @@ def write_graph(path: str, g: Multigraph, comments: Optional[list[str]] = None) 
 def coloring_to_dict(c: EdgeColoring, g: Multigraph) -> dict:
     """Schema: {"k": int, "classes": [[edge_id,...],...], "uncolored": [...]}"""
     classes = c.classes()
-    uncolored = sorted(e for e in g.edge_ids() if c.color_of(e) is None)
+    assigned = c.assignment  # color_of(e) is None exactly off its keys
+    uncolored = [e for e in g.edge_ids() if e not in assigned]
     return {"k": c.k, "classes": classes, "uncolored": uncolored}
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from edgecolor.errors import (
     CoverFailed,
     DegreeSequenceInfeasible,
     EdgeColorError,
+    NoPerfectMatching,
     NotBipartite,
     PreconditionViolated,
     TooFewCenterNeighbors,
@@ -316,6 +318,173 @@ def test_bipartite_matching_rejects_an_edge_inside_a_side():
         perfect_matching_bipartite_star(_edge_index(g), [0, 1], [2, 3])
     # without the two edges inside {2, 3} the host has a perfect matching
     assert perfect_matching_bipartite_star(_edge_index(g, [0, 1, 2, 3]), [0, 1], [2, 3]) == [0, 3]
+
+
+def _textbook_hopcroft_karp(adj, left):
+    """The oracle: Hopcroft-Karp with every phase a full BFS and DFS round,
+    the first one included."""
+    INF = float("inf")
+    match_l, match_r, dist = {}, {}, {}
+
+    def bfs():
+        queue = deque()
+        for u in left:
+            if u not in match_l:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        while queue:
+            u = queue.popleft()
+            for w in adj.get(u, ()):
+                nxt = match_r.get(w)
+                if nxt is None:
+                    found = True
+                elif dist[nxt] == INF:
+                    dist[nxt] = dist[u] + 1
+                    queue.append(nxt)
+        return found
+
+    def dfs(u):
+        for w in adj.get(u, ()):
+            nxt = match_r.get(w)
+            if nxt is None or (dist[nxt] == dist[u] + 1 and dfs(nxt)):
+                match_l[u] = w
+                match_r[w] = u
+                return True
+        dist[u] = INF
+        return False
+
+    while bfs():
+        for u in left:
+            if u not in match_l:
+                dfs(u)
+    return match_l
+
+
+def _random_adjacency(seed):
+    """Left vertices 0..a-1 in a shuffled order, right vertices 100..100+b-1
+    (a and b drawn apart), rows in a shuffled order; some rows are empty
+    and some left vertices have no row at all."""
+    rng = random.Random(seed)
+    a, b = rng.randint(0, 14), rng.randint(0, 14)
+    p = rng.uniform(0.05, 0.6)
+    adj = {}
+    for u in range(a):
+        roll = rng.random()
+        if roll < 0.1:
+            continue  # no row
+        row = [] if roll < 0.2 else [w for w in range(100, 100 + b) if rng.random() < p]
+        rng.shuffle(row)
+        adj[u] = row
+    left = list(range(a))
+    rng.shuffle(left)
+    return adj, left
+
+
+def test_hopcroft_karp_equals_textbook():
+    """The greedy first phase finds what the textbook first phase finds, so
+    the matching is the textbook one, pair for pair."""
+    augmented = 0
+    for seed in range(300):
+        adj, left = _random_adjacency(seed)
+        got = hopcroft_karp(adj, left)
+        assert got == _textbook_hopcroft_karp(adj, left), seed
+        taken = set()  # the right vertices a greedy pass alone matches
+        for u in left:
+            free = [w for w in adj.get(u, ()) if w not in taken]
+            taken.update(free[:1])
+        augmented += len(got) > len(taken)
+    assert augmented >= 30  # the later phases do real work on these inputs
+
+
+class _CountedRow(list):
+    """A neighbor row that counts the entries read from it."""
+
+    reads = 0
+
+    def __iter__(self):
+        for w in list.__iter__(self):
+            _CountedRow.reads += 1
+            yield w
+
+
+@pytest.mark.parametrize(
+    "matcher,full_first_bfs", [(hopcroft_karp, False), (_textbook_hopcroft_karp, True)]
+)
+def test_hopcroft_karp_reads_on_complete_bipartite(monkeypatch, matcher, full_first_bfs):
+    """On K_{m,m} with sorted rows the greedy first phase matches all of it,
+    u_i reading i + 1 entries, and the next BFS finds no free vertex: at most
+    m(m+1)/2 reads.  The textbook first BFS reads all m^2 entries first."""
+    m = 20
+    monkeypatch.setattr(_CountedRow, "reads", 0)
+    adj = {u: _CountedRow(range(m, 2 * m)) for u in range(m)}
+    assert len(matcher(adj, list(range(m)))) == m
+    assert _CountedRow.reads == full_first_bfs * m * m + m * (m + 1) // 2
+
+
+def _unfiltered_bipartite_star(host, left, right, center=None):
+    """The oracle: the bipartite matching with a sorted row for every vertex
+    of both sides, filtered again for each solve, over the textbook
+    Hopcroft-Karp."""
+    ls, rs = set(left), set(right)
+    if ls & rs or not (ls | rs) <= host.keys():
+        raise PreconditionViolated("sides", "left/right must split the vertex set")
+    if len(ls) != len(rs):
+        raise NoPerfectMatching(f"side sizes differ: {len(ls)} vs {len(rs)}")
+    nbrs = {}
+    for side, other in ((ls, rs), (rs, ls)):
+        for v in sorted(side):
+            row = host[v].keys()
+            inside = row & side
+            if inside:
+                u, w = sorted((v, min(inside)))
+                raise PreconditionViolated("bipartite", f"edge inside one side: ({u},{w})")
+            nbrs[v] = sorted(row & other)
+
+    def matched(m):
+        return [host[u][w][0] for u, w in sorted(m.items())]
+
+    def solve(l_side, r_side):
+        r_set = set(r_side)
+        adj = {u: [w for w in nbrs[u] if w in r_set] for u in l_side}
+        return _textbook_hopcroft_karp(adj, sorted(l_side))
+
+    if center is None or center not in nbrs:
+        m = solve(sorted(ls), sorted(rs))
+        if len(m) < len(ls):
+            raise NoPerfectMatching(
+                f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"
+            )
+        return matched(m)
+    if center in rs:
+        ls, rs = rs, ls
+    for y in nbrs[center]:
+        m = solve(sorted(ls - {center}), sorted(rs - {y}))
+        if len(m) == len(ls) - 1:
+            m[center] = y
+            return matched(m)
+    best = len(solve(sorted(ls), sorted(rs)))
+    raise NoPerfectMatching(
+        f"no center choice extends to a perfect matching (maximum matching {best} of {len(ls)})"
+    )
+
+
+def test_bipartite_matching_equals_unfiltered_rows():
+    """Rows for the matching side only, built per solve, give the oracle's
+    outcome (matching, or exception type and message) with the center on
+    the left, on the right, absent and as drawn."""
+    kinds = set()
+    for seed in range(300):
+        g, left, right, drawn, ids = _bipartite_host(seed)
+        index = _edge_index(g, ids)
+        for center in (left[0], right[-1], None, drawn):
+            got = _outcome(perfect_matching_bipartite_star, index, left, right, center)
+            assert got == _outcome(_unfiltered_bipartite_star, index, left, right, center), seed
+            kinds.add((center in left, center in right, got[0] if isinstance(got, tuple) else "matching"))
+    assert {(True, False, "matching"), (False, True, "matching"), (False, False, "matching")} <= kinds
+    assert {"PreconditionViolated", "NoPerfectMatching"} <= {k[2] for k in kinds}
 
 
 # -- Koenig ------------------------------------------------------------

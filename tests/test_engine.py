@@ -9,6 +9,7 @@ from edgecolor.coloring import verify_proper
 from edgecolor.engine import (
     EngineParams,
     _index_exchanges,
+    _index_free_h,
     _resolve_pair,
     _uncolored_h_edge,
     classify_condition,
@@ -368,16 +369,22 @@ _INDEXED_STEPS = (
 @pytest.mark.parametrize(
     "name,steps_reached",
     # Fixtures a and b fail in step 2's extension; e fails at step 3's pad
-    # guard; case2-n44 is colored through the engine at pipeline seed 1, and
-    # at seed 7 every step-3 attempt fails to find its matchings.
-    [("dcolor-a", 3), ("dcolor-b", 3), ("dcolor-e", 4), ("case2-n44", 4), ("case2-n44-seed7", 4)],
+    # guard; case2-n44 and K_100 are colored through the engine at pipeline
+    # seed 1, and at seed 7 every step-3 attempt on case2-n44 fails to find
+    # its matchings.
+    [("dcolor-a", 3), ("dcolor-b", 3), ("dcolor-e", 4), ("case2-n44", 4), ("case2-n44-seed7", 4),
+     ("complete-100", 4)],
 )
 def test_free_h_index_matches_rebuild(monkeypatch, name, steps_reached):
     """After each step that colors crossing edges, returning or raising,
-    the step-2 index equals a rescan of h_edges and the coloring, and
-    _uncolored_h_edge answers what the scan answers.  A step 3 that raises
-    MatchingFailed leaves the index as step 2 left it."""
-    if name.startswith("case2-n44"):
+    the step-2 index equals a rescan of h_edges and the coloring and a fresh
+    _index_free_h, and _uncolored_h_edge answers what the scan answers.  A
+    step 3 that succeeds leaves its matched copy of the index, a step 3 that
+    raises MatchingFailed leaves the index as step 2 left it."""
+    if name == "complete-100":
+        g = gen_complete(100)
+        run = lambda: dcolor(g, EngineParams(epsilon=0.5, eta=0.12, seed=1))
+    elif name.startswith("case2-n44"):
         fix = gen_case_fixture(2, 44)
         seed = 7 if name.endswith("seed7") else 1
         run = lambda: color_odd_dense(fix.graph, fix.epsilon, eta=fix.eta, seed=seed)
@@ -390,6 +397,9 @@ def test_free_h_index_matches_rebuild(monkeypatch, name, steps_reached):
     def check(state, step):
         want = _free_h_by_scan(state)
         assert state.free_h == want, step
+        fresh = SimpleNamespace(coloring=state.coloring, g_star=state.g_star, h_edges=state.h_edges)
+        _index_free_h(fresh)
+        assert state.free_h == fresh.free_h, step
         for u, row in state.free_h.items():
             for w, ids in row.items():
                 assert state.free_h[w][u] is ids  # one list per pair, shared
