@@ -129,6 +129,16 @@ class EngineState:
 # Condition classification
 
 
+def _mu_without(g: Multigraph, x: int) -> int:
+    """mu(G - x), read off g without building G - x.  Only a multi-pair can
+    lift it above 1; with none avoiding x it is 1 when an edge avoids x and
+    0 when G - x is edgeless."""
+    return max(
+        (g.multiplicity(u, v) for u, v in g.multi_pairs() if x != u and x != v),
+        default=1 if g.edge_count > g.degree(x) else 0,
+    )
+
+
 def classify_condition(
     g: Multigraph, params: EngineParams, trace: Optional[PipelineTrace] = None
 ) -> tuple[Optional[str], int, dict]:
@@ -151,12 +161,9 @@ def classify_condition(
     dmin = g.min_degree()
     degs = g.degrees()
     sdeg = {v: g.simple_degree(v) for v in g.verts}
-    # delta(G - x) and mu(G - x), read off g without building G - x.
+    # delta(G - x), read off g without building G - x.
     dmin_x = min((degs[v] - g.multiplicity(v, x) for v in g.verts if v != x), default=0)
-    mu_x = max(
-        (g.multiplicity(v, w) for v in g.verts if v != x for w in g.neighbors(v) if w != x),
-        default=0,
-    )
+    mu_x = _mu_without(g, x)
     is_star = profile.kind in ("Simple", "Star")
     regular = delta == dmin
     root_n = math.sqrt(n)

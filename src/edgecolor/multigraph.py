@@ -18,8 +18,9 @@ can be merged back into a coloring of the host graph.  Vertex deletion
 shrinks the *vertex set* but keeps the index space, which keeps vertex
 labels and edge ids stable across the whole pipeline.
 
-Each adjacent pair has one id set, shared by both ends: ``_adj[u][v] is
-_adj[v][u]``, so a pair costs one container however it is reached.
+Each adjacent pair has one ascending list of edge ids, shared by both
+ends: ``_adj[u][v] is _adj[v][u]``, so a pair costs one container however
+it is reached, and a simple pair costs a one-element list.
 
 Degrees are maintained: ``add_edge`` and ``delete_edge`` update a
 per-vertex count, so every degree query is a lookup.  Every builder of a
@@ -34,6 +35,7 @@ that fill; ``build_multigraph`` serves tests and callers that hold
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -50,9 +52,9 @@ class Multigraph:
 
     ``vertices`` is the active vertex set (defaults to the whole index
     space).  Edges are stored as ``edge_id -> (u, v)`` with ``u < v``; the
-    adjacency index maps ``u -> {v -> set of edge ids}`` so multiplicity
-    lookups are O(1) amortized, with one id set per adjacent pair, shared
-    by both ends, and ``_deg`` holds each vertex's degree.
+    adjacency index maps ``u -> {v -> ascending list of edge ids}`` so
+    multiplicity lookups are O(1) amortized, with one id list per adjacent
+    pair, shared by both ends, and ``_deg`` holds each vertex's degree.
     :meth:`induced` is the one subgraph builder: the engine's G_AB and
     residual graphs are induced subgraphs restricted to listed edge ids.
     G[A], G[B] and G[A,B] are not built; the engine keeps their edge ids.
@@ -73,7 +75,7 @@ class Multigraph:
             if not (0 <= v < n):
                 raise VertexOutOfRange(v, n)
         self._edges: dict[int, tuple[int, int]] = {}
-        self._adj: list[dict[int, set[int]]] = [dict() for _ in range(n)]
+        self._adj: list[dict[int, list[int]]] = [dict() for _ in range(n)]
         self._deg = [0] * n
         self._next_id = 0
 
@@ -97,9 +99,9 @@ class Multigraph:
         adj = self._adj
         ids = adj[u].get(v)
         if ids is None:
-            adj[u][v] = adj[v][u] = {edge_id}
+            adj[u][v] = adj[v][u] = [edge_id]
         else:
-            ids.add(edge_id)
+            insort(ids, edge_id)
         self._deg[u] += 1
         self._deg[v] += 1
         return edge_id
@@ -117,9 +119,9 @@ class Multigraph:
             edges[eid] = (u, v)
             ids = adj[u].get(v)
             if ids is None:
-                adj[u][v] = adj[v][u] = {eid}
+                adj[u][v] = adj[v][u] = [eid]
             else:
-                ids.add(eid)
+                ids.append(eid)
             deg[u] += 1
             deg[v] += 1
         self._next_id = max(next_id, eid + 1)
@@ -129,7 +131,7 @@ class Multigraph:
         u, v = self._edges.pop(edge_id)
         adj = self._adj
         ids = adj[u][v]
-        ids.discard(edge_id)
+        ids.remove(edge_id)
         if not ids:
             del adj[u][v], adj[v][u]
         self._deg[u] -= 1
@@ -138,11 +140,11 @@ class Multigraph:
     def copy(self) -> "Multigraph":
         g = Multigraph(self.n, self.verts)
         g._edges = dict(self._edges)
-        # Each pair's set is copied once, in the row of its smaller end, and
+        # Each pair's list is copied once, in the row of its smaller end, and
         # the larger end's row reuses that copy; every row keeps its key order.
-        adj: list[dict[int, set[int]]] = []
+        adj: list[dict[int, list[int]]] = []
         for u, nbrs in enumerate(self._adj):
-            adj.append({w: set(ids) if u < w else adj[w][u] for w, ids in nbrs.items()})
+            adj.append({w: ids[:] if u < w else adj[w][u] for w, ids in nbrs.items()})
         g._adj = adj
         g._deg = list(self._deg)
         g._next_id = self._next_id
@@ -199,7 +201,9 @@ class Multigraph:
         return len(self._adj[u].get(v, ()))
 
     def edges_between(self, u: int, v: int) -> list[int]:
-        return sorted(self._adj[u].get(v, ()))
+        """The ids of the edges joining u and v, ascending, in a new list
+        the caller may change."""
+        return list(self._adj[u].get(v, ()))
 
     def incident_edges(self, v: int) -> list[int]:
         out: list[int] = []
@@ -236,12 +240,16 @@ class Multigraph:
 
     def multi_pairs(self) -> list[tuple[int, int]]:
         """Vertex pairs (u < v) joined by two or more parallel edges."""
-        out = []
-        for u in self.verts:
-            for v, ids in self._adj[u].items():
-                if u < v and len(ids) >= 2:
-                    out.append((u, v))
-        return sorted(out)
+        # A row holds a multi-pair exactly when it has fewer keys than its
+        # vertex has edges, so rows without one are skipped unscanned.
+        adj, deg = self._adj, self._deg
+        return sorted(
+            (u, v)
+            for u in self.verts
+            if len(adj[u]) < deg[u]
+            for v, ids in adj[u].items()
+            if u < v and len(ids) >= 2
+        )
 
     # -- derived graphs (edge ids and labels preserved) ---------------------
 

@@ -3,6 +3,8 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgecolor import engine
 from edgecolor.coloring import verify_proper
@@ -10,6 +12,7 @@ from edgecolor.engine import (
     EngineParams,
     _index_exchanges,
     _index_free_h,
+    _mu_without,
     _resolve_pair,
     _uncolored_h_edge,
     classify_condition,
@@ -52,6 +55,51 @@ def test_classification_rejects_not_near_star():
     g = build_multigraph(8, [(0, 1, 2), (2, 3, 2), (4, 5, 2)])
     with pytest.raises(PreconditionViolated):
         classify_condition(g, EngineParams(epsilon=0.5, eta=0.1))
+
+
+@st.composite
+def _graph_and_x(draw):
+    """A multigraph on at most 7 vertices, some perhaps inactive, and an
+    active vertex x, drawn in one of four shapes: x meets every multi-pair,
+    G - x is edgeless, G is simple, or anything."""
+    n = draw(st.integers(1, 7))
+    x = draw(st.integers(0, n - 1))
+    shape = draw(st.sampled_from(["star", "edgeless", "simple", "any"]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    triples = []
+    for u, v in sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []:
+        at_x = x in (u, v)
+        if shape == "edgeless" and not at_x:
+            continue
+        if shape == "star" and at_x:
+            mult = draw(st.integers(2, 3))
+        elif shape == "simple" or (shape == "star" and not at_x):
+            mult = 1
+        else:
+            mult = draw(st.integers(1, 3))
+        triples.append((u, v, mult))
+    g = build_multigraph(n, triples).without_vertices(draw(st.sets(st.integers(0, n - 1))) - {x})
+    return g, x, shape
+
+
+@given(_graph_and_x())
+@settings(max_examples=300, deadline=None)
+def test_mu_without_x_matches_pairwise_scan(case):
+    """mu(G - x) read off the multi-pairs equals the maximum multiplicity
+    over every ordered adjacent pair avoiding x, the scan it replaces."""
+    g, x, shape = case
+    rest = [p for p in g.multi_pairs() if x not in p]
+    if shape == "star":
+        assert not rest
+    elif shape == "edgeless":
+        assert g.edge_count == g.degree(x)
+    elif shape == "simple":
+        assert g.is_simple()
+    by_scan = max(
+        (g.multiplicity(v, w) for v in g.verts if v != x for w in g.neighbors(v) if w != x),
+        default=0,
+    )
+    assert _mu_without(g, x) == by_scan
 
 
 def test_select_pairs_shapes():

@@ -51,8 +51,8 @@ def _state(g: Multigraph) -> tuple:
 def test_round_trip_keeps_ids_and_multiplicities(g):
     """g is build_multigraph of the triples that emit_graph writes, so the
     streamed reader must leave g's whole state: the same ids on the same
-    pairs in the same order, each row's key order, one shared id set per
-    pair, the degrees and the id counter."""
+    pairs in the same order, each row's key order, one shared ascending id
+    list per pair, the degrees and the id counter."""
     g2 = parse_graph(emit_graph(g))
     assert _state(g2) == _state(g)
     for u, row in enumerate(g2._adj):
@@ -62,6 +62,12 @@ def test_round_trip_keeps_ids_and_multiplicities(g):
 def test_parse_rejects_loops():
     with pytest.raises(ParseError):
         parse_graph("p multigraph 3 1\ne 1 1 1\n")
+
+
+def test_parse_rejects_multiplicity_below_one():
+    for mult in ("0", "-2"):
+        with pytest.raises(ParseError, match="line 2: multiplicity must be >= 1"):
+            parse_graph(f"p multigraph 3 1\ne 0 1 {mult}\n")
 
 
 def test_parse_rejects_duplicate_pairs():

@@ -164,11 +164,13 @@ def _assert_core_consistent(g, next_id):
     adjacency and id counter match a graph rebuilt by add_edge in id order
     (its counter is the one the operations so far must have left),
     is_simple matches its pairwise definition, each adjacent pair has one
-    id set shared by both ends, and a copy keeps every row's key order."""
+    strictly ascending id list shared by both ends, and a copy keeps every
+    row's key order."""
     for v in range(g.n):
         assert g.degree(v) == sum(len(ids) for ids in g._adj[v].values())
         for w, ids in g._adj[v].items():
             assert g._adj[w][v] is ids
+            assert type(ids) is list and ids and all(a < b for a, b in zip(ids, ids[1:]))
     copied = g.copy()
     assert [list(row) for row in copied._adj] == [list(row) for row in g._adj]
     for v in range(g.n):
@@ -242,7 +244,7 @@ def test_copy_keeps_key_order_after_deletions_and_readditions():
     """Deleting a pair's last edge and adding it back moves the pair to the
     end of both rows; a copy keeps that order, so underlying_simple numbers
     the copy's pairs as it numbers the original's, and the copy's shared
-    sets are its own."""
+    lists are its own."""
     g = Multigraph(4)
     for u, v in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (0, 1)]:
         g.add_edge(u, v)
@@ -263,6 +265,24 @@ def test_copy_keeps_key_order_after_deletions_and_readditions():
     assert g.edges_between(0, 1) == [6]
     _assert_core_consistent(g, 8)
     _assert_core_consistent(copied, 9)
+
+
+def test_pair_lists_stay_ascending_and_private():
+    """An explicit id below a pair's ids goes to the front of its list,
+    deleting a middle id keeps the rest in order, and the list that
+    edges_between returns is a copy."""
+    g = build_multigraph(3, [(0, 1, 3), (1, 2, 1)])
+    g.delete_edge(0)
+    g.add_edge(1, 0, 0)
+    g.add_edge(0, 1, 7)
+    assert g._adj[0][1] == [0, 1, 2, 7] and g._adj[1][0] is g._adj[0][1]
+    g.delete_edge(2)
+    assert g.edges_between(1, 0) == [0, 1, 7]
+    got = g.edges_between(0, 1)
+    got.append(9)
+    got.remove(1)
+    assert g.edges_between(0, 1) == [0, 1, 7] and g.multiplicity(0, 1) == 3
+    _assert_core_consistent(g, 8)
 
 
 def test_build_multigraph_checks_each_triple():
