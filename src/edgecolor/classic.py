@@ -290,22 +290,18 @@ def perfect_matching_bipartite_star(
     host: Mapping[int, Mapping[int, list[int]]],
     left: list[int],
     right: list[int],
-    center: int | None = None,
 ) -> list[int]:
-    """Perfect matching of a bipartite multigraph, center matched first.
+    """Perfect matching of a bipartite multigraph, by one Hopcroft-Karp call.
 
     ``host`` maps each vertex to ``{neighbor: ascending allowed edge ids}``,
     with no empty lists: the shape of the engine's index of free crossing
     edges, so step 3 builds no graph for its hosts.  The bipartite graph is
     the part of ``host`` on ``left`` + ``right``; an allowed edge with both
     ends on one side raises ``PreconditionViolated``, and each matched pair
-    u-w takes its least id ``host[u][w][0]``.  With a center x on a side: x
-    is matched to a neighbor y, then a maximum matching of the remainder
-    must saturate it (candidate y's are tried in index order).  When no
+    u-w takes its least id ``host[u][w][0]``.  Hopcroft-Karp reads a row for
+    each ``left`` vertex, its sorted neighbors in ``right``.  When no
     perfect matching exists, ``NoPerfectMatching`` names the size of a
-    maximum matching against the size needed.  Hopcroft-Karp reads rows of
-    the matching side only, the center's side when there is one, each row
-    the sorted neighbors that solve may use on the other side.
+    maximum matching against the size needed.
     """
     ls, rs = set(left), set(right)
     if ls & rs or not (ls | rs) <= host.keys():
@@ -319,32 +315,13 @@ def perfect_matching_bipartite_star(
                 u, w = sorted((v, min(inside)))
                 raise PreconditionViolated("bipartite", f"edge inside one side: ({u},{w})")
 
-    def matched(m: dict[int, int]) -> list[int]:
-        return [host[u][w][0] for u, w in sorted(m.items())]
-
-    def solve(l_side: set[int], r_set: set[int]) -> dict[int, int]:
-        l_sorted = sorted(l_side)
-        return hopcroft_karp({u: sorted(host[u].keys() & r_set) for u in l_sorted}, l_sorted)
-
-    if center is None or center not in ls | rs:
-        m = solve(ls, rs)
-        if len(m) < len(ls):
-            raise NoPerfectMatching(
-                f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"
-            )
-        return matched(m)
-
-    if center in rs:
-        ls, rs = rs, ls
-    for y in sorted(host[center].keys() & rs):
-        m = solve(ls - {center}, rs - {y})
-        if len(m) == len(ls) - 1:
-            m[center] = y
-            return matched(m)
-    best = len(solve(ls, rs))
-    raise NoPerfectMatching(
-        f"no center choice extends to a perfect matching (maximum matching {best} of {len(ls)})"
-    )
+    l_sorted = sorted(ls)
+    m = hopcroft_karp({u: sorted(host[u].keys() & rs) for u in l_sorted}, l_sorted)
+    if len(m) < len(ls):
+        raise NoPerfectMatching(
+            f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"
+        )
+    return [host[u][w][0] for u, w in sorted(m.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -852,9 +852,12 @@ def step3_color_residuals(state: EngineState) -> EngineState:
     # the free crossing-edge index and takes each matching out of it.  A
     # class that finds none moves to the front and the matchings are found
     # again, ell attempts at most; a class that fails at the front fails in
-    # every order.  The copy of the attempt that succeeds holds exactly the
-    # crossing edges left uncolored, so it becomes state.free_h when the
-    # matchings are colored.
+    # every order.  Only a missing matching is retried: the hosts are
+    # disjoint subsets of A and B over an index of crossing edges, so a
+    # PreconditionViolated is a broken invariant that no order mends, and
+    # it ends the run.  The copy of the attempt that succeeds holds exactly
+    # the crossing edges left uncolored, so it becomes state.free_h when
+    # the matchings are colored.
     order = list(range(state.ell))
     for attempts in range(1, state.ell + 1):
         free = {v: dict(row) for v, row in state.free_h.items()}
@@ -863,10 +866,8 @@ def step3_color_residuals(state: EngineState) -> EngineState:
         for j in order:
             side_a, side_b = hosts[j]
             try:
-                matchings[j] = perfect_matching_bipartite_star(
-                    free, side_a, side_b, center=state.x
-                )
-            except (NoPerfectMatching, PreconditionViolated) as exc:
+                matchings[j] = perfect_matching_bipartite_star(free, side_a, side_b)
+            except NoPerfectMatching as exc:
                 failed, failure = j, exc
                 break
             for eid in matchings[j]:

@@ -100,7 +100,7 @@ def gen_regular(n: int, degree: int, seed: int = 0) -> Multigraph:
     return g
 
 
-def _pairing_repair(g: Multigraph, deficient: list[int], banned: set[int] | None = None) -> None:
+def _pairing_repair(g: Multigraph, deficient: list[int], banned: set[int]) -> None:
     """Restore degrees by joining deficient vertices along non-edges.
 
     When two leftover vertices are adjacent, an existing edge (p, q) with
@@ -108,7 +108,6 @@ def _pairing_repair(g: Multigraph, deficient: list[int], banned: set[int] | None
     which fixes u and w and leaves p, q untouched.  ``banned`` vertices
     are never rerouted through.
     """
-    banned = banned or set()
     todo = list(deficient)
     while todo:
         u = todo.pop(0)

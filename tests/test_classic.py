@@ -171,7 +171,7 @@ def test_bipartite_star_center_bundle():
     g.add_edge(0, 2)
     g.add_edge(0, 2)
     g.add_edge(1, 3)
-    m = perfect_matching_bipartite_star(_edge_index(g), [0, 1], [2, 3], center=0)
+    m = perfect_matching_bipartite_star(_edge_index(g), [0, 1], [2, 3])
     assert check_matching(g, m)
     ends = {frozenset(g.endpoints(e)) for e in m}
     assert frozenset((0, 2)) in ends
@@ -193,7 +193,7 @@ def test_bipartite_star_random(seed):
     for w in right:
         if g.degree(w) == 0:
             g.add_edge(w - n, w)
-    m = perfect_matching_bipartite_star(_edge_index(g), left, right, center=0)
+    m = perfect_matching_bipartite_star(_edge_index(g), left, right)
     assert check_matching(g, m)
 
 
@@ -295,10 +295,10 @@ def test_bipartite_matching_on_ids_equals_matching_on_induced_host():
     the index of g.induced(left + right, ids)."""
     kinds = set()
     for seed in range(300):
-        g, left, right, center, ids = _bipartite_host(seed)
-        got = _outcome(perfect_matching_bipartite_star, _edge_index(g, ids), left, right, center)
+        g, left, right, _, ids = _bipartite_host(seed)
+        got = _outcome(perfect_matching_bipartite_star, _edge_index(g, ids), left, right)
         host = g.induced(left + right, ids)
-        want = _outcome(perfect_matching_bipartite_star, _edge_index(host), left, right, center)
+        want = _outcome(perfect_matching_bipartite_star, _edge_index(host), left, right)
         assert got == want, seed
         if isinstance(got, list):
             assert check_matching(host, got)
@@ -424,10 +424,9 @@ def test_hopcroft_karp_reads_on_complete_bipartite(monkeypatch, matcher, full_fi
     assert _CountedRow.reads == full_first_bfs * m * m + m * (m + 1) // 2
 
 
-def _unfiltered_bipartite_star(host, left, right, center=None):
-    """The oracle: the bipartite matching with a sorted row for every vertex
-    of both sides, filtered again for each solve, over the textbook
-    Hopcroft-Karp."""
+def _unfiltered_rows(host, left, right):
+    """The checks on the sides, then a sorted row for every vertex of both
+    sides."""
     ls, rs = set(left), set(right)
     if ls & rs or not (ls | rs) <= host.keys():
         raise PreconditionViolated("sides", "left/right must split the vertex set")
@@ -442,49 +441,77 @@ def _unfiltered_bipartite_star(host, left, right, center=None):
                 u, w = sorted((v, min(inside)))
                 raise PreconditionViolated("bipartite", f"edge inside one side: ({u},{w})")
             nbrs[v] = sorted(row & other)
+    return ls, rs, nbrs
 
-    def matched(m):
-        return [host[u][w][0] for u, w in sorted(m.items())]
 
-    def solve(l_side, r_side):
-        r_set = set(r_side)
-        adj = {u: [w for w in nbrs[u] if w in r_set] for u in l_side}
-        return _textbook_hopcroft_karp(adj, sorted(l_side))
+def _textbook_solve(nbrs, l_side, r_side):
+    """The textbook Hopcroft-Karp on the rows of l_side filtered to r_side."""
+    adj = {u: [w for w in nbrs[u] if w in r_side] for u in l_side}
+    return _textbook_hopcroft_karp(adj, sorted(l_side))
 
-    if center is None or center not in nbrs:
-        m = solve(sorted(ls), sorted(rs))
-        if len(m) < len(ls):
-            raise NoPerfectMatching(
-                f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"
-            )
-        return matched(m)
+
+def _unfiltered_bipartite_star(host, left, right):
+    """The oracle: the bipartite matching with a sorted row for every vertex
+    of both sides, filtered again for the solve, over the textbook
+    Hopcroft-Karp."""
+    ls, rs, nbrs = _unfiltered_rows(host, left, right)
+    m = _textbook_solve(nbrs, ls, rs)
+    if len(m) < len(ls):
+        raise NoPerfectMatching(
+            f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"
+        )
+    return [host[u][w][0] for u, w in sorted(m.items())]
+
+
+def _center_first_bipartite_star(host, left, right, center):
+    """The reference search that pins a center on a side to each neighbor y
+    in turn and asks a maximum matching of the rest to saturate it; with the
+    center off the sides, the plain matching."""
+    ls, rs, nbrs = _unfiltered_rows(host, left, right)
+    if center not in nbrs:
+        return _unfiltered_bipartite_star(host, left, right)
     if center in rs:
         ls, rs = rs, ls
     for y in nbrs[center]:
-        m = solve(sorted(ls - {center}), sorted(rs - {y}))
+        m = _textbook_solve(nbrs, ls - {center}, rs - {y})
         if len(m) == len(ls) - 1:
             m[center] = y
-            return matched(m)
-    best = len(solve(sorted(ls), sorted(rs)))
-    raise NoPerfectMatching(
-        f"no center choice extends to a perfect matching (maximum matching {best} of {len(ls)})"
-    )
+            return [host[u][w][0] for u, w in sorted(m.items())]
+    raise NoPerfectMatching("no center choice extends to a perfect matching")
 
 
 def test_bipartite_matching_equals_unfiltered_rows():
-    """Rows for the matching side only, built per solve, give the oracle's
-    outcome (matching, or exception type and message) with the center on
-    the left, on the right, absent and as drawn."""
+    """Rows for the matching side only, built for the one solve, give the
+    oracle's outcome: the matching, or the exception type and message."""
+    kinds = set()
+    for seed in range(300):
+        g, left, right, _, ids = _bipartite_host(seed)
+        index = _edge_index(g, ids)
+        got = _outcome(perfect_matching_bipartite_star, index, left, right)
+        assert got == _outcome(_unfiltered_bipartite_star, index, left, right), seed
+        kinds.add(got[0] if isinstance(got, tuple) else "matching")
+    assert {"matching", "PreconditionViolated", "NoPerfectMatching"} <= kinds
+
+
+def test_bipartite_matching_exists_exactly_when_center_first_search_finds_one():
+    """Every perfect matching covers the center, so the one Hopcroft-Karp
+    call finds a matching exactly when the center-first search does, with
+    the center on the left, on the right and as drawn."""
     kinds = set()
     for seed in range(300):
         g, left, right, drawn, ids = _bipartite_host(seed)
         index = _edge_index(g, ids)
-        for center in (left[0], right[-1], None, drawn):
-            got = _outcome(perfect_matching_bipartite_star, index, left, right, center)
-            assert got == _outcome(_unfiltered_bipartite_star, index, left, right, center), seed
+        got = _outcome(perfect_matching_bipartite_star, index, left, right)
+        if isinstance(got, list):
+            assert check_matching(g.induced(left + right, ids), got), seed
+        for center in (left[0], right[-1], drawn):
+            ref = _outcome(_center_first_bipartite_star, index, left, right, center)
+            assert isinstance(got, list) == isinstance(ref, list), (seed, center)
+            if not isinstance(got, list):
+                assert got[0] == ref[0], (seed, center)
             kinds.add((center in left, center in right, got[0] if isinstance(got, tuple) else "matching"))
-    assert {(True, False, "matching"), (False, True, "matching"), (False, False, "matching")} <= kinds
-    assert {"PreconditionViolated", "NoPerfectMatching"} <= {k[2] for k in kinds}
+    assert {(True, False, "matching"), (False, True, "matching")} <= kinds
+    assert {(True, False, "NoPerfectMatching"), (False, True, "NoPerfectMatching")} <= kinds
 
 
 # -- Koenig ------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgecolor import engine
+from edgecolor import classic, engine
 from edgecolor.coloring import verify_proper
 from edgecolor.engine import (
     EngineParams,
@@ -297,6 +297,59 @@ def test_index_evaluates_each_side_edge_once(monkeypatch):
     res = dcolor(gen_complete(100), EngineParams(epsilon=0.5, eta=0.12, seed=1))
     assert res.verdict == "Colored"
     assert calls[0] == 2450
+
+
+def test_step3_runs_one_hopcroft_karp_per_matcher_call(monkeypatch):
+    """Step 3's matcher makes one Hopcroft-Karp call per host: on K_60 the
+    calls made during step 3 equal the matcher calls."""
+    calls = Counter()
+    in_step3 = [False]
+    hopcroft_karp = classic.hopcroft_karp
+    matcher, step3 = engine.perfect_matching_bipartite_star, engine.step3_color_residuals
+
+    def counted_hopcroft_karp(*args):
+        calls["hopcroft_karp"] += in_step3[0]
+        return hopcroft_karp(*args)
+
+    def counted_matcher(*args):
+        calls["matcher"] += 1
+        return matcher(*args)
+
+    def flagged_step3(state):
+        in_step3[0] = True
+        try:
+            return step3(state)
+        finally:
+            in_step3[0] = False
+
+    monkeypatch.setattr(classic, "hopcroft_karp", counted_hopcroft_karp)
+    monkeypatch.setattr(engine, "perfect_matching_bipartite_star", counted_matcher)
+    monkeypatch.setattr(engine, "step3_color_residuals", flagged_step3)
+    res = dcolor(gen_complete(60), EngineParams(epsilon=0.5, eta=0.12, seed=1))
+    assert res.verdict == "Colored"
+    assert calls["matcher"] > 0 and calls["hopcroft_karp"] == calls["matcher"], calls
+
+
+def test_step3_ends_the_run_on_a_broken_host(monkeypatch):
+    """A PreconditionViolated from step 3's matcher is a broken invariant,
+    not a missing matching: the run falls back at once with it as its cause
+    and no class is tried in another order."""
+    matcher = engine.perfect_matching_bipartite_star
+    calls = [0]
+
+    def second_call_broken(*args):
+        calls[0] += 1
+        if calls[0] == 2:
+            raise PreconditionViolated("sides", "left/right must split the vertex set")
+        return matcher(*args)
+
+    monkeypatch.setattr(engine, "perfect_matching_bipartite_star", second_call_broken)
+    res = dcolor(gen_complete(60), EngineParams(epsilon=0.5, eta=0.12, seed=1))
+    assert res.verdict == "Fallback" and calls[0] == 2
+    assert [e.note for e in res.trace.entries if e.step == "fallback"] == [
+        "PreconditionViolated: sides: left/right must split the vertex set"
+    ]
+    assert not any(e.guard == "matching-attempts" for e in res.trace.entries)
 
 
 _S23_INPUTS = {

@@ -70,6 +70,11 @@ def test_parse_rejects_multiplicity_below_one():
             parse_graph(f"p multigraph 3 1\ne 0 1 {mult}\n")
 
 
+def test_parse_skips_comments_between_edge_lines():
+    g = parse_graph("p multigraph 3 2\ne 0 1 1\nc between edge lines\n\ne 1 2 2\n")
+    assert sorted(g.edges()) == [(0, 0, 1), (1, 1, 2), (2, 1, 2)]
+
+
 def test_parse_rejects_duplicate_pairs():
     with pytest.raises(ParseError):
         parse_graph("p multigraph 3 2\ne 0 1 1\ne 1 0 2\n")

@@ -5,7 +5,8 @@
 A code line is a line of a code object of the package (``co_lines``), less
 the docstrings.  The tracer starts before the package is imported and runs
 one round of each benchmark workload at its default seed, then tier-1's
-``tests/``; the ledger lists, by module and function, the lines that no run
+``tests/`` with Hypothesis seeded, so that a fixed source gives a fixed
+ledger; the ledger lists, by module and function, the lines that no run
 reached and the lines the workloads alone did not reach.  Work done in
 child processes (``edgecolor bench``, the demos) is not seen.  Expect
 several minutes: the tracer slows tier-1 about fourfold.
@@ -74,7 +75,7 @@ def main(ledger):
                 else:
                     formats.dump_json(cli.run_color(job.path, job.epsilon, job.eta, job.seed, "auto"))
     by_workloads = set(reached)
-    pytest.main(["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests")])
+    pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", os.path.join(ROOT, "tests")])
     sys.settrace(None)
     threading.settrace(None)
     owners = {m: code_lines(os.path.join(PKG, m)) for m in sorted(os.listdir(PKG)) if m.endswith(".py")}
