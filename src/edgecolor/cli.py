@@ -148,7 +148,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         g = formats.read_graph(args.graph)
         with open(args.coloring, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ParseError("coloring JSON nests too deeply") from None
         if isinstance(data, dict) and "coloring" in data:
             data = data["coloring"]
         c = formats.coloring_from_dict(data, g)

@@ -132,26 +132,31 @@ class EdgeColoring:
     def assign(self, edge_id: int, color: int) -> None:
         if not (1 <= color <= self.k):
             raise ValueError(f"color {color} outside palette [1, {self.k}]")
-        if edge_id in self.assignment:
+        assignment = self.assignment
+        if edge_id in assignment:
             raise ValueError(f"edge {edge_id} already colored; unassign first")
-        u, v = self.graph.endpoints(edge_id)
-        if color in self._present[u] or color in self._present[v]:
+        u, v = self.graph._edges[edge_id]
+        present = self._present
+        at_u, at_v = present[u], present[v]
+        if color in at_u or color in at_v:
             raise ValueError(f"color {color} already present at an endpoint of edge {edge_id}")
-        self.assignment[edge_id] = color
-        self._present[u][color] = edge_id
-        self._present[v][color] = edge_id
+        assignment[edge_id] = color
+        at_u[color] = at_v[color] = edge_id
         bit = 1 << color
-        self._mask[u] |= bit
-        self._mask[v] |= bit
+        mask = self._mask
+        mask[u] |= bit
+        mask[v] |= bit
 
     def unassign(self, edge_id: int) -> int:
         color = self.assignment.pop(edge_id)
-        u, v = self.graph.endpoints(edge_id)
-        del self._present[u][color]
-        del self._present[v][color]
+        u, v = self.graph._edges[edge_id]
+        present = self._present
+        del present[u][color]
+        del present[v][color]
         bit = 1 << color
-        self._mask[u] ^= bit
-        self._mask[v] ^= bit
+        mask = self._mask
+        mask[u] ^= bit
+        mask[v] ^= bit
         return color
 
 
@@ -169,18 +174,20 @@ def verify_proper(g: Multigraph, c: EdgeColoring) -> ProperReport:
     """
     violations: list[tuple[int, int, int, int]] = []
     seen: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    for eid in sorted(c.assignment):
-        color = c.assignment[eid]
-        if not g.has_edge_id(eid) or not (1 <= color <= c.k):
-            u = v = -1
-            violations.append((u, color, eid, eid))
+    ends, k, assignment = g._edges, c.k, c.assignment
+    for eid in sorted(assignment):
+        color = assignment[eid]
+        if eid not in ends or not (1 <= color <= k):
+            violations.append((-1, color, eid, eid))
             continue
-        u, v = g.endpoints(eid)
-        for w in (u, v):
-            if color in seen[w]:
-                violations.append((w, color, seen[w][color], eid))
-            else:
-                seen[w][color] = eid
+        u, v = ends[eid]
+        # setdefault keeps the first edge of this color at each end.
+        first = seen[u].setdefault(color, eid)
+        if first != eid:
+            violations.append((u, color, first, eid))
+        first = seen[v].setdefault(color, eid)
+        if first != eid:
+            violations.append((v, color, first, eid))
     return ProperReport(ok=not violations, violations=violations)
 
 

@@ -12,9 +12,15 @@ Numbers are ASCII decimal integers, ``-?[0-9]+``; ``int``'s ``+0``,
 ``0_1`` and non-ASCII digits are refused.
 The writer emits a canonical form so parse(emit(g)) round-trips bit-exact.
 
+Files are UTF-8: :func:`read_graph` refuses any other bytes with a
+:class:`ParseError` that names the offset of the first bad byte.
+
 The reader makes one pass: it reads the problem line, allocates the graph
 and streams the edge lines into its bulk fill, checking each line as it
-goes.  It refuses with :class:`TooLarge` a vertex count above
+goes.  Each distinct token is checked once per parse: the first time a
+token's text is seen it goes through ``int`` and the ``-?[0-9]+`` check,
+and only then is its int kept, so a repeated vertex or multiplicity is one
+dict lookup.  It refuses with :class:`TooLarge` a vertex count above
 :data:`MAX_VERTICES`, before it allocates the graph, and a total
 multiplicity above :data:`MAX_EDGES`, before it stores any edge of the line
 that crosses the cap.
@@ -44,13 +50,22 @@ def emit_graph(g: Multigraph, comments: Optional[list[str]] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _decimal(tokens: str) -> bool:
-    """Whether tokens that ``int`` took are ``-?[0-9]+``: beyond those, ``int``
-    takes only a ``+``, a ``_`` or a non-ASCII digit."""
-    return tokens.isascii() and "+" not in tokens and "_" not in tokens
+class _Numbers(dict):
+    """Token text -> its int, for the tokens of one parse that are
+    ``-?[0-9]+``.  A token is checked on its first lookup, and raises
+    ``ValueError`` if it is not one; only a token that passes is kept."""
+
+    def __missing__(self, token: str) -> int:
+        value = int(token)
+        # Beyond -?[0-9]+, int takes only a "+", a "_" or a non-ASCII digit.
+        if not token.isascii() or "+" in token or "_" in token:
+            raise ValueError(token)
+        self[token] = value
+        return value
 
 
 def parse_graph(text: str) -> Multigraph:
+    numbers = _Numbers()
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
         parts = raw.split()
@@ -63,9 +78,7 @@ def parse_graph(text: str) -> Multigraph:
         if len(parts) != 4 or parts[1] != "multigraph":
             raise ParseError(f"line {lineno}: expected 'p multigraph <n> <m>'")
         try:
-            n, declared = int(parts[2]), int(parts[3])
-            if not _decimal(parts[2] + parts[3]):
-                raise ValueError
+            n, declared = numbers[parts[2]], numbers[parts[3]]
         except ValueError:
             raise ParseError(f"line {lineno}: <n> and <m> must be integers") from None
         if n > MAX_VERTICES:
@@ -94,9 +107,7 @@ def parse_graph(text: str) -> Multigraph:
             if len(parts) != 4:
                 raise ParseError(f"line {lineno}: expected 'e <u> <v> <mult>'")
             try:
-                u, v, mult = int(parts[1]), int(parts[2]), int(parts[3])
-                if not _decimal(parts[1] + parts[2] + parts[3]):
-                    raise ValueError
+                u, v, mult = numbers[parts[1]], numbers[parts[2]], numbers[parts[3]]
             except ValueError:
                 raise ParseError(f"line {lineno}: <u>, <v> and <mult> must be integers") from None
             if u == v:
@@ -128,8 +139,13 @@ def parse_graph(text: str) -> Multigraph:
 
 
 def read_graph(path: str) -> Multigraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None
+    return parse_graph(text)
 
 
 def write_graph(path: str, g: Multigraph, comments: Optional[list[str]] = None) -> None:

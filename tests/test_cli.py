@@ -246,6 +246,32 @@ def test_verify_counts_colors_outside_the_palette(tmp_path, capsys):
     assert doc["violations"] == [[-1, 2, 1, 1], [-1, 3, 2, 2]]
 
 
+@pytest.mark.parametrize("command", ["color", "oracle", "verify"])
+def test_graph_file_not_utf8_is_one_error_line(tmp_path, capsys, command):
+    """An exception that escaped main would be the traceback a user sees."""
+    mg = tmp_path / "bad.mg"
+    mg.write_bytes(b"p multigraph 3 1\ne 0 1 1\n\xff\n")
+    col = tmp_path / "c.json"
+    col.write_text('{"k": 1, "classes": [[0]]}')
+    assert run([command, str(mg)] + ([str(col)] if command == "verify" else [])) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: byte 25: not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000 + "]" * 200_000, '{"k":' * 200_000 + "1" + "}" * 200_000], ids=["array", "object"]
+)
+def test_verify_deeply_nested_coloring_is_one_error_line(tmp_path, capsys, text):
+    mg = tmp_path / "k3.mg"
+    run(["gen", "--kind", "complete", "--n", "3", "--out", str(mg)])
+    col = tmp_path / "deep.json"
+    col.write_text(text)
+    capsys.readouterr()
+    assert run(["verify", str(mg), str(col)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: coloring JSON nests too deeply\n"
+
+
 def test_color_too_large_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(formats, "MAX_EDGES", 3)
     mg = tmp_path / "big.mg"

@@ -11,6 +11,7 @@ from edgecolor.coloring import (
     verify_proper,
 )
 from edgecolor.errors import StaleChain
+from edgecolor.formats import coloring_from_dict
 from edgecolor.multigraph import Multigraph, build_multigraph
 
 from conftest import complete, cycle, greedy_coloring, random_simple
@@ -328,3 +329,141 @@ def test_walk_stops_on_a_broken_index():
     c._present[2][1] = 1  # planted defect: vertex 2 claims edge 1-2 under both colors
     with pytest.raises(AssertionError, match="longer than"):
         alternating_path(c, 0, 1, 2)
+
+
+def _reference_verify_proper(g: Multigraph, c: EdgeColoring) -> tuple[bool, list]:
+    """verify_proper as it was before it read ``g._edges`` directly and made
+    one ``setdefault`` per end: its ``ok`` and its violations."""
+    violations = []
+    seen: list[dict[int, int]] = [dict() for _ in range(g.n)]
+    for eid in sorted(c.assignment):
+        color = c.assignment[eid]
+        if not g.has_edge_id(eid) or not (1 <= color <= c.k):
+            u = v = -1
+            violations.append((u, color, eid, eid))
+            continue
+        u, v = g.endpoints(eid)
+        for w in (u, v):
+            if color in seen[w]:
+                violations.append((w, color, seen[w][color], eid))
+            else:
+                seen[w][color] = eid
+    return not violations, violations
+
+
+class _ReferenceColoring(EdgeColoring):
+    """``assign`` and ``unassign`` as they were before they bound the rows of
+    the indexes to locals and read the endpoints from ``graph._edges``."""
+
+    __slots__ = ()
+
+    def assign(self, edge_id: int, color: int) -> None:
+        if not (1 <= color <= self.k):
+            raise ValueError(f"color {color} outside palette [1, {self.k}]")
+        if edge_id in self.assignment:
+            raise ValueError(f"edge {edge_id} already colored; unassign first")
+        u, v = self.graph.endpoints(edge_id)
+        if color in self._present[u] or color in self._present[v]:
+            raise ValueError(f"color {color} already present at an endpoint of edge {edge_id}")
+        self.assignment[edge_id] = color
+        self._present[u][color] = edge_id
+        self._present[v][color] = edge_id
+        bit = 1 << color
+        self._mask[u] |= bit
+        self._mask[v] |= bit
+
+    def unassign(self, edge_id: int) -> int:
+        color = self.assignment.pop(edge_id)
+        u, v = self.graph.endpoints(edge_id)
+        del self._present[u][color]
+        del self._present[v][color]
+        bit = 1 << color
+        self._mask[u] ^= bit
+        self._mask[v] ^= bit
+        return color
+
+
+@st.composite
+def loaded_colorings(draw) -> tuple[Multigraph, EdgeColoring]:
+    """A multigraph on at most 6 vertices and a coloring of it loaded by
+    ``coloring_from_dict``: each edge id, and up to three ids the graph may
+    lack, lands in one of k + 2 classes or none, which plants clashes,
+    unknown edges and colors outside the palette."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    g = Multigraph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            for _ in range(draw(st.integers(min_value=0, max_value=2))):
+                g.add_edge(u, v)
+    for eid in draw(st.lists(st.sampled_from(g.edge_ids()), max_size=2)) if g.edge_count else []:
+        if g.has_edge_id(eid):
+            g.delete_edge(eid)  # its id is now one the graph lacks
+    k = draw(st.integers(min_value=0, max_value=5))
+    classes: list[list[int]] = [[] for _ in range(k + 2)]
+    extra = draw(st.lists(st.integers(min_value=-2, max_value=g._next_id + 2), max_size=3))
+    for eid in sorted(set(g.edge_ids()) | set(extra)):
+        color = draw(st.integers(min_value=0, max_value=k + 2))  # 0 leaves it out
+        if color:
+            classes[color - 1].append(eid)
+    return g, coloring_from_dict({"k": k, "classes": classes}, g)
+
+
+@given(loaded_colorings())
+@settings(max_examples=300, deadline=None)
+def test_verify_proper_equals_the_reference(case):
+    g, c = case
+    report = verify_proper(g, c)
+    assert (report.ok, report.violations) == _reference_verify_proper(g, c)
+
+
+def _outcome(call, *args):
+    try:
+        return "returned", call(*args)
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+
+
+def _state(c: EdgeColoring) -> tuple:
+    return c.assignment, c._present, c._mask
+
+
+@given(partial_colorings(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_assign_and_unassign_equal_the_reference(c, data):
+    """Any mix of valid and invalid calls (a color outside the palette,
+    recoloring, a clash, an unknown edge id, unassigning an uncolored edge)
+    returns or raises as the reference does and leaves the same indexes."""
+    g = c.graph
+    ref = _ReferenceColoring(g, c.k)
+    for eid, color in sorted(c.assignment.items()):
+        ref.assign(eid, color)
+    ids = g.edge_ids() + [-1, g._next_id]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=15))):
+        eid = data.draw(st.sampled_from(ids))
+        if data.draw(st.booleans()):
+            color = data.draw(st.integers(min_value=-1, max_value=c.k + 1))
+            assert _outcome(c.assign, eid, color) == _outcome(ref.assign, eid, color)
+        else:
+            assert _outcome(c.unassign, eid) == _outcome(ref.unassign, eid)
+        assert _state(c) == _state(ref)
+
+
+def test_each_invalid_call_raises_as_the_reference():
+    g = complete(3)  # edges 0: 0-1, 1: 0-2, 2: 1-2
+    c, ref = EdgeColoring(g, 2), _ReferenceColoring(g, 2)
+    for col in (c, ref):
+        col.assign(0, 1)
+    calls = [
+        ("assign", 1, 0),  # below the palette
+        ("assign", 1, 3),  # above it
+        ("assign", 0, 2),  # recoloring
+        ("assign", 1, 1),  # a clash at vertex 0
+        ("assign", 7, 1),  # an unknown edge id
+        ("unassign", 2),  # an uncolored edge
+        ("unassign", 7),  # an unknown edge id
+    ]
+    for name, *args in calls:
+        got = _outcome(getattr(c, name), *args)
+        assert got[0] in (ValueError, KeyError)
+        assert got == _outcome(getattr(ref, name), *args)
+        assert _state(c) == _state(ref)

@@ -10,6 +10,7 @@ from edgecolor.formats import (
     coloring_to_dict,
     emit_graph,
     parse_graph,
+    read_graph,
 )
 from edgecolor.multigraph import Multigraph, build_multigraph
 
@@ -172,6 +173,145 @@ def test_parse_fuzz_gives_a_graph_or_a_clear_error(text):
         return
     assert all(0 <= u < v < g.n for _, u, v in g.edges())
     assert sum(g._deg) == 2 * g.edge_count
+
+
+def _reference_decimal(tokens: str) -> bool:
+    return tokens.isascii() and "+" not in tokens and "_" not in tokens
+
+
+def _reference_parse_graph(text: str) -> Multigraph:
+    """The reader before it kept each distinct token's int: every token of
+    every line goes through ``int`` and the ``-?[0-9]+`` check."""
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
+            continue
+        if parts[0] == "e":
+            raise ParseError(f"line {lineno}: edge before problem line")
+        if parts[0] != "p":
+            raise ParseError(f"line {lineno}: unknown record '{parts[0]}'")
+        if len(parts) != 4 or parts[1] != "multigraph":
+            raise ParseError(f"line {lineno}: expected 'p multigraph <n> <m>'")
+        try:
+            n, declared = int(parts[2]), int(parts[3])
+            if not _reference_decimal(parts[2] + parts[3]):
+                raise ValueError
+        except ValueError:
+            raise ParseError(f"line {lineno}: <n> and <m> must be integers") from None
+        if n > formats.MAX_VERTICES:
+            raise TooLarge(f"line {lineno}: {n} vertices > cap {formats.MAX_VERTICES}")
+        if n < 0:
+            raise ParseError(f"line {lineno}: vertex count must be nonnegative")
+        break
+    else:
+        raise ParseError("missing problem line")
+    g = Multigraph(n)
+    adj = g._adj
+
+    def edges():
+        found = eid = 0
+        for lineno, raw in lines:
+            parts = raw.split()
+            if not parts:
+                continue
+            if parts[0] != "e":
+                if parts[0].startswith("c"):
+                    continue
+                if parts[0] == "p":
+                    raise ParseError(f"line {lineno}: duplicate problem line")
+                raise ParseError(f"line {lineno}: unknown record '{parts[0]}'")
+            if len(parts) != 4:
+                raise ParseError(f"line {lineno}: expected 'e <u> <v> <mult>'")
+            try:
+                u, v, mult = int(parts[1]), int(parts[2]), int(parts[3])
+                if not _reference_decimal(parts[1] + parts[2] + parts[3]):
+                    raise ValueError
+            except ValueError:
+                raise ParseError(f"line {lineno}: <u>, <v> and <mult> must be integers") from None
+            if u == v:
+                raise ParseError(f"line {lineno}: loop at vertex {u}")
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= n:
+                raise ParseError(
+                    f"line {lineno}: vertex {u if u < 0 else v} outside range [0, {n})"
+                )
+            if v in adj[u]:
+                raise ParseError(
+                    f"line {lineno}: duplicate pair {(u, v)}; aggregate multiplicity in one line"
+                )
+            if mult < 1:
+                raise ParseError(f"line {lineno}: multiplicity must be >= 1")
+            if eid + mult > formats.MAX_EDGES:
+                raise TooLarge(f"line {lineno}: more than {formats.MAX_EDGES} edges in total")
+            found += 1
+            for i in range(eid, eid + mult):
+                yield i, u, v
+            eid += mult
+        if found != declared:
+            raise ParseError(f"problem line declares {declared} edge lines, found {found}")
+
+    return g._fill(edges())
+
+
+# Spellings that int() reads as the same number, or that fail only the
+# -?[0-9]+ check: a reader that remembers a token's int must still refuse
+# each of these on every line it appears on.
+_SPELLINGS = st.sampled_from(["1", "01", "-0", "+1", "1_0", "\u0661", "00", "2", "-1", "1e0", ""])
+
+
+@st.composite
+def shared_token_texts(draw):
+    """A ``token_texts`` draw in which some token positions, across several
+    lines, are set to one spelling."""
+    lines = [line.split() for line in draw(token_texts()).splitlines()]
+    for _ in range(draw(st.integers(0, 2))):
+        spelling, col = draw(_SPELLINGS), draw(st.integers(1, 3))
+        rows = [line for line in lines if len(line) > col]
+        for line in draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []:
+            line[col] = spelling
+    return "\n".join(" ".join(line) for line in lines)
+
+
+def _parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except (ParseError, TooLarge) as exc:
+        return type(exc), str(exc)
+    return list(g._edges.items()), [list(row.items()) for row in g._adj], g._deg, g._next_id
+
+
+@given(st.one_of(token_texts(), shared_token_texts()))
+@settings(max_examples=500, deadline=None)
+def test_parse_equals_the_per_token_reference(text):
+    """The reader gives the reference's edges, adjacency rows (with key
+    order), degrees and id counter, or the same exception and message."""
+    assert _parse_outcome(parse_graph, text) == _parse_outcome(_reference_parse_graph, text)
+
+
+@pytest.mark.parametrize("text", [
+    "p multigraph 3 2\ne 0 1 1\ne 0 2 01\n",
+    "p multigraph 3 2\ne 0 1 1\ne 0 2 +1\n",
+    "p multigraph 3 2\ne 0 1 1\ne -0 2 1\n",
+    "p multigraph 3 2\ne 0 1 1\ne 0 2 \u0661\n",
+    "p multigraph 3 2\ne 0 1 1\ne 1_0 2 1\n",
+    "p multigraph 3 2\ne 0 1 1\ne 0 2 1\n",
+    "p multigraph 2 1\ne 0 1 2\n",
+])
+def test_parse_repeated_tokens_equal_the_reference(text):
+    """A token seen on an earlier line, and spellings of the same int that
+    are first seen on a later line."""
+    assert _parse_outcome(parse_graph, text) == _parse_outcome(_reference_parse_graph, text)
+
+
+def test_read_graph_refuses_a_file_that_is_not_utf8(tmp_path):
+    """The offset counts bytes: after the two-byte letter in the comment the
+    bad byte is byte 30, where its character index would be 29."""
+    path = tmp_path / "bad.mg"
+    path.write_bytes("c \u00e9\np multigraph 3 1\ne 0 1 1\n".encode() + b"\xff\n")
+    with pytest.raises(ParseError, match=r"^byte 30: not UTF-8 \(invalid start byte\)$"):
+        read_graph(str(path))
 
 
 @pytest.mark.parametrize("k", [True, False, 3.7, "3", None])
