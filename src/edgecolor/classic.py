@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .coloring import EdgeColoring, alternating_path, flip_path
 from .errors import (
@@ -286,42 +286,38 @@ def hopcroft_karp(adj: dict[int, list[int]], left: list[int]) -> dict[int, int]:
     return match_l
 
 
-def perfect_matching_bipartite_star(
-    host: Mapping[int, Mapping[int, list[int]]],
-    left: list[int],
-    right: list[int],
-) -> list[int]:
+def perfect_matching_bipartite_star(host: Multigraph, left: list[int], right: list[int]) -> list[int]:
     """Perfect matching of a bipartite multigraph, by one Hopcroft-Karp call.
 
-    ``host`` maps each vertex to ``{neighbor: ascending allowed edge ids}``,
-    with no empty lists: the shape of the engine's index of free crossing
-    edges, so step 3 builds no graph for its hosts.  The bipartite graph is
-    the part of ``host`` on ``left`` + ``right``; an allowed edge with both
+    The bipartite graph is the part of ``host`` on ``left`` + ``right``,
+    read off its adjacency rows, so the engine's step 3 passes its graph of
+    free crossing edges and builds none for its hosts.  An edge with both
     ends on one side raises ``PreconditionViolated``, and each matched pair
-    u-w takes its least id ``host[u][w][0]``.  Hopcroft-Karp reads a row for
-    each ``left`` vertex, its sorted neighbors in ``right``.  When no
-    perfect matching exists, ``NoPerfectMatching`` names the size of a
-    maximum matching against the size needed.
+    u-w takes its least edge id.  Hopcroft-Karp reads a row for each
+    ``left`` vertex, its sorted neighbors in ``right``.  When no perfect
+    matching exists, ``NoPerfectMatching`` names the size of a maximum
+    matching against the size needed.
     """
     ls, rs = set(left), set(right)
-    if ls & rs or not (ls | rs) <= host.keys():
+    if ls & rs or not (ls | rs) <= host.verts:
         raise PreconditionViolated("sides", "left/right must split the vertex set")
     if len(ls) != len(rs):
         raise NoPerfectMatching(f"side sizes differ: {len(ls)} vs {len(rs)}")
+    adj = host._adj
     for side in (ls, rs):
         for v in sorted(side):
-            inside = host[v].keys() & side
+            inside = adj[v].keys() & side
             if inside:
                 u, w = sorted((v, min(inside)))
                 raise PreconditionViolated("bipartite", f"edge inside one side: ({u},{w})")
 
     l_sorted = sorted(ls)
-    m = hopcroft_karp({u: sorted(host[u].keys() & rs) for u in l_sorted}, l_sorted)
+    m = hopcroft_karp({u: sorted(adj[u].keys() & rs) for u in l_sorted}, l_sorted)
     if len(m) < len(ls):
         raise NoPerfectMatching(
             f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"
         )
-    return [host[u][w][0] for u, w in sorted(m.items())]
+    return [adj[u][w][0] for u, w in sorted(m.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .generators import (
 from .multigraph import Multigraph, is_overfull
 from .oracle import brute_chromatic_index, brute_overfull_scan
 from .reduction import color_odd_dense
-from .coloring import verify_proper
+from .coloring import EdgeColoring, verify_proper
 from .trace import CLASS_ONE, CLASS_TWO, COLORED, DECIDED
 
 EXIT_OK = 0
@@ -144,18 +144,26 @@ def _cmd_color(args: argparse.Namespace) -> int:
     return EXIT_OK if doc["verdict"] in DECIDED else EXIT_FALLBACK
 
 
+def _read_coloring(path: str, g: Multigraph) -> EdgeColoring:
+    """The coloring of ``g`` in the JSON file at ``path``, bare or inside a
+    ``color`` document.  Every error about the file's content is a
+    :class:`ParseError` that starts with ``path``."""
+    try:
+        data = json.loads(formats.read_text(path))
+        if isinstance(data, dict) and "coloring" in data:
+            data = data["coloring"]
+        return formats.coloring_from_dict(data, g)
+    except RecursionError:
+        raise ParseError(f"{path}: coloring JSON nests too deeply") from None
+    except (ParseError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         g = formats.read_graph(args.graph)
-        with open(args.coloring, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except RecursionError:
-                raise ParseError("coloring JSON nests too deeply") from None
-        if isinstance(data, dict) and "coloring" in data:
-            data = data["coloring"]
-        c = formats.coloring_from_dict(data, g)
-    except (ParseError, EdgeColorError, OSError, json.JSONDecodeError, ValueError) as exc:
+        c = _read_coloring(args.coloring, g)
+    except (EdgeColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     report = verify_proper(g, c)
@@ -238,11 +246,12 @@ _BENCH_FIELDS = [
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    paths = sorted(
-        os.path.join(args.corpus, f)
-        for f in os.listdir(args.corpus)
-        if f.endswith(".mg")
-    )
+    try:
+        names = os.listdir(args.corpus)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    paths = sorted(os.path.join(args.corpus, f) for f in names if f.endswith(".mg"))
     jobs = [(p, args.epsilon, args.eta, args.seed) for p in paths]
     workers = min(args.jobs, os.cpu_count() or 1)
     if workers > 1:

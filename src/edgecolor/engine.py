@@ -14,19 +14,18 @@ form a bipartite graph of bounded degree.  One setup, :func:`prepare`,
 builds the ``EngineState`` the steps share: condition, pairs, partition,
 and the high-deficiency set U that classification found.
 
-Step 2 reads the uncolored crossing edges off one index,
-``EngineState.free_h`` (vertex -> neighbor -> ascending edge ids, one list
-per free crossing pair, shared by both ends), built once when step 2 starts
-and updated by ``_color_h_edge`` whenever step 2 colors a crossing edge,
-so finding the crossing edge of an exchange is a lookup.  A pair's list is
-replaced when it changes, never changed in place.  Step 3's bipartite
-matchings read their hosts off a copy of the same index, which drops each
-matched edge and then replaces the index, and step 1 reads the edges of
-G[A], G[B] and H as id sets, so neither builds a graph for them.  Step 1
-also fixes the protected set S*_A | S*_B once, as ``EngineState.protected``;
-the exchanges, the relocation and the S2.3 guard read that one set, and
-S2.3 reads its per-vertex counts off G* and the coloring rather than
-keeping them.
+Steps 2 to 4 share one graph of the uncolored crossing edges,
+``EngineState.free_h``: a ``Multigraph`` on the vertices of G* holding the
+uncolored edges of H, built once when step 2 starts.  Step 2 deletes each
+crossing edge it colors from it, so finding the crossing edge of an
+exchange is a lookup in its adjacency.  Step 3's bipartite matchings read
+their hosts off it and delete each matched edge in place; an attempt that
+fails adds its matched edges back.  Step 4 colors what is left of it with
+König.  Step 1 reads the edges of G[A], G[B] and H as id sets, so it
+builds no graph for them.  It also fixes the protected set S*_A | S*_B
+once, as ``EngineState.protected``; the exchanges, the relocation and the
+S2.3 guard read that one set, and S2.3 reads its per-vertex counts off G*
+and the coloring rather than keeping them.
 
 Every inequality the construction relies on is evaluated as a named guard
 and recorded in the trace.  Guards whose failure only weakens the
@@ -77,8 +76,8 @@ class EngineParams:
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
             raise InfeasibleParams(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if not (0 < self.eta):
-            raise InfeasibleParams(f"eta must be positive, got {self.eta}")
+        if not (0 < self.eta < math.inf):
+            raise InfeasibleParams(f"eta must be positive and finite, got {self.eta}")
 
 
 @dataclass
@@ -105,12 +104,11 @@ class EngineState:
     # restricted to a side is that side's set.
     protected: set[int] = field(default_factory=set)
     U: set[int] = field(default_factory=set)
-    # Step 2's index of the uncolored crossing edges: vertex -> {neighbor ->
-    # ascending ids of uncolored h_edges}, with no empty lists.  Built at
-    # the start of step 2, kept by _color_h_edge in step 2 and replaced by
-    # step 3's matched copy; never grows, since only side edges are ever
-    # uncolored.
-    free_h: dict[int, dict[int, list[int]]] = field(default_factory=dict)
+    # The uncolored crossing edges, as a graph on the vertices of G*.  Built
+    # at the start of step 2; every step that colors a crossing edge deletes
+    # it.  Only side edges are ever uncolored, so it grows only when a step-3
+    # attempt that failed puts its matchings back.
+    free_h: Optional[Multigraph] = None
     r_a: set[int] = field(default_factory=set)
     r_b: set[int] = field(default_factory=set)
     r_deg: dict[int, int] = field(default_factory=dict)
@@ -454,59 +452,31 @@ def _uncolor_to_residual(state: EngineState, eid: int) -> None:
     state.r_deg[v] = state.r_deg.get(v, 0) + 1
 
 
-def _index_free_h(state: EngineState) -> None:
-    """Build ``state.free_h`` from ``h_edges`` and the coloring."""
-    c, g_star = state.coloring, state.g_star
-    free_h: dict[int, dict[int, list[int]]] = {v: {} for v in g_star.verts}
-    for eid in sorted(state.h_edges):
-        if c.color_of(eid) is None:
-            u, v = g_star.endpoints(eid)
-            ids = free_h[u].get(v)
-            if ids is None:
-                free_h[u][v] = free_h[v][u] = [eid]
-            else:
-                ids.append(eid)
-    state.free_h = free_h
-
-
-def _drop_free(free_h: dict[int, dict[int, list[int]]], u: int, v: int, eid: int) -> None:
-    """Take the crossing edge ``eid`` = u-v out of an index shaped like
-    ``state.free_h``.  The pair's one list, shared by both ends, is
-    replaced at both rows, never changed in place, so a copy of the index
-    that shares it with ``state.free_h`` is safe."""
-    rest = [e for e in free_h[u][v] if e != eid]
-    if rest:
-        free_h[u][v] = free_h[v][u] = rest
-    else:
-        del free_h[u][v], free_h[v][u]
-
-
 def _color_h_edge(state: EngineState, eid: int, color: int) -> None:
     state.coloring.assign(eid, color)
-    _drop_free(state.free_h, *state.g_star.endpoints(eid), eid)
+    state.free_h.delete_edge(eid)
 
 
 def _uncolored_h_edge(state: EngineState, u: int, w: int) -> Optional[int]:
     """The least uncolored crossing edge u-w, or None."""
-    ids = state.free_h[u].get(w)
+    ids = state.free_h._adj[u].get(w)
     return ids[0] if ids else None
 
 
 def step2_fix_center(state: EngineState) -> EngineState:
     """Make every color present at the center before anything else.
 
-    Builds the step-2 crossing-edge index first.  For each color missing
-    at x: either color an uncolored crossing edge x-w whose w also misses
-    it, or take the w (fewest residual edges) whose own edge of that color
-    is sacrificed into R_B.  x lies in A, so every such w lies in B.
+    Builds the graph of the uncolored crossing edges first.  For each
+    color missing at x: either color an uncolored crossing edge x-w whose w
+    also misses it, or take the w (fewest residual edges) whose own edge of
+    that color is sacrificed into R_B.  x lies in A, so every such w lies
+    in B.
     """
-    _index_free_h(state)
-    c, x = state.coloring, state.x
+    c, x, g_star = state.coloring, state.x, state.g_star
+    state.free_h = g_star.induced(g_star.verts, (e for e in state.h_edges if c.color_of(e) is None))
+    row = state.free_h._adj[x]
     for i in sorted(c.missing(x)):
-        cands = [
-            (state.r_deg.get(w, 0), w, ids[0])
-            for w, ids in sorted(state.free_h[x].items())
-        ]
+        cands = [(state.r_deg.get(w, 0), w, ids[0]) for w, ids in sorted(row.items())]
         direct = next((eid for _, w, eid in cands if c.misses(w, i)), None)
         if direct is None:
             if not cands:
@@ -588,7 +558,7 @@ def step2_relocate_S(state: EngineState) -> EngineState:
     for v in sorted(protected - {state.x}):
         for i in sorted(c.missing(v)):  # within [1, state.k]: c.k grows only in step 3
             # The first good exchange in neighbor order.
-            for w, ids in sorted(state.free_h[v].items()):
+            for w, ids in sorted(state.free_h._adj[v].items()):
                 found = _exchange(state, w, i)
                 if found is not None:
                     break
@@ -665,9 +635,9 @@ def _ranked(state: EngineState, index: _Exchanges, anchor: int):
     step's min-d_R rule, this spreads the uncolored edges and keeps goodness
     alive much longer at desk scale.  Ties go by w, which is unique per
     anchor.  The ws are read off the index's order for the other side
-    against the live row ``state.free_h[anchor]``, and ``h_eid`` is the
+    against the anchor's live row in ``state.free_h``, and ``h_eid`` is the
     least uncolored crossing edge anchor-w."""
-    row, at = state.free_h[anchor], index.at
+    row, at = state.free_h._adj[anchor], index.at
     for w in index.order_b if anchor in state.side_a else index.order_a:
         ids = row.get(w)
         if ids is not None:
@@ -848,19 +818,19 @@ def step3_color_residuals(state: EngineState) -> EngineState:
         hosts.append((sorted(state.side_a - drop), sorted(state.side_b - drop)))
 
     # Each class takes a perfect matching of its host among the crossing
-    # edges the classes before it left over: an attempt works on a copy of
-    # the free crossing-edge index and takes each matching out of it.  A
-    # class that finds none moves to the front and the matchings are found
-    # again, ell attempts at most; a class that fails at the front fails in
-    # every order.  Only a missing matching is retried: the hosts are
-    # disjoint subsets of A and B over an index of crossing edges, so a
-    # PreconditionViolated is a broken invariant that no order mends, and
-    # it ends the run.  The copy of the attempt that succeeds holds exactly
-    # the crossing edges left uncolored, so it becomes state.free_h when
-    # the matchings are colored.
+    # edges the classes before it left over: an attempt deletes each
+    # matching from the free crossing edges as it is found.  A class that
+    # finds none moves to the front, the attempt's matchings go back, and
+    # the matchings are found again, ell attempts at most; a class that
+    # fails at the front fails in every order.  Only a missing matching is
+    # retried: the hosts are disjoint subsets of A and B over a graph of
+    # crossing edges, so a PreconditionViolated is a broken invariant that
+    # no order mends, and it ends the run.  After the loop, state.free_h
+    # holds the crossing edges left uncolored, or on failure those step 2
+    # left.
+    free = state.free_h
     order = list(range(state.ell))
     for attempts in range(1, state.ell + 1):
-        free = {v: dict(row) for v, row in state.free_h.items()}
         matchings: dict[int, list[int]] = {}
         failed = None
         for j in order:
@@ -871,8 +841,12 @@ def step3_color_residuals(state: EngineState) -> EngineState:
                 failed, failure = j, exc
                 break
             for eid in matchings[j]:
-                _drop_free(free, *state.g_star.endpoints(eid), eid)
-        if failed is None or order[0] == failed:
+                free.delete_edge(eid)
+        if failed is None:
+            break
+        for eid in chain.from_iterable(matchings.values()):
+            free.add_edge(*state.g_star.endpoints(eid), eid)
+        if order[0] == failed:
             break
         order.remove(failed)
         order.insert(0, failed)
@@ -886,7 +860,6 @@ def step3_color_residuals(state: EngineState) -> EngineState:
             c.assign(eid, color)
         for eid in matchings[j]:
             c.assign(eid, color)
-    state.free_h = free
 
     for v in state.g_star.verts - state.U:
         missing_low = sorted(c.missing(v))
@@ -905,22 +878,20 @@ def step4_finish(state: EngineState) -> EdgeColoring:
     """Color the remaining crossing edges with König and exactly fit the
     Delta(G*) budget."""
     c, trace = state.coloring, state.trace
-    g_star = state.g_star
-    rest = [eid for eid in g_star.edge_ids() if c.color_of(eid) is None]
-    for eid in rest:
-        if eid not in state.h_edges:
-            raise AssertionError("uncolored non-crossing edge after step 3")
+    g_star, free = state.g_star, state.free_h
+    # Every edge of G* is colored or a free crossing edge, never both.
+    if len(c.assignment) + free.edge_count != g_star.edge_count:
+        raise AssertionError("uncolored non-crossing edge after step 3")
     delta_star = g_star.max_degree()
     budget = delta_star - state.k - state.ell
-    if not rest:
+    if not free.edge_count:
         trace.check("step4", "Delta(R)<=budget", 0, budget, True)
         return c
-    r_graph = g_star.induced(g_star.verts, rest)
-    dr = r_graph.max_degree()
+    dr = free.max_degree()
     passed = trace.check("step4", "Delta(R)<=budget", dr, budget, dr <= budget)
     if not passed:
         raise GuardFailed("step4.DeltaR", f"Delta(R)={dr} > {budget}")
-    local = konig_color(r_graph)
+    local = konig_color(free)
     c.extend_palette(state.k + state.ell + local.k)
     for eid, col in sorted(local.assignment.items()):
         c.assign(eid, state.k + state.ell + col)

@@ -12,8 +12,9 @@ Numbers are ASCII decimal integers, ``-?[0-9]+``; ``int``'s ``+0``,
 ``0_1`` and non-ASCII digits are refused.
 The writer emits a canonical form so parse(emit(g)) round-trips bit-exact.
 
-Files are UTF-8: :func:`read_graph` refuses any other bytes with a
-:class:`ParseError` that names the offset of the first bad byte.
+Files are UTF-8: :func:`read_text`, which :func:`read_graph` reads
+through, refuses any other bytes with a :class:`ParseError` that names
+the offset of the first bad byte.
 
 The reader makes one pass: it reads the problem line, allocates the graph
 and streams the edge lines into its bulk fill, checking each line as it
@@ -138,14 +139,19 @@ def parse_graph(text: str) -> Multigraph:
     return g._fill(edges())
 
 
-def read_graph(path: str) -> Multigraph:
+def read_text(path: str) -> str:
+    """The text of the file at ``path``, which must be UTF-8: other bytes
+    raise a :class:`ParseError` that names the offset of the first bad one."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from None
-    return parse_graph(text)
+
+
+def read_graph(path: str) -> Multigraph:
+    return parse_graph(read_text(path))
 
 
 def write_graph(path: str, g: Multigraph, comments: Optional[list[str]] = None) -> None:

@@ -58,10 +58,10 @@ class Multigraph:
     :meth:`induced` is the one subgraph builder: the engine's G_AB and
     residual graphs are induced subgraphs restricted to listed edge ids.
     G[A], G[B] and G[A,B] are not built; the engine keeps their edge ids.
-    The reductions peel their working graph in place, the dense matching
-    reads its host off the graph it is given, and the bipartite matching
-    reads its host off the engine's free crossing-edge index; other stages
-    work on copies.
+    The reductions peel their working graph in place, and both matchings
+    read their host off the graph they are given.  The engine's uncolored
+    crossing edges are one graph from step 2 to step 4, which deletes each
+    edge as it is colored; other stages work on copies.
     """
 
     __slots__ = ("n", "verts", "_edges", "_adj", "_deg", "_next_id")

@@ -7,6 +7,35 @@ from edgecolor.coloring import EdgeColoring
 from edgecolor.multigraph import Multigraph, build_multigraph
 
 
+def assert_core_consistent(g, next_id):
+    """Maintained degrees match the adjacency, and the stored edges,
+    adjacency and id counter match a graph rebuilt by add_edge in id order
+    (its counter is the one the operations so far must have left),
+    is_simple matches its pairwise definition, each adjacent pair has one
+    strictly ascending id list shared by both ends, and a copy keeps every
+    row's key order."""
+    for v in range(g.n):
+        assert g.degree(v) == sum(len(ids) for ids in g._adj[v].values())
+        for w, ids in g._adj[v].items():
+            assert g._adj[w][v] is ids
+            assert type(ids) is list and ids and all(a < b for a, b in zip(ids, ids[1:]))
+    copied = g.copy()
+    assert [list(row) for row in copied._adj] == [list(row) for row in g._adj]
+    for v in range(g.n):
+        for w, ids in copied._adj[v].items():
+            assert copied._adj[w][v] is ids and ids is not g._adj[v][w]
+    rebuilt = Multigraph(g.n, g.verts)
+    for eid in sorted(g._edges):
+        rebuilt.add_edge(*g._edges[eid], eid)
+    assert g._edges == rebuilt._edges
+    assert g._adj == rebuilt._adj
+    assert g._next_id == next_id >= rebuilt._next_id
+    assert g.max_degree() == max((g.degree(v) for v in g.verts), default=0)
+    assert g.min_degree() == min((g.degree(v) for v in g.verts), default=0)
+    ends = list(g._edges.values())
+    assert g.is_simple() == (len(set(ends)) == len(ends))  # no two edges share a pair
+
+
 def random_simple(n: int, p: float, seed: int) -> Multigraph:
     rng = random.Random(seed)
     g = Multigraph(n)

@@ -142,26 +142,13 @@ def test_hopcroft_karp_saturates():
     assert len(m) == 3
 
 
-def _edge_index(g, edge_ids=None):
-    """vertex -> {neighbor -> ascending edge ids} over the edges of g (the
-    listed ones when edge_ids is given): the host form of the bipartite
-    matching."""
-    allowed = None if edge_ids is None else set(edge_ids)
-    index = {v: {} for v in g.verts}
-    for eid, u, v in g.edges():
-        if allowed is None or eid in allowed:
-            index[u].setdefault(v, []).append(eid)
-            index[v].setdefault(u, []).append(eid)
-    return index
-
-
 def test_bipartite_star_matching():
     n = 4
     g = Multigraph(2 * n)
     for u in range(n):
         for w in range(n, 2 * n):
             g.add_edge(u, w)
-    m = perfect_matching_bipartite_star(_edge_index(g), list(range(n)), list(range(n, 2 * n)))
+    m = perfect_matching_bipartite_star(g, list(range(n)), list(range(n, 2 * n)))
     assert check_matching(g, m)
 
 
@@ -171,7 +158,7 @@ def test_bipartite_star_center_bundle():
     g.add_edge(0, 2)
     g.add_edge(0, 2)
     g.add_edge(1, 3)
-    m = perfect_matching_bipartite_star(_edge_index(g), [0, 1], [2, 3])
+    m = perfect_matching_bipartite_star(g, [0, 1], [2, 3])
     assert check_matching(g, m)
     ends = {frozenset(g.endpoints(e)) for e in m}
     assert frozenset((0, 2)) in ends
@@ -193,7 +180,7 @@ def test_bipartite_star_random(seed):
     for w in right:
         if g.degree(w) == 0:
             g.add_edge(w - n, w)
-    m = perfect_matching_bipartite_star(_edge_index(g), left, right)
+    m = perfect_matching_bipartite_star(g, left, right)
     assert check_matching(g, m)
 
 
@@ -290,15 +277,15 @@ def _bipartite_host(seed):
 
 
 def test_bipartite_matching_on_ids_equals_matching_on_induced_host():
-    """perfect_matching_bipartite_star on the index of the allowed edges of
-    g reads only the part on the two sides; it must give what it gives on
-    the index of g.induced(left + right, ids)."""
+    """perfect_matching_bipartite_star on the allowed edges of g, over all
+    of g's vertices, reads only the part on the two sides; it must give what
+    it gives on g.induced(left + right, ids)."""
     kinds = set()
     for seed in range(300):
         g, left, right, _, ids = _bipartite_host(seed)
-        got = _outcome(perfect_matching_bipartite_star, _edge_index(g, ids), left, right)
+        got = _outcome(perfect_matching_bipartite_star, g.induced(g.verts, ids), left, right)
         host = g.induced(left + right, ids)
-        want = _outcome(perfect_matching_bipartite_star, _edge_index(host), left, right)
+        want = _outcome(perfect_matching_bipartite_star, host, left, right)
         assert got == want, seed
         if isinstance(got, list):
             assert check_matching(host, got)
@@ -315,9 +302,16 @@ def test_bipartite_matching_rejects_an_edge_inside_a_side():
     for u, v in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 3)):
         g.add_edge(u, v)
     with pytest.raises(PreconditionViolated, match=r"edge inside one side: \(2,3\)"):
-        perfect_matching_bipartite_star(_edge_index(g), [0, 1], [2, 3])
+        perfect_matching_bipartite_star(g, [0, 1], [2, 3])
     # without the two edges inside {2, 3} the host has a perfect matching
-    assert perfect_matching_bipartite_star(_edge_index(g, [0, 1, 2, 3]), [0, 1], [2, 3]) == [0, 3]
+    assert perfect_matching_bipartite_star(g.induced(g.verts, [0, 1, 2, 3]), [0, 1], [2, 3]) == [0, 3]
+
+
+def test_bipartite_matching_rejects_a_side_vertex_off_the_host():
+    g = build_multigraph(4, [(0, 2, 1), (1, 3, 1)])
+    with pytest.raises(PreconditionViolated, match="left/right must split the vertex set"):
+        perfect_matching_bipartite_star(g.induced([0, 1, 2]), [0, 1], [2, 3])
+    assert perfect_matching_bipartite_star(g, [0, 1], [2, 3]) == [0, 1]
 
 
 def _textbook_hopcroft_karp(adj, left):
@@ -428,14 +422,14 @@ def _unfiltered_rows(host, left, right):
     """The checks on the sides, then a sorted row for every vertex of both
     sides."""
     ls, rs = set(left), set(right)
-    if ls & rs or not (ls | rs) <= host.keys():
+    if ls & rs or not (ls | rs) <= host.verts:
         raise PreconditionViolated("sides", "left/right must split the vertex set")
     if len(ls) != len(rs):
         raise NoPerfectMatching(f"side sizes differ: {len(ls)} vs {len(rs)}")
     nbrs = {}
     for side, other in ((ls, rs), (rs, ls)):
         for v in sorted(side):
-            row = host[v].keys()
+            row = host._adj[v].keys()
             inside = row & side
             if inside:
                 u, w = sorted((v, min(inside)))
@@ -460,7 +454,7 @@ def _unfiltered_bipartite_star(host, left, right):
         raise NoPerfectMatching(
             f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"
         )
-    return [host[u][w][0] for u, w in sorted(m.items())]
+    return [host._adj[u][w][0] for u, w in sorted(m.items())]
 
 
 def _center_first_bipartite_star(host, left, right, center):
@@ -476,7 +470,7 @@ def _center_first_bipartite_star(host, left, right, center):
         m = _textbook_solve(nbrs, ls - {center}, rs - {y})
         if len(m) == len(ls) - 1:
             m[center] = y
-            return [host[u][w][0] for u, w in sorted(m.items())]
+            return [host._adj[u][w][0] for u, w in sorted(m.items())]
     raise NoPerfectMatching("no center choice extends to a perfect matching")
 
 
@@ -486,9 +480,9 @@ def test_bipartite_matching_equals_unfiltered_rows():
     kinds = set()
     for seed in range(300):
         g, left, right, _, ids = _bipartite_host(seed)
-        index = _edge_index(g, ids)
-        got = _outcome(perfect_matching_bipartite_star, index, left, right)
-        assert got == _outcome(_unfiltered_bipartite_star, index, left, right), seed
+        host = g.induced(g.verts, ids)
+        got = _outcome(perfect_matching_bipartite_star, host, left, right)
+        assert got == _outcome(_unfiltered_bipartite_star, host, left, right), seed
         kinds.add(got[0] if isinstance(got, tuple) else "matching")
     assert {"matching", "PreconditionViolated", "NoPerfectMatching"} <= kinds
 
@@ -500,12 +494,12 @@ def test_bipartite_matching_exists_exactly_when_center_first_search_finds_one():
     kinds = set()
     for seed in range(300):
         g, left, right, drawn, ids = _bipartite_host(seed)
-        index = _edge_index(g, ids)
-        got = _outcome(perfect_matching_bipartite_star, index, left, right)
+        host = g.induced(g.verts, ids)
+        got = _outcome(perfect_matching_bipartite_star, host, left, right)
         if isinstance(got, list):
             assert check_matching(g.induced(left + right, ids), got), seed
         for center in (left[0], right[-1], drawn):
-            ref = _outcome(_center_first_bipartite_star, index, left, right, center)
+            ref = _outcome(_center_first_bipartite_star, host, left, right, center)
             assert isinstance(got, list) == isinstance(ref, list), (seed, center)
             if not isinstance(got, list):
                 assert got[0] == ref[0], (seed, center)

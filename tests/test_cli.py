@@ -173,7 +173,7 @@ def test_verify_rejects_a_k_that_is_not_an_integer(tmp_path, capsys, k):
     assert run(["verify", str(mg), str(col)]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == 'error: a coloring needs an integer "k" and a list "classes"\n'
+    assert out.err == f'error: {col}: a coloring needs an integer "k" and a list "classes"\n'
 
 
 def test_bench_exits_1_when_a_row_errors(tmp_path, capsys):
@@ -269,7 +269,41 @@ def test_verify_deeply_nested_coloring_is_one_error_line(tmp_path, capsys, text)
     capsys.readouterr()
     assert run(["verify", str(mg), str(col)]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: coloring JSON nests too deeply\n"
+    assert out == "" and err == f"error: {col}: coloring JSON nests too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b"\xff{}", "byte 0: not UTF-8 (invalid start byte)"),
+        (b'{"k": 1,', "Expecting property name enclosed in double quotes: line 1 column 9 (char 8)"),
+    ],
+    ids=["not-utf8", "syntax"],
+)
+def test_verify_names_the_coloring_file(tmp_path, capsys, data, message):
+    """verify reads two files; an error about the coloring's bytes or JSON
+    says which."""
+    mg = tmp_path / "k3.mg"
+    run(["gen", "--kind", "complete", "--n", "3", "--out", str(mg)])
+    col = tmp_path / "c.json"
+    col.write_bytes(data)
+    capsys.readouterr()
+    assert run(["verify", str(mg), str(col)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {col}: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_bench_bad_corpus_is_one_error_line(tmp_path, capsys, kind):
+    corpus = tmp_path / "corpus"
+    if kind == "file":
+        corpus.write_text("p multigraph 0 0\n")
+    assert run(["bench", str(corpus), "--out", str(tmp_path / "bench.csv")]) == 1
+    out, err = capsys.readouterr()
+    reason = "No such file or directory" if kind == "missing" else "Not a directory"
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err and str(corpus) in err
+    assert not (tmp_path / "bench.csv").exists()
 
 
 def test_color_too_large_exits_1(tmp_path, capsys, monkeypatch):
@@ -291,6 +325,9 @@ def test_color_too_large_exits_1(tmp_path, capsys, monkeypatch):
         ("complete-minus-matching", "9", ["--eta", "-1"], "eta must be positive"),
         ("complete", "7", ["--epsilon", "1.5"], "epsilon must lie in (0,1)"),
         ("complete", "7", ["--eta", "-1"], "eta must be positive"),
+        ("complete", "6", ["--eta", "inf"], "eta must be positive and finite, got inf"),
+        ("complete", "7", ["--eta", "inf"], "eta must be positive and finite, got inf"),
+        ("complete", "7", ["--eta", "nan"], "eta must be positive and finite, got nan"),
     ],
 )
 def test_color_bad_params_exit_1(tmp_path, capsys, kind, n, flags, message):

@@ -11,7 +11,6 @@ from edgecolor.coloring import verify_proper
 from edgecolor.engine import (
     EngineParams,
     _index_exchanges,
-    _index_free_h,
     _mu_without,
     _resolve_pair,
     _uncolored_h_edge,
@@ -30,7 +29,7 @@ from edgecolor.multigraph import build_multigraph
 from edgecolor.reduction import color_odd_dense
 from edgecolor.trace import PipelineTrace
 
-from conftest import complete, heavy_center, random_simple
+from conftest import assert_core_consistent, complete, heavy_center, random_simple
 
 
 def _params(fix, seed=1):
@@ -195,7 +194,7 @@ def _ranked_by_scan(state, anchor, color):
     else:
         avoid, store = state.protected & state.side_a, state.side_a_edges
     found = []
-    for w, ids in state.free_h[anchor].items():
+    for w, ids in state.free_h._adj[anchor].items():
         sac = c.edge_at(w, color)
         if w in avoid or sac is None or sac not in store:
             continue
@@ -448,15 +447,9 @@ def test_dcolor_deterministic():
 
 
 def _free_h_by_scan(state):
-    """The uncolored crossing edges per adjacent pair, from a fresh scan."""
+    """The uncolored crossing edges, edge id -> ends, from a fresh scan."""
     c, g = state.coloring, state.g_star
-    want = {v: {} for v in g.verts}
-    for v in g.verts:
-        for w in g.neighbors(v):
-            ids = [e for e in g.edges_between(v, w) if e in state.h_edges and c.color_of(e) is None]
-            if ids:
-                want[v][w] = ids
-    return want
+    return {e: g.endpoints(e) for e in state.h_edges if c.color_of(e) is None}
 
 
 _INDEXED_STEPS = (
@@ -478,10 +471,10 @@ _INDEXED_STEPS = (
 )
 def test_free_h_index_matches_rebuild(monkeypatch, name, steps_reached):
     """After each step that colors crossing edges, returning or raising,
-    the step-2 index equals a rescan of h_edges and the coloring and a fresh
-    _index_free_h, and _uncolored_h_edge answers what the scan answers.  A
-    step 3 that succeeds leaves its matched copy of the index, a step 3 that
-    raises MatchingFailed leaves the index as step 2 left it."""
+    the graph of free crossing edges holds exactly the uncolored h_edges of
+    a rescan, on the vertices of G*, and passes the Multigraph core checks;
+    _uncolored_h_edge answers what the scan answers.  A step 3 that raises
+    MatchingFailed leaves the graph with the lists step 2 left."""
     if name == "complete-100":
         g = gen_complete(100)
         run = lambda: dcolor(g, EngineParams(epsilon=0.5, eta=0.12, seed=1))
@@ -494,21 +487,27 @@ def test_free_h_index_matches_rebuild(monkeypatch, name, steps_reached):
         run = lambda: dcolor(fix.graph, _params(fix))
     checked = []
     raised = {}
+    after_step2 = {}
 
     def check(state, step):
+        free, g_star = state.free_h, state.g_star
         want = _free_h_by_scan(state)
-        assert state.free_h == want, step
-        fresh = SimpleNamespace(coloring=state.coloring, g_star=state.g_star, h_edges=state.h_edges)
-        _index_free_h(fresh)
-        assert state.free_h == fresh.free_h, step
-        for u, row in state.free_h.items():
-            for w, ids in row.items():
-                assert state.free_h[w][u] is ids  # one list per pair, shared
+        assert free._edges == want, step
+        assert free.verts == g_star.verts and free.n == g_star.n, step
+        assert_core_consistent(free, g_star._next_id)
+        least = {}
+        for e, ends in sorted(want.items()):
+            least.setdefault(ends, e)
         for u in state.side_a:
-            for w in state.g_star.neighbors(u):
+            for w in g_star.neighbors(u):
                 if w in state.side_b:
-                    ids = want[u].get(w)
-                    assert _uncolored_h_edge(state, u, w) == (ids[0] if ids else None)
+                    assert _uncolored_h_edge(state, u, w) == least.get((min(u, w), max(u, w)))
+        lists = {(u, w): list(ids) for u, row in enumerate(free._adj) for w, ids in row.items()}
+        if step == "step2_extend_to_factors":
+            after_step2.clear()
+            after_step2.update(lists)
+        elif raised.get(step) is MatchingFailed:
+            assert lists == after_step2
         checked.append(step)
 
     for step in _INDEXED_STEPS:

@@ -13,7 +13,7 @@ from edgecolor.multigraph import (
 )
 from edgecolor.oracle import brute_overfull_scan
 
-from conftest import complete, cycle, petersen_minus_vertex, random_simple
+from conftest import assert_core_consistent, complete, cycle, petersen_minus_vertex, random_simple
 
 
 def test_build_triangle():
@@ -159,35 +159,6 @@ def test_induced_with_edge_ids():
     assert fresh == 7 and not g.has_edge_id(fresh)
 
 
-def _assert_core_consistent(g, next_id):
-    """Maintained degrees match the adjacency, and the stored edges,
-    adjacency and id counter match a graph rebuilt by add_edge in id order
-    (its counter is the one the operations so far must have left),
-    is_simple matches its pairwise definition, each adjacent pair has one
-    strictly ascending id list shared by both ends, and a copy keeps every
-    row's key order."""
-    for v in range(g.n):
-        assert g.degree(v) == sum(len(ids) for ids in g._adj[v].values())
-        for w, ids in g._adj[v].items():
-            assert g._adj[w][v] is ids
-            assert type(ids) is list and ids and all(a < b for a, b in zip(ids, ids[1:]))
-    copied = g.copy()
-    assert [list(row) for row in copied._adj] == [list(row) for row in g._adj]
-    for v in range(g.n):
-        for w, ids in copied._adj[v].items():
-            assert copied._adj[w][v] is ids and ids is not g._adj[v][w]
-    rebuilt = Multigraph(g.n, g.verts)
-    for eid in sorted(g._edges):
-        rebuilt.add_edge(*g._edges[eid], eid)
-    assert g._edges == rebuilt._edges
-    assert g._adj == rebuilt._adj
-    assert g._next_id == next_id >= rebuilt._next_id
-    assert g.max_degree() == max((g.degree(v) for v in g.verts), default=0)
-    assert g.min_degree() == min((g.degree(v) for v in g.verts), default=0)
-    ends = list(g._edges.values())
-    assert g.is_simple() == (len(set(ends)) == len(ends))  # no two edges share a pair
-
-
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_core_operations_keep_degrees_and_storage(data):
@@ -237,7 +208,7 @@ def test_core_operations_keep_degrees_and_storage(data):
             assert sorted(g._edges.values()) == sorted(pairs)
             assert g.edge_ids() == list(range(len(pairs)))
             next_id = len(pairs)
-        _assert_core_consistent(g, next_id)
+        assert_core_consistent(g, next_id)
 
 
 def test_copy_keeps_key_order_after_deletions_and_readditions():
@@ -263,8 +234,8 @@ def test_copy_keeps_key_order_after_deletions_and_readditions():
     copied.delete_edge(8)
     assert 1 not in copied._adj[0] and 0 not in copied._adj[1]
     assert g.edges_between(0, 1) == [6]
-    _assert_core_consistent(g, 8)
-    _assert_core_consistent(copied, 9)
+    assert_core_consistent(g, 8)
+    assert_core_consistent(copied, 9)
 
 
 def test_pair_lists_stay_ascending_and_private():
@@ -282,7 +253,7 @@ def test_pair_lists_stay_ascending_and_private():
     got.append(9)
     got.remove(1)
     assert g.edges_between(0, 1) == [0, 1, 7] and g.multiplicity(0, 1) == 3
-    _assert_core_consistent(g, 8)
+    assert_core_consistent(g, 8)
 
 
 def test_build_multigraph_checks_each_triple():
@@ -295,4 +266,4 @@ def test_build_multigraph_checks_each_triple():
     g = build_multigraph(4, [(2, 0, 2), (3, 1, 1)])
     assert [g.endpoints(e) for e in g.edge_ids()] == [(0, 2), (0, 2), (1, 3)]
     assert g.degrees() == {0: 2, 1: 1, 2: 2, 3: 1}
-    _assert_core_consistent(g, 3)
+    assert_core_consistent(g, 3)
