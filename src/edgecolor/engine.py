@@ -21,11 +21,13 @@ crossing edge it colors from it, so finding the crossing edge of an
 exchange is a lookup in its adjacency.  Step 3's bipartite matchings read
 their hosts off it and delete each matched edge in place; an attempt that
 fails adds its matched edges back.  Step 4 colors what is left of it with
-König.  Step 1 reads the edges of G[A], G[B] and H as id sets, so it
-builds no graph for them.  It also fixes the protected set S*_A | S*_B
-once, as ``EngineState.protected``; the exchanges, the relocation and the
-S2.3 guard read that one set, and S2.3 reads its per-vertex counts off G*
-and the coloring rather than keeping them.
+König.  The side edges step 2 uncolors form the residual multigraph R,
+``EngineState.residual``, also on the vertices of G*: a vertex's residual
+load is its degree there, and R_A and R_B are its subgraphs induced by A
+and B.  An edge is a side edge when its ends lie on one side, so no edge
+is stored by side.  Step 1 fixes the protected set S*_A | S*_B once, as
+``EngineState.protected``; the exchanges, the relocation and the S2.3
+guard read that one set, and S2.3 reads h(v) off ``EngineState.h_deg``.
 
 Every inequality the construction relies on is evaluated as a named guard
 and recorded in the trace.  Guards whose failure only weakens the
@@ -91,9 +93,6 @@ class EngineState:
     nb_x: set[int] = field(default_factory=set)
     part: Optional[Partition] = None
     g_star: Optional[Multigraph] = None
-    h_edges: set[int] = field(default_factory=set)
-    side_a_edges: set[int] = field(default_factory=set)
-    side_b_edges: set[int] = field(default_factory=set)
     k: int = 0
     s_bound: float = 0.0
     r_bound: float = 0.0
@@ -109,9 +108,11 @@ class EngineState:
     # it.  Only side edges are ever uncolored, so it grows only when a step-3
     # attempt that failed puts its matchings back.
     free_h: Optional[Multigraph] = None
-    r_a: set[int] = field(default_factory=set)
-    r_b: set[int] = field(default_factory=set)
-    r_deg: dict[int, int] = field(default_factory=dict)
+    # h(v), the crossing edges at v that step 1 left uncolored: v's degree in
+    # free_h as step 2 builds it.
+    h_deg: dict[int, int] = field(default_factory=dict)
+    # R = R_A | R_B on the vertices of G*: the side edges step 2 uncolors.
+    residual: Optional[Multigraph] = None
     mcc_pairs: dict[int, list[list[int]]] = field(default_factory=dict)
 
     @property
@@ -375,18 +376,15 @@ def step1_color_gab(state: EngineState) -> EngineState:
     c = base.rebind(g_star, k)
     state.g_star = g_star
     state.coloring = c
-    state.h_edges = split.h_edges.difference(split.moved_center_edges)
-    state.side_a_edges = split.a_edges
-    state.side_b_edges = split.b_edges
 
     # S-pair augmentation: join same-side low-degree vertices that share a
     # missing color, and give the new edge that color.
     s_set = {v for v in g.verts if delta - g.degree(v) >= 7 * n ** (2 / 3)}
     changed = True
-    added = 0
+    added = [0, 0]  # per side, A then B
     while changed:
         changed = False
-        for side, store in ((state.side_a, state.side_a_edges), (state.side_b, state.side_b_edges)):
+        for j, side in enumerate((state.side_a, state.side_b)):
             cand = sorted(s_set & side)
             for u, v in combinations(cand, 2):
                 col = c.first_missing(u, v)
@@ -394,18 +392,17 @@ def step1_color_gab(state: EngineState) -> EngineState:
                     continue
                 eid = g_star.add_edge(u, v)
                 gab.add_edge(u, v, eid)
-                store.add(eid)
                 c.assign(eid, col)
-                added += 1
+                added[j] += 1
                 changed = True
                 break  # one edge per side per pass
-    if added:
-        trace.note("step1", f"augmented {added} same-side S-pair edges")
+    if any(added):
+        trace.note("step1", f"augmented {sum(added)} same-side S-pair edges")
     trace.check("step1", "Delta(G*)=Delta(G)", g_star.max_degree(), delta, g_star.max_degree() == delta)
 
     if state.condition in ("a", "b", "c", "d"):
-        ea = len(state.side_a_edges)
-        eb = len(state.side_b_edges)
+        ea = len(split.a_edges) + added[0]
+        eb = len(split.b_edges) + added[1]
         if not trace.check("step1", "e(G*_A)=e(G*_B)", ea, eb, ea == eb):
             raise GuardFailed("step1.side-balance", f"e(G*_A)={ea} != e(G*_B)={eb}")
         equalize_balanced_sides(gab, c, state.part)
@@ -439,17 +436,11 @@ def step1_color_gab(state: EngineState) -> EngineState:
 
 
 def _uncolor_to_residual(state: EngineState, eid: int) -> None:
-    c = state.coloring
-    c.unassign(eid)
+    state.coloring.unassign(eid)
     u, v = state.g_star.endpoints(eid)
-    if eid in state.side_a_edges:
-        state.r_a.add(eid)
-    elif eid in state.side_b_edges:
-        state.r_b.add(eid)
-    else:
-        raise AssertionError("residual edge must be a side edge")
-    state.r_deg[u] = state.r_deg.get(u, 0) + 1
-    state.r_deg[v] = state.r_deg.get(v, 0) + 1
+    if (u in state.side_a) != (v in state.side_a):
+        raise AssertionError("residual edge must have both ends on one side")
+    state.residual.add_edge(u, v, eid)
 
 
 def _color_h_edge(state: EngineState, eid: int, color: int) -> None:
@@ -466,24 +457,26 @@ def _uncolored_h_edge(state: EngineState, u: int, w: int) -> Optional[int]:
 def step2_fix_center(state: EngineState) -> EngineState:
     """Make every color present at the center before anything else.
 
-    Builds the graph of the uncolored crossing edges first.  For each
-    color missing at x: either color an uncolored crossing edge x-w whose w
-    also misses it, or take the w (fewest residual edges) whose own edge of
-    that color is sacrificed into R_B.  x lies in A, so every such w lies
-    in B.
+    Builds the graph of the uncolored crossing edges, all the uncolored
+    edges of G* after step 1, and an empty R first.  For each color missing
+    at x: either color an uncolored crossing edge x-w whose w also misses
+    it, or take the w (least residual degree) whose own edge of that color
+    is sacrificed into R_B.  x lies in A, so every such w lies in B.
     """
     c, x, g_star = state.coloring, state.x, state.g_star
-    state.free_h = g_star.induced(g_star.verts, (e for e in state.h_edges if c.color_of(e) is None))
+    state.free_h = g_star.induced(g_star.verts, g_star._edges.keys() - c.assignment.keys())
+    state.h_deg = state.free_h.degrees()
+    state.residual = residual = Multigraph(g_star.n, g_star.verts)
     row = state.free_h._adj[x]
     for i in sorted(c.missing(x)):
-        cands = [(state.r_deg.get(w, 0), w, ids[0]) for w, ids in sorted(row.items())]
+        cands = [(residual.degree(w), w, ids[0]) for w, ids in sorted(row.items())]
         direct = next((eid for _, w, eid in cands if c.misses(w, i)), None)
         if direct is None:
             if not cands:
                 raise NoEligibleNeighbor(i)
             _, w, direct = min(cands)
             sac = c.edge_at(w, i)  # an edge: no candidate misses i
-            if sac not in state.side_b_edges:
+            if g_star.other_end(sac, w) not in state.side_b:
                 raise NoEligibleNeighbor(i)
             _uncolor_to_residual(state, sac)
         _color_h_edge(state, direct, i)
@@ -517,29 +510,30 @@ def _pair_up_missing(state: EngineState) -> None:
 def _exchange(state: EngineState, w: int, color: int) -> Optional[tuple[int, int, int]]:
     """The one exchange at w in ``color``, as ``(load, sac, w2)``, or None.
 
-    ``sac`` is w's good side edge of ``color``, ending at w2: both its ends
-    have residual degree below r (a colored edge is never residual, so that
-    is all goodness asks), and ``load`` is the sum of the two.  From an
-    anchor across the bipartition, giving the least uncolored crossing edge
-    anchor-w the color and uncoloring ``sac`` moves the missing color from
-    the anchor to w2.  Neither w nor w2 may lie in ``state.protected``:
-    w2 lies on w's side, and the protected set restricted to a side is
-    that side's S*, so the one set answers for both sides.  w's side also
-    fixes the edge store, so the exchange depends on w, not on the anchor.
+    ``sac`` is w's good side edge of ``color``, ending at w2 on w's side:
+    both its ends have degree below r in ``state.residual`` (a colored edge
+    is never residual, so that is all goodness asks), and ``load`` is the
+    sum of the two.  From an anchor across the bipartition, giving the
+    least uncolored crossing edge anchor-w the color and uncoloring ``sac``
+    moves the missing color from the anchor to w2.  Neither w nor w2 may lie
+    in ``state.protected``: the protected set restricted to a side is that
+    side's S*, so the one set answers for both sides, and the exchange
+    depends on w, not on the anchor.
     """
     protected = state.protected
     if w in protected:
         return None
-    c, r_deg, r = state.coloring, state.r_deg, state.r_bound
+    c, residual, r, side_a = state.coloring, state.residual, state.r_bound, state.side_a
     sac = c.edge_at(w, color)
-    store = state.side_a_edges if w in state.side_a else state.side_b_edges
-    if sac is None or sac not in store:
-        return None
-    load_w = r_deg.get(w, 0)
-    if load_w >= r:
+    if sac is None:
         return None
     w2 = state.g_star.other_end(sac, w)
-    load_w2 = r_deg.get(w2, 0)
+    if (w2 in side_a) != (w in side_a):
+        return None
+    load_w = residual.degree(w)
+    if load_w >= r:
+        return None
+    load_w2 = residual.degree(w2)
     if load_w2 >= r or w2 in protected:
         return None
     return load_w + load_w2, sac, w2
@@ -610,7 +604,7 @@ def _index_exchanges(state: EngineState, color: int, sacs: Iterable[int]) -> _Ex
     from one color to the next, so each color builds its own index.
 
     One evaluation per side edge is enough: both ends of ``sac`` see it as
-    their edge of the color, lie on the side of its store, and read the
+    their edge of the color, lie on the one side it joins, and read the
     same two residual degrees and the same protected test, so
     ``_exchange(w2) == (load, sac, w)`` exactly when
     ``_exchange(w) == (load, sac, w2)``.  The orders sort by (load, w),
@@ -707,14 +701,15 @@ def _resolve_pair(state: EngineState, index: _Exchanges, a: int, b: int) -> None
 
 def step2_extend_to_factors(state: EngineState) -> EngineState:
     """Resolve every pair so each of the k classes becomes a 1-factor."""
-    c, trace = state.coloring, state.trace
+    c, trace, g_star = state.coloring, state.trace, state.g_star
     # The side edges of each color.  Step 2 colors no side edge, and only
     # color i's own resolves uncolor one of color i, so the groups hold
     # until their color comes.
+    side_a = state.side_a
     sacs: dict[int, list[int]] = {}
-    for eid in chain(state.side_a_edges, state.side_b_edges):
-        col = c.color_of(eid)
-        if col is not None:
+    for eid, col in c.assignment.items():
+        u, v = g_star.endpoints(eid)
+        if (u in side_a) == (v in side_a):
             sacs.setdefault(col, []).append(eid)
     for i in range(1, state.k + 1):
         pairs = state.mcc_pairs.get(i, ())
@@ -731,29 +726,27 @@ def step2_extend_to_factors(state: EngineState) -> EngineState:
         if uncovered:
             raise GuardFailed("step2.one-factor", f"color {i} misses {uncovered[:4]}")
 
-    trace.check("step2", "S2.1:e(R_A)<4s", len(state.r_a), 4 * state.s_bound, len(state.r_a) < 4 * state.s_bound)
-    trace.check("step2", "S2.1:e(R_B)<4s", len(state.r_b), 4 * state.s_bound, len(state.r_b) < 4 * state.s_bound)
+    residual, s4 = state.residual, 4 * state.s_bound
+    e_ra = sum(residual.degree(v) for v in side_a) // 2  # R has side edges only
+    e_rb = residual.edge_count - e_ra
+    trace.check("step2", "S2.1:e(R_A)<4s", e_ra, s4, e_ra < s4)
+    trace.check("step2", "S2.1:e(R_B)<4s", e_rb, s4, e_rb < s4)
     if state.condition in ("a", "b", "c", "d"):
-        trace.check("step2", "S2.1:e(R_A)=e(R_B)", len(state.r_a), len(state.r_b), len(state.r_a) == len(state.r_b))
-    max_rdeg = max(state.r_deg.values(), default=0)
+        trace.check("step2", "S2.1:e(R_A)=e(R_B)", e_ra, e_rb, e_ra == e_rb)
+    max_rdeg = residual.max_degree()
     trace.check("step2", "S2.2:Delta(R)<r", max_rdeg, state.r_bound, max_rdeg < state.r_bound)
     # Step 1 colored exactly G_AB, so v missed k - d_G*(v) + h(v) colors
-    # after it; every crossing edge colored since stays colored.
-    g_star = state.g_star
-    h_at = dict.fromkeys(g_star.verts, 0)
-    colored_h_at = dict.fromkeys(g_star.verts, 0)
-    for eid in state.h_edges:
-        colored = c.color_of(eid) is not None
-        for v in g_star.endpoints(eid):
-            h_at[v] += 1
-            colored_h_at[v] += colored
+    # after it; the crossing edges colored since left free_h.  r is a float,
+    # so h(v) is not cancelled: an ulp could flip the comparison.
+    h_deg, free = state.h_deg, state.free_h
     budget_ok = True
     for v in g_star.verts:
-        missing_after_step1 = state.k - g_star.degree(v) + h_at[v]
+        colored = h_deg[v] - free.degree(v)
+        missing_after_step1 = state.k - g_star.degree(v) + h_deg[v]
         if v in state.protected:
-            budget_ok &= colored_h_at[v] <= missing_after_step1
+            budget_ok &= colored <= missing_after_step1
         else:
-            budget_ok &= colored_h_at[v] < missing_after_step1 + state.r_bound
+            budget_ok &= colored < missing_after_step1 + state.r_bound
     trace.check("step2", "S2.3:H-edge-budget", None, None, budget_ok)
     return state
 
@@ -762,14 +755,15 @@ def step2_extend_to_factors(state: EngineState) -> EngineState:
 # Step 3
 
 
-def _residual_classes(state: EngineState, ids: set[int]) -> list[list[int]]:
-    """Color one residual multigraph with the ell fresh colors, equalized.
+def _residual_classes(state: EngineState, side: set[int]) -> list[list[int]]:
+    """Color R_A or R_B, the residual graph induced by ``side``, with the
+    ell fresh colors, equalized.
 
     Returns the classes as ascending edge-id lists, ordered largest first
     (ties by smallest edge id).
     """
     ell = state.ell
-    sub = state.g_star.induced(state.g_star.verts, ids)
+    sub = state.residual.induced(side)
     try:
         local = greedy_color(sub, ell)
     except StarColoringFailed as exc:
@@ -785,13 +779,13 @@ def step3_color_residuals(state: EngineState) -> EngineState:
     across the middle so it covers everything outside U."""
     c, trace = state.coloring, state.trace
     if state.ell == 0:
-        if state.r_a or state.r_b:
+        if state.residual.edge_count:
             raise GuardFailed("step3.ell-zero", "residual edges exist but ell=0")
         return state
     c.extend_palette(state.k + state.ell)
 
-    classes_a = _residual_classes(state, state.r_a)
-    classes_b = _residual_classes(state, state.r_b)
+    classes_a = _residual_classes(state, state.side_a)
+    classes_b = _residual_classes(state, state.side_b)
     cap = 4 * state.s_bound / state.r_bound
     worst = max((len(s) for s in classes_a + classes_b), default=0)
     trace.check("step3", "class-size<4s/r", worst, cap, worst < cap)

@@ -197,4 +197,4 @@ def coloring_from_dict(data: dict, g: Multigraph) -> EdgeColoring:
 
 
 def dump_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"

@@ -34,8 +34,8 @@ def gen_complete(n: int) -> Multigraph:
 
 
 def gen_complete_minus_matching(n: int, matching_size: int) -> Multigraph:
-    if 2 * matching_size > n:
-        raise InfeasibleParams(f"matching of {matching_size} needs {2 * matching_size} vertices")
+    if not 0 <= matching_size <= n // 2:
+        raise InfeasibleParams(f"matching size {matching_size} is outside [0, {n // 2}] for n={n}")
     g = gen_complete(n)
     for i in range(matching_size):
         g.delete_edge(g.edges_between(2 * i, 2 * i + 1)[0])

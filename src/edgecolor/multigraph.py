@@ -55,13 +55,14 @@ class Multigraph:
     adjacency index maps ``u -> {v -> ascending list of edge ids}`` so
     multiplicity lookups are O(1) amortized, with one id list per adjacent
     pair, shared by both ends, and ``_deg`` holds each vertex's degree.
-    :meth:`induced` is the one subgraph builder: the engine's G_AB and
-    residual graphs are induced subgraphs restricted to listed edge ids.
-    G[A], G[B] and G[A,B] are not built; the engine keeps their edge ids.
-    The reductions peel their working graph in place, and both matchings
-    read their host off the graph they are given.  The engine's uncolored
-    crossing edges are one graph from step 2 to step 4, which deletes each
-    edge as it is colored; other stages work on copies.
+    :meth:`induced` is the one subgraph builder: the engine's G_AB is an
+    induced subgraph restricted to listed edge ids, and R_A and R_B are
+    the subgraphs of its residual graph R induced by A and B.  G[A], G[B]
+    and G[A,B] are not built.  The reductions peel their working graph in
+    place, and both matchings read their host off the graph they are
+    given.  The engine's uncolored crossing edges are one graph from step 2
+    to step 4, which deletes each edge as it is colored, and R is another,
+    which step 2 grows; other stages work on copies.
     """
 
     __slots__ = ("n", "verts", "_edges", "_adj", "_deg", "_next_id")

@@ -11,6 +11,7 @@ input with the colorer it is given and verifies that coloring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -56,6 +57,9 @@ class PipelineTrace:
     condition: str = ""  # the engine condition (a)-(e) that matched, if any
 
     def check(self, step: str, guard: str, lhs: object, rhs: object, passed: bool) -> bool:
+        """Record a guard.  JSON has no infinity, so a side that overflowed
+        to inf is kept as the string "inf"."""
+        lhs, rhs = (str(v) if isinstance(v, float) and not math.isfinite(v) else v for v in (lhs, rhs))
         self.entries.append(GuardRecord(step, guard, lhs, rhs, passed))
         return passed
 

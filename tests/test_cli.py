@@ -339,6 +339,43 @@ def test_color_bad_params_exit_1(tmp_path, capsys, kind, n, flags, message):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "gen_args,flags",
+    [
+        (["--kind", "complete", "--n", "8"], ["--eta", "1e308"]),  # eta*n
+        (["--kind", "complete", "--n", "10"], ["--eta", "5e-324"]),  # mu(x)<=2/eta
+        (["--kind", "case-fixture", "--case", "2", "--n", "20"], ["--epsilon", "5e-324", "--eta", "0.12"]),
+    ],
+)
+def test_color_document_is_strict_json(tmp_path, gen_args, flags):
+    """A finite parameter can overflow a guard side to infinity; the
+    document records that side as the string "inf", because JSON has no
+    Infinity, and a strict parser reads it."""
+    mg = tmp_path / "g.mg"
+    out = tmp_path / "g.json"
+    assert run(["gen", *gen_args, "--out", str(mg)]) == 0
+    assert run(["color", str(mg), "--out", str(out), *flags]) in (0, 2)
+
+    def refuse(constant):
+        raise AssertionError(f"non-JSON constant {constant}")
+
+    doc = json.loads(out.read_text(), parse_constant=refuse)
+    assert "inf" in [side for entry in doc["trace"] for side in (entry["lhs"], entry["rhs"])]
+
+
+@pytest.mark.parametrize(
+    "size,message",
+    [("-1", "matching size -1 is outside [0, 4]"), ("5", "matching size 5 is outside [0, 4]")],
+)
+def test_gen_infeasible_matching_size_exits_1(tmp_path, capsys, size, message):
+    mg = tmp_path / "g.mg"
+    assert run(["gen", "--kind", "complete-minus-matching", "--n", "9", "--matching-size", size,
+                "--out", str(mg)]) == 1
+    assert not mg.exists()
+    err = capsys.readouterr().err
+    assert f"infeasible parameters: {message}" in err and "Traceback" not in err
+
+
 def test_gen_negative_n_exits_1(capsys):
     assert run(["gen", "--kind", "complete", "--n", "-3", "--out", os.devnull]) == 1
     err = capsys.readouterr().err

@@ -26,6 +26,7 @@ from edgecolor.engine import (
 from edgecolor.errors import EdgeColorError, MatchingFailed, PreconditionViolated
 from edgecolor.generators import gen_case_fixture, gen_complete, gen_dcolor_fixture
 from edgecolor.multigraph import build_multigraph
+from edgecolor.partition import build_split
 from edgecolor.reduction import color_odd_dense
 from edgecolor.trace import PipelineTrace
 
@@ -148,6 +149,27 @@ def _run_through_step2(fix, seed=1):
     return state
 
 
+def _uncolored_by_scan(state, crossing):
+    """The uncolored crossing edges of G*, or with ``crossing`` false its
+    uncolored side edges, edge id -> ends, from a fresh scan."""
+    c, side_a = state.coloring, state.side_a
+    return {
+        e: (u, v)
+        for e, u, v in state.g_star.edges()
+        if c.color_of(e) is None and ((u in side_a) != (v in side_a)) == crossing
+    }
+
+
+def _colored_by_scan(state, color, crossing):
+    """The crossing edges of G*, or the side edges, that carry ``color``."""
+    c, side_a = state.coloring, state.side_a
+    return {
+        e
+        for e, u, v in state.g_star.edges()
+        if c.color_of(e) == color and ((u in side_a) != (v in side_a)) == crossing
+    }
+
+
 def test_steps_1_2_make_one_factors():
     fix = gen_dcolor_fixture("a", 40)
     state = _run_through_step2(fix)
@@ -165,17 +187,18 @@ def test_resolve_pair_path_shapes():
     c = state.coloring
     shapes = []
     for i in range(1, state.k + 1):
-        sacs = [e for e in state.side_a_edges | state.side_b_edges if c.color_of(e) == i]
-        index = _index_exchanges(state, i, sacs)
+        index = _index_exchanges(state, i, _colored_by_scan(state, i, crossing=False))
         for a, b in state.mcc_pairs[i]:
             cross = (a in state.side_a) != (b in state.side_a)
             if b in state.side_a and a not in state.side_a:
                 a, b = b, a
-            h_before = {e for e in state.h_edges if c.color_of(e) == i}
-            r_a, r_b = set(state.r_a), set(state.r_b)
+            h_before = _colored_by_scan(state, i, crossing=True)
+            r_before = _uncolored_by_scan(state, crossing=False)
             _resolve_pair(state, index, a, b)
-            h_new = {e for e in state.h_edges if c.color_of(e) == i} - h_before
-            new_a, new_b = state.r_a - r_a, state.r_b - r_b
+            h_new = _colored_by_scan(state, i, crossing=True) - h_before
+            r_new = _uncolored_by_scan(state, crossing=False).items() - r_before.items()
+            new_a = [e for e, (u, _) in r_new if u in state.side_a]
+            new_b = [e for e, (u, _) in r_new if u not in state.side_a]
             if cross:
                 assert len(h_new) == 3 and len(new_a) == len(new_b) == 1
             else:
@@ -187,19 +210,21 @@ def test_resolve_pair_path_shapes():
 
 def _ranked_by_scan(state, anchor, color):
     """Every exchange from ``anchor`` in ``color``, from a scan of its whole
-    free row and a sort: the oracle for the index-driven ``_ranked``."""
+    free row and a sort: the oracle for the index-driven ``_ranked``.  The
+    residual degrees come from a rescan of G* for its uncolored side edges."""
     c, r = state.coloring, state.r_bound
-    if anchor in state.side_a:
-        avoid, store = state.protected & state.side_b, state.side_b_edges
-    else:
-        avoid, store = state.protected & state.side_a, state.side_a_edges
+    side = state.side_b if anchor in state.side_a else state.side_a
+    avoid = state.protected & side
+    r_deg = Counter(v for ends in _uncolored_by_scan(state, crossing=False).values() for v in ends)
     found = []
     for w, ids in state.free_h._adj[anchor].items():
         sac = c.edge_at(w, color)
-        if w in avoid or sac is None or sac not in store:
+        if w in avoid or sac is None:
             continue
         w2 = state.g_star.other_end(sac, w)
-        load_w, load_w2 = state.r_deg.get(w, 0), state.r_deg.get(w2, 0)
+        if w2 not in side:
+            continue
+        load_w, load_w2 = r_deg[w], r_deg[w2]
         if load_w < r and load_w2 < r and w2 not in avoid:
             found.append((load_w + load_w2, (w, sac, ids[0], w2)))
     return sorted(found)
@@ -232,7 +257,31 @@ def test_ranked_index_matches_full_scan(monkeypatch, cond, n_half):
     )
     scanned = _run_through_step2(fix)
     assert indexed.coloring.assignment == scanned.coloring.assignment
-    assert (indexed.r_a, indexed.r_b, indexed.r_deg) == (scanned.r_a, scanned.r_b, scanned.r_deg)
+    assert indexed.residual._edges == scanned.residual._edges
+
+
+@pytest.mark.parametrize("cond,n_half", [("a", 40), ("e", 30)])
+def test_exchange_matches_scan(cond, n_half):
+    """After step 2 every color is a 1-factor with crossing edges as well as
+    side edges in it: at every vertex and color, _exchange offers exactly
+    the exchange a rescan of G* finds, and none whose edge of the color
+    crosses the bipartition."""
+    state = _run_through_step2(gen_dcolor_fixture(cond, n_half))
+    c, r, side_a, protected = state.coloring, state.r_bound, state.side_a, state.protected
+    r_deg = Counter(v for ends in _uncolored_by_scan(state, crossing=False).values() for v in ends)
+    crossing = offered = 0
+    for w in sorted(state.g_star.verts):
+        for color in range(1, state.k + 1):
+            sac, want = c.edge_at(w, color), None
+            w2 = state.g_star.other_end(sac, w)
+            if (w in side_a) != (w2 in side_a):
+                crossing += w not in protected
+            elif w not in protected and w2 not in protected and r_deg[w] < r and r_deg[w2] < r:
+                want = (r_deg[w] + r_deg[w2], sac, w2)
+            got = engine._exchange(state, w, color)
+            assert got == want, (w, color)
+            offered += got is not None
+    assert crossing and offered
 
 
 def test_step2_work_grows_at_most_4_5x_per_doubling(monkeypatch):
@@ -370,13 +419,18 @@ _S23_INPUTS = {
 def test_s23_counts_read_off_g_star(monkeypatch, name, reaches_s23):
     """The S2.3 guard derives its two counts.  Right after step 1 every
     vertex misses exactly k - d_G*(v) + h(v) colors, h(v) counting its
-    crossing edges, augmentation or not; and where step 2 ends, at S2.3 or
-    at the raise before it, each vertex's colored crossing edges are the
-    _color_h_edge calls at it."""
+    crossing edges left uncolored, augmentation or not, and step 2 records
+    h(v) as h_deg; and where step 2 ends, at S2.3 or at the raise before
+    it, each vertex's colored crossing edges are the _color_h_edge calls at
+    it."""
     fix = _S23_INPUTS[name]()
     state = _after_step1(fix.graph, _params(fix))
     g_star, c = state.g_star, state.coloring
-    h_at = Counter(v for eid in state.h_edges for v in g_star.endpoints(eid))
+    # H less the center edges step 1 moved into G_AB, from the split itself.
+    moved = set(build_split(fix.graph, state.part, state.x, state.condition).moved_center_edges)
+    side_a = state.side_a
+    h_ids = {e: (u, v) for e, u, v in g_star.edges() if (u in side_a) != (v in side_a) and e not in moved}
+    h_at = Counter(v for ends in h_ids.values() for v in ends)
     for v in g_star.verts:
         assert len(c.missing(v)) == state.k - g_star.degree(v) + h_at[v]
 
@@ -396,9 +450,8 @@ def test_s23_counts_read_off_g_star(monkeypatch, name, reaches_s23):
         pass
     reached = any(e.guard == "S2.3:H-edge-budget" for e in state.trace.entries)
     assert reached == reaches_s23
-    colored = Counter(
-        v for eid in state.h_edges if c.color_of(eid) is not None for v in g_star.endpoints(eid)
-    )
+    assert state.h_deg == {v: h_at[v] for v in g_star.verts}
+    colored = Counter(v for eid, ends in h_ids.items() if c.color_of(eid) is not None for v in ends)
     assert sum(calls.values()) > 0 and colored == calls
 
 
@@ -446,12 +499,6 @@ def test_dcolor_deterministic():
     assert r1.verdict == r2.verdict
 
 
-def _free_h_by_scan(state):
-    """The uncolored crossing edges, edge id -> ends, from a fresh scan."""
-    c, g = state.coloring, state.g_star
-    return {e: g.endpoints(e) for e in state.h_edges if c.color_of(e) is None}
-
-
 _INDEXED_STEPS = (
     "step2_fix_center",
     "step2_relocate_S",
@@ -471,10 +518,12 @@ _INDEXED_STEPS = (
 )
 def test_free_h_index_matches_rebuild(monkeypatch, name, steps_reached):
     """After each step that colors crossing edges, returning or raising,
-    the graph of free crossing edges holds exactly the uncolored h_edges of
-    a rescan, on the vertices of G*, and passes the Multigraph core checks;
-    _uncolored_h_edge answers what the scan answers.  A step 3 that raises
-    MatchingFailed leaves the graph with the lists step 2 left."""
+    the graph of free crossing edges holds exactly the uncolored crossing
+    edges of a rescan of G*, on its vertices, and passes the Multigraph
+    core checks; _uncolored_h_edge answers what the scan answers.  After
+    each step-2 substep the residual graph likewise holds exactly the
+    uncolored side edges.  A step 3 that raises MatchingFailed leaves the
+    graph with the lists step 2 left."""
     if name == "complete-100":
         g = gen_complete(100)
         run = lambda: dcolor(g, EngineParams(epsilon=0.5, eta=0.12, seed=1))
@@ -491,10 +540,15 @@ def test_free_h_index_matches_rebuild(monkeypatch, name, steps_reached):
 
     def check(state, step):
         free, g_star = state.free_h, state.g_star
-        want = _free_h_by_scan(state)
+        want = _uncolored_by_scan(state, crossing=True)
         assert free._edges == want, step
         assert free.verts == g_star.verts and free.n == g_star.n, step
         assert_core_consistent(free, g_star._next_id)
+        if step != "step3_color_residuals":
+            residual, want_r = state.residual, _uncolored_by_scan(state, crossing=False)
+            assert residual._edges == want_r, step
+            assert residual.verts == g_star.verts and residual.n == g_star.n, step
+            assert_core_consistent(residual, max(want_r, default=-1) + 1)
         least = {}
         for e, ends in sorted(want.items()):
             least.setdefault(ends, e)
