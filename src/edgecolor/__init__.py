@@ -41,7 +41,7 @@ from .multigraph import (
     overfull_deficiency,
 )
 from .oracle import OracleResult, brute_chromatic_index, brute_overfull_scan
-from .partition import Partition, SplitGraphs, adjust_for_center, balanced_partition, build_split
+from .partition import Partition, adjust_for_center, balanced_partition, build_split
 from .reduction import color_odd_dense, derive_eta
 from .trace import PipelineTrace, Result
 from .vizing import misra_gries, near_star_color, star_multigraph_color
@@ -57,7 +57,6 @@ __all__ = [
     "PipelineTrace",
     "ProperReport",
     "Result",
-    "SplitGraphs",
     "StarProfile",
     "adjust_for_center",
     "alternating_path",

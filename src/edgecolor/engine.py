@@ -14,6 +14,10 @@ form a bipartite graph of bounded degree.  One setup, :func:`prepare`,
 builds the ``EngineState`` the steps share: condition, pairs, partition,
 and the high-deficiency set U that classification found.
 
+G*, the input plus step 1's same-side S-pair edges, is the input graph
+itself, ``EngineState.g``: :func:`color_exact` deletes those edges again
+before it returns or raises, so no copy of the input is made.
+
 Steps 2 to 4 share one graph of the uncolored crossing edges,
 ``EngineState.free_h``: a ``Multigraph`` on the vertices of G* holding the
 uncolored edges of H, built once when step 2 starts.  Step 2 deletes each
@@ -84,6 +88,8 @@ class EngineParams:
 
 @dataclass
 class EngineState:
+    # G*, the input graph itself: step 1 adds its same-side S-pair edges to
+    # it, and color_exact deletes them again before it returns or raises.
     g: Multigraph
     params: EngineParams
     trace: PipelineTrace
@@ -92,7 +98,6 @@ class EngineState:
     condition: str = ""
     nb_x: set[int] = field(default_factory=set)
     part: Optional[Partition] = None
-    g_star: Optional[Multigraph] = None
     k: int = 0
     s_bound: float = 0.0
     r_bound: float = 0.0
@@ -357,8 +362,8 @@ def step1_color_gab(state: EngineState) -> EngineState:
     g, params, trace = state.g, state.params, state.trace
     n = state.n_half
     eta = params.eta
-    split = build_split(g, state.part, state.x, state.condition)
-    k = split.G_AB.max_degree() + math.isqrt(n)
+    gab, e_a, e_b = build_split(g, state.part, state.x, state.condition)
+    k = gab.max_degree() + math.isqrt(n)
     state.k = k
 
     delta = g.max_degree()
@@ -367,18 +372,16 @@ def step1_color_gab(state: EngineState) -> EngineState:
     else:
         trace.check("step1", "k<=Delta/2+0.6*eta*n", k, delta / 2 + 0.6 * eta * n, k <= delta / 2 + 0.6 * eta * n)
 
-    base = near_star_color(split.G_AB)
+    base = near_star_color(gab)
     if base.k > k:
         raise GuardFailed("step1.palette", f"G_AB needs {base.k} colors > k={k}")
 
-    g_star = g.copy()
-    gab = split.G_AB
-    c = base.rebind(g_star, k)
-    state.g_star = g_star
+    c = base.rebind(g, k)
     state.coloring = c
 
     # S-pair augmentation: join same-side low-degree vertices that share a
-    # missing color, and give the new edge that color.
+    # missing color, and give the new edge that color.  The edge goes into
+    # g, which becomes G*.
     s_set = {v for v in g.verts if delta - g.degree(v) >= 7 * n ** (2 / 3)}
     changed = True
     added = [0, 0]  # per side, A then B
@@ -390,7 +393,7 @@ def step1_color_gab(state: EngineState) -> EngineState:
                 col = c.first_missing(u, v)
                 if col is None:
                     continue
-                eid = g_star.add_edge(u, v)
+                eid = g.add_edge(u, v)
                 gab.add_edge(u, v, eid)
                 c.assign(eid, col)
                 added[j] += 1
@@ -398,11 +401,11 @@ def step1_color_gab(state: EngineState) -> EngineState:
                 break  # one edge per side per pass
     if any(added):
         trace.note("step1", f"augmented {sum(added)} same-side S-pair edges")
-    trace.check("step1", "Delta(G*)=Delta(G)", g_star.max_degree(), delta, g_star.max_degree() == delta)
+    trace.check("step1", "Delta(G*)=Delta(G)", g.max_degree(), delta, g.max_degree() == delta)
 
     if state.condition in ("a", "b", "c", "d"):
-        ea = len(split.a_edges) + added[0]
-        eb = len(split.b_edges) + added[1]
+        ea = e_a + added[0]
+        eb = e_b + added[1]
         if not trace.check("step1", "e(G*_A)=e(G*_B)", ea, eb, ea == eb):
             raise GuardFailed("step1.side-balance", f"e(G*_A)={ea} != e(G*_B)={eb}")
         equalize_balanced_sides(gab, c, state.part)
@@ -437,7 +440,7 @@ def step1_color_gab(state: EngineState) -> EngineState:
 
 def _uncolor_to_residual(state: EngineState, eid: int) -> None:
     state.coloring.unassign(eid)
-    u, v = state.g_star.endpoints(eid)
+    u, v = state.g.endpoints(eid)
     if (u in state.side_a) != (v in state.side_a):
         raise AssertionError("residual edge must have both ends on one side")
     state.residual.add_edge(u, v, eid)
@@ -463,10 +466,10 @@ def step2_fix_center(state: EngineState) -> EngineState:
     it, or take the w (least residual degree) whose own edge of that color
     is sacrificed into R_B.  x lies in A, so every such w lies in B.
     """
-    c, x, g_star = state.coloring, state.x, state.g_star
-    state.free_h = g_star.induced(g_star.verts, g_star._edges.keys() - c.assignment.keys())
+    c, x, g = state.coloring, state.x, state.g
+    state.free_h = g.induced(g.verts, g._edges.keys() - c.assignment.keys())
     state.h_deg = state.free_h.degrees()
-    state.residual = residual = Multigraph(g_star.n, g_star.verts)
+    state.residual = residual = Multigraph(g.n, g.verts)
     row = state.free_h._adj[x]
     for i in sorted(c.missing(x)):
         cands = [(residual.degree(w), w, ids[0]) for w, ids in sorted(row.items())]
@@ -476,7 +479,7 @@ def step2_fix_center(state: EngineState) -> EngineState:
                 raise NoEligibleNeighbor(i)
             _, w, direct = min(cands)
             sac = c.edge_at(w, i)  # an edge: no candidate misses i
-            if g_star.other_end(sac, w) not in state.side_b:
+            if g.other_end(sac, w) not in state.side_b:
                 raise NoEligibleNeighbor(i)
             _uncolor_to_residual(state, sac)
         _color_h_edge(state, direct, i)
@@ -527,7 +530,7 @@ def _exchange(state: EngineState, w: int, color: int) -> Optional[tuple[int, int
     sac = c.edge_at(w, color)
     if sac is None:
         return None
-    w2 = state.g_star.other_end(sac, w)
+    w2 = state.g.other_end(sac, w)
     if (w2 in side_a) != (w in side_a):
         return None
     load_w = residual.degree(w)
@@ -612,7 +615,7 @@ def _index_exchanges(state: EngineState, color: int, sacs: Iterable[int]) -> _Ex
     """
     at: dict[int, tuple[int, int, int]] = {}
     for sac in sacs:
-        w = state.g_star.endpoints(sac)[0]
+        w = state.g.endpoints(sac)[0]
         found = _exchange(state, w, color)
         if found is not None:
             load, _, w2 = found
@@ -701,14 +704,14 @@ def _resolve_pair(state: EngineState, index: _Exchanges, a: int, b: int) -> None
 
 def step2_extend_to_factors(state: EngineState) -> EngineState:
     """Resolve every pair so each of the k classes becomes a 1-factor."""
-    c, trace, g_star = state.coloring, state.trace, state.g_star
+    c, trace, g = state.coloring, state.trace, state.g
     # The side edges of each color.  Step 2 colors no side edge, and only
     # color i's own resolves uncolor one of color i, so the groups hold
     # until their color comes.
     side_a = state.side_a
     sacs: dict[int, list[int]] = {}
     for eid, col in c.assignment.items():
-        u, v = g_star.endpoints(eid)
+        u, v = g.endpoints(eid)
         if (u in side_a) == (v in side_a):
             sacs.setdefault(col, []).append(eid)
     for i in range(1, state.k + 1):
@@ -722,7 +725,7 @@ def step2_extend_to_factors(state: EngineState) -> EngineState:
             if v in state.side_a and u not in state.side_a:
                 u, v = v, u
             _resolve_pair(state, index, u, v)
-        uncovered = c.missing_at(state.g_star.verts, i)
+        uncovered = c.missing_at(state.g.verts, i)
         if uncovered:
             raise GuardFailed("step2.one-factor", f"color {i} misses {uncovered[:4]}")
 
@@ -740,9 +743,9 @@ def step2_extend_to_factors(state: EngineState) -> EngineState:
     # so h(v) is not cancelled: an ulp could flip the comparison.
     h_deg, free = state.h_deg, state.free_h
     budget_ok = True
-    for v in g_star.verts:
+    for v in g.verts:
         colored = h_deg[v] - free.degree(v)
-        missing_after_step1 = state.k - g_star.degree(v) + h_deg[v]
+        missing_after_step1 = state.k - g.degree(v) + h_deg[v]
         if v in state.protected:
             budget_ok &= colored <= missing_after_step1
         else:
@@ -799,8 +802,8 @@ def step3_color_residuals(state: EngineState) -> EngineState:
     # endpoints and outside the U-pads that even out its two sides.
     hosts = []
     for j in range(state.ell):
-        a_i = {v for eid in classes_a[j] for v in state.g_star.endpoints(eid)}
-        b_i = {v for eid in classes_b[j] for v in state.g_star.endpoints(eid)}
+        a_i = {v for eid in classes_a[j] for v in state.g.endpoints(eid)}
+        b_i = {v for eid in classes_b[j] for v in state.g.endpoints(eid)}
         drop = a_i | b_i
         for name, side, own, other in (("A", state.side_a, a_i, b_i), ("B", state.side_b, b_i, a_i)):
             short = len(other) - len(own)
@@ -839,7 +842,7 @@ def step3_color_residuals(state: EngineState) -> EngineState:
         if failed is None:
             break
         for eid in chain.from_iterable(matchings.values()):
-            free.add_edge(*state.g_star.endpoints(eid), eid)
+            free.add_edge(*state.g.endpoints(eid), eid)
         if order[0] == failed:
             break
         order.remove(failed)
@@ -855,7 +858,7 @@ def step3_color_residuals(state: EngineState) -> EngineState:
         for eid in matchings[j]:
             c.assign(eid, color)
 
-    for v in state.g_star.verts - state.U:
+    for v in state.g.verts - state.U:
         missing_low = sorted(c.missing(v))
         if missing_low:
             raise GuardFailed(
@@ -872,11 +875,11 @@ def step4_finish(state: EngineState) -> EdgeColoring:
     """Color the remaining crossing edges with König and exactly fit the
     Delta(G*) budget."""
     c, trace = state.coloring, state.trace
-    g_star, free = state.g_star, state.free_h
+    g, free = state.g, state.free_h
     # Every edge of G* is colored or a free crossing edge, never both.
-    if len(c.assignment) + free.edge_count != g_star.edge_count:
+    if len(c.assignment) + free.edge_count != g.edge_count:
         raise AssertionError("uncolored non-crossing edge after step 3")
-    delta_star = g_star.max_degree()
+    delta_star = g.max_degree()
     budget = delta_star - state.k - state.ell
     if not free.edge_count:
         trace.check("step4", "Delta(R)<=budget", 0, budget, True)
@@ -923,26 +926,37 @@ def color_exact(g: Multigraph, params: EngineParams, trace: PipelineTrace) -> Ed
     Guards and notes go into the caller's ``trace``, and the matched
     condition into ``trace.condition``.  Any guard failure or missing
     object raises its :class:`EdgeColorError`; there is no fallback.
-    """
-    state = prepare(g, params, trace)
-    step1_color_gab(state)
-    step2_fix_center(state)
-    step2_relocate_S(state)
-    step2_extend_to_factors(state)
-    step3_color_residuals(state)
-    final = step4_finish(state)
 
-    if not final.is_total():
-        raise GuardFailed("final.total", "uncolored edges remain")
-    report = verify_proper(state.g_star, final)
-    if not report.ok:
-        raise GuardFailed("final.proper", f"{len(report.violations)} violations")
-    used = len(final.used_colors())
-    delta = g.max_degree()
-    trace.check("final", "colors<=Delta", used, delta, used <= delta)
-    if used > delta:
-        raise GuardFailed("final.count", f"{used} colors > Delta={delta}")
-    return final.rebind(g)
+    The steps run on ``g`` as G*.  Step 1's S-pair edges, the only edges a
+    step adds, take the ids from ``g``'s counter on; on the way out they
+    leave the coloring and ``g``, and the counter is reset.
+    """
+    delta, first_new = g.max_degree(), g._next_id
+    try:
+        state = prepare(g, params, trace)
+        step1_color_gab(state)
+        step2_fix_center(state)
+        step2_relocate_S(state)
+        step2_extend_to_factors(state)
+        step3_color_residuals(state)
+        final = step4_finish(state)
+
+        if not final.is_total():
+            raise GuardFailed("final.total", "uncolored edges remain")
+        report = verify_proper(g, final)
+        if not report.ok:
+            raise GuardFailed("final.proper", f"{len(report.violations)} violations")
+        used = len(final.used_colors())
+        trace.check("final", "colors<=Delta", used, delta, used <= delta)
+        if used > delta:
+            raise GuardFailed("final.count", f"{used} colors > Delta={delta}")
+        for eid in range(first_new, g._next_id):
+            final.unassign(eid)
+        return final
+    finally:
+        for eid in range(first_new, g._next_id):
+            g.delete_edge(eid)
+        g._next_id = first_new
 
 
 def dcolor(g: Multigraph, params: EngineParams) -> Result:

@@ -60,9 +60,10 @@ class Multigraph:
     the subgraphs of its residual graph R induced by A and B.  G[A], G[B]
     and G[A,B] are not built.  The reductions peel their working graph in
     place, and both matchings read their host off the graph they are
-    given.  The engine's uncolored crossing edges are one graph from step 2
-    to step 4, which deletes each edge as it is colored, and R is another,
-    which step 2 grows; other stages work on copies.
+    given.  The engine runs on its input as G*, adding step 1's S-pair
+    edges and deleting them on the way out.  Its uncolored crossing edges
+    are one graph from step 2 to step 4, which deletes each edge as it is
+    colored, and R is another, which step 2 grows.
     """
 
     __slots__ = ("n", "verts", "_edges", "_adj", "_deg", "_next_id")

@@ -6,15 +6,16 @@ keeps every vertex's simple degree nearly balanced across the two sides
 with chained seeds; concentration makes failure vanishingly rare except
 at toy sizes, where the caller falls back.
 
-The split sorts the edge ids into those of G[A], G[B] and the crossing
-graph H = G[A,B]; these id sets are all the engine reads of them, so the
-only graph it builds is the working union G_AB.
+The split builds the working union G_AB of the side edges and some of
+the center's crossing edges, and counts e(G[A]) and e(G[B]), all the
+engine reads of the sides.  G[A], G[B] and the crossing graph H = G[A,B]
+are not built, and no edge id is stored by side.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PartitionFailed, PreconditionViolated
 from .multigraph import Multigraph
@@ -28,18 +29,6 @@ class Partition:
     B: set[int]
     pairs: list[tuple[int, int]]
     retries: int
-
-
-@dataclass
-class SplitGraphs:
-    """The edges of G[A], G[B] and H = G[A,B] as id sets, which partition
-    E(G), and the working union G_AB, the only graph that is built."""
-
-    a_edges: set[int]
-    b_edges: set[int]
-    h_edges: set[int]
-    G_AB: Multigraph
-    moved_center_edges: list[int] = field(default_factory=list)
 
 
 def _side_degrees(adj: dict[int, set[int]], v: int, side: set[int]) -> int:
@@ -163,24 +152,23 @@ def build_split(
     part: Partition,
     x: int,
     condition: str,
-) -> SplitGraphs:
-    """Split E(G) into the edges of G[A], G[B] and H = G[A,B] in one pass,
-    and build the working union G_AB.
+) -> tuple[Multigraph, int, int]:
+    """The working union G_AB, e(G[A]) and e(G[B]).
 
-    G_AB receives floor((d_B(x) - d_A(x)) / 2) crossing edges at x, chosen
+    G_AB holds every side edge (both ends in A, or both in B), and it
+    receives floor((d_B(x) - d_A(x)) / 2) crossing edges at x, chosen
     round-robin over x's B-neighbors in index order.  Under condition (b)
     each neighbor contributes at most ceil(e(x,u)/2) edges; under (c) each
     contributes between floor and ceil of half its bundle.
     """
     side_a = part.A
-    a_edges: set[int] = set()
-    b_edges: set[int] = set()
-    h_edges: set[int] = set()
-    for eid, u, v in g.edges():
-        if u in side_a:
-            (a_edges if v in side_a else h_edges).add(eid)
-        else:
-            (h_edges if v in side_a else b_edges).add(eid)
+    kept: list[int] = []
+    e_a = 0
+    for eid, (u, v) in g._edges.items():
+        if (u in side_a) == (v in side_a):
+            kept.append(eid)
+            e_a += u in side_a
+    e_b = len(kept) - e_a
 
     d_a = _multi_side_degree(g, x, part.A)
     d_b = _multi_side_degree(g, x, part.B)
@@ -219,16 +207,11 @@ def build_split(
                 "split-quota", f"caps too small: quota {quota}, caps {sum(caps.values())}"
             )
 
-    moved: list[int] = []
     for w in nbrs:
-        moved.extend(g.edges_between(x, w)[: take[w]])
+        kept.extend(g.edges_between(x, w)[: take[w]])
 
-    g_ab = g.induced(g.verts, a_edges.union(b_edges, moved))
+    g_ab = g.induced(g.verts, kept)
 
     if g_ab.degree(x) != g.degree(x) // 2:
         raise AssertionError("d_GAB(x) != floor(d_G(x)/2)")
-    if len(a_edges) + len(b_edges) + len(h_edges) != g.edge_count:
-        raise AssertionError("split does not partition E(G)")
-    return SplitGraphs(
-        a_edges=a_edges, b_edges=b_edges, h_edges=h_edges, G_AB=g_ab, moved_center_edges=moved
-    )
+    return g_ab, e_a, e_b

@@ -276,9 +276,9 @@ def test_criterion_08_step2_one_factors():
             continue
         completed += 1
         c = state.coloring
-        nv = state.g_star.vertex_count
+        nv = state.g.vertex_count
         for i, cls in enumerate(c.classes()[: state.k], start=1):
-            covered = {v for e in cls for v in state.g_star.endpoints(e)}
+            covered = {v for e in cls for v in state.g.endpoints(e)}
             assert len(cls) == nv // 2, (cond, i)
             assert len(covered) == nv, (cond, i)
     print(

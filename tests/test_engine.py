@@ -15,6 +15,7 @@ from edgecolor.engine import (
     _resolve_pair,
     _uncolored_h_edge,
     classify_condition,
+    color_exact,
     dcolor,
     prepare,
     select_pairs,
@@ -30,7 +31,7 @@ from edgecolor.partition import build_split
 from edgecolor.reduction import color_odd_dense
 from edgecolor.trace import PipelineTrace
 
-from conftest import assert_core_consistent, complete, heavy_center, random_simple
+from conftest import assert_core_consistent, complete, greedy_coloring, heavy_center, random_simple
 
 
 def _params(fix, seed=1):
@@ -155,7 +156,7 @@ def _uncolored_by_scan(state, crossing):
     c, side_a = state.coloring, state.side_a
     return {
         e: (u, v)
-        for e, u, v in state.g_star.edges()
+        for e, u, v in state.g.edges()
         if c.color_of(e) is None and ((u in side_a) != (v in side_a)) == crossing
     }
 
@@ -165,7 +166,7 @@ def _colored_by_scan(state, color, crossing):
     c, side_a = state.coloring, state.side_a
     return {
         e
-        for e, u, v in state.g_star.edges()
+        for e, u, v in state.g.edges()
         if c.color_of(e) == color and ((u in side_a) != (v in side_a)) == crossing
     }
 
@@ -174,10 +175,10 @@ def test_steps_1_2_make_one_factors():
     fix = gen_dcolor_fixture("a", 40)
     state = _run_through_step2(fix)
     c = state.coloring
-    assert verify_proper(state.g_star, c).ok
-    nv = state.g_star.vertex_count
+    assert verify_proper(state.g, c).ok
+    nv = state.g.vertex_count
     for cls in c.classes()[: state.k]:
-        covered = {v for e in cls for v in state.g_star.endpoints(e)}
+        covered = {v for e in cls for v in state.g.endpoints(e)}
         assert len(cls) == nv // 2 and len(covered) == nv
 
 
@@ -221,7 +222,7 @@ def _ranked_by_scan(state, anchor, color):
         sac = c.edge_at(w, color)
         if w in avoid or sac is None:
             continue
-        w2 = state.g_star.other_end(sac, w)
+        w2 = state.g.other_end(sac, w)
         if w2 not in side:
             continue
         load_w, load_w2 = r_deg[w], r_deg[w2]
@@ -270,10 +271,10 @@ def test_exchange_matches_scan(cond, n_half):
     c, r, side_a, protected = state.coloring, state.r_bound, state.side_a, state.protected
     r_deg = Counter(v for ends in _uncolored_by_scan(state, crossing=False).values() for v in ends)
     crossing = offered = 0
-    for w in sorted(state.g_star.verts):
+    for w in sorted(state.g.verts):
         for color in range(1, state.k + 1):
             sac, want = c.edge_at(w, color), None
-            w2 = state.g_star.other_end(sac, w)
+            w2 = state.g.other_end(sac, w)
             if (w in side_a) != (w2 in side_a):
                 crossing += w not in protected
             elif w not in protected and w2 not in protected and r_deg[w] < r and r_deg[w2] < r:
@@ -333,7 +334,7 @@ def test_index_evaluates_each_side_edge_once(monkeypatch):
         assert calls[0] - before == len(sacs)
         both_ends = {}
         for sac in sacs:
-            for w in state.g_star.endpoints(sac):
+            for w in state.g.endpoints(sac):
                 found = exchange(state, w, color)
                 if found is not None:
                     both_ends[w] = found
@@ -424,11 +425,15 @@ def test_s23_counts_read_off_g_star(monkeypatch, name, reaches_s23):
     it, each vertex's colored crossing edges are the _color_h_edge calls at
     it."""
     fix = _S23_INPUTS[name]()
-    state = _after_step1(fix.graph, _params(fix))
-    g_star, c = state.g_star, state.coloring
-    # H less the center edges step 1 moved into G_AB, from the split itself.
-    moved = set(build_split(fix.graph, state.part, state.x, state.condition).moved_center_edges)
+    params = _params(fix)
+    state = prepare(fix.graph, params, PipelineTrace(seed=params.seed))
+    # H less the center edges step 1 moves into G_AB: the crossing edges of
+    # G_AB, from the split itself, before step 1 adds its S-pair edges.
     side_a = state.side_a
+    gab, _, _ = build_split(fix.graph, state.part, state.x, state.condition)
+    moved = {e for e, u, v in gab.edges() if (u in side_a) != (v in side_a)}
+    step1_color_gab(state)
+    g_star, c = state.g, state.coloring
     h_ids = {e: (u, v) for e, u, v in g_star.edges() if (u in side_a) != (v in side_a) and e not in moved}
     h_at = Counter(v for ends in h_ids.values() for v in ends)
     for v in g_star.verts:
@@ -438,7 +443,7 @@ def test_s23_counts_read_off_g_star(monkeypatch, name, reaches_s23):
     color_h_edge = engine._color_h_edge
 
     def counted(state, eid, color):
-        calls.update(state.g_star.endpoints(eid))
+        calls.update(state.g.endpoints(eid))
         return color_h_edge(state, eid, color)
 
     monkeypatch.setattr(engine, "_color_h_edge", counted)
@@ -539,7 +544,7 @@ def test_free_h_index_matches_rebuild(monkeypatch, name, steps_reached):
     after_step2 = {}
 
     def check(state, step):
-        free, g_star = state.free_h, state.g_star
+        free, g_star = state.free_h, state.g
         want = _uncolored_by_scan(state, crossing=True)
         assert free._edges == want, step
         assert free.verts == g_star.verts and free.n == g_star.n, step
@@ -579,3 +584,97 @@ def test_free_h_index_matches_rebuild(monkeypatch, name, steps_reached):
     assert checked == list(_INDEXED_STEPS[:steps_reached])
     if name == "case2-n44-seed7":
         assert raised == {"step3_color_residuals": MatchingFailed}
+
+
+def _snapshot(g):
+    """What a run could leave changed in g: its edges, each row in order
+    with copies of its id lists, its degrees, id counter and vertices."""
+    rows = [[(w, list(ids)) for w, ids in row.items()] for row in g._adj]
+    return list(g._edges.items()), rows, list(g._deg), g._next_id, set(g.verts)
+
+
+def _assert_unchanged(g, before):
+    assert _snapshot(g) == before
+    assert_core_consistent(g, before[3])
+
+
+def _augmented(trace):
+    return any(e.step == "step1" and e.note.startswith("augmented") for e in trace.entries)
+
+
+@pytest.mark.parametrize(
+    "name,verdict,augments",
+    # heavy-center-k20 adds S-pair edges, reaches S2.3 and falls back later;
+    # k22 adds them and falls back in step 2; K_60 is colored.
+    [("heavy-center-k20", "Fallback", True), ("heavy-center-k22", "Fallback", True),
+     ("complete-60", "Colored", False)],
+)
+def test_dcolor_leaves_its_input_unchanged(name, verdict, augments):
+    """G* is the input graph for the length of a run: the S-pair edges step
+    1 adds to it are gone afterwards, every row keeps its order and the id
+    counter is back where it was.  The coloring is of the input."""
+    if name == "complete-60":
+        g, params = complete(60), EngineParams(epsilon=0.5, eta=0.12, seed=1)
+    else:
+        g, params = heavy_center(int(name[-2:])), EngineParams(epsilon=0.3, eta=0.1, seed=1)
+    before = _snapshot(g)
+    res = dcolor(g, params)
+    assert res.verdict == verdict and _augmented(res.trace) == augments
+    _assert_unchanged(g, before)
+    assert res.coloring.graph is g and res.coloring.is_total()
+    assert verify_proper(g, res.coloring).ok
+    assert sorted(res.coloring.assignment) == g.edge_ids()
+
+
+def test_color_exact_restores_its_input_when_a_step_raises(monkeypatch):
+    """An exception of any kind in step 2, after step 1 added S-pair edges
+    to g, still leaves g as given."""
+    g = heavy_center(20)
+    before = _snapshot(g)
+    seen = []
+
+    def broken(state):
+        assert state.g is g
+        seen.append(g._next_id - before[3])  # the S-pair edges added
+        raise RuntimeError("stub")
+
+    monkeypatch.setattr(engine, "step2_relocate_S", broken)
+    with pytest.raises(RuntimeError, match="stub"):
+        color_exact(g, EngineParams(epsilon=0.3, eta=0.1, seed=1), PipelineTrace(seed=1))
+    assert seen and seen[0] > 0
+    _assert_unchanged(g, before)
+
+
+def test_color_odd_dense_leaves_its_input_unchanged():
+    """The odd-order pipeline, whose engine colors a graph built from its
+    input, leaves the input as given too (case fixture 2, colored through
+    the engine at pipeline seed 1)."""
+    fix = gen_case_fixture(2, 44)
+    before = _snapshot(fix.graph)
+    res = color_odd_dense(fix.graph, fix.epsilon, eta=fix.eta, seed=1)
+    assert res.verdict == "ClassOne"
+    _assert_unchanged(fix.graph, before)
+    assert verify_proper(fix.graph, res.coloring).ok
+
+
+def test_color_exact_drops_added_edges_from_a_coloring_it_returns(monkeypatch):
+    """A run that adds an edge to g at its id counter, as step 1 adds S-pair
+    edges, and succeeds returns a coloring of g without that edge.  No
+    tested input is colored after an augmentation, so the steps are stubs:
+    step 1 colors the path 0-1-2-3 and closes it into a 4-cycle."""
+    g = build_multigraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    before = _snapshot(g)
+
+    def step1(state):
+        state.coloring = c = greedy_coloring(state.g, 2)
+        c.assign(state.g.add_edge(0, 3), c.first_missing(0, 3))
+
+    monkeypatch.setattr(engine, "prepare", lambda g, params, trace: SimpleNamespace(g=g))
+    monkeypatch.setattr(engine, "step1_color_gab", step1)
+    for step in ("step2_fix_center", "step2_relocate_S", "step2_extend_to_factors", "step3_color_residuals"):
+        monkeypatch.setattr(engine, step, lambda state: state)
+    monkeypatch.setattr(engine, "step4_finish", lambda state: state.coloring)
+    c = color_exact(g, EngineParams(epsilon=0.5, eta=0.1), PipelineTrace())
+    _assert_unchanged(g, before)
+    assert c.graph is g and sorted(c.assignment) == g.edge_ids() == [0, 1, 2]
+    assert verify_proper(g, c).ok and len(c.used_colors()) == 2

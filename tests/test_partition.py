@@ -143,23 +143,27 @@ def test_build_split_partitions_edges():
     part = balanced_partition(g, pairs, seed=4)
     part = adjust_for_center(part, g, 0, set())
     split = build_split(g, part, 0, "a")
-    assert split.G_AB.degree(0) == g.degree(0) // 2
-    _assert_split_edges(g, part, split)
+    assert split[0].degree(0) == g.degree(0) // 2
+    _assert_split_edges(g, part, 0, split)
 
 
-def _assert_split_edges(g, part, split):
-    """A, B and H partition E(G); A and B hold the edges inside each side
-    and H exactly the crossing edges; G_AB holds A, B and the moved ones."""
-    a, b, h = split.a_edges, split.b_edges, split.h_edges
-    assert a | b | h == set(g.edge_ids())
-    assert len(a) + len(b) + len(h) == g.edge_count
-    assert all(u in part.A and v in part.A for u, v in map(g.endpoints, a))
-    assert all(u in part.B and v in part.B for u, v in map(g.endpoints, b))
-    crossing = {eid for eid, u, v in g.edges() if (u in part.A) != (v in part.A)}
-    assert h == crossing
-    assert set(split.moved_center_edges) <= h
-    assert set(split.G_AB.edge_ids()) == a | b | set(split.moved_center_edges)
-    assert split.G_AB.verts == g.verts
+def _assert_split_edges(g, part, x, split):
+    """G_AB holds every side edge of G, the edges inside A or inside B, and
+    of the crossing edges only center edges x-B, each with its ends in G;
+    the two counts are e(G[A]) and e(G[B]) recounted from G.  Returns the
+    center edges G_AB took."""
+    gab, e_a, e_b = split
+    a = {eid for eid, u, v in g.edges() if u in part.A and v in part.A}
+    b = {eid for eid, u, v in g.edges() if u in part.B and v in part.B}
+    assert (e_a, e_b) == (len(a), len(b))
+    ids = set(gab.edge_ids())
+    assert a | b <= ids
+    moved = ids - a - b
+    assert x in part.A
+    assert all(x in g.endpoints(e) and g.other_end(e, x) in part.B for e in moved)
+    assert all(gab.endpoints(e) == g.endpoints(e) for e in ids)
+    assert gab.verts == g.verts
+    return moved
 
 
 def test_build_split_bundle_caps_condition_c():
@@ -171,10 +175,9 @@ def test_build_split_bundle_caps_condition_c():
         for _ in range(mult):
             g.add_edge(0, w)
     part = Partition(A={0, 1, 2, 3}, B={4, 5, 6, 7}, pairs=[(0, 4)], retries=0)
-    split = build_split(g, part, 0, "c")
+    moved = _assert_split_edges(g, part, 0, build_split(g, part, 0, "c"))
     for w in (4, 5, 6):
         mult = g.multiplicity(0, w)
-        took = sum(1 for e in split.moved_center_edges if w in g.endpoints(e))
+        took = sum(1 for e in moved if w in g.endpoints(e))
         assert mult // 2 <= took <= (mult + 1) // 2
-    assert split.moved_center_edges
-    _assert_split_edges(g, part, split)
+    assert moved
