@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .coloring import EdgeColoring, alternating_path, flip_path
 from .errors import (
@@ -225,78 +225,68 @@ def perfect_matching_dense(g: Multigraph, skip: Iterable[int] = ()) -> list[int]
     return matching
 
 
-def hopcroft_karp(adj: dict[int, list[int]], left: list[int]) -> dict[int, int]:
+def max_bipartite_matching(adj: dict[int, list[int]], left: list[int]) -> dict[int, int]:
     """Maximum matching of a bipartite graph given left-side adjacency.
 
-    Returns ``left vertex -> right vertex``.  Neighbor lists are scanned
-    in the given order, so the result is deterministic.
-
-    The first phase is a greedy pass: each left vertex in ``left`` order
-    takes its first unmatched neighbor.  That is exactly what the textbook
-    first phase finds, whose BFS starts with every vertex free and sets no
-    distance its DFS can follow.  The later phases are the textbook ones,
-    each BFS run through all its layers.
+    Returns ``left vertex -> right vertex``.  Each left vertex, in ``left``
+    order, starts one search for an augmenting path (Kuhn, 1955) with its
+    own set of seen right vertices.  At each left vertex it reaches, the
+    search first takes the vertex's first unmatched neighbor in row order:
+    that ends the path, and the path is flipped.  Otherwise it moves
+    through the matched neighbors not yet seen, in row order, to their
+    partners.
+    A search that fails changes nothing, and its root finds no augmenting
+    path later either, so one pass over ``left`` gives a maximum matching.
+    The path is an explicit stack, so its length is not bounded by the
+    recursion limit.
     """
-    INF = float("inf")
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
-    dist: dict[int, float] = {}
-    for u in left:
-        if u not in match_l:
-            for w in adj.get(u, ()):
+    for root in left:
+        seen: set[int] = set()
+        path: list[int] = []  # the root, then partners of seen right vertices
+        rows: list[Iterator[int]] = []  # the unread rest of each one's row
+        u = root
+        while u is not None:
+            path.append(u)
+            row = adj.get(u, ())
+            free = None
+            for w in row:
                 if w not in match_r:
-                    match_l[u] = w
-                    match_r[w] = u
+                    free = w
                     break
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for u in left:
-            if u not in match_l:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for w in adj.get(u, ()):
-                nxt = match_r.get(w)
-                if nxt is None:
-                    found = True
-                elif dist[nxt] == INF:
-                    dist[nxt] = dist[u] + 1
-                    queue.append(nxt)
-        return found
-
-    def dfs(u: int) -> bool:
-        for w in adj.get(u, ()):
-            nxt = match_r.get(w)
-            if nxt is None or (dist[nxt] == dist[u] + 1 and dfs(nxt)):
-                match_l[u] = w
-                match_r[w] = u
-                return True
-        dist[u] = INF
-        return False
-
-    while bfs():
-        for u in left:
-            if u not in match_l:
-                dfs(u)
+            if free is not None:
+                for a in reversed(path):  # flip: each takes its successor's match
+                    held = match_l.get(a)
+                    match_l[a] = free
+                    match_r[free] = a
+                    free = held
+                break
+            rows.append(iter(row))
+            u = None
+            while rows and u is None:
+                for w in rows[-1]:
+                    if w not in seen:
+                        seen.add(w)
+                        u = match_r[w]
+                        break
+                else:
+                    rows.pop()
+                    path.pop()
     return match_l
 
 
 def perfect_matching_bipartite_star(host: Multigraph, left: list[int], right: list[int]) -> list[int]:
-    """Perfect matching of a bipartite multigraph, by one Hopcroft-Karp call.
+    """Perfect matching of a bipartite multigraph, by one maximum matching.
 
     The bipartite graph is the part of ``host`` on ``left`` + ``right``,
     read off its adjacency rows, so the engine's step 3 passes its graph of
     free crossing edges and builds none for its hosts.  An edge with both
     ends on one side raises ``PreconditionViolated``, and each matched pair
-    u-w takes its least edge id.  Hopcroft-Karp reads a row for each
-    ``left`` vertex, its sorted neighbors in ``right``.  When no perfect
-    matching exists, ``NoPerfectMatching`` names the size of a maximum
-    matching against the size needed.
+    u-w takes its least edge id.  ``max_bipartite_matching`` reads a row
+    for each ``left`` vertex, its sorted neighbors in ``right``.  When no
+    perfect matching exists, ``NoPerfectMatching`` names the size of a
+    maximum matching against the size needed.
     """
     ls, rs = set(left), set(right)
     if ls & rs or not (ls | rs) <= host.verts:
@@ -312,7 +302,7 @@ def perfect_matching_bipartite_star(host: Multigraph, left: list[int], right: li
                 raise PreconditionViolated("bipartite", f"edge inside one side: ({u},{w})")
 
     l_sorted = sorted(ls)
-    m = hopcroft_karp({u: sorted(adj[u].keys() & rs) for u in l_sorted}, l_sorted)
+    m = max_bipartite_matching({u: sorted(adj[u].keys() & rs) for u in l_sorted}, l_sorted)
     if len(m) < len(ls):
         raise NoPerfectMatching(
             f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"

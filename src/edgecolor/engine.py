@@ -816,7 +816,10 @@ def step3_color_residuals(state: EngineState) -> EngineState:
 
     # Each class takes a perfect matching of its host among the crossing
     # edges the classes before it left over: an attempt deletes each
-    # matching from the free crossing edges as it is found.  A class that
+    # matching from the free crossing edges as it is found.  The matching is
+    # the one the matcher's augmenting-path search finds over sorted rows,
+    # so which matching a class takes, and with it what the classes after
+    # it can find, is fixed by the vertex order.  A class that
     # finds none moves to the front, the attempt's matchings go back, and
     # the matchings are found again, ell attempts at most; a class that
     # fails at the front fails in every order.  Only a missing matching is

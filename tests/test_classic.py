@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -12,8 +14,8 @@ from edgecolor.classic import (
     check_path_cover,
     dirac_hamiltonian,
     hakimi_realize,
-    hopcroft_karp,
     konig_color,
+    max_bipartite_matching,
     path_cover_matching,
     path_cover_star,
     perfect_matching_bipartite_star,
@@ -136,9 +138,9 @@ def test_perfect_matching_dense_random(seed):
     assert check_matching(g, m)
 
 
-def test_hopcroft_karp_saturates():
+def test_max_bipartite_matching_saturates():
     adj = {0: [10, 11], 1: [10], 2: [11, 12]}
-    m = hopcroft_karp(adj, [0, 1, 2])
+    m = max_bipartite_matching(adj, [0, 1, 2])
     assert len(m) == 3
 
 
@@ -377,20 +379,24 @@ def _random_adjacency(seed):
     return adj, left
 
 
-def test_hopcroft_karp_equals_textbook():
-    """The greedy first phase finds what the textbook first phase finds, so
-    the matching is the textbook one, pair for pair."""
+def test_max_bipartite_matching_agrees_with_textbook():
+    """The search returns a matching, each pair taken from its left
+    vertex's row and no right vertex twice, of the size the textbook
+    Hopcroft-Karp finds: a maximum matching."""
     augmented = 0
     for seed in range(300):
         adj, left = _random_adjacency(seed)
-        got = hopcroft_karp(adj, left)
-        assert got == _textbook_hopcroft_karp(adj, left), seed
+        got = max_bipartite_matching(adj, left)
+        assert set(got) <= set(left), seed
+        assert all(w in adj[u] for u, w in got.items()), seed
+        assert len(set(got.values())) == len(got), seed
+        assert len(got) == len(_textbook_hopcroft_karp(adj, left)), seed
         taken = set()  # the right vertices a greedy pass alone matches
         for u in left:
             free = [w for w in adj.get(u, ()) if w not in taken]
             taken.update(free[:1])
         augmented += len(got) > len(taken)
-    assert augmented >= 30  # the later phases do real work on these inputs
+    assert augmented >= 30  # augmenting paths do real work on these inputs
 
 
 class _CountedRow(list):
@@ -405,17 +411,55 @@ class _CountedRow(list):
 
 
 @pytest.mark.parametrize(
-    "matcher,full_first_bfs", [(hopcroft_karp, False), (_textbook_hopcroft_karp, True)]
+    "matcher,full_first_bfs", [(max_bipartite_matching, False), (_textbook_hopcroft_karp, True)]
 )
-def test_hopcroft_karp_reads_on_complete_bipartite(monkeypatch, matcher, full_first_bfs):
-    """On K_{m,m} with sorted rows the greedy first phase matches all of it,
-    u_i reading i + 1 entries, and the next BFS finds no free vertex: at most
-    m(m+1)/2 reads.  The textbook first BFS reads all m^2 entries first."""
+def test_matcher_reads_on_complete_bipartite(monkeypatch, matcher, full_first_bfs):
+    """On K_{m,m} with sorted rows the search from u_i reads i matched
+    entries and takes the next one, which is free: m(m+1)/2 reads.  The
+    textbook Hopcroft-Karp's first phase ends the same way, but its first
+    BFS reads all m^2 entries before it."""
     m = 20
     monkeypatch.setattr(_CountedRow, "reads", 0)
     adj = {u: _CountedRow(range(m, 2 * m)) for u in range(m)}
     assert len(matcher(adj, list(range(m)))) == m
     assert _CountedRow.reads == full_first_bfs * m * m + m * (m + 1) // 2
+
+
+def _ladder(n):
+    """a_i = i - 1 joined to b_i = 2n - i and b_{i+1} for i < n, a_n to
+    b_n alone: the unique perfect matching is a_i-b_i.  b_{i+1} comes first
+    in a_i's sorted row, so a_1 .. a_{n-1} each take it, and the only
+    augmenting path for a_n runs back through all of them, 2n - 1 edges."""
+    g = Multigraph(2 * n)
+    for i in range(1, n + 1):
+        g.add_edge(i - 1, 2 * n - i)
+        if i < n:
+            g.add_edge(i - 1, 2 * n - i - 1)
+    return g, list(range(n)), list(range(n, 2 * n))
+
+
+def test_bipartite_matching_follows_a_long_augmenting_path():
+    n = 3000
+    assert 2 * n - 1 > sys.getrecursionlimit()
+    g, left, right = _ladder(n)
+    m = perfect_matching_bipartite_star(g, left, right)
+    assert sorted(g.endpoints(e) for e in m) == [(i - 1, 2 * n - i) for i in range(1, n + 1)]
+
+
+def test_bipartite_matching_leaves_no_garbage_cycle():
+    """One call leaves nothing for the cyclic collector: its rows and maps
+    are freed when it returns."""
+    g, left, right = _ladder(40)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        m = perfect_matching_bipartite_star(g, left, right)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert check_matching(g, m)
 
 
 def _unfiltered_rows(host, left, right):
@@ -476,20 +520,29 @@ def _center_first_bipartite_star(host, left, right, center):
 
 def test_bipartite_matching_equals_unfiltered_rows():
     """Rows for the matching side only, built for the one solve, give the
-    oracle's outcome: the matching, or the exception type and message."""
+    oracle's outcome: a perfect matching, each pair through its least edge
+    id, where the oracle finds one, or else the same exception type and
+    message.  Any maximum matching has the oracle's size, so the messages
+    agree; the pairs may differ."""
     kinds = set()
     for seed in range(300):
         g, left, right, _, ids = _bipartite_host(seed)
         host = g.induced(g.verts, ids)
         got = _outcome(perfect_matching_bipartite_star, host, left, right)
-        assert got == _outcome(_unfiltered_bipartite_star, host, left, right), seed
+        want = _outcome(_unfiltered_bipartite_star, host, left, right)
+        if isinstance(want, list):
+            assert isinstance(got, list) and len(got) == len(want), seed
+            assert check_matching(g.induced(left + right, ids), got), seed
+            assert all(e == host.edges_between(*host.endpoints(e))[0] for e in got), seed
+        else:
+            assert got == want, seed
         kinds.add(got[0] if isinstance(got, tuple) else "matching")
     assert {"matching", "PreconditionViolated", "NoPerfectMatching"} <= kinds
 
 
 def test_bipartite_matching_exists_exactly_when_center_first_search_finds_one():
-    """Every perfect matching covers the center, so the one Hopcroft-Karp
-    call finds a matching exactly when the center-first search does, with
+    """Every perfect matching covers the center, so the one maximum
+    matching finds a matching exactly when the center-first search does, with
     the center on the left, on the right and as drawn."""
     kinds = set()
     for seed in range(300):

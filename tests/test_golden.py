@@ -95,9 +95,11 @@ def _heavy_center(m):
 # back; dcolor-e-n30 runs equalize_per_side and step 2 and falls back at
 # step 3's pad guard, so its trace pins the step-2 choices; random-13's
 # Misra-Gries fallback takes the Kempe-swap branch; case2-n44 at seed 7
-# exhausts all 30 step-3 attempts and fails at H_50, so it pins the retry
-# loop and the NoPerfectMatching message; complete-60 is even, so it goes to the engine
-# alone and ends Colored at condition (a) with 59 colors; case1-n30 cannot
+# is decided after 10 step-3 attempts, so it pins the retry loop's success
+# after reorders; dcolor-e-n50 exhausts all 52 step-3 attempts and fails at
+# H_68, so it pins the retry loop's end and the NoPerfectMatching message;
+# complete-60 is even, so it goes to the engine alone and ends Colored at
+# condition (a) with 59 colors; case1-n30 cannot
 # attach its center and ends in the case-1 ConstructionFailed; case1-n60
 # attaches its center and falls back in step 2, so its trace pins the
 # attached edges; dcolor-c-n20 is the one run through engine condition (c),
@@ -112,21 +114,22 @@ def _heavy_center(m):
 # others end in the fallback or in ClassTwo.
 GOLDEN = [
     ("k21-minus-matching", _k21_minus_matching, 1, "e1943c71b19d3f4cc4d9dec7fdfb032f1093e12aae77b96d983ab6334a321cdd"),
-    ("case2-n44", _case_fixture(2, 44), 1, "f961cd21ad802b17cfc3c377697806bd856cee1aabec29fcea293e8901233214"),
+    ("case2-n44", _case_fixture(2, 44), 1, "d617764d6bb25ce0ae436f8998797a2504de0b7150a175d8eea0fc82b2d34bdf"),
     ("case4-n24", _case_fixture(4, 24), 1, "501729c85ce2ad5a97977042520d9ed814f82abacc8ca4fc6d2581f14ca8d662"),
     ("dcolor-d-n20", _dcolor("d", 20), 1, "0dd2a2ac218fdc690044e522faf057b28232319a1e8ec7566094405e16d7e328"),
     ("complete-11", _k11, 0, "781fbeedbae32bccde3508f894b5f641d3eb5817ca3ef79a9fc4751884301dbf"),
     ("dcolor-e-n30", _dcolor("e", 30), 1, "3a06562e505744d7be74306054274d64bda6b240589d8b220f35b9fe56a04240"),
     ("random-13", _random_13, 1, "89547efda1154cc7ee2d4d193c86020dae9c9606a0d40b54387b30d85e932615"),
-    ("case2-n44-seed7", _case_fixture(2, 44), 7, "ca116b25cee08e006e90e3dffefe27955f2b98d4ec43287309d15351b7b90b98"),
-    ("complete-60", _k60, 1, "0988ad48a45f29192abda058c8771102e7a23ec4892f87deab54373c54787f7b"),
+    ("case2-n44-seed7", _case_fixture(2, 44), 7, "ecb7856eb03b5d1d1dd20000273cb7af719f78542f8fada0730808eb9fadba9e"),
+    ("complete-60", _k60, 1, "4cb4f2f714976a9c7101c80d44235123a826cb0efd7dbea7ef4d9017ab5e81a9"),
     ("case1-n30", _case_fixture(1, 30), 1, "b95d28accdd14fdca9f0160dd6422cbebbc081994787673de09bf6727ccd28ae"),
     ("case1-n60", _case_fixture(1, 60), 1, "6cbff922c83131295cb8b29adb3f23c99b555ae40cd1e827a7b0a8af12011056"),
     ("dcolor-c-n20", _dcolor("c", 20), 1, "b346e36035de737e642c9326810f267e14518c3389b353588e728026f86064f2"),
     ("case4-saturate-n10", _case4_saturate, 1, "7e70029590c98cf5f2f508b879be74ccc892955a57fec992cd08222ed46b769c"),
-    ("heavy-center-k20", _heavy_center(20), 1, "01897f84a3644e9baf56184544361890560e2bd61d62832b402534e62d8dc2fa"),
+    ("heavy-center-k20", _heavy_center(20), 1, "a4bc968947dcf398bdfeb83207bff67b46323d7ad812eadbb03a0c16cc8f4427"),
     ("heavy-center-k22", _heavy_center(22), 1, "c11468dd763b66d8d15cb1899e07a61c2047586b999508e0b86541e9e1f79062"),
     ("case4-vdelta1-n24", _case4_vdelta1, 1, "20b73c1654b095d84ea462eb526125dc196711268e83e16f3fa0bc9934a12b2e"),
+    ("dcolor-e-n50", _dcolor("e", 50), 1, "bc1060f4055c48cdba3c2293b2c38101aff8692433345d3e4b8a3b40d10e7bc6"),
 ]
 
 
