@@ -2,8 +2,9 @@
 
 Degree-sequence realization, Dirac-style Hamiltonian cycles via closure
 reversal, perfect matchings in dense and bipartite graphs, exact
-bipartite edge coloring by König's alternating paths, and spanning path
-covers with prescribed endpoint pairs, returned as their paths.
+bipartite edge coloring by König's alternating paths (flipped only when
+an edge's ends share no missing color), and spanning path covers with
+prescribed endpoint pairs, returned as their paths.
 """
 
 from __future__ import annotations
@@ -339,17 +340,18 @@ def konig_color(g: Multigraph) -> EdgeColoring:
     """Proper edge coloring of a bipartite multigraph with exactly Delta colors.
 
     The alternating-path proof of König's theorem.  Edges are colored in id
-    order: edge uv takes a color a missing at u.  If v has an a-edge, then
-    for a color b missing at v the (a, b)-path leaving v by its a-edge is
-    maximal; every vertex it enters by an a-edge lies on u's side, and u
-    misses a, so the path avoids u.  Flipping it frees a at v.
+    order: edge uv takes the smallest color both ends miss, which needs no
+    flip.  When there is none, take a missing at u and b missing at v; the
+    (a, b)-path leaving v by its a-edge is maximal, every vertex it enters
+    by an a-edge lies on u's side, and u misses a, so the path avoids u.
+    Flipping it frees a at v, and uv takes a.
     """
     bipartition(g)  # raises NotBipartite; the argument above needs two sides
     coloring = EdgeColoring(g, g.max_degree())
     for eid, u, v in g.edges():
-        a = coloring.first_missing(u)
-        if not coloring.misses(v, a):
-            b = coloring.first_missing(v)
+        a = coloring.first_missing(u, v)
+        if a is None:
+            a, b = coloring.first_missing(u), coloring.first_missing(v)
             flip_path(coloring, alternating_path(coloring, v, a, b)[1], a, b)
         coloring.assign(eid, a)
     return coloring

