@@ -2,8 +2,9 @@
 
 Degree-sequence realization, Dirac Hamiltonian cycles by closure
 reversal, dense and bipartite perfect matchings, exact bipartite edge
-coloring, star-multigraph coloring with Delta+1 colors, and spanning
-path covers with prescribed endpoints.
+coloring, star- and near-star-multigraph coloring through the one entry
+near_star_color (Delta+1 colors on a star), and spanning path covers with
+prescribed endpoints.
 """
 
 import random
@@ -17,7 +18,6 @@ from edgecolor import (
     near_star_color,
     path_cover_star,
     perfect_matching_dense,
-    star_multigraph_color,
     verify_proper,
 )
 
@@ -67,7 +67,7 @@ for u in range(10):
         star.add_edge(u, v)
 for _ in range(4):
     star.add_edge(0, 3)  # fat bundle at the center
-c = star_multigraph_color(star)
+c = near_star_color(star)
 print(f"  Delta={star.max_degree()}, colors={len(c.used_colors())},"
       f" bound={star.max_degree() + 1}, proper={verify_proper(star, c).ok}")
 

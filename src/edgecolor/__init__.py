@@ -44,7 +44,7 @@ from .oracle import OracleResult, brute_chromatic_index, brute_overfull_scan
 from .partition import Partition, adjust_for_center, balanced_partition, build_split
 from .reduction import color_odd_dense, derive_eta
 from .trace import PipelineTrace, Result
-from .vizing import misra_gries, near_star_color, star_multigraph_color
+from .vizing import misra_gries, near_star_color
 
 __all__ = [
     "DeficiencyReport",
@@ -93,7 +93,6 @@ __all__ = [
     "perfect_matching_dense",
     "read_graph",
     "select_pairs",
-    "star_multigraph_color",
     "verify_proper",
     "write_graph",
 ]

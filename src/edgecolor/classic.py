@@ -477,17 +477,12 @@ def path_cover_matching(
         free.difference_update(hop[1:-1])
         paths.append(hop)
 
+    # With no free vertex left the search returns [a] exactly when b sees a.
     a, b = pairs[-1]
-    inner = free | {a}
-    if len(inner) == 1:
-        if b not in adj[a]:
-            raise CoverFailed(f"final pair ({a},{b}) not adjacent")
-        paths.append([a, b])
-    else:
-        spine = _anchored_ham_path(adj, inner, a, b)
-        if spine is None:
-            raise CoverFailed(f"no spanning path for final pair ({a},{b})")
-        paths.append(spine + [b])
+    spine = _anchored_ham_path(adj, free | {a}, a, b)
+    if spine is None:
+        raise CoverFailed(f"no spanning path for final pair ({a},{b})")
+    paths.append(spine + [b])
 
     if not check_path_cover(g, paths, pairs):
         raise AssertionError("path cover failed self-audit")

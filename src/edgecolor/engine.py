@@ -679,11 +679,12 @@ def _resolve_pair(state: EngineState, index: _Exchanges, a: int, b: int) -> None
             yield head
 
     for tail in _walks(state, index, b, steps):
+        # A tail's vertices are distinct: a and b miss the color while every
+        # exchange end has an edge of it, an exchange's ends are the two ends
+        # of one edge, and a tail's two exchanges lie on opposite sides.
         seen = {a, b}
         for w, _, _, w2 in tail:
             seen.update((w, w2))
-        if len(seen) != 2 + 2 * steps:
-            continue
         end = tail[-1][3]
         for _, head in heads():
             if head[0] in seen or head[3] in seen:
@@ -969,5 +970,5 @@ def dcolor(g: Multigraph, params: EngineParams) -> Result:
     try:
         coloring = color_exact(g, params, trace)
     except EdgeColorError as exc:
-        return fall_back(g, trace, exc, near_star_color, FALLBACK, condition=trace.condition)
+        return fall_back(g, trace, exc, FALLBACK, condition=trace.condition)
     return Result(COLORED, coloring, trace, condition=trace.condition)

@@ -30,8 +30,8 @@ Four cases, keyed by the size of the high-deficiency set W:
 (case 3), and 0 < |W| < sqrt(n) (case 4).  Ties go to the lower case.
 Every guard failure anywhere collapses to a verified Delta+1 fallback on
 the original input: ``color_odd_dense`` hands it to ``trace.fall_back``,
-the one fallback tail it shares with the engine's ``dcolor``, with
-Misra-Gries as the colorer.
+the one fallback tail it shares with the engine's ``dcolor``, which colors
+through ``vizing.near_star_color`` (Misra-Gries on these simple inputs).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .multigraph import (
     overfull_deficiency,
 )
 from .trace import CLASS_ONE, CLASS_TWO, FALLBACK_CLASS_UNKNOWN, PipelineTrace, Result, fall_back
-from .vizing import greedy_color, misra_gries
+from .vizing import greedy_color, near_star_color
 
 
 def derive_eta(epsilon: float) -> float:
@@ -92,7 +92,7 @@ def _peel_perfect_matching(
     trace.check(step, "matching-host-degrees", len(low), 1, len(low) <= 1)
     try:
         m = perfect_matching_dense(work, leave_out)
-    except (PreconditionViolated, EdgeColorError) as exc:
+    except EdgeColorError as exc:  # PreconditionViolated among them
         raise MatchingFailed(f"{step}: {exc}") from exc
     for eid in m:
         work.delete_edge(eid)
@@ -465,7 +465,7 @@ def color_odd_dense(
     params = EngineParams(epsilon=epsilon, eta=eta_val, seed=seed)
     delta = g.max_degree()
     if is_overfull(g):
-        coloring = misra_gries(g)
+        coloring = near_star_color(g)
         if len(coloring.used_colors()) != delta + 1 or not verify_proper(g, coloring).ok:
             raise AssertionError("class-2 coloring must use exactly Delta+1 colors")
         trace.note("verdict", "overfull input: class 2")
@@ -490,4 +490,4 @@ def color_odd_dense(
             )
         return Result(CLASS_ONE, coloring, trace, case, trace.condition)
     except EdgeColorError as exc:
-        return fall_back(g, trace, exc, misra_gries, FALLBACK_CLASS_UNKNOWN, case)
+        return fall_back(g, trace, exc, FALLBACK_CLASS_UNKNOWN, case)

@@ -6,17 +6,18 @@ order.  The two front doors, ``reduction.color_odd_dense`` and
 coloring of the input and the trace.  The five verdicts are named here,
 with the set of decided ones.  On a guard failure both go through
 :func:`fall_back`, the one fallback tail: it notes the failure, colors the
-input with the colorer it is given and verifies that coloring.
+input with ``vizing.near_star_color`` and verifies that coloring.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .coloring import EdgeColoring, verify_proper
 from .multigraph import Multigraph
+from .vizing import near_star_color
 
 # The odd-order pipeline ends ClassOne (Delta colors), ClassTwo (overfull,
 # Delta+1 colors) or FallbackClassUnknown; the engine ends Colored (at
@@ -91,15 +92,16 @@ def fall_back(
     g: Multigraph,
     trace: PipelineTrace,
     exc: Exception,
-    colorer: Callable[[Multigraph], EdgeColoring],
     verdict: str,
     case: int = 0,
     condition: str = "",
 ) -> Result:
     """Note ``exc`` as the run's one ``fallback`` entry, color ``g`` with
-    ``colorer`` and return that coloring, verified, under ``verdict``."""
+    :func:`~edgecolor.vizing.near_star_color` and return that coloring,
+    verified, under ``verdict``.  On the odd-order door's simple inputs that
+    is Misra-Gries; on the engine's near-star inputs, the star insertion."""
     trace.note("fallback", f"{type(exc).__name__}: {exc}")
-    coloring = colorer(g)
+    coloring = near_star_color(g)
     if not verify_proper(g, coloring).ok:
         raise AssertionError("fallback coloring failed verification")
     return Result(verdict, coloring, trace, case, condition)

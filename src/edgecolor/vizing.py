@@ -19,7 +19,9 @@ vertices may repeat (parallel center edges), which it tolerates because
 the shifted colors are pairwise distinct and individually free.
 
 A near star-multigraph reduces to the star case by setting aside all but
-one edge of its single non-center multi-pair.
+one edge of its single non-center multi-pair.  :func:`near_star_color` is
+the one entry for all three: it reads the star structure once and sends
+the input to the colorer that fits it.
 """
 
 from __future__ import annotations
@@ -222,14 +224,9 @@ def _insert_center_edge(g: Multigraph, c: EdgeColoring, eid: int, x: int) -> boo
     return False
 
 
-def star_multigraph_color(g: Multigraph) -> EdgeColoring:
-    """Proper edge coloring of a star-multigraph with at most Delta+1 colors."""
-    profile = detect_star_structure(g)
-    if profile.kind == KIND_SIMPLE:
-        return misra_gries(g)
-    if profile.kind != KIND_STAR:
-        raise NotStarMultigraph(f"structure is {profile.kind}")
-    x = profile.center
+def _star_color(g: Multigraph, x: int) -> EdgeColoring:
+    """Proper edge coloring, with at most Delta+1 colors, of a
+    star-multigraph whose multi-pairs all meet x."""
     k = g.max_degree() + 1
     c = misra_gries(g.without_vertices([x]), k).rebind(g)
 
@@ -270,19 +267,23 @@ def star_multigraph_color(g: Multigraph) -> EdgeColoring:
 
 
 def near_star_color(g: Multigraph) -> EdgeColoring:
-    """Color a near star-multigraph with at most max(Delta+e(y,z), Delta+1)
-    colors: set aside all but one (y,z)-parallel, color the star remainder,
-    then place the spares in shared free colors or fresh ones."""
+    """Color a simple graph by Misra-Gries and a star-multigraph by the star
+    insertion, with at most Delta+1 colors; a near star-multigraph with at
+    most max(Delta+e(y,z), Delta+1): set aside all but one (y,z)-parallel,
+    color the star remainder, then place the spares in shared free colors
+    or fresh ones."""
     profile = detect_star_structure(g)
-    if profile.kind in (KIND_SIMPLE, KIND_STAR):
-        return star_multigraph_color(g)
+    if profile.kind == KIND_SIMPLE:
+        return misra_gries(g)
+    if profile.kind == KIND_STAR:
+        return _star_color(g, profile.center)
     if profile.kind != KIND_NEAR_STAR:
         raise NotNearStar(f"structure is {profile.kind}")
     y, z = profile.residual_pair
     bundle = g.edges_between(y, z)
     spares = bundle[1:]
     reduced = g.without_edges(spares)
-    full = star_multigraph_color(reduced).rebind(g)
+    full = near_star_color(reduced).rebind(g)
     for eid in spares:
         shared = full.first_missing(y, z)
         if shared is not None:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -6,6 +8,7 @@ import pytest
 from edgecolor import cli, formats
 from edgecolor.cli import main
 from edgecolor.formats import read_graph
+from edgecolor.generators import gen_complete, gen_random_dense
 
 
 def run(args):
@@ -272,17 +275,27 @@ def test_verify_deeply_nested_coloring_is_one_error_line(tmp_path, capsys, text)
     assert out == "" and err == f"error: {col}: coloring JSON nests too deeply\n"
 
 
+MALFORMED = 'a coloring needs an integer "k" and a list "classes"'
+
+
 @pytest.mark.parametrize(
     "data,message",
     [
         (b"\xff{}", "byte 0: not UTF-8 (invalid start byte)"),
         (b'{"k": 1,', "Expecting property name enclosed in double quotes: line 1 column 9 (char 8)"),
+        (b'{"k": 3}', MALFORMED),
+        (b'{"k": 3, "classes": 5}', MALFORMED),
+        (b'{"k": 3, "classes": [[0], 1, []]}', "class 2 is not a list of edge ids"),
+        (b'{"k": 3, "classes": [["0"], [], []]}', "class 1: edge id '0' is not an integer"),
+        (b'{"k": 3, "classes": [[1.0], [], []]}', "class 1: edge id 1.0 is not an integer"),
+        (b'{"k": 3, "classes": [[0], [1, 0], []]}', "edge 0 is listed in classes 1 and 2"),
     ],
-    ids=["not-utf8", "syntax"],
+    ids=["not-utf8", "syntax", "no-classes", "classes-not-a-list", "class-not-a-list", "id-string",
+         "id-float", "id-twice"],
 )
 def test_verify_names_the_coloring_file(tmp_path, capsys, data, message):
-    """verify reads two files; an error about the coloring's bytes or JSON
-    says which."""
+    """verify reads two files; an error about the coloring's bytes, JSON or
+    content says which, in one line with no traceback."""
     mg = tmp_path / "k3.mg"
     run(["gen", "--kind", "complete", "--n", "3", "--out", str(mg)])
     col = tmp_path / "c.json"
@@ -291,6 +304,40 @@ def test_verify_names_the_coloring_file(tmp_path, capsys, data, message):
     assert run(["verify", str(mg), str(col)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {col}: {message}\n"
+
+
+def test_bench_names_the_fallback_cause(tmp_path, capsys):
+    """random-13 of the golden table ends in the case-1 ConstructionFailed at
+    epsilon 0.3, and K_11 is overfull, so ClassTwo."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    formats.write_graph(str(corpus / "k11.mg"), gen_complete(11))
+    formats.write_graph(str(corpus / "random-13.mg"), gen_random_dense(13, 0.6, 0, 3))
+    out = tmp_path / "bench.csv"
+    capsys.readouterr()
+    assert run(["bench", str(corpus), "--epsilon", "0.3", "--out", str(out)]) == 0
+    rows = {row["file"]: row for row in csv.DictReader(io.StringIO(out.read_text()))}
+    assert rows["k11.mg"]["verdict"] == "ClassTwo" and rows["k11.mg"]["cause"] == ""
+    assert rows["random-13.mg"]["verdict"] == "FallbackClassUnknown"
+    assert rows["random-13.mg"]["cause"] == "ConstructionFailed"
+    assert capsys.readouterr().err.endswith(" fallback=1 errors=0 fallback-causes[ConstructionFailed:1]\n")
+
+
+def test_gen_random_dense_default_delta_floor(tmp_path):
+    """Without --delta-floor the floor is (1 + epsilon) times half the order,
+    rounded down: int(1.3 * 8) = 10 for 15 vertices."""
+    mg = tmp_path / "g.mg"
+    assert run(["gen", "--kind", "random-dense", "--n", "15", "--seed", "2", "--out", str(mg)]) == 0
+    assert "c p 0.7 delta-floor 10" in mg.read_text().splitlines()
+    assert read_graph(str(mg)).min_degree() >= 10
+
+
+def test_gen_regular(tmp_path):
+    mg = tmp_path / "g.mg"
+    assert run(["gen", "--kind", "regular", "--n", "10", "--degree", "4", "--seed", "1", "--out", str(mg)]) == 0
+    assert mg.read_text().splitlines()[:3] == ["c kind regular", "c seed 1", "c degree 4"]
+    g = read_graph(str(mg))
+    assert g.vertex_count == 10 and set(g.degrees().values()) == {4}
 
 
 @pytest.mark.parametrize("kind", ["missing", "file"])

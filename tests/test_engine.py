@@ -1,3 +1,4 @@
+import gc
 import json
 from collections import Counter
 from types import SimpleNamespace
@@ -26,7 +27,7 @@ from edgecolor.engine import (
 )
 from edgecolor.errors import EdgeColorError, MatchingFailed, PreconditionViolated
 from edgecolor.generators import gen_case_fixture, gen_complete, gen_dcolor_fixture
-from edgecolor.multigraph import build_multigraph
+from edgecolor.multigraph import Multigraph, build_multigraph
 from edgecolor.partition import build_split
 from edgecolor.reduction import color_odd_dense
 from edgecolor.trace import PipelineTrace
@@ -134,6 +135,23 @@ def _after_step1(g, params):
     state = prepare(g, params, PipelineTrace(seed=params.seed))
     step1_color_gab(state)
     return state
+
+
+def test_g_ab_does_not_outlive_step1():
+    """Step 1 colors G_AB and moves that coloring onto G*, which is the
+    input itself; no Multigraph it built stays alive.  The class has
+    __slots__ and takes no weak reference, so the live ones are counted."""
+    fix = gen_dcolor_fixture("d", 40)
+    params = _params(fix)
+    state = prepare(fix.graph, params, PipelineTrace(seed=params.seed))
+
+    def live():
+        return {id(o) for o in gc.get_objects() if isinstance(o, Multigraph)}
+
+    gc.collect()
+    before = live()
+    step1_color_gab(state)
+    assert live() == before and id(state.g) in before
 
 
 def _relocated(fix, seed=1):

@@ -110,11 +110,12 @@ def _heavy_center(m):
 # the S2.3 guard with them in G*, and heavy-center-k22 relocates over S
 # vertices and ends in NoGoodEdge at step2.relocate; case4-vdelta1-n24 is
 # the one run through case 4's single-minimum-vertex peel (twice at
-# case4.vdelta1, then at case4.parity) and ends in NoAlternatingPath; the
-# others end in the fallback or in ClassTwo.  case2-n44 at both seeds and
-# complete-60 color their residual crossing edges with König in step 4,
-# so their colorings pin its choice of colors; their verdicts, color counts
-# and traces do not depend on it.
+# case4.vdelta1, then at case4.parity) and ends in NoAlternatingPath;
+# dcolor-b-n40 is the one run through condition (b)'s pair selection and
+# ends Colored; the others end in the fallback or in ClassTwo.  case2-n44
+# at both seeds and complete-60 color their residual crossing edges with
+# König in step 4, so their colorings pin its choice of colors; their
+# verdicts, color counts and traces do not depend on it.
 GOLDEN = [
     ("k21-minus-matching", _k21_minus_matching, 1, "e1943c71b19d3f4cc4d9dec7fdfb032f1093e12aae77b96d983ab6334a321cdd"),
     ("case2-n44", _case_fixture(2, 44), 1, "b7d0ad051d0bc2f3743cb9a1947d4177671d862d6c402b976254ed285e30934a"),
@@ -133,6 +134,7 @@ GOLDEN = [
     ("heavy-center-k22", _heavy_center(22), 1, "c11468dd763b66d8d15cb1899e07a61c2047586b999508e0b86541e9e1f79062"),
     ("case4-vdelta1-n24", _case4_vdelta1, 1, "20b73c1654b095d84ea462eb526125dc196711268e83e16f3fa0bc9934a12b2e"),
     ("dcolor-e-n50", _dcolor("e", 50), 1, "bc1060f4055c48cdba3c2293b2c38101aff8692433345d3e4b8a3b40d10e7bc6"),
+    ("dcolor-b-n40", _dcolor("b", 40), 1, "c684ac865a99791e29c684ef25509f8f30966e317cb5f02165a528c4b1ba55b3"),
 ]
 
 

@@ -9,7 +9,7 @@ from edgecolor.errors import NotNearStar, NotStarMultigraph
 from edgecolor.generators import gen_complete_minus_matching
 from edgecolor.multigraph import Multigraph, build_multigraph, detect_star_structure
 from edgecolor.oracle import brute_chromatic_index
-from edgecolor.vizing import greedy_color, misra_gries, near_star_color, star_multigraph_color
+from edgecolor.vizing import greedy_color, misra_gries, near_star_color
 
 from conftest import complete, petersen, random_simple, simple_graphs
 
@@ -88,19 +88,13 @@ def test_star_multigraph_color_bound(seed):
     g = _random_star_multigraph(seed)
     if detect_star_structure(g).kind not in ("Simple", "Star"):
         return
-    c = star_multigraph_color(g)
+    c = near_star_color(g)
     assert _proper_within(g, c, g.max_degree() + 1)
 
 
 def test_star_color_k4(k4):
-    c = star_multigraph_color(k4)
+    c = near_star_color(k4)
     assert _proper_within(k4, c, 4)
-
-
-def test_star_color_rejects_near_star():
-    g = build_multigraph(6, [(0, 1, 2), (2, 3, 2), (0, 4, 1)])
-    with pytest.raises(NotStarMultigraph):
-        star_multigraph_color(g)
 
 
 def test_star_color_falls_back_on_the_fan_at_the_far_end():
@@ -111,7 +105,7 @@ def test_star_color_falls_back_on_the_fan_at_the_far_end():
              (2, 3), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
     g = build_multigraph(7, [(u, v, 1) for u, v in pairs] + [(0, 3, 2)])
     assert detect_star_structure(g).kind == "Star"
-    c = star_multigraph_color(g)
+    c = near_star_color(g)
     assert _proper_within(g, c, g.max_degree() + 1)
 
 
@@ -133,7 +127,7 @@ def test_star_color_retry_loop(n, dropped, doubled):
         [(u, v, 2 if (u, v) in doubled else 1) for u in range(n) for v in range(u + 1, n) if (u, v) not in dropped],
     )
     assert detect_star_structure(g).center == 3
-    c = star_multigraph_color(g)
+    c = near_star_color(g)
     assert _proper_within(g, c, g.max_degree() + 1)
 
 
