@@ -125,7 +125,7 @@ def dirac_hamiltonian(g: Multigraph, skip: Iterable[int] = ()) -> list[int]:
         adj[v].add(u)
 
     cycle = list(verts)
-    pos = {v: i for i, v in enumerate(cycle)}
+    pos = dict(zip(cycle, range(nv)))
     for (u, v) in reversed(added):
         adj[u].discard(v)
         adj[v].discard(u)
@@ -137,7 +137,7 @@ def dirac_hamiltonian(g: Multigraph, skip: Iterable[int] = ()) -> list[int]:
         if (j - i) % nv != 1:
             u, v = v, u
             i, j = j, i
-        path = [cycle[(i - t) % nv] for t in range(nv)]
+        path = cycle[i::-1] + cycle[:i:-1]
         assert path[0] == u and path[-1] == v
         pick = None
         for t in range(1, nv - 1):
@@ -146,8 +146,8 @@ def dirac_hamiltonian(g: Multigraph, skip: Iterable[int] = ()) -> list[int]:
                 break
         if pick is None:
             raise AssertionError("crossing chord must exist when degree sum >= |V|")
-        cycle = path[: pick + 1] + path[pick + 1 :][::-1]
-        pos = {w: t for t, w in enumerate(cycle)}
+        cycle = path[: pick + 1] + path[:pick:-1]
+        pos = dict(zip(cycle, range(nv)))
 
     if not check_hamiltonian_cycle(g, cycle, skip):
         raise AssertionError("constructed cycle failed verification")

@@ -11,6 +11,10 @@ duplicate ``(u, v)`` lines are rejected (multiplicity must be aggregated).
 Numbers are ASCII decimal integers, ``-?[0-9]+``; ``int``'s ``+0``,
 ``0_1`` and non-ASCII digits are refused.
 The writer emits a canonical form so parse(emit(g)) round-trips bit-exact.
+It reads each ``e`` line off the adjacency rows, one step per adjacent
+pair (u ascending, then v > u ascending, the multiplicity the length of
+the pair's id list), and :func:`write_graph` streams those lines into
+the file without building the whole text.
 
 Files are UTF-8: :func:`read_text`, which :func:`read_graph` reads
 through, refuses any other bytes with a :class:`ParseError` that names
@@ -40,15 +44,23 @@ MAX_VERTICES = 100_000  # far beyond what the pipeline colors in reasonable time
 MAX_EDGES = 1_000_000  # total multiplicity, so one 'e' line cannot expand unbounded
 
 
+def _graph_lines(g: Multigraph, comments: Optional[list[str]]) -> Iterator[str]:
+    """The lines of ``g``'s text, each ending in a newline: the comments,
+    the problem line, then one ``e`` line per adjacent pair, read off the
+    adjacency rows (u ascending, then v > u ascending)."""
+    adj = g._adj
+    for c in comments or ():
+        yield f"c {c}\n"
+    # Each adjacent pair is one key in each of its two rows.
+    yield f"p multigraph {g.n} {sum(map(len, adj)) // 2}\n"
+    for u, row in enumerate(adj):
+        for v in sorted(row):
+            if v > u:
+                yield f"e {u} {v} {len(row[v])}\n"
+
+
 def emit_graph(g: Multigraph, comments: Optional[list[str]] = None) -> str:
-    pairs: dict[tuple[int, int], int] = {}
-    for _, u, v in g.edges():
-        pairs[(u, v)] = pairs.get((u, v), 0) + 1
-    lines = [f"c {c}" for c in (comments or [])]
-    lines.append(f"p multigraph {g.n} {len(pairs)}")
-    for (u, v) in sorted(pairs):
-        lines.append(f"e {u} {v} {pairs[(u, v)]}")
-    return "\n".join(lines) + "\n"
+    return "".join(_graph_lines(g, comments))
 
 
 class _Numbers(dict):
@@ -156,7 +168,7 @@ def read_graph(path: str) -> Multigraph:
 
 def write_graph(path: str, g: Multigraph, comments: Optional[list[str]] = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_graph(g, comments))
+        fh.writelines(_graph_lines(g, comments))
 
 
 def coloring_to_dict(c: EdgeColoring, g: Multigraph) -> dict:

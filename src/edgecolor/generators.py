@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, combinations
+from typing import Iterable, Iterator
 
 from .errors import InfeasibleParams
 from .multigraph import Multigraph, compute_W, deficiency_report, is_overfull
@@ -25,12 +27,17 @@ class Fixture:
     eta: float
 
 
+def _numbered(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, int]]:
+    """``(edge_id, u, v)`` with ``u < v`` for each pair, ids 0, 1, ... in
+    order: the triples ``add_edge`` would store for these pairs, for the
+    bulk fill of a new graph."""
+    for i, (a, b) in enumerate(pairs):
+        yield (i, a, b) if a < b else (i, b, a)
+
+
 def gen_complete(n: int) -> Multigraph:
-    g = Multigraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.add_edge(u, v)
-    return g
+    """K_n, its edges numbered 0, 1, ... in lexicographic pair order."""
+    return Multigraph(n)._fill(_numbered(combinations(range(n), 2)))
 
 
 def gen_complete_minus_matching(n: int, matching_size: int) -> Multigraph:
@@ -47,11 +54,7 @@ def gen_random_dense(n: int, p: float, delta_floor: int, seed: int) -> Multigrap
     if delta_floor > n - 1:
         raise InfeasibleParams(f"delta floor {delta_floor} > n-1")
     rng = random.Random(seed)
-    g = Multigraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                g.add_edge(u, v)
+    g = Multigraph(n)._fill(_numbered(pair for pair in combinations(range(n), 2) if rng.random() < p))
     for _ in range(n * n):
         v = min(range(n), key=lambda u: (g.degree(u), u))
         if g.degree(v) >= delta_floor:
@@ -67,21 +70,22 @@ def gen_random_dense(n: int, p: float, delta_floor: int, seed: int) -> Multigrap
 
 
 def gen_circulant(n: int, degree: int) -> Multigraph:
-    """Circulant graph; degree must be even, or n even (antipodal offset)."""
+    """Circulant graph; degree must be even, or n even (antipodal offset).
+
+    Edges are numbered 0, 1, ... offset by offset: (u, u + off mod n) for
+    each u, then the antipodal pairs (u, u + n/2) when the degree is odd."""
     if degree >= n:
         raise InfeasibleParams(f"degree {degree} >= n {n}")
     if degree < 0:
         raise InfeasibleParams(f"degree {degree} is negative")
     if degree % 2 == 1 and n % 2 == 1:
         raise InfeasibleParams("odd degree requires even n")
-    g = Multigraph(n)
-    for off in range(1, degree // 2 + 1):
-        for u in range(n):
-            g.add_edge(u, (u + off) % n)
-    if degree % 2 == 1:
-        half = n // 2
-        for u in range(half):
-            g.add_edge(u, u + half)
+    half = n // 2 if degree % 2 == 1 else 0
+    pairs = chain(
+        ((u, (u + off) % n) for off in range(1, degree // 2 + 1) for u in range(n)),
+        ((u, u + half) for u in range(half)),
+    )
+    g = Multigraph(n)._fill(_numbered(pairs))
     degs = set(g.degrees().values())
     if degs != {degree}:
         raise AssertionError(f"circulant degrees {degs} != {degree}")
@@ -94,10 +98,7 @@ def gen_regular(n: int, degree: int, seed: int = 0) -> Multigraph:
     rng = random.Random(seed)
     relabel = list(range(n))
     rng.shuffle(relabel)
-    g = Multigraph(n)
-    for _, u, v in base.edges():
-        g.add_edge(relabel[u], relabel[v])
-    return g
+    return Multigraph(n)._fill(_numbered((relabel[u], relabel[v]) for _, u, v in base.edges()))
 
 
 def _pairing_repair(g: Multigraph, deficient: list[int], banned: set[int]) -> None:

@@ -25,12 +25,13 @@ it is reached, and a simple pair costs a one-element list.
 Degrees are maintained: ``add_edge`` and ``delete_edge`` update a
 per-vertex count, so every degree query is a lookup.  Every builder of a
 new graph (``induced`` and the ``without_*`` forms over it, ``grown``,
-``underlying_simple`` and ``build_multigraph``) goes through one bulk
-fill that writes edges, adjacency and degrees directly, in increasing id
-order; ``add_edge`` keeps the checks for single edges.  The reader
-(``formats.parse_graph``) streams its checked edge lines straight into
-that fill; ``build_multigraph`` serves tests and callers that hold
-``(u, v, multiplicity)`` triples.
+``underlying_simple``, ``build_multigraph`` and the generators
+``gen_complete``, ``gen_circulant``, ``gen_regular`` and the G(n, p) draw
+of ``gen_random_dense``) goes through one bulk fill that writes edges,
+adjacency and degrees directly, in increasing id order; ``add_edge`` keeps
+the checks for single edges.  The reader (``formats.parse_graph``) streams
+its checked edge lines straight into that fill; ``build_multigraph``
+serves tests and callers that hold ``(u, v, multiplicity)`` triples.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ class Multigraph:
             edge_id = self._next_id
         elif edge_id in self._edges:
             raise ValueError(f"edge id {edge_id} already present")
-        self._next_id = max(self._next_id, edge_id + 1)
+        if edge_id >= self._next_id:
+            self._next_id = edge_id + 1
         self._edges[edge_id] = (u, v)
         adj = self._adj
         ids = adj[u].get(v)

@@ -253,6 +253,53 @@ def test_dirac_cycle_on_skip_equals_cycle_on_copy():
             assert check_hamiltonian_cycle(g, got, skip)
 
 
+def _dirac_reference(g, skip=()):
+    """dirac_hamiltonian with the cycle rebuilt element by element at each
+    chord repair."""
+    skip = frozenset(skip)
+    verts = sorted(g.verts - skip)
+    nv = len(verts)
+    adj = classic._simple_adj(g, skip)
+    added = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :] if v not in adj[u]]
+    for u, v in added:
+        adj[u].add(v)
+        adj[v].add(u)
+    cycle = list(verts)
+    pos = {v: i for i, v in enumerate(cycle)}
+    repairs = 0
+    for (u, v) in reversed(added):
+        adj[u].discard(v)
+        adj[v].discard(u)
+        i, j = pos[u], pos[v]
+        if (i - j) % nv != 1 and (j - i) % nv != 1:
+            continue
+        if (j - i) % nv != 1:
+            u, v = v, u
+            i, j = j, i
+        path = [cycle[(i - t) % nv] for t in range(nv)]
+        pick = next(t for t in range(1, nv - 1) if path[t] in adj[v] and path[t + 1] in adj[u])
+        cycle = path[: pick + 1] + path[pick + 1 :][::-1]
+        pos = {w: t for t, w in enumerate(cycle)}
+        repairs += 1
+    return cycle, repairs
+
+
+def test_dirac_cycle_equals_the_element_by_element_rebuild():
+    """Random Dirac hosts, with skipped vertices and without: the cycle is
+    the reference's, and the hosts make the repair loop run."""
+    repairs = 0
+    for seed in range(60):
+        g, skip = _dense_host_with_skip(seed)
+        for drop in (skip, ()):
+            adj = classic._simple_adj(g, frozenset(drop))
+            if len(adj) < 3 or min(map(len, adj.values())) * 2 < len(adj):
+                continue
+            want, made = _dirac_reference(g, drop)
+            assert dirac_hamiltonian(g, drop) == want, (seed, drop)
+            repairs += made
+    assert repairs > 100
+
+
 def _bipartite_host(seed):
     """A random multigraph with two sides, a few vertices on neither, the
     occasional edge inside a side, a random subset of allowed edge ids (or

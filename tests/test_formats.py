@@ -60,6 +60,59 @@ def test_round_trip_keeps_ids_and_multiplicities(g):
         assert all(ids is g2._adj[v][u] for v, ids in row.items())
 
 
+def _pair_table_emit(g: Multigraph, comments=None) -> str:
+    """The writer as a per-edge walk: a (u, v) -> count table, sorted."""
+    pairs: dict[tuple[int, int], int] = {}
+    for _, u, v in g.edges():
+        pairs[(u, v)] = pairs.get((u, v), 0) + 1
+    lines = [f"c {c}" for c in (comments or [])]
+    lines.append(f"p multigraph {g.n} {len(pairs)}")
+    for (u, v) in sorted(pairs):
+        lines.append(f"e {u} {v} {pairs[(u, v)]}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_multigraphs(draw):
+    """Multigraphs with at most 8 vertices, the active set any subset of
+    the index space, built by add_edge with parallel pairs and then thinned
+    by deletions, so that row key order is not pair order."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    g = Multigraph(n, draw(st.sets(st.integers(0, n - 1))) if n else ())
+    verts = sorted(g.verts)
+    if len(verts) >= 2:
+        pair = st.lists(st.sampled_from(verts), min_size=2, max_size=2, unique=True)
+        for u, v in draw(st.lists(pair, max_size=30)):
+            g.add_edge(u, v)
+        for eid in draw(st.sets(st.sampled_from(g.edge_ids()))) if g.edge_count else ():
+            g.delete_edge(eid)
+    return g
+
+
+comment_lists = st.one_of(
+    st.none(), st.lists(st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=6), max_size=3)
+)
+
+
+@given(mutated_multigraphs(), comment_lists)
+@settings(max_examples=300, deadline=None)
+def test_emit_graph_equals_the_pair_table(g, comments):
+    assert emit_graph(g, comments) == _pair_table_emit(g, comments)
+
+
+@pytest.mark.parametrize("g", [Multigraph(0), Multigraph(5), Multigraph(4, [1, 3])])
+def test_emit_graph_without_edges(g):
+    assert emit_graph(g) == _pair_table_emit(g) == f"p multigraph {g.n} 0\n"
+
+
+@given(mutated_multigraphs(), comment_lists)
+@settings(max_examples=50, deadline=None)
+def test_write_graph_writes_the_emitted_text(tmp_path_factory, g, comments):
+    path = tmp_path_factory.mktemp("write") / "g.mg"
+    formats.write_graph(str(path), g, comments)
+    assert path.read_bytes() == emit_graph(g, comments).encode("utf-8")
+
+
 def test_parse_rejects_loops():
     with pytest.raises(ParseError):
         parse_graph("p multigraph 3 1\ne 1 1 1\n")

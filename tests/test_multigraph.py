@@ -256,6 +256,19 @@ def test_pair_lists_stay_ascending_and_private():
     assert_core_consistent(g, 8)
 
 
+def test_add_edge_id_counter():
+    """An explicit id below the counter leaves it alone, one at or above it
+    moves it past that id, and the next default id is the counter."""
+    g = build_multigraph(4, [(0, 1, 2), (2, 3, 3)])
+    assert g._next_id == 5
+    g.delete_edge(1)
+    assert g.add_edge(0, 1, 1) == 1 and g._next_id == 5
+    assert g.add_edge(1, 2, 5) == 5 and g._next_id == 6
+    assert g.add_edge(0, 3, 9) == 9 and g._next_id == 10
+    assert g.add_edge(1, 3) == 10 and g._next_id == 11
+    assert_core_consistent(g, 11)
+
+
 def test_build_multigraph_checks_each_triple():
     with pytest.raises(ValueError, match="multiplicity"):
         build_multigraph(3, [(0, 1, 1), (1, 2, 0)])
