@@ -10,8 +10,9 @@ prescribed endpoint pairs, returned as their paths.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .coloring import EdgeColoring, alternating_path, flip_path
 from .errors import (
@@ -226,44 +227,63 @@ def perfect_matching_dense(g: Multigraph, skip: Iterable[int] = ()) -> list[int]
     return matching
 
 
-def max_bipartite_matching(adj: dict[int, list[int]], left: list[int]) -> dict[int, int]:
-    """Maximum matching of a bipartite graph given left-side adjacency.
+def max_bipartite_matching(
+    adj: Sequence[Collection[int]] | Mapping[int, Collection[int]],
+    left: list[int],
+    right: Iterable[int],
+) -> dict[int, int]:
+    """Maximum matching between ``left`` and ``right`` in a bipartite graph.
 
-    Returns ``left vertex -> right vertex``.  Each left vertex, in ``left``
-    order, starts one search for an augmenting path (Kuhn, 1955) with its
-    own set of seen right vertices.  At each left vertex it reaches, the
-    search first takes the vertex's first unmatched neighbor in row order:
-    that ends the path, and the path is flipped.  Otherwise it moves
-    through the matched neighbors not yet seen, in row order, to their
-    partners.
+    ``adj[u]`` is the collection of a left vertex u's neighbors, in any
+    order; neighbors outside ``right`` are passed over, so the caller
+    vouches that the graph is bipartite.  Returns ``left vertex -> right
+    vertex``.  Each left vertex, in ``left`` order, starts one search for
+    an augmenting path (Kuhn, 1955) with its own set of seen right
+    vertices.  The search reads the graph from its free side, an ascending
+    list of the unmatched right vertices.  At each left vertex it reaches,
+    it first takes the vertex's smallest unmatched neighbor, read from the
+    shorter of that list (each entry probed in the row) and the row (each
+    entry probed among the unmatched): that ends the path, the path is
+    flipped, and the taken vertex leaves the list by bisection.  Otherwise
+    it moves through the vertex's neighbors in ``right``, all matched, not
+    yet seen, in ascending order, to their partners.  That sorted row is
+    built the first time the search walks through the vertex and kept for
+    the rest of the call.
     A search that fails changes nothing, and its root finds no augmenting
     path later either, so one pass over ``left`` gives a maximum matching.
     The path is an explicit stack, so its length is not bounded by the
     recursion limit.
     """
+    rs = set(right)
+    free = sorted(rs)  # the unmatched right vertices, ascending
+    unmatched = set(free)
+    walked: dict[int, list[int]] = {}  # the sorted rows built so far
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
     for root in left:
         seen: set[int] = set()
         path: list[int] = []  # the root, then partners of seen right vertices
-        rows: list[Iterator[int]] = []  # the unread rest of each one's row
+        rows: list[Iterator[int]] = []  # the unread rest of each one's sorted row
         u = root
         while u is not None:
             path.append(u)
-            row = adj.get(u, ())
-            free = None
-            for w in row:
-                if w not in match_r:
-                    free = w
-                    break
-            if free is not None:
+            row = adj[u]
+            if len(free) <= len(row):
+                end = next(filter(row.__contains__, free), None)
+            else:
+                end = min(filter(unmatched.__contains__, row), default=None)
+            if end is not None:
+                del free[bisect_left(free, end)]
+                unmatched.remove(end)
                 for a in reversed(path):  # flip: each takes its successor's match
                     held = match_l.get(a)
-                    match_l[a] = free
-                    match_r[free] = a
-                    free = held
+                    match_l[a] = end
+                    match_r[end] = a
+                    end = held
                 break
-            rows.append(iter(row))
+            if u not in walked:
+                walked[u] = sorted(rs.intersection(row))
+            rows.append(iter(walked[u]))
             u = None
             while rows and u is None:
                 for w in rows[-1]:
@@ -280,14 +300,17 @@ def max_bipartite_matching(adj: dict[int, list[int]], left: list[int]) -> dict[i
 def perfect_matching_bipartite_star(host: Multigraph, left: list[int], right: list[int]) -> list[int]:
     """Perfect matching of a bipartite multigraph, by one maximum matching.
 
-    The bipartite graph is the part of ``host`` on ``left`` + ``right``,
-    read off its adjacency rows, so the engine's step 3 passes its graph of
-    free crossing edges and builds none for its hosts.  An edge with both
-    ends on one side raises ``PreconditionViolated``, and each matched pair
-    u-w takes its least edge id.  ``max_bipartite_matching`` reads a row
-    for each ``left`` vertex, its sorted neighbors in ``right``.  When no
-    perfect matching exists, ``NoPerfectMatching`` names the size of a
-    maximum matching against the size needed.
+    The bipartite graph is the part of ``host`` between ``left`` and
+    ``right``, read off its adjacency rows, so the engine's step 3 passes
+    its graph of free crossing edges and builds none for its hosts.  The
+    caller vouches that no edge joins two vertices of one side: such an
+    edge is never followed, and step 3 checks its graph once for all its
+    hosts.  ``max_bipartite_matching`` reads each ``left`` vertex's row
+    from the free side, and sorts the row's neighbors in ``right`` only for
+    a vertex its search walks through.  Each matched pair u-w takes its
+    least edge id.  When no perfect matching exists,
+    ``NoPerfectMatching`` names the size of a maximum matching against the
+    size needed.
     """
     ls, rs = set(left), set(right)
     if ls & rs or not (ls | rs) <= host.verts:
@@ -295,15 +318,7 @@ def perfect_matching_bipartite_star(host: Multigraph, left: list[int], right: li
     if len(ls) != len(rs):
         raise NoPerfectMatching(f"side sizes differ: {len(ls)} vs {len(rs)}")
     adj = host._adj
-    for side in (ls, rs):
-        for v in sorted(side):
-            inside = adj[v].keys() & side
-            if inside:
-                u, w = sorted((v, min(inside)))
-                raise PreconditionViolated("bipartite", f"edge inside one side: ({u},{w})")
-
-    l_sorted = sorted(ls)
-    m = max_bipartite_matching({u: sorted(adj[u].keys() & rs) for u in l_sorted}, l_sorted)
+    m = max_bipartite_matching(adj, sorted(ls), rs)
     if len(m) < len(ls):
         raise NoPerfectMatching(
             f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"

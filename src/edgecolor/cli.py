@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -37,12 +38,19 @@ EXIT_ERROR = 1
 EXIT_FALLBACK = 2
 
 
-def _write_out(text: str, path: str | None) -> None:
+def _write_out(text: str, path: str | None) -> bool:
+    """Write ``text`` to ``path`` or to stdout; a file that cannot be
+    written is one error line and False."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -50,6 +58,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.n < 0:
         print(f"error: --n must be nonnegative, got {args.n}", file=sys.stderr)
         return EXIT_ERROR
+    if kind == "random-dense":
+        # int() refuses the default delta floor when it is nan or infinite,
+        # as a huge finite epsilon makes it too
+        if not math.isfinite((1 + args.epsilon) * ((args.n + 1) // 2)):
+            print(f"error: --epsilon must give a finite delta floor, got {args.epsilon}", file=sys.stderr)
+            return EXIT_ERROR
+        if not 0 <= args.p <= 1:
+            print(f"error: --p must lie in [0, 1], got {args.p}", file=sys.stderr)
+            return EXIT_ERROR
     # Refuse, before building anything, a graph the reader would refuse: the
     # fixtures have 2n or 2n-1 vertices and no vertex of degree above
     # |V| - 1, and random-dense visits every pair.
@@ -94,8 +111,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     except InfeasibleParams as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    _write_out(formats.emit_graph(g, comments), args.out)
-    return EXIT_OK
+    return EXIT_OK if _write_out(formats.emit_graph(g, comments), args.out) else EXIT_ERROR
 
 
 def run_color(path: str, epsilon: float, eta: float | None, seed: int, mode: str) -> dict:
@@ -140,7 +156,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
     except (ParseError, EdgeColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    _write_out(formats.dump_json(doc), args.out)
+    if not _write_out(formats.dump_json(doc), args.out):
+        return EXIT_ERROR
     return EXIT_OK if doc["verdict"] in DECIDED else EXIT_FALLBACK
 
 
@@ -174,8 +191,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "colors_used": len(c.used_colors()),
         "violations": [list(v) for v in report.violations[:50]],
     }
-    _write_out(formats.dump_json(doc), args.out)
-    return EXIT_OK if report.ok else EXIT_ERROR
+    return EXIT_OK if _write_out(formats.dump_json(doc), args.out) and report.ok else EXIT_ERROR
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -200,8 +216,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         doc["overfull_witness"] = scan
     elif doc["overfull"]:
         doc["overfull_witness"] = g.vertex_list()
-    _write_out(formats.dump_json(doc), args.out)
-    return EXIT_OK
+    return EXIT_OK if _write_out(formats.dump_json(doc), args.out) else EXIT_ERROR
 
 
 def _bench_one(job: tuple[str, float, float | None, int]) -> dict:
@@ -264,7 +279,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow({k: row.get(k, "") for k in _BENCH_FIELDS})
-    _write_out(buf.getvalue(), args.out)
+    if not _write_out(buf.getvalue(), args.out):
+        return EXIT_ERROR
     done = [r for r in rows if r["verdict"] != "error"]
     class_one = sum(1 for r in done if r["verdict"] == CLASS_ONE)
     colored = sum(1 for r in done if r["verdict"] == COLORED)

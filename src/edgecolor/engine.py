@@ -818,18 +818,31 @@ def step3_color_residuals(state: EngineState) -> EngineState:
     # Each class takes a perfect matching of its host among the crossing
     # edges the classes before it left over: an attempt deletes each
     # matching from the free crossing edges as it is found.  The matching is
-    # the one the matcher's augmenting-path search finds over sorted rows,
-    # so which matching a class takes, and with it what the classes after
-    # it can find, is fixed by the vertex order.  A class that
+    # the one the matcher's augmenting-path search finds when it takes the
+    # smallest free neighbor first and walks matched neighbors in ascending
+    # order, so which matching a class takes, and with it what the classes
+    # after it can find, is fixed by the vertex order.  A class that
     # finds none moves to the front, the attempt's matchings go back, and
     # the matchings are found again, ell attempts at most; a class that
     # fails at the front fails in every order.  Only a missing matching is
-    # retried: the hosts are disjoint subsets of A and B over a graph of
-    # crossing edges, so a PreconditionViolated is a broken invariant that
-    # no order mends, and it ends the run.  After the loop, state.free_h
-    # holds the crossing edges left uncolored, or on failure those step 2
-    # left.
+    # retried.  After the loop, state.free_h holds the crossing edges left
+    # uncolored, or on failure those step 2 left.
+    #
+    # The matcher reads a host vertex's neighbors on the other side only,
+    # so it relies on every edge of state.free_h crossing A/B.  Step 2
+    # builds free_h from the edges of G* left uncolored after step 1, which
+    # colors all of G_AB, every side edge among them; step 2 only deletes
+    # edges from it, and step 3 deletes them and puts them back.  The
+    # invariant is checked here, once for all the hosts, with no trace
+    # entry: an edge inside a side is a broken invariant that no order
+    # mends, so it raises PreconditionViolated and ends the run.
     free = state.free_h
+    for side in (state.side_a, state.side_b):
+        for v in sorted(side):
+            inside = free._adj[v].keys() & side
+            if inside:
+                u, w = sorted((v, min(inside)))
+                raise PreconditionViolated("bipartite", f"edge inside one side: ({u},{w})")
     order = list(range(state.ell))
     for attempts in range(1, state.ell + 1):
         matchings: dict[int, list[int]] = {}

@@ -2,13 +2,13 @@ import gc
 import itertools
 import random
 import sys
-from collections import deque
+from collections import defaultdict, deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgecolor import classic
+from edgecolor import classic, engine
 from edgecolor.classic import (
     check_hamiltonian_cycle,
     check_matching,
@@ -32,6 +32,7 @@ from edgecolor.errors import (
     PreconditionViolated,
     TooFewCenterNeighbors,
 )
+from edgecolor.generators import gen_complete
 from edgecolor.multigraph import Multigraph, build_multigraph
 from edgecolor.oracle import brute_chromatic_index
 
@@ -141,7 +142,7 @@ def test_perfect_matching_dense_random(seed):
 
 def test_max_bipartite_matching_saturates():
     adj = {0: [10, 11], 1: [10], 2: [11, 12]}
-    m = max_bipartite_matching(adj, [0, 1, 2])
+    m = max_bipartite_matching(adj, [0, 1, 2], [10, 11, 12])
     assert len(m) == 3
 
 
@@ -326,10 +327,18 @@ def _bipartite_host(seed):
     return g, left, right, center, ids
 
 
+def _crossing_ids(g, left, right):
+    """The ids of g's edges that do not join two vertices of one side."""
+    ls, rs = set(left), set(right)
+    return [e for e in g.edge_ids() if not {*g.endpoints(e)} <= ls and not {*g.endpoints(e)} <= rs]
+
+
 def test_bipartite_matching_on_ids_equals_matching_on_induced_host():
     """perfect_matching_bipartite_star on the allowed edges of g, over all
-    of g's vertices, reads only the part on the two sides; it must give what
-    it gives on g.induced(left + right, ids)."""
+    of g's vertices, reads only the part between the two sides; it must give
+    what it gives on g.induced(left + right, ids), and on that host without
+    its edges inside a side (step 3 rejects those once per run, see
+    test_engine.py::test_step3_rejects_an_edge_inside_a_side)."""
     kinds = set()
     for seed in range(300):
         g, left, right, _, ids = _bipartite_host(seed)
@@ -337,6 +346,10 @@ def test_bipartite_matching_on_ids_equals_matching_on_induced_host():
         host = g.induced(left + right, ids)
         want = _outcome(perfect_matching_bipartite_star, host, left, right)
         assert got == want, seed
+        crossing = _crossing_ids(host, left, right)
+        assert got == _outcome(perfect_matching_bipartite_star, host.induced(host.verts, crossing), left, right)
+        if len(crossing) < host.edge_count:
+            kinds.add("edge inside a side")
         if isinstance(got, list):
             assert check_matching(host, got)
             # each pair is matched through its least allowed edge id
@@ -344,16 +357,17 @@ def test_bipartite_matching_on_ids_equals_matching_on_induced_host():
             kinds.add("matching")
         else:
             kinds.add(got[0])
-    assert {"matching", "PreconditionViolated", "NoPerfectMatching"} <= kinds
+    assert {"matching", "edge inside a side", "NoPerfectMatching"} <= kinds
 
 
-def test_bipartite_matching_rejects_an_edge_inside_a_side():
+def test_bipartite_matching_reads_no_edge_inside_a_side():
+    """The two edges inside {2, 3} are never followed: the matching is the
+    one of the host without them.  Step 3 rejects such an edge once per run
+    (test_engine.py::test_step3_rejects_an_edge_inside_a_side)."""
     g = Multigraph(4)
     for u, v in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 3)):
         g.add_edge(u, v)
-    with pytest.raises(PreconditionViolated, match=r"edge inside one side: \(2,3\)"):
-        perfect_matching_bipartite_star(g, [0, 1], [2, 3])
-    # without the two edges inside {2, 3} the host has a perfect matching
+    assert perfect_matching_bipartite_star(g, [0, 1], [2, 3]) == [0, 3]
     assert perfect_matching_bipartite_star(g.induced(g.verts, [0, 1, 2, 3]), [0, 1], [2, 3]) == [0, 3]
 
 
@@ -434,7 +448,7 @@ def test_max_bipartite_matching_agrees_with_textbook():
     augmented = 0
     for seed in range(300):
         adj, left = _random_adjacency(seed)
-        got = max_bipartite_matching(adj, left)
+        got = max_bipartite_matching(defaultdict(list, adj), left, set().union(*adj.values()))
         assert set(got) <= set(left), seed
         assert all(w in adj[u] for u, w in got.items()), seed
         assert len(set(got.values())) == len(got), seed
@@ -448,7 +462,8 @@ def test_max_bipartite_matching_agrees_with_textbook():
 
 
 class _CountedRow(list):
-    """A neighbor row that counts the entries read from it."""
+    """A neighbor row that counts its reads: each entry read from it and
+    each membership probe in it."""
 
     reads = 0
 
@@ -457,20 +472,55 @@ class _CountedRow(list):
             _CountedRow.reads += 1
             yield w
 
+    def __contains__(self, w):
+        _CountedRow.reads += 1
+        return list.__contains__(self, w)
+
 
 @pytest.mark.parametrize(
     "matcher,full_first_bfs", [(max_bipartite_matching, False), (_textbook_hopcroft_karp, True)]
 )
 def test_matcher_reads_on_complete_bipartite(monkeypatch, matcher, full_first_bfs):
-    """On K_{m,m} with sorted rows the search from u_i reads i matched
-    entries and takes the next one, which is free: m(m+1)/2 reads.  The
-    textbook Hopcroft-Karp's first phase ends the same way, but its first
-    BFS reads all m^2 entries before it."""
+    """On K_{m,m} the search from u_i probes the smallest free right vertex
+    in its row, a hit: m reads in all, and no row is sorted.  The textbook
+    Hopcroft-Karp reads rows in order: its first BFS reads all m^2 entries,
+    and its DFS from u_i reads i matched entries and takes the next one,
+    which is free, m(m+1)/2 more."""
     m = 20
     monkeypatch.setattr(_CountedRow, "reads", 0)
     adj = {u: _CountedRow(range(m, 2 * m)) for u in range(m)}
-    assert len(matcher(adj, list(range(m)))) == m
-    assert _CountedRow.reads == full_first_bfs * m * m + m * (m + 1) // 2
+    if full_first_bfs:
+        assert len(matcher(adj, list(range(m)))) == m
+        assert _CountedRow.reads == m * m + m * (m + 1) // 2
+    else:
+        assert len(matcher(adj, list(range(m)), range(m, 2 * m))) == m
+        assert _CountedRow.reads == m
+
+
+def _far_ladder(n):
+    """Left vertex i joined to right vertices 2n - 1 - i and, for i < n - 1,
+    2n - 2 - i: every root's neighbors are the largest right vertices still
+    free, so a search that scanned the free list from its smallest entry
+    would probe about n - i entries at root i, n^2 / 2 in all.  The last
+    root's only neighbor is taken, and its augmenting path runs back through
+    every left vertex."""
+    adj = {i: _CountedRow([2 * n - 1 - i] + ([2 * n - 2 - i] if i < n - 1 else [])) for i in range(n)}
+    return adj, list(range(n)), list(range(n, 2 * n))
+
+
+def test_matcher_reads_stay_linear_on_a_far_sparse_host(monkeypatch):
+    """Each search reads the shorter of the free list and the row, and sorts
+    a row only when it walks through it, so on _far_ladder the reads stay
+    within 2(|E| + |V|): each root scans its row of at most 2, and the one
+    long augmenting path probes one free vertex and sorts one row per left
+    vertex."""
+    n = 2000
+    adj, left, right = _far_ladder(n)
+    monkeypatch.setattr(_CountedRow, "reads", 0)
+    m = max_bipartite_matching(adj, left, right)
+    assert m == {i: 2 * n - 1 - i for i in range(n)}
+    edges = sum(map(len, adj.values()))
+    assert _CountedRow.reads <= 2 * (edges + 2 * n), _CountedRow.reads
 
 
 def _ladder(n):
@@ -567,17 +617,19 @@ def _center_first_bipartite_star(host, left, right, center):
 
 
 def test_bipartite_matching_equals_unfiltered_rows():
-    """Rows for the matching side only, built for the one solve, give the
+    """Rows for the matching side only, read from the free side, give the
     oracle's outcome: a perfect matching, each pair through its least edge
     id, where the oracle finds one, or else the same exception type and
     message.  Any maximum matching has the oracle's size, so the messages
-    agree; the pairs may differ."""
+    agree; the pairs may differ.  The oracle rejects an edge inside a side,
+    which the matcher does not follow, so it gets the host without them."""
     kinds = set()
     for seed in range(300):
         g, left, right, _, ids = _bipartite_host(seed)
         host = g.induced(g.verts, ids)
         got = _outcome(perfect_matching_bipartite_star, host, left, right)
-        want = _outcome(_unfiltered_bipartite_star, host, left, right)
+        crossing = _crossing_ids(host, left, right)
+        want = _outcome(_unfiltered_bipartite_star, host.induced(host.verts, crossing), left, right)
         if isinstance(want, list):
             assert isinstance(got, list) and len(got) == len(want), seed
             assert check_matching(g.induced(left + right, ids), got), seed
@@ -585,28 +637,161 @@ def test_bipartite_matching_equals_unfiltered_rows():
         else:
             assert got == want, seed
         kinds.add(got[0] if isinstance(got, tuple) else "matching")
-    assert {"matching", "PreconditionViolated", "NoPerfectMatching"} <= kinds
+        if len(crossing) < host.edge_count:
+            kinds.add("edge inside a side")
+    assert {"matching", "edge inside a side", "NoPerfectMatching"} <= kinds
 
 
 def test_bipartite_matching_exists_exactly_when_center_first_search_finds_one():
     """Every perfect matching covers the center, so the one maximum
     matching finds a matching exactly when the center-first search does, with
-    the center on the left, on the right and as drawn."""
+    the center on the left, on the right and as drawn.  The reference search
+    rejects an edge inside a side, which the matcher does not follow, so it
+    gets the host without them."""
     kinds = set()
+    inside = 0
     for seed in range(300):
         g, left, right, drawn, ids = _bipartite_host(seed)
         host = g.induced(g.verts, ids)
         got = _outcome(perfect_matching_bipartite_star, host, left, right)
         if isinstance(got, list):
             assert check_matching(g.induced(left + right, ids), got), seed
+        crossing = _crossing_ids(host, left, right)
+        inside += len(crossing) < host.edge_count
         for center in (left[0], right[-1], drawn):
-            ref = _outcome(_center_first_bipartite_star, host, left, right, center)
+            ref = _outcome(_center_first_bipartite_star, host.induced(host.verts, crossing), left, right, center)
             assert isinstance(got, list) == isinstance(ref, list), (seed, center)
             if not isinstance(got, list):
                 assert got[0] == ref[0], (seed, center)
             kinds.add((center in left, center in right, got[0] if isinstance(got, tuple) else "matching"))
     assert {(True, False, "matching"), (False, True, "matching")} <= kinds
     assert {(True, False, "NoPerfectMatching"), (False, True, "NoPerfectMatching")} <= kinds
+    assert inside > 0
+
+
+def _row_based_matching(adj, left):
+    """The oracle: the matcher as it was when it read sorted rows.  Each
+    search takes the first unmatched neighbor in row order, else moves
+    through the matched neighbors not yet seen, in row order."""
+    match_l, match_r = {}, {}
+    for root in left:
+        seen, path, rows = set(), [], []
+        u = root
+        while u is not None:
+            path.append(u)
+            row = adj.get(u, ())
+            free = next((w for w in row if w not in match_r), None)
+            if free is not None:
+                for a in reversed(path):
+                    held = match_l.get(a)
+                    match_l[a] = free
+                    match_r[free] = a
+                    free = held
+                break
+            rows.append(iter(row))
+            u = None
+            while rows and u is None:
+                for w in rows[-1]:
+                    if w not in seen:
+                        seen.add(w)
+                        u = match_r[w]
+                        break
+                else:
+                    rows.pop()
+                    path.pop()
+    return match_l
+
+
+def _row_based_star(host, left, right):
+    """The oracle's perfect matching: the side checks, a sorted row of
+    neighbors in ``right`` for every left vertex, the row-based search.
+    Like the matcher it follows no edge inside a side."""
+    ls, rs = set(left), set(right)
+    if ls & rs or not (ls | rs) <= host.verts:
+        raise PreconditionViolated("sides", "left/right must split the vertex set")
+    if len(ls) != len(rs):
+        raise NoPerfectMatching(f"side sizes differ: {len(ls)} vs {len(rs)}")
+    adj = host._adj
+    l_sorted = sorted(ls)
+    m = _row_based_matching({u: sorted(adj[u].keys() & rs) for u in l_sorted}, l_sorted)
+    if len(m) < len(ls):
+        raise NoPerfectMatching(
+            f"bipartite host has no perfect matching (maximum matching {len(m)} of {len(ls)})"
+        )
+    return [adj[u][w][0] for u, w in sorted(m.items())]
+
+
+@st.composite
+def matcher_hosts(draw):
+    """Two sides among shuffled vertex ids, one of them a vertex longer now
+    and then, a few vertices on neither side, and crossing edges of one
+    shape: dense, sparse, or a ladder whose greedy pass leaves one long
+    augmenting path.  Pairs are joined in a shuffled order by up to three
+    parallel edges; some hosts get edges inside a side or at a vertex off
+    the sides, and some lose a fifth of their edges again, so a pair's
+    least id is not always its first."""
+    k = draw(st.integers(0, 12))
+    longer = draw(st.sampled_from((0, 0, 0, 1)))
+    n = 2 * k + longer + draw(st.integers(0, 3))
+    order = draw(st.permutations(range(n)))
+    left, right = sorted(order[:k]), sorted(order[k : 2 * k + longer])
+    shape = draw(st.sampled_from(("dense", "sparse", "ladder")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if shape == "ladder":  # left[i] to right[k-1-i], and to the smaller right[k-2-i]
+        pairs = [(left[i], right[k - 1 - j]) for i in range(k) for j in (i, i + 1) if j < k]
+    else:
+        p = rng.uniform(0.6, 1.0) if shape == "dense" else rng.uniform(0.0, 0.25)
+        pairs = [(u, w) for u in left for w in right if rng.random() < p]
+    if n >= 2 and draw(st.booleans()):
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 4))]
+    rng.shuffle(pairs)
+    g = Multigraph(n)
+    for u, w in pairs:
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            g.add_edge(u, w)
+    if draw(st.booleans()):
+        for e in g.edge_ids():
+            if rng.random() < 0.2:
+                g.delete_edge(e)
+    if draw(st.booleans()):
+        left, right = right, left
+    return g, left, right
+
+
+@given(matcher_hosts())
+@settings(max_examples=400, deadline=None)
+def test_bipartite_matching_equals_the_row_based_oracle(host):
+    """Reading each host from its free side returns the edge list the
+    row-based search returns, or raises the same NoPerfectMatching; the
+    maximum matching itself is the oracle's, sides of unequal size
+    included."""
+    g, left, right = host
+    rows = {u: sorted(g._adj[u].keys() & set(right)) for u in left}
+    assert max_bipartite_matching(g._adj, left, right) == _row_based_matching(rows, left)
+    assert _outcome(perfect_matching_bipartite_star, g, left, right) == _outcome(
+        _row_based_star, g, left, right
+    )
+
+
+def test_engine_matchings_equal_the_row_based_oracle(monkeypatch):
+    """Every matcher call of the engine on K_60 returns the row-based
+    oracle's matching, on the host as it stands at the call."""
+    matcher, calls = engine.perfect_matching_bipartite_star, []
+
+    def checked(host, left, right):
+        want = _outcome(_row_based_star, host, left, right)
+        try:
+            got = matcher(host, left, right)
+        except EdgeColorError as exc:
+            calls.append((type(exc).__name__, str(exc)) == want)
+            raise
+        calls.append(got == want)
+        return got
+
+    monkeypatch.setattr(engine, "perfect_matching_bipartite_star", checked)
+    res = engine.dcolor(gen_complete(60), engine.EngineParams(epsilon=0.5, eta=0.12, seed=1))
+    assert res.verdict == "Colored"
+    assert calls and all(calls), calls
 
 
 # -- Koenig ------------------------------------------------------------

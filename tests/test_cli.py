@@ -488,3 +488,59 @@ def test_color_empty_graph_falls_back(tmp_path, capsys):
     assert "PreconditionViolated: nonempty" in doc["trace"][-1]["note"]
     assert run(["verify", str(mg), str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["gen", "color", "verify", "oracle", "bench"])
+def test_out_to_an_unwritable_path_is_one_error_line(tmp_path, capsys, command, target):
+    mg = tmp_path / "corpus" / "k5.mg"
+    mg.parent.mkdir()
+    col = tmp_path / "k5.json"
+    assert run(["gen", "--kind", "complete", "--n", "5", "--out", str(mg)]) == 0
+    assert run(["color", str(mg), "--out", str(col)]) == 0
+    inputs = {
+        "gen": ["--kind", "complete", "--n", "5"],
+        "color": [str(mg)],
+        "verify": [str(mg), str(col)],
+        "oracle": [str(mg)],
+        "bench": [str(mg.parent)],
+    }[command]
+    out = tmp_path / "missing" / "x.out" if target == "missing-directory" else mg.parent
+    capsys.readouterr()
+    assert run([command, *inputs, "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    reason = "No such file or directory" if target == "missing-directory" else "Is a directory"
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err and str(out) in err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--epsilon", "nan"], "--epsilon must give a finite delta floor, got nan"),
+        (["--epsilon", "inf"], "--epsilon must give a finite delta floor, got inf"),
+        (["--epsilon=-inf", "--delta-floor", "3"], "--epsilon must give a finite delta floor, got -inf"),
+        (["--epsilon", "1e308"], "--epsilon must give a finite delta floor, got 1e+308"),
+        (["--p", "nan"], "--p must lie in [0, 1], got nan"),
+        (["--p", "-1"], "--p must lie in [0, 1], got -1.0"),
+        (["--p", "2"], "--p must lie in [0, 1], got 2.0"),
+    ],
+    ids=["epsilon-nan", "epsilon-inf", "epsilon-minus-inf", "epsilon-overflow", "p-nan", "p-minus-1", "p-2"],
+)
+def test_gen_random_dense_refuses_bad_parameters(tmp_path, capsys, monkeypatch, flags, message):
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("a generator ran")
+
+    monkeypatch.setattr(cli, "gen_random_dense", unreachable)
+    mg = tmp_path / "g.mg"
+    assert run(["gen", "--kind", "random-dense", "--n", "15", *flags, "--out", str(mg)]) == 1
+    assert not mg.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_gen_random_dense_takes_p_at_the_ends(tmp_path, p):
+    mg = tmp_path / "g.mg"
+    assert run(["gen", "--kind", "random-dense", "--n", "15", "--p", p, "--seed", "2", "--out", str(mg)]) == 0
+    assert read_graph(str(mg)).min_degree() >= int(1.3 * 8)
