@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -38,80 +39,68 @@ EXIT_ERROR = 1
 EXIT_FALLBACK = 2
 
 
-def _write_out(text: str, path: str | None) -> bool:
-    """Write ``text`` to ``path`` or to stdout; a file that cannot be
-    written is one error line and False."""
+def _write_out(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path`` or to stdout."""
     if path is None or path == "-":
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError(errno.EBADF, "standard output is closed")
         sys.stdout.write(text)
-        return True
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind = args.kind
     if args.n < 0:
-        print(f"error: --n must be nonnegative, got {args.n}", file=sys.stderr)
-        return EXIT_ERROR
+        raise InfeasibleParams(f"--n must be nonnegative, got {args.n}")
     if kind == "random-dense":
         # int() refuses the default delta floor when it is nan or infinite,
         # as a huge finite epsilon makes it too
         if not math.isfinite((1 + args.epsilon) * ((args.n + 1) // 2)):
-            print(f"error: --epsilon must give a finite delta floor, got {args.epsilon}", file=sys.stderr)
-            return EXIT_ERROR
+            raise InfeasibleParams(f"--epsilon must give a finite delta floor, got {args.epsilon}")
         if not 0 <= args.p <= 1:
-            print(f"error: --p must lie in [0, 1], got {args.p}", file=sys.stderr)
-            return EXIT_ERROR
+            raise InfeasibleParams(f"--p must lie in [0, 1], got {args.p}")
     # Refuse, before building anything, a graph the reader would refuse: the
     # fixtures have 2n or 2n-1 vertices and no vertex of degree above
     # |V| - 1, and random-dense visits every pair.
     nv = {"dcolor-fixture": 2 * args.n, "case-fixture": 2 * args.n - 1}.get(kind, args.n)
     most_edges = nv * args.degree // 2 if kind == "regular" else nv * (nv - 1) // 2
     if nv > formats.MAX_VERTICES or most_edges > formats.MAX_EDGES:
-        print(
-            f"error: --kind {kind} --n {args.n} can have {nv} vertices and {most_edges} edges;"
-            f" the reader takes at most {formats.MAX_VERTICES} vertices and {formats.MAX_EDGES} edges",
-            file=sys.stderr,
+        raise TooLarge(
+            f"--kind {kind} --n {args.n} can have {nv} vertices and {most_edges} edges;"
+            f" the reader takes at most {formats.MAX_VERTICES} vertices and {formats.MAX_EDGES} edges"
         )
-        return EXIT_ERROR
     comments = [f"kind {kind}"]
-    try:
-        if kind == "complete":
-            g = gen_complete(args.n)
-        elif kind == "complete-minus-matching":
-            size = args.matching_size if args.matching_size is not None else args.n // 2
-            g = gen_complete_minus_matching(args.n, size)
-            comments.append(f"matching-size {size}")
-        elif kind == "random-dense":
-            floor = args.delta_floor if args.delta_floor is not None else int(
-                (1 + args.epsilon) * ((args.n + 1) // 2)
-            )
-            g = gen_random_dense(args.n, args.p, floor, args.seed)
-            comments.append(f"seed {args.seed}")
-            comments.append(f"p {args.p} delta-floor {floor}")
-        elif kind == "regular":
-            g = gen_regular(args.n, args.degree, args.seed)
-            comments.append(f"seed {args.seed}")
-            comments.append(f"degree {args.degree}")
-        elif kind == "dcolor-fixture":
-            fix = gen_dcolor_fixture(args.condition, args.n)
-            g = fix.graph
-            comments.append(f"condition {args.condition}")
-            comments.append(f"suggested-epsilon {fix.epsilon} suggested-eta {fix.eta}")
-        else:  # case-fixture: argparse's choices refuse any other kind
-            fix = gen_case_fixture(args.case, args.n)
-            g = fix.graph
-            comments.append(f"case {args.case}")
-            comments.append(f"suggested-epsilon {fix.epsilon} suggested-eta {fix.eta}")
-    except InfeasibleParams as exc:
-        print(f"infeasible parameters: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    return EXIT_OK if _write_out(formats.emit_graph(g, comments), args.out) else EXIT_ERROR
+    if kind == "complete":
+        g = gen_complete(args.n)
+    elif kind == "complete-minus-matching":
+        size = args.matching_size if args.matching_size is not None else args.n // 2
+        g = gen_complete_minus_matching(args.n, size)
+        comments.append(f"matching-size {size}")
+    elif kind == "random-dense":
+        floor = args.delta_floor if args.delta_floor is not None else int(
+            (1 + args.epsilon) * ((args.n + 1) // 2)
+        )
+        g = gen_random_dense(args.n, args.p, floor, args.seed)
+        comments.append(f"seed {args.seed}")
+        comments.append(f"p {args.p} delta-floor {floor}")
+    elif kind == "regular":
+        g = gen_regular(args.n, args.degree, args.seed)
+        comments.append(f"seed {args.seed}")
+        comments.append(f"degree {args.degree}")
+    elif kind == "dcolor-fixture":
+        fix = gen_dcolor_fixture(args.condition, args.n)
+        g = fix.graph
+        comments.append(f"condition {args.condition}")
+        comments.append(f"suggested-epsilon {fix.epsilon} suggested-eta {fix.eta}")
+    else:  # case-fixture: argparse's choices refuse any other kind
+        fix = gen_case_fixture(args.case, args.n)
+        g = fix.graph
+        comments.append(f"case {args.case}")
+        comments.append(f"suggested-epsilon {fix.epsilon} suggested-eta {fix.eta}")
+    _write_out(formats.emit_graph(g, comments), args.out)
+    return EXIT_OK
 
 
 def run_color(path: str, epsilon: float, eta: float | None, seed: int, mode: str) -> dict:
@@ -125,7 +114,7 @@ def _color_graph(
     """The result document of coloring ``g``, which was read from ``path``."""
     even = g.vertex_count % 2 == 0
     if mode == "odd" and even:
-        raise EvenOrderInput(f"|V|={g.vertex_count}")
+        raise EvenOrderInput(f"--mode odd needs an odd number of vertices, got {g.vertex_count}")
     use_engine = mode == "engine" or (mode == "auto" and even)
     doc: dict = {
         "schema": 1,
@@ -151,13 +140,8 @@ def _color_graph(
 
 
 def _cmd_color(args: argparse.Namespace) -> int:
-    try:
-        doc = run_color(args.input, args.epsilon, args.eta, args.seed, args.mode)
-    except (ParseError, EdgeColorError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    if not _write_out(formats.dump_json(doc), args.out):
-        return EXIT_ERROR
+    doc = run_color(args.input, args.epsilon, args.eta, args.seed, args.mode)
+    _write_out(formats.dump_json(doc), args.out)
     return EXIT_OK if doc["verdict"] in DECIDED else EXIT_FALLBACK
 
 
@@ -177,12 +161,8 @@ def _read_coloring(path: str, g: Multigraph) -> EdgeColoring:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = formats.read_graph(args.graph)
-        c = _read_coloring(args.coloring, g)
-    except (EdgeColorError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    g = formats.read_graph(args.graph)
+    c = _read_coloring(args.coloring, g)
     report = verify_proper(g, c)
     doc = {
         "schema": 1,
@@ -191,17 +171,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "colors_used": len(c.used_colors()),
         "violations": [list(v) for v in report.violations[:50]],
     }
-    return EXIT_OK if _write_out(formats.dump_json(doc), args.out) and report.ok else EXIT_ERROR
+    _write_out(formats.dump_json(doc), args.out)
+    return EXIT_OK if report.ok else EXIT_ERROR
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        g = formats.read_graph(args.input)
-        result = brute_chromatic_index(g, max_edges=args.max_edges)
-        scan = brute_overfull_scan(g) if g.vertex_count <= 20 else None
-    except (ParseError, TooLarge, EdgeColorError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    g = formats.read_graph(args.input)
+    result = brute_chromatic_index(g, max_edges=args.max_edges)
+    scan = brute_overfull_scan(g) if g.vertex_count <= 20 else None
     doc = {
         "schema": 1,
         "chi_prime": result.chi_prime,
@@ -216,7 +193,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         doc["overfull_witness"] = scan
     elif doc["overfull"]:
         doc["overfull_witness"] = g.vertex_list()
-    return EXIT_OK if _write_out(formats.dump_json(doc), args.out) else EXIT_ERROR
+    _write_out(formats.dump_json(doc), args.out)
+    return EXIT_OK
 
 
 def _bench_one(job: tuple[str, float, float | None, int]) -> dict:
@@ -261,12 +239,9 @@ _BENCH_FIELDS = [
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        names = os.listdir(args.corpus)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    paths = sorted(os.path.join(args.corpus, f) for f in names if f.endswith(".mg"))
+    if args.jobs < 1:
+        raise InfeasibleParams(f"--jobs must be at least 1, got {args.jobs}")
+    paths = sorted(os.path.join(args.corpus, f) for f in os.listdir(args.corpus) if f.endswith(".mg"))
     jobs = [(p, args.epsilon, args.eta, args.seed) for p in paths]
     workers = min(args.jobs, os.cpu_count() or 1)
     if workers > 1:
@@ -279,8 +254,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow({k: row.get(k, "") for k in _BENCH_FIELDS})
-    if not _write_out(buf.getvalue(), args.out):
-        return EXIT_ERROR
+    _write_out(buf.getvalue(), args.out)
     done = [r for r in rows if r["verdict"] != "error"]
     class_one = sum(1 for r in done if r["verdict"] == CLASS_ONE)
     colored = sum(1 for r in done if r["verdict"] == COLORED)
@@ -356,8 +330,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; every error it raises, standard output's
+    included, is one ``error:`` line on stderr and exit 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except (EdgeColorError, OSError) as exc:
+        if sys.stdout is not None and sys.stdout is sys.__stdout__:
+            # Bytes a failed write left buffered would fail again in the
+            # interpreter's exit-time flush and print "Exception ignored".
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 import csv
+import errno
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -71,10 +74,11 @@ def test_exit_code_fallback(tmp_path):
     assert code == 2
 
 
-def test_mode_odd_rejects_even(tmp_path):
+def test_mode_odd_rejects_even(tmp_path, capsys):
     mg = tmp_path / "e.mg"
     run(["gen", "--kind", "complete", "--n", "6", "--out", str(mg)])
     assert run(["color", str(mg), "--mode", "odd", "--out", os.devnull]) == 1
+    assert capsys.readouterr().err == "error: --mode odd needs an odd number of vertices, got 6\n"
 
 
 def test_mode_engine(tmp_path):
@@ -420,7 +424,7 @@ def test_gen_infeasible_matching_size_exits_1(tmp_path, capsys, size, message):
                 "--out", str(mg)]) == 1
     assert not mg.exists()
     err = capsys.readouterr().err
-    assert f"infeasible parameters: {message}" in err and "Traceback" not in err
+    assert err == f"error: {message} for n=9\n"
 
 
 def test_gen_negative_n_exits_1(capsys):
@@ -455,8 +459,7 @@ def test_gen_refuses_what_the_reader_refuses(tmp_path, monkeypatch, capsys, args
 
 def test_gen_empty_dcolor_fixture_exits_1(capsys):
     assert run(["gen", "--kind", "dcolor-fixture", "--condition", "a", "--n", "0", "--out", os.devnull]) == 1
-    err = capsys.readouterr().err
-    assert "infeasible parameters: degree -2 is negative" in err and "Traceback" not in err
+    assert capsys.readouterr().err == "error: degree -2 is negative\n"
 
 
 def _cycle_file(tmp_path, n):
@@ -544,3 +547,93 @@ def test_gen_random_dense_takes_p_at_the_ends(tmp_path, p):
     mg = tmp_path / "g.mg"
     assert run(["gen", "--kind", "random-dense", "--n", "15", "--p", p, "--seed", "2", "--out", str(mg)]) == 0
     assert read_graph(str(mg)).min_degree() >= int(1.3 * 8)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_refuses_jobs_below_1(tmp_path, capsys, monkeypatch, jobs):
+    """The refusal comes before the corpus is listed: a missing corpus
+    would be an error too, with another message."""
+    monkeypatch.setattr(cli.os, "listdir", lambda path: pytest.fail("the corpus was listed"))
+    out = tmp_path / "bench.csv"
+    assert run(["bench", str(tmp_path / "missing"), "--jobs", jobs, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: --jobs must be at least 1, got {jobs}\n")
+    assert not out.exists()
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["gen", "gen-large", "color", "verify", "oracle", "bench"])
+def test_stdout_that_cannot_be_written_is_one_error_line(tmp_path, command, unbuffered):
+    """Standard output on a full device fails on the write (unbuffered, or
+    a large output) or on the flush at the end of main; either is one error
+    line and exit 1, and the interpreter's own flush at exit prints nothing."""
+    mg = tmp_path / "corpus" / "k5.mg"
+    mg.parent.mkdir()
+    col = tmp_path / "k5.json"
+    assert run(["gen", "--kind", "complete", "--n", "5", "--out", str(mg)]) == 0
+    assert run(["color", str(mg), "--out", str(col)]) == 0
+    argv = {
+        "gen": ["gen", "--kind", "complete", "--n", "7"],
+        "gen-large": ["gen", "--kind", "complete", "--n", "60"],
+        "color": ["color", str(mg)],
+        "verify": ["verify", str(mg), str(col)],
+        "oracle": ["oracle", str(mg)],
+        "bench": ["bench", str(mg.parent)],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "edgecolor.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert proc.returncode == 1, proc.stderr
+    assert errors == ["error: [Errno 28] No space left on device"], proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real-stdout", "captured-stdout"])
+def test_main_points_fd_1_at_devnull_only_for_the_real_stdout(capsys, monkeypatch, real):
+    """After a failing flush main points the stream's fd at os.devnull, so
+    the interpreter's exit-time flush has somewhere to go; a stream that
+    only stands in for stdout, as pytest's do, keeps its fd."""
+
+    class FullStream:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def fileno(self):
+            return 99
+
+    stream = FullStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    if real:
+        monkeypatch.setattr(sys, "__stdout__", stream)
+    redirected = []
+    monkeypatch.setattr(cli.os, "dup2", lambda fd, to: redirected.append(to))
+    assert run(["gen", "--kind", "complete", "--n", "3"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert redirected == ([99] if real else [])
+
+
+def test_closed_stdout_is_one_error_line_only_when_written(tmp_path, capsys, monkeypatch):
+    """A process started with fd 1 closed has None for sys.stdout and
+    sys.__stdout__: writing the output there is an error, and writing it
+    to a file succeeds."""
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "__stdout__", None)
+    assert run(["gen", "--kind", "complete", "--n", "5"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 9] standard output is closed\n"
+    mg = tmp_path / "k5.mg"
+    assert run(["gen", "--kind", "complete", "--n", "5", "--out", str(mg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_graph(str(mg)).edge_count == 10

@@ -14,6 +14,10 @@ that start with ``_`` are exempt, as are names a function declares
 An unused import is a name an import statement binds that its module never
 reads.  ``from __future__`` imports are exempt, and a name listed in the
 module's ``__all__`` counts as read.
+
+An error printer is a call that writes to ``sys.stderr``, by ``print(...,
+file=sys.stderr)`` or ``sys.stderr.write(...)``, a string whose literal
+start is ``error:``.  The CLI has one, in ``main``.
 """
 
 import ast
@@ -185,3 +189,56 @@ def test_no_unused_imports():
     for path in sorted(SOURCE.glob("*.py")):
         found += unused_imports(path.read_text(encoding="utf-8"), path.name)
     assert found == [], "imported and never read: " + ", ".join(f"{f}:{line} {name}" for f, line, name in found)
+
+
+def _leading_text(node: ast.AST) -> str:
+    """The literal text an expression's string value starts with, as far as
+    the source shows it."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr) and node.values:
+        return _leading_text(node.values[0])
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _leading_text(node.left)
+    return ""
+
+
+def error_printers(source: str, filename: str = "<string>") -> list[tuple[int, str]]:
+    """``(line, top-level function or <module>)`` of every error printer in
+    ``source``."""
+    found = []
+    for top in ast.parse(source, filename).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = ast.unparse(node.func)
+            to_stderr = func == "sys.stderr.write" or (
+                func == "print" and any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords)
+            )
+            if to_stderr and _leading_text(node.args[0]).startswith("error:"):
+                found.append((node.lineno, owner))
+    return found
+
+
+def test_checker_flags_error_printers():
+    source = (
+        "import sys\n"
+        "def main(exc):\n"
+        "    print(f\"error: {exc}\", file=sys.stderr)\n"
+        "def _cmd(n):\n"
+        "    print(\"error: \" + str(n), file=sys.stderr)\n"
+        "    sys.stderr.write(f\"error: {n}\\n\")\n"
+        "    print(f\"error: {n}\")\n"
+        "    print(f\"n={n}\", file=sys.stderr)\n"
+        "    print(\"infeasible: error:\", file=sys.stderr)\n"
+        "print(\"error: at import\", file=sys.stderr)\n"
+    )
+    assert error_printers(source) == [(3, "main"), (5, "_cmd"), (6, "_cmd"), (10, "<module>")]
+
+
+def test_cli_prints_errors_from_main_only():
+    found = error_printers((SOURCE / "cli.py").read_text(encoding="utf-8"), "cli.py")
+    assert [owner for _, owner in found] == ["main"], "error printers: " + ", ".join(
+        f"cli.py:{line} {owner}" for line, owner in found
+    )
