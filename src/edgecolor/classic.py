@@ -356,18 +356,20 @@ def konig_color(g: Multigraph) -> EdgeColoring:
 
     The alternating-path proof of König's theorem.  Edges are colored in id
     order: edge uv takes the smallest color both ends miss, which needs no
-    flip.  When there is none, take a missing at u and b missing at v; the
-    (a, b)-path leaving v by its a-edge is maximal, every vertex it enters
-    by an a-edge lies on u's side, and u misses a, so the path avoids u.
-    Flipping it frees a at v, and uv takes a.
+    flip; ``EdgeColoring.color_common`` colors each run of such edges in
+    one loop.  When there is none, take a missing at u and b missing at v;
+    the (a, b)-path leaving v by its a-edge is maximal, every vertex it
+    enters by an a-edge lies on u's side, and u misses a, so the path
+    avoids u.  Flipping it frees a at v, uv takes a, and the kernel
+    resumes at the next edge.
     """
     bipartition(g)  # raises NotBipartite; the argument above needs two sides
     coloring = EdgeColoring(g, g.max_degree())
-    for eid, u, v in g.edges():
-        a = coloring.first_missing(u, v)
-        if a is None:
-            a, b = coloring.first_missing(u), coloring.first_missing(v)
-            flip_path(coloring, alternating_path(coloring, v, a, b)[1], a, b)
+    edges = g.edges()
+    while (stuck := coloring.color_common(edges)) is not None:
+        eid, u, v = stuck
+        a, b = coloring.first_missing(u), coloring.first_missing(v)
+        flip_path(coloring, alternating_path(coloring, v, a, b)[1], a, b)
         coloring.assign(eid, a)
     return coloring
 

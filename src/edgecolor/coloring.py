@@ -15,10 +15,20 @@ and :meth:`EdgeColoring.missing` reads the clear bits.  A test for one
 color (:meth:`EdgeColoring.misses`, :meth:`EdgeColoring.missing_at`, the
 vertices of a list that miss a color, and the clash checks of ``assign``
 and :func:`flip_path`) is a lookup in the edge-at index, which costs O(1)
-where a bit test on the mask costs O(k / word).  :func:`verify_proper`
-recomputes properness from scratch and shares no state with the
-incremental indexes, so it can serve as an oracle for everything built on
-top.
+where a bit test on the mask costs O(k / word).
+
+:meth:`EdgeColoring.color_common` is the one first-fit loop: it walks a
+stream of ``(edge_id, u, v)`` and gives each edge the lowest color clear
+in both ends' masks, until an edge finds none.  That edge is returned
+uncolored, and the caller colors it its own way (a König flip, a
+Misra-Gries fan, a fresh color) and passes the rest of the stream back.
+The kernel keeps ``assign``'s checks: a colored edge raises, and so does
+a color the edge-at index shows at an end, so a mask out of step with
+that index raises instead of storing a clash.  Only ``assign``,
+``unassign``, :func:`flip_path` and the kernel update the indexes.
+:func:`verify_proper` recomputes properness from scratch and shares no
+state with the incremental indexes, so it stays the independent oracle for
+everything built on top, the kernel included.
 
 A Kempe move is one walk and one flip.  :func:`alternating_path` walks the
 maximal two-colored path that starts at a vertex missing one of its colors,
@@ -34,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import StaleChain
 from .multigraph import Multigraph
@@ -158,6 +168,36 @@ class EdgeColoring:
         mask[u] ^= bit
         mask[v] ^= bit
         return color
+
+    def color_common(self, edges: Iterator[tuple[int, int, int]]) -> Optional[tuple[int, int, int]]:
+        """First-fit: give each ``(edge_id, u, v)`` of ``edges``, u and v its
+        ends, the smallest color missing at both ends.
+
+        Stops at the first edge whose ends share no missing color and
+        returns it, uncolored, leaving the rest of ``edges`` unread; the
+        caller colors it some other way and passes the same iterator again.
+        Returns None once ``edges`` is used up.  Raises ``ValueError``, with
+        ``assign``'s text and nothing stored, for an edge that is already
+        colored or a color that the edge-at index shows at an end.
+        """
+        k, assignment, present, mask = self.k, self.assignment, self._present, self._mask
+        for edge in edges:
+            eid, u, v = edge
+            if eid in assignment:
+                raise ValueError(f"edge {eid} already colored; unassign first")
+            busy = mask[u] | mask[v]
+            bit = ~busy & (busy + 1)  # the lowest clear bit
+            color = bit.bit_length() - 1
+            if color > k:
+                return edge
+            at_u, at_v = present[u], present[v]
+            if color in at_u or color in at_v:
+                raise ValueError(f"color {color} already present at an endpoint of edge {eid}")
+            assignment[eid] = color
+            at_u[color] = at_v[color] = eid
+            mask[u] |= bit
+            mask[v] |= bit
+        return None
 
 
 @dataclass

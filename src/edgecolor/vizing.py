@@ -2,21 +2,25 @@
 
 Simple graphs get the Misra-Gries fan algorithm ("A constructive proof of
 Vizing's theorem", IPL 41, 1992) with a fan that stops as soon as it can be
-rotated.  To color uv, the fan at u grows from v one vertex at a time.  If
-its last vertex misses a color free at u, the fan is rotated and its last
-edge takes that color.  Otherwise u's edge in the smallest color d missing
-at the last vertex extends the fan, unless it leads back into the fan; then
-the (d, c)-path that leaves u by its d-edge is flipped, c the smallest
-color free at u, and the first fan prefix whose last vertex misses d is
-rotated.  A star-multigraph is colored by first coloring the simple part
-away from the multi-center and then inserting the center's edges one by
-one with a center-anchored fan, or, where that fan is blocked, with the
-Misra-Gries fan at the edge's other end.  Every recoloring there is one
-Kempe move from a vertex that misses one of its two colors:
-``coloring.alternating_path`` walks the path and ``coloring.flip_path``
-flips it.  Every fan turns through one rotation, :func:`_rotate`; star fan
-vertices may repeat (parallel center edges), which it tolerates because
-the shifted colors are pairwise distinct and individually free.
+rotated.  The fan's first step, a color free at both ends of uv, is
+``EdgeColoring.color_common``, the first-fit kernel that also runs
+:func:`greedy_color` and places the near-star spares; it hands over only
+the edges it cannot color.  To color such an edge uv, the fan at u grows
+from v one vertex at a time.  If its last vertex misses a color free at u,
+the fan is rotated and its last edge takes that color.  Otherwise u's edge
+in the smallest color d missing at the last vertex extends the fan, unless
+it leads back into the fan; then the (d, c)-path that leaves u by its
+d-edge is flipped, c the smallest color free at u, and the first fan prefix
+whose last vertex misses d is rotated.  A star-multigraph is colored by
+first coloring the simple part away from the multi-center and then
+inserting the center's edges one by one with a center-anchored fan, or,
+where that fan is blocked, with the Misra-Gries fan at the edge's other
+end.  Every recoloring there is one Kempe move from a vertex that misses
+one of its two colors: ``coloring.alternating_path`` walks the path and
+``coloring.flip_path`` flips it.  Every fan turns through one rotation,
+:func:`_rotate`; star fan vertices may repeat (parallel center edges),
+which it tolerates because the shifted colors are pairwise distinct and
+individually free.
 
 A near star-multigraph reduces to the star case by setting aside all but
 one edge of its single non-center multi-pair.  :func:`near_star_color` is
@@ -40,11 +44,9 @@ from .multigraph import (
 def greedy_color(g: Multigraph, k: int) -> EdgeColoring:
     """First-free greedy coloring; succeeds whenever ``k >= 2*Delta - 1``."""
     c = EdgeColoring(g, k)
-    for eid, u, v in g.edges():
-        col = c.first_missing(u, v)
-        if col is None:
-            raise StarColoringFailed(f"greedy ran out of {k} colors at edge {eid}")
-        c.assign(eid, col)
+    stuck = c.color_common(g.edges())
+    if stuck is not None:
+        raise StarColoringFailed(f"greedy ran out of {k} colors at edge {stuck[0]}")
     return c
 
 
@@ -104,12 +106,11 @@ def misra_gries(g: Multigraph, palette: int | None = None) -> EdgeColoring:
     if g.edge_count == m * (m - 1) // 2 and m >= 2:
         return _complete_round_robin(g, k)
     c = EdgeColoring(g, k)
-    for eid, u, v in g.edges():
-        # A color free at both ends is the fan's first step, taken directly.
-        common = c.first_missing(u, v)
-        if common is not None:
-            c.assign(eid, common)
-        elif not _fan_color(g, c, eid, u):
+    edges = g.edges()
+    # A color free at both ends is the fan's first step, taken directly.
+    while (stuck := c.color_common(edges)) is not None:
+        eid, u, _ = stuck
+        if not _fan_color(g, c, eid, u):
             raise AssertionError("misra-gries fan left a simple graph's edge uncolored")
     return c
 
@@ -284,13 +285,10 @@ def near_star_color(g: Multigraph) -> EdgeColoring:
     spares = bundle[1:]
     reduced = g.without_edges(spares)
     full = near_star_color(reduced).rebind(g)
-    for eid in spares:
-        shared = full.first_missing(y, z)
-        if shared is not None:
-            full.assign(eid, shared)
-        else:
-            full.extend_palette(full.k + 1)
-            full.assign(eid, full.k)
+    stream = ((eid, y, z) for eid in spares)
+    while (stuck := full.color_common(stream)) is not None:
+        full.extend_palette(full.k + 1)
+        full.assign(stuck[0], full.k)
     bound = max(g.max_degree() + len(bundle), g.max_degree() + 1)
     if full.k > bound:
         raise AssertionError(f"near-star coloring exceeded bound: {full.k} > {bound}")

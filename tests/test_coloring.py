@@ -45,6 +45,10 @@ def test_assign_guards():
     c.assign(g.edges_between(0, 1)[0], 1)
     with pytest.raises(ValueError):
         c.assign(g.edges_between(0, 2)[0], 1)
+    with pytest.raises(ValueError, match="palette can only grow"):
+        c.extend_palette(1)
+    with pytest.raises(ValueError, match="palette size must be nonnegative"):
+        EdgeColoring(g, -1)
 
 
 def test_chain_on_even_cycle():
@@ -467,3 +471,70 @@ def test_each_invalid_call_raises_as_the_reference():
         assert got[0] in (ValueError, KeyError)
         assert got == _outcome(getattr(ref, name), *args)
         assert _state(c) == _state(ref)
+
+
+def _first_fit_per_edge(c: EdgeColoring, edges) -> tuple[int, int, int] | None:
+    """The first-fit loop of König, greedy and Misra-Gries before
+    ``color_common``: one ``first_missing(u, v)`` and one ``assign`` per edge."""
+    for eid, u, v in edges:
+        col = c.first_missing(u, v)
+        if col is None:
+            return eid, u, v
+        c.assign(eid, col)
+    return None
+
+
+@given(partial_colorings(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_color_common_equals_the_per_edge_loop(c, data):
+    """On the uncolored edges in any order, each end first or second, both
+    stop at the same edge and leave the same indexes; resumed after each
+    stuck edge, they agree again."""
+    g = c.graph
+    ref = _copy(c)
+    order = data.draw(st.permutations([eid for eid in g.edge_ids() if eid not in c.assignment]))
+    stream = []
+    for eid in order:
+        u, v = g.endpoints(eid)
+        stream.append((eid, v, u) if data.draw(st.booleans()) else (eid, u, v))
+    mine, theirs = iter(stream), iter(stream)
+    while True:
+        stuck = c.color_common(mine)
+        assert stuck == _first_fit_per_edge(ref, theirs)
+        assert _state(c) == _state(ref)
+        if stuck is None:
+            break
+        assert stuck[0] not in c.assignment
+    _assert_missing_index_matches(c)
+    assert verify_proper(g, c).ok
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_color_common_refuses_a_colored_edge(k):
+    """With assign's text and nothing stored, whether or not the edge's
+    ends share a missing color."""
+    g = complete(3)  # edges 0: 0-1, 1: 0-2, 2: 1-2
+    c = EdgeColoring(g, k)
+    c.assign(0, 1)
+    before = repr(_state(c))
+    with pytest.raises(ValueError, match=r"^edge 0 already colored; unassign first$"):
+        c.color_common(iter([(0, 0, 1)]))
+    assert _outcome(c.color_common, iter([(0, 0, 1)])) == _outcome(c.assign, 0, 1)
+    assert repr(_state(c)) == before
+
+
+@pytest.mark.parametrize("cleared", [0, 1])
+def test_color_common_refuses_a_clash_the_mask_hides(cleared):
+    """A mask bit cleared by hand while the edge-at index still holds the
+    color: the kernel's lookup in the edge-at index catches the clash, at
+    either end, and stores nothing."""
+    g = complete(3)  # edges 0: 0-1, 1: 0-2, 2: 1-2
+    c = EdgeColoring(g, 3)
+    c.assign(0, 1)
+    c._mask[cleared] &= ~(1 << 1)
+    before = repr(_state(c))
+    edge = (1, 2, 0) if cleared == 0 else (2, 1, 2)  # vertex ``cleared`` as v, then as u
+    with pytest.raises(ValueError, match=rf"^color 1 already present at an endpoint of edge {edge[0]}$"):
+        c.color_common(iter([edge]))
+    assert repr(_state(c)) == before
+

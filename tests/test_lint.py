@@ -18,6 +18,15 @@ module's ``__all__`` counts as read.
 An error printer is a call that writes to ``sys.stderr``, by ``print(...,
 file=sys.stderr)`` or ``sys.stderr.write(...)``, a string whose literal
 start is ``error:``.  The CLI has one, in ``main``.
+
+An index write is a store into an ``EdgeColoring``'s ``_present`` or
+``_mask``: an assignment, augmented assignment or ``del`` whose target is
+that attribute or an item of it, or a call of a mutating method (``pop``,
+``clear``, ``update`` ...) on one.  A local bound to the index or to a row
+of it (``present = c._present``, ``at_u = present[u]``, ``for row in
+c._mask``) counts as the index.  A function that gets a row as a parameter
+is not followed.  Only ``coloring.py`` writes the indexes, and there only
+``__init__``, ``assign``, ``unassign``, ``color_common`` and ``flip_path``.
 """
 
 import ast
@@ -242,3 +251,132 @@ def test_cli_prints_errors_from_main_only():
     assert [owner for _, owner in found] == ["main"], "error printers: " + ", ".join(
         f"cli.py:{line} {owner}" for line, owner in found
     )
+
+
+_INDEXES = {"_present", "_mask"}
+_MUTATORS = {"append", "clear", "extend", "insert", "pop", "popitem", "remove", "setdefault", "update"}
+
+
+def _functions(node: ast.AST, prefix: str = ""):
+    """``(qualified name, node)`` of every function defined in ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix + child.name + "." if isinstance(child, ast.ClassDef) else prefix)
+
+
+def _reaches_index(node: ast.AST, aliases: set[str]) -> bool:
+    """Whether ``node`` is an index, an item of one, or a local bound to either."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        if isinstance(node, ast.Attribute) and node.attr in _INDEXES:
+            return True
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in aliases
+
+
+def _flat(target: ast.AST):
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _flat(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _flat(target.value)
+    else:
+        yield target
+
+
+def _bindings(node: ast.AST):
+    """``(target, value)`` pairs of the names ``node`` binds, tuples paired
+    element by element where both sides are tuples of one length."""
+    if isinstance(node, ast.Assign):
+        pairs = [(t, node.value) for t in node.targets]
+    elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)) and node.value is not None:
+        pairs = [(node.target, node.value)]
+    elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+        pairs = [(node.target, node.iter)]
+    else:
+        pairs = []
+    while pairs:
+        target, value = pairs.pop()
+        if isinstance(target, (ast.Tuple, ast.List)) and isinstance(value, (ast.Tuple, ast.List)) and len(
+            target.elts
+        ) == len(value.elts):
+            pairs += zip(target.elts, value.elts)
+        else:
+            yield from ((t, value) for t in _flat(target) if isinstance(t, ast.Name))
+
+
+def index_writes(source: str, filename: str = "<string>") -> list[tuple[int, str]]:
+    """``(line, function or <module>)`` of every index write in ``source``."""
+    tree = ast.parse(source, filename)
+    found = []
+    for owner, scope in [("<module>", tree), *_functions(tree)]:
+        nodes = list(_own_nodes(scope))
+        aliases: set[str] = set()
+        grown = True
+        while grown:  # bindings may reach the index through earlier aliases
+            grown = False
+            for node in nodes:
+                for name, value in _bindings(node):
+                    if name.id not in aliases and _reaches_index(value, aliases):
+                        aliases.add(name.id)
+                        grown = True
+        for node in nodes:
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = [t for target in node.targets for t in _flat(target)]
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                targets = []
+            # A store into a local rebinds it; a store into an item or attribute writes.
+            writes = any(not isinstance(t, ast.Name) and _reaches_index(t, aliases) for t in targets)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                writes = node.func.attr in _MUTATORS and _reaches_index(node.func.value, aliases)
+            if writes:
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_checker_flags_index_writes():
+    source = (
+        "def f(c, u, g):\n"
+        "    c._present[u][1] = 7\n"
+        "    del c._present[u][1]\n"
+        "    c._mask[u] |= 2\n"
+        "    present, mask = c._present, c._mask\n"
+        "    at = present[u]\n"
+        "    at.pop(1)\n"
+        "    mask[u] ^= 2\n"
+        "    g.coloring._mask: list = []\n"
+        "    seen, k = {}, c.k\n"
+        "    seen[u] = at.get(1)\n"
+        "    seen.update(present[u])\n"
+        "    return 1 in present[u], mask[u] & 2\n"
+        "class C:\n"
+        "    def reset(self):\n"
+        "        for row in self._present:\n"
+        "            row.clear()\n"
+        "def g(c):\n"
+        "    rows = [r for r in c._present if 1 in r]\n"
+        "    return rows[0]\n"
+        "c._mask = None\n"
+    )
+    flagged = [(2, "f"), (3, "f"), (4, "f"), (7, "f"), (8, "f"), (9, "f"), (17, "C.reset"), (21, "<module>")]
+    assert index_writes(source) == flagged
+
+
+def test_coloring_alone_writes_the_indexes():
+    found = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for _, owner in index_writes(path.read_text(encoding="utf-8"), path.name):
+            found.setdefault(path.name, set()).add(owner)
+    assert found == {
+        "coloring.py": {
+            "EdgeColoring.__init__",
+            "EdgeColoring.assign",
+            "EdgeColoring.unassign",
+            "EdgeColoring.color_common",
+            "flip_path",
+        }
+    }

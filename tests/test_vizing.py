@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgecolor.coloring import verify_proper
-from edgecolor.errors import NotNearStar, NotStarMultigraph
+from edgecolor.errors import NotNearStar, NotStarMultigraph, StarColoringFailed
 from edgecolor.generators import gen_complete_minus_matching
 from edgecolor.multigraph import Multigraph, build_multigraph, detect_star_structure
 from edgecolor.oracle import brute_chromatic_index
@@ -160,6 +160,18 @@ def test_greedy_color_budget():
     g = random_simple(12, 0.7, 3)
     c = greedy_color(g, 2 * g.max_degree() - 1)
     assert c.is_total() and verify_proper(g, c).ok
+
+
+def test_greedy_color_names_the_edge_it_cannot_color():
+    with pytest.raises(StarColoringFailed, match=r"^greedy ran out of 2 colors at edge 2$"):
+        greedy_color(complete(3), 2)
+
+
+def test_misra_gries_refuses_a_palette_below_delta_plus_1():
+    g = petersen()
+    with pytest.raises(ValueError, match="palette below Delta"):
+        misra_gries(g, g.max_degree())
+    assert misra_gries(g, g.max_degree() + 2).k == g.max_degree() + 2
 
 
 @st.composite
