@@ -331,24 +331,31 @@ def perfect_matching_bipartite_star(host: Multigraph, left: list[int], right: li
 
 
 def bipartition(g: Multigraph) -> tuple[set[int], set[int]]:
-    color: dict[int, int] = {}
-    left: set[int] = set()
-    right: set[int] = set()
+    """The two sides of g, each component's smallest vertex on the left.
+
+    A breadth-first search over the adjacency rows, from each unreached
+    vertex in ascending order; raises ``NotBipartite`` at the first edge
+    it finds inside a side.
+    """
+    adj = g._adj
+    side = [-1] * g.n  # 0 left, 1 right, -1 not reached
     for start in g.vertex_list():
-        if start in color:
+        if side[start] >= 0:
             continue
-        color[start] = 0
+        side[start] = 0
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            (left if color[u] == 0 else right).add(u)
-            for w in g.neighbors(u):
-                if w not in color:
-                    color[w] = 1 - color[u]
+            here = side[u]
+            for w in adj[u]:
+                there = side[w]
+                if there < 0:
+                    side[w] = 1 - here
                     queue.append(w)
-                elif color[w] == color[u]:
+                elif there == here:
                     raise NotBipartite(f"odd walk through ({u},{w})")
-    return left, right
+    left = {v for v in g.verts if side[v] == 0}
+    return left, g.verts - left
 
 
 def konig_color(g: Multigraph) -> EdgeColoring:
@@ -378,9 +385,12 @@ def konig_color(g: Multigraph) -> EdgeColoring:
 # Spanning path covers with prescribed endpoints
 
 
-def check_path_cover(g: Multigraph, paths: list[list[int]], pairs: list[tuple[int, int]]) -> bool:
-    """True iff ``paths`` are vertex-disjoint paths of g that jointly span
-    V(g), ``paths[i]`` running from a to b where ``pairs[i] = (a, b)``."""
+def check_path_cover(
+    g: Multigraph, paths: list[list[int]], pairs: list[tuple[int, int]], skip: Iterable[int] = ()
+) -> bool:
+    """True iff ``paths`` are vertex-disjoint paths of g minus the vertices
+    ``skip`` that jointly span it, ``paths[i]`` running from a to b where
+    ``pairs[i] = (a, b)``."""
     seen: set[int] = set()
     if len(paths) != len(pairs):
         return False
@@ -393,7 +403,7 @@ def check_path_cover(g: Multigraph, paths: list[list[int]], pairs: list[tuple[in
         if seen & set(path) or len(set(path)) != len(path):
             return False
         seen.update(path)
-    return seen == g.verts
+    return seen == g.verts.difference(skip)
 
 
 def _anchored_ham_path(
@@ -447,28 +457,33 @@ def _anchored_ham_path(
 def path_cover_matching(
     g: Multigraph,
     pairs: list[tuple[int, int]],
+    skip: Iterable[int] = (),
 ) -> list[list[int]]:
-    """Vertex-disjoint paths joining each (a_i, b_i), jointly spanning V(g),
-    returned in the order of ``pairs``, each running from a_i to b_i.
+    """Vertex-disjoint paths joining each (a_i, b_i), jointly spanning g
+    minus the vertices ``skip`` (the host), returned in the order of
+    ``pairs``, each running from a_i to b_i.  The host is read off g; no
+    graph is built.
 
     All but the last pair get short routes through so-far-unused vertices;
     the last pair absorbs everything that remains via an anchored
     rotation-extension Hamiltonian path search.  Raises CoverFailed when
     the search gives up (callers treat that as a fallback trigger).
     """
+    skip = frozenset(skip)
+    verts = g.verts - skip
     if not pairs:
-        if g.vertex_count == 0:
+        if not verts:
             return []
         raise PreconditionViolated("pairs", "no pairs but vertices remain")
     flat = [v for p in pairs for v in p]
     if len(set(flat)) != len(flat):
         raise PreconditionViolated("pairs", "endpoint vertices must be disjoint")
     for v in flat:
-        if v not in g.verts:
+        if v not in verts:
             raise PreconditionViolated("pairs", f"vertex {v} not in graph")
 
-    adj = _simple_adj(g)
-    free = set(g.verts) - set(flat)
+    adj = _simple_adj(g, skip)
+    free = verts - set(flat)
     paths: list[list[int]] = []
     for a, b in pairs[:-1]:
         if b in adj[a]:
@@ -501,7 +516,7 @@ def path_cover_matching(
         raise CoverFailed(f"no spanning path for final pair ({a},{b})")
     paths.append(spine + [b])
 
-    if not check_path_cover(g, paths, pairs):
+    if not check_path_cover(g, paths, pairs, skip):
         raise AssertionError("path cover failed self-audit")
     return paths
 
@@ -511,7 +526,8 @@ def path_cover_star(
     pairs: list[tuple[int, int]],
     x: int,
 ) -> list[list[int]]:
-    """Path cover of a star-multigraph: remove the center, cover, splice back.
+    """Path cover of a star-multigraph: cover g minus the center, splice
+    the center back.
 
     If x is itself a pair endpoint its pair moves last as (x, b) and is
     rerouted through one fresh center neighbor; otherwise the last pair is
@@ -533,7 +549,7 @@ def path_cover_star(
     else:
         a, b = order[-1]
         tail = [(a, spare[0]), (spare[1], b)]
-    sub = path_cover_matching(g.without_vertices([x]), order[:-1] + tail)
+    sub = path_cover_matching(g, order[:-1] + tail, {x})
     # With x interior, sub[-2] runs from a to x's first stand-in and x joins
     # it to sub[-1]; with x an endpoint, x leads sub[-1] alone.
     lead = [] if x in ends else sub[-2]

@@ -7,15 +7,17 @@ vertex, the present colors with their edges (the edge-at index); and per
 vertex, an int whose bit c is set iff color c is present, with bit 0
 always set (the mask).  Color classes are derived:
 :meth:`EdgeColoring.classes` reads them off the assignment in one pass.
-:meth:`EdgeColoring.rebind` hands a coloring to another graph that shares
-its edge ids.  The mask is the one missing-color index, so no query walks
-the palette: :meth:`EdgeColoring.first_missing`, the smallest color
-missing at a vertex or at both ends of a pair, is the lowest clear bit,
-and :meth:`EdgeColoring.missing` reads the clear bits.  A test for one
-color (:meth:`EdgeColoring.misses`, :meth:`EdgeColoring.missing_at`, the
-vertices of a list that miss a color, and the clash checks of ``assign``
-and :func:`flip_path`) is a lookup in the edge-at index, which costs O(1)
-where a bit test on the mask costs O(k / word).
+:meth:`EdgeColoring.rebind` moves a coloring, in place, to another graph
+that shares its edge ids: it drops the colored edges that graph lacks and
+leaves the kept ones as they are.  The mask is the one missing-color
+index, so no query walks the palette: :meth:`EdgeColoring.first_missing`,
+the smallest color missing at a vertex or at both ends of a pair, is the
+lowest clear bit, and :meth:`EdgeColoring.missing` reads the clear
+bits.  A test for one color (:meth:`EdgeColoring.misses`,
+:meth:`EdgeColoring.missing_at`, the vertices of a list that miss a
+color, and the clash checks of ``assign`` and :func:`flip_path`) is a
+lookup in the edge-at index, which costs O(1) where a bit test on the
+mask costs O(k / word).
 
 :meth:`EdgeColoring.color_common` is the one first-fit loop: it walks a
 stream of ``(edge_id, u, v)`` and gives each edge the lowest color clear
@@ -25,7 +27,8 @@ Misra-Gries fan, a fresh color) and passes the rest of the stream back.
 The kernel keeps ``assign``'s checks: a colored edge raises, and so does
 a color the edge-at index shows at an end, so a mask out of step with
 that index raises instead of storing a clash.  Only ``assign``,
-``unassign``, :func:`flip_path` and the kernel update the indexes.
+``unassign``, :func:`flip_path`, the kernel and ``rebind``, which cuts or
+pads the rows to the new graph, update the indexes.
 :func:`verify_proper` recomputes properness from scratch and shares no
 state with the incremental indexes, so it stays the independent oracle for
 everything built on top, the kernel included.
@@ -75,16 +78,32 @@ class EdgeColoring:
         self._mask = [1] * graph.n
 
     def rebind(self, graph: Multigraph, palette_size: Optional[int] = None) -> "EdgeColoring":
-        """Copy restricted to the edges of ``graph`` (shared edge ids), over
-        palette ``[1, palette_size]`` (default ``k``).
+        """Move this coloring onto ``graph``, which shares its edge ids, over
+        palette ``[1, palette_size]`` (default ``k``), and return it.
 
-        Raises ``ValueError`` if a kept color lies outside that palette.
+        The colored edges that ``graph`` lacks are unassigned and the index
+        rows are cut or padded to ``graph.n``; the kept edges are not
+        touched.  If a kept color lies outside that palette, raises
+        ``ValueError`` with ``assign``'s text for the first such edge in
+        assignment order, and leaves the coloring as it was.
         """
-        c = EdgeColoring(graph, self.k if palette_size is None else palette_size)
-        for eid, col in self.assignment.items():
-            if graph.has_edge_id(eid):
-                c.assign(eid, col)
-        return c
+        k = self.k if palette_size is None else palette_size
+        if k < 0:
+            raise ValueError("palette size must be nonnegative")
+        assignment, ends = self.assignment, graph._edges
+        if max(assignment.values(), default=0) > k:
+            for eid, col in assignment.items():
+                if col > k and eid in ends:
+                    raise ValueError(f"color {col} outside palette [1, {k}]")
+        for eid in assignment.keys() - ends.keys():
+            self.unassign(eid)
+        # Cut or pad the rows to graph.n: a row past it met only the edges
+        # just unassigned, so it holds no color.
+        n, present, mask = graph.n, self._present, self._mask
+        present[n:] = [dict() for _ in range(n - len(present))]
+        mask[n:] = [1] * (n - len(mask))
+        self.graph, self.k = graph, k
+        return self
 
     def extend_palette(self, new_k: int) -> None:
         if new_k < self.k:

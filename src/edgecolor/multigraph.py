@@ -24,7 +24,7 @@ it is reached, and a simple pair costs a one-element list.
 
 Degrees are maintained: ``add_edge`` and ``delete_edge`` update a
 per-vertex count, so every degree query is a lookup.  Every builder of a
-new graph (``induced`` and the ``without_*`` forms over it, ``grown``,
+new graph from edges (``induced`` and the ``without_*`` forms over it,
 ``underlying_simple``, ``build_multigraph`` and the generators
 ``gen_complete``, ``gen_circulant``, ``gen_regular`` and the G(n, p) draw
 of ``gen_random_dense``) goes through one bulk fill that writes edges,
@@ -32,6 +32,8 @@ adjacency and degrees directly, in increasing id order; ``add_edge`` keeps
 the checks for single edges.  The reader (``formats.parse_graph``) streams
 its checked edge lines straight into that fill; ``build_multigraph``
 serves tests and callers that hold ``(u, v, multiplicity)`` triples.
+``copy`` and ``grown`` (a copy with isolated vertices appended) copy the
+rows instead, keeping each row's key order.
 """
 
 from __future__ import annotations
@@ -60,11 +62,11 @@ class Multigraph:
     induced subgraph restricted to listed edge ids, and R_A and R_B are
     the subgraphs of its residual graph R induced by A and B.  G[A], G[B]
     and G[A,B] are not built.  The reductions peel their working graph in
-    place, and both matchings read their host off the graph they are
-    given.  The engine runs on its input as G*, adding step 1's S-pair
-    edges and deleting them on the way out.  Its uncolored crossing edges
-    are one graph from step 2 to step 4, which deletes each edge as it is
-    colored, and R is another, which step 2 grows.
+    place, and both matchings and the path cover read their host off the
+    graph they are given.  The engine runs on its input as G*, adding step
+    1's S-pair edges and deleting them on the way out.  Its uncolored
+    crossing edges are one graph from step 2 to step 4, which deletes each
+    edge as it is colored, and R is another, which step 2 grows.
     """
 
     __slots__ = ("n", "verts", "_edges", "_adj", "_deg", "_next_id")
@@ -155,10 +157,15 @@ class Multigraph:
         return g
 
     def grown(self, extra: int) -> "Multigraph":
-        """Copy with ``extra`` fresh vertices appended to the index space."""
-        g = Multigraph(self.n + extra, set(self.verts) | set(range(self.n, self.n + extra)))
-        edges = self._edges
-        return g._fill(((eid, *edges[eid]) for eid in sorted(edges)), self._next_id)
+        """:meth:`copy` with ``extra`` fresh, isolated vertices appended to
+        the index space; every adjacency row keeps its key order."""
+        g = self.copy()
+        n = self.n + extra
+        g.verts.update(range(self.n, n))
+        g._adj.extend(dict() for _ in range(extra))
+        g._deg.extend([0] * extra)
+        g.n = n
+        return g
 
     # -- basic queries -----------------------------------------------------
 

@@ -114,7 +114,8 @@ def _leave_out(rep: DeficiencyReport, order: int) -> Optional[list[int]]:
 
 
 def _recombine(g: Multigraph, engine: EdgeColoring, peeled: list[list[int]]) -> EdgeColoring:
-    """The coloring of ``g`` over Delta(g) colors that a reduction built.
+    """The coloring of ``g`` over Delta(g) colors that a reduction built:
+    the engine's coloring, moved onto ``g``.
 
     Edges keep the engine's colors, and ``peeled[i]`` takes the reserved
     color Delta(g) - len(peeled) + 1 + i.  Edges that are not in ``g``

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from edgecolor import classic, engine
 from edgecolor.classic import (
+    bipartition,
     check_hamiltonian_cycle,
     check_matching,
     check_path_cover,
@@ -814,6 +815,60 @@ def test_konig_rejects_odd_cycle():
         konig_color(cycle(5))
 
 
+def _bipartition_by_sorted_neighbors(g):
+    """``bipartition`` before it read rows: sides in two sets, the
+    neighbors of each vertex sorted."""
+    color: dict[int, int] = {}
+    left: set[int] = set()
+    right: set[int] = set()
+    for start in g.vertex_list():
+        if start in color:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            (left if color[u] == 0 else right).add(u)
+            for w in g.neighbors(u):
+                if w not in color:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    raise NotBipartite(f"odd walk through ({u},{w})")
+    return left, right
+
+
+@st.composite
+def _mostly_bipartite(draw):
+    """A multigraph on some of 0..8 whose edges mostly cross a drawn split."""
+    n = draw(st.integers(0, 9))
+    g = Multigraph(n, draw(st.sets(st.integers(0, n - 1))) if n else ())
+    verts = sorted(g.verts)
+    side = {v: draw(st.booleans()) for v in verts}
+    if len(verts) >= 2:
+        for _ in range(draw(st.integers(0, 16))):
+            u, v = draw(st.lists(st.sampled_from(verts), min_size=2, max_size=2, unique=True))
+            if side[u] != side[v] or draw(st.integers(0, 7)) == 0:
+                g.add_edge(u, v)
+    return g
+
+
+@given(_mostly_bipartite())
+@settings(max_examples=300, deadline=None)
+def test_bipartition_equals_the_sorted_neighbor_search(g):
+    """It raises exactly when the old search raises; otherwise it returns
+    the old search's sides, and every edge crosses them."""
+    try:
+        want = _bipartition_by_sorted_neighbors(g)
+    except NotBipartite:
+        with pytest.raises(NotBipartite, match=r"^odd walk through \(\d+,\d+\)$"):
+            bipartition(g)
+        return
+    left, right = bipartition(g)
+    assert (left, right) == want
+    assert all((u in left) != (v in left) for _, u, v in g.edges())
+
+
 def _random_bipartite(seed):
     rng = random.Random(seed)
     nl = rng.randint(3, 20)
@@ -996,6 +1051,15 @@ def test_path_cover_star_center_endpoint():
     assert sorted(flat) == list(range(7))
 
 
+@pytest.mark.parametrize("pairs", [[(1, 2)], [(3, 4), (0, 5)]])
+def test_path_cover_star_builds_no_graph(pairs, monkeypatch):
+    """The cover of g minus the center reads g through a skip set."""
+    g = complete(7)
+    want = path_cover_star(g, pairs, x=0)
+    monkeypatch.setattr(Multigraph, "induced", None)
+    assert path_cover_star(g, pairs, x=0) == want
+
+
 def test_path_cover_star_needs_spare_neighbors():
     g = Multigraph(5)
     g.add_edge(0, 1)
@@ -1021,3 +1085,37 @@ def test_path_cover_dense_random(seed):
     pairs = [(0, 1), (2, 3)]
     cover = path_cover_matching(g, pairs)
     assert check_path_cover(g, cover, pairs)
+
+
+def _cover_on_skip_cases():
+    """Dense hosts with skipped vertices and disjoint pairs on the host (an
+    end off the host at every seventh seed), then a host too sparse for
+    short routes, a host emptied by its skip set, and one that is not."""
+    for seed in range(80):
+        g, skip = _dense_host_with_skip(seed)
+        rng = random.Random(-1 - seed)
+        host = [v for v in range(g.n) if v not in skip]
+        ends = rng.sample(host, 2 * rng.randint(1, min(3, len(host) // 2)))
+        if skip and seed % 7 == 0:
+            ends[0] = skip[0]
+        yield g, list(zip(ends[::2], ends[1::2])), skip
+    yield _spokes((2,), (3,)), [(0, 1), (2, 3)], [7]
+    yield complete(3), [], [0, 1, 2]
+    yield complete(3), [], [1]
+
+
+def test_path_cover_on_skip_equals_cover_on_copy():
+    """path_cover_matching(g, pairs, skip) reads its host off g; it must
+    give what the call on a built copy of g minus skip gives, paths or
+    error."""
+    kinds = set()
+    for g, pairs, skip in _cover_on_skip_cases():
+        got = _outcome(path_cover_matching, g, pairs, skip)
+        assert got == _outcome(path_cover_matching, g.without_vertices(skip), pairs), (pairs, skip)
+        if isinstance(got, list):
+            assert check_path_cover(g, got, pairs, skip)
+            assert check_path_cover(g, got, pairs) == (not set(skip) & g.verts)
+            kinds.add("cover")
+        else:
+            kinds.add(got[0])
+    assert {"cover", "PreconditionViolated", "CoverFailed"} <= kinds

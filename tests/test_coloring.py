@@ -239,23 +239,86 @@ def test_classes_partition_the_assignment_after_updates(c, data):
     _assert_missing_index_matches(c)
 
 
-def test_rebind_keeps_the_shared_edges_and_checks_the_palette():
+def test_rebind_keeps_the_shared_edges_and_checks_the_palette(monkeypatch):
     g = complete(5)
     c = greedy_coloring(g, 7)
+    before = dict(c.assignment)
     dropped = g.edges_between(0, 1) + g.edges_between(2, 3)
     sub = g.without_edges(dropped)
+    monkeypatch.setattr(EdgeColoring, "assign", None)  # a move assigns nothing
     moved = c.rebind(sub)
-    assert moved.graph is sub and moved.k == c.k
-    assert moved.assignment == {e: col for e, col in c.assignment.items() if e not in dropped}
+    assert moved is c and moved.graph is sub and moved.k == 7
+    assert moved.assignment == {e: col for e, col in before.items() if e not in dropped}
     assert verify_proper(sub, moved).ok
     assert c.rebind(sub, 9).k == 9
     top = max(moved.assignment.values())
     with pytest.raises(ValueError, match="outside palette"):
         c.rebind(sub, top - 1)
+    assert c.graph is sub and c.k == 9  # a refused move leaves the coloring as it was
+
+
+def _rebind_by_copy(c: EdgeColoring, graph: Multigraph, palette_size: int | None = None) -> EdgeColoring:
+    """``rebind`` before it moved the coloring: a new coloring of ``graph``
+    that re-assigns, in assignment order, each colored edge ``graph`` has."""
+    out = EdgeColoring(graph, c.k if palette_size is None else palette_size)
+    for eid, col in c.assignment.items():
+        if graph.has_edge_id(eid):
+            out.assign(eid, col)
+    return out
 
 
 def _copy(c: EdgeColoring) -> EdgeColoring:
-    return c.rebind(c.graph)
+    return _rebind_by_copy(c, c.graph)
+
+
+def _rebind_targets(c: EdgeColoring, data) -> dict[str, tuple[Multigraph, int]]:
+    """Graphs sharing ``c``'s edge ids, each with a palette for the move:
+    a supergraph on the same vertices; the graph less its last vertex and
+    some further edges, as G' loses its center and padding edges on the
+    way back to G, under a palette that may be too small for a kept or a
+    dropped edge; a graph with one more vertex; and the same graph under
+    a palette that may be too small or negative."""
+    g = c.graph
+    sup = g.copy()
+    for _ in range(data.draw(st.integers(0, 3))):
+        if g.n >= 2:
+            u, v = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+            sup.add_edge(u, v)
+    gone = data.draw(st.sets(st.sampled_from(g.edge_ids()))) if g.edge_count else set()
+    kept = ((eid, u, v) for eid, u, v in g.edges() if v < g.n - 1 and eid not in gone)
+    less = Multigraph(g.n - 1)._fill(kept, g._next_id)
+    return {
+        "supergraph": (sup, c.k),
+        "less a vertex": (less, data.draw(st.integers(0, c.k + 2))),
+        "grown": (g.grown(1), c.k),
+        "palette": (g, data.draw(st.integers(-1, c.k + 1))),
+    }
+
+
+@given(partial_colorings(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_rebind_moves_what_the_copy_gives(c, data):
+    """The moved coloring equals the copy the old ``rebind`` built: the same
+    assignment in the same order, indexes that agree with it, or the same
+    error with the coloring left as it was."""
+    for name, (graph, palette) in _rebind_targets(c, data).items():
+        moved = _copy(c)
+        ref = _outcome(_rebind_by_copy, moved, graph, palette)
+        before = _snapshot(moved)
+        got = _outcome(moved.rebind, graph, palette)
+        if ref[0] != "returned":
+            assert got == ref and _snapshot(moved) == before, name
+            continue
+        want = ref[1]
+        assert got == ("returned", moved) and moved.graph is graph and moved.k == want.k, name
+        assert list(moved.assignment.items()) == list(want.assignment.items()), name
+        assert moved._present == _present_index(moved) == want._present, name
+        assert moved._mask == want._mask, name
+        assert verify_proper(graph, moved).ok, name
+
+
+def _snapshot(c: EdgeColoring) -> tuple:
+    return c.graph, c.k, list(c.assignment.items()), repr(c._present), repr(c._mask)
 
 
 def _present_index(c: EdgeColoring) -> list[dict[int, int]]:

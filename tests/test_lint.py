@@ -377,6 +377,7 @@ def test_coloring_alone_writes_the_indexes():
             "EdgeColoring.assign",
             "EdgeColoring.unassign",
             "EdgeColoring.color_common",
+            "EdgeColoring.rebind",
             "flip_path",
         }
     }

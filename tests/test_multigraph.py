@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgecolor.errors import LoopRejected, VertexOutOfRange
+from edgecolor.formats import emit_graph, parse_graph
 from edgecolor.multigraph import (
     Multigraph,
     build_multigraph,
@@ -236,6 +237,68 @@ def test_copy_keeps_key_order_after_deletions_and_readditions():
     assert g.edges_between(0, 1) == [6]
     assert_core_consistent(g, 8)
     assert_core_consistent(copied, 9)
+
+
+def _layout(g: Multigraph) -> tuple:
+    """Everything a graph stores, with the order of every dict."""
+    rows = [list(row.items()) for row in g._adj]
+    return g.n, g.verts, list(g._edges.items()), rows, g._deg, g._next_id
+
+
+def _grown_by_fill(g: Multigraph, extra: int) -> Multigraph:
+    """``grown`` before it copied: a new graph refilled edge by edge in
+    increasing id order."""
+    out = Multigraph(g.n + extra, set(g.verts) | set(range(g.n, g.n + extra)))
+    return out._fill(((eid, *g._edges[eid]) for eid in sorted(g._edges)), g._next_id)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_grown_is_copy_plus_isolated_vertices(data):
+    """After any edits, grown(k) is copy() with k empty rows, zero degrees
+    and k vertices appended, every row in its key order, and lists that
+    are shared by both ends and not by the original."""
+    n = data.draw(st.integers(1, 7))
+    g = Multigraph(n, data.draw(st.sets(st.integers(0, n - 1), min_size=min(n, 2))))
+    verts = sorted(g.verts)
+    for _ in range(data.draw(st.integers(0, 20))):
+        if data.draw(st.booleans()) and g.edge_count:
+            g.delete_edge(data.draw(st.sampled_from(g.edge_ids())))
+        elif len(verts) >= 2:
+            g.add_edge(*data.draw(st.lists(st.sampled_from(verts), min_size=2, max_size=2, unique=True)))
+    extra = data.draw(st.integers(0, 3))
+    grown, copied = g.grown(extra), g.copy()
+    _, _, edges, rows, deg, next_id = _layout(copied)
+    appended = set(range(n, n + extra))
+    assert _layout(grown) == (n + extra, g.verts | appended, edges, rows + [[]] * extra, deg + [0] * extra, next_id)
+    for v in range(n):
+        for w, ids in grown._adj[v].items():
+            assert grown._adj[w][v] is ids and ids is not g._adj[v][w]
+    assert_core_consistent(grown, g._next_id)
+
+
+def test_grown_refills_nothing(monkeypatch):
+    g = build_multigraph(4, [(0, 1, 2), (1, 2, 1), (2, 3, 1)])
+    monkeypatch.setattr(Multigraph, "_fill", None)
+    assert g.grown(1).edge_ids() == g.edge_ids()
+
+
+def test_grown_equals_the_fill_based_grown_on_reduction_shapes():
+    """The reductions grow the graph the reader built, and tests grow it
+    after deleting whole pairs and appending edges: on those, the copy
+    and the refill store the same graph in the same order."""
+    for seed in range(8):
+        g = parse_graph(emit_graph(random_simple(9 + seed, 0.7, seed)))
+        shapes = [g]
+        cut = g.copy()
+        for eid in cut.edge_ids()[seed::5]:
+            cut.delete_edge(eid)  # simple, so each deletion drops a whole pair
+        for u, v in [(0, 1), (0, 1), (2, 3), (1, 4)]:
+            cut.add_edge(u, v)
+        shapes.append(cut)
+        for shape in shapes:
+            for extra in (0, 1, 2):
+                assert _layout(shape.grown(extra)) == _layout(_grown_by_fill(shape, extra)), seed
 
 
 def test_pair_lists_stay_ascending_and_private():
